@@ -1,7 +1,8 @@
 // Microbenchmarks of the algorithmic kernels (google-benchmark): LF job
 // cutting, water-filling, the Energy-OPT planner, the Quality-OPT
 // allocator, YDS, the power model, the quality functions, plan
-// rectification, the event queue, and a full GE scheduling round.
+// rectification, the event queue, a full GE scheduling round, and the
+// report pipeline's passes (reclaim advisor, JSONL writer and reader).
 //
 // Emitting the machine-readable trajectory (see docs/BENCHMARKS.md):
 //
@@ -13,11 +14,22 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "core/good_enough.h"
 #include "core/load_estimator.h"
 #include "core/plan_rectifier.h"
+#include "exp/config.h"
+#include "exp/runner.h"
+#include "exp/scheduler_spec.h"
+#include "obs/analysis/analysis.h"
+#include "obs/analysis/reclaim.h"
+#include "obs/analysis/trace_reader.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "opt/energy_opt.h"
 #include "opt/job_cutter.h"
 #include "opt/quality_opt.h"
@@ -33,6 +45,7 @@
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "workload/job.h"
+#include "workload/trace.h"
 
 namespace {
 
@@ -456,5 +469,102 @@ void BM_GESchedulingRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
 BENCHMARK(BM_GESchedulingRound)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
+
+// --- The report pipeline ----------------------------------------------------
+
+// One task shaped like the repository benchmark's report_traced workload:
+// 2 servers behind jsq at 150 req/s each, discrete DVFS, 2 tenants, GE, a
+// 12 s horizon, captured once per process with its JSONL rendering.
+struct CapturedTask {
+  ge::obs::RunTelemetry telemetry;
+  ge::obs::analysis::TaskInput input;
+  std::string jsonl;
+};
+
+const CapturedTask& captured_task() {
+  static const CapturedTask* task = [] {
+    ge::exp::ExperimentConfig cfg = ge::exp::ExperimentConfig::paper_defaults();
+    cfg.num_servers = 2;
+    cfg.dispatch = ge::cluster::DispatchPolicy::kJsq;
+    cfg.arrival_rate = 300.0;
+    cfg.discrete_speeds = true;
+    cfg.num_tenants = 2;
+    cfg.tenant_qge = {0.95, 0.85};
+    cfg.duration = 12.0;
+    cfg.seed = 12;
+    const ge::exp::SchedulerSpec spec = ge::exp::SchedulerSpec::parse("GE");
+    const ge::workload::Trace trace =
+        ge::workload::Trace::generate(cfg.workload_spec(), cfg.duration, cfg.max_jobs);
+    auto* out = new CapturedTask;
+    out->telemetry.want_trace = true;
+    (void)ge::exp::run_simulation(cfg, spec, trace, nullptr, &out->telemetry);
+
+    ge::obs::analysis::TaskInput& input = out->input;
+    input.info.scheduler = spec.display_name();
+    input.info.arrival_rate = cfg.arrival_rate;
+    input.info.cores = cfg.cores;
+    input.info.power_budget = ge::exp::effective_budget(spec, cfg);
+    input.info.power_model_json = cfg.power_model().describe_json();
+    input.info.ladder_units =
+        ge::power::DiscreteSpeedTable::uniform_ghz(cfg.discrete_step_ghz,
+                                                   cfg.discrete_max_ghz,
+                                                   cfg.power_model().units_per_ghz())
+            .levels();
+    input.buffer = &out->telemetry.trace;
+    for (const ge::cluster::NodeSpec& node :
+         cfg.cluster_node_specs(input.info.power_budget)) {
+      input.models.push_back(node.core_models);
+    }
+    ge::obs::append_trace_jsonl(out->jsonl, input.info, out->telemetry.trace);
+    return out;
+  }();
+  return *task;
+}
+
+// The reclaim advisor over the captured task: per-core YDS placement plus
+// the pooled fleet-wide floor.  items/s is released jobs per second.
+void BM_ReclaimAdvisor(benchmark::State& state) {
+  const CapturedTask& task = captured_task();
+  const ge::obs::analysis::TaskAnalysis analysis =
+      ge::obs::analysis::analyze_task(task.input);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ge::obs::analysis::analyze_reclaim(task.input, analysis));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(analysis.released));
+}
+BENCHMARK(BM_ReclaimAdvisor)->Unit(benchmark::kMillisecond);
+
+// JSONL rendering of the captured trace into a reused string; items/s is
+// trace events per second.
+void BM_TraceWriterJsonl(benchmark::State& state) {
+  const CapturedTask& task = captured_task();
+  std::string text;
+  for (auto _ : state) {
+    text.clear();
+    ge::obs::append_trace_jsonl(text, task.input.info, task.telemetry.trace);
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(task.telemetry.trace.size()));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TraceWriterJsonl)->Unit(benchmark::kMillisecond);
+
+// Parsing the captured JSONL back into trace buffers; items/s is trace
+// events per second.
+void BM_ReadTraceJsonl(benchmark::State& state) {
+  const CapturedTask& task = captured_task();
+  for (auto _ : state) {
+    std::istringstream in(task.jsonl);
+    benchmark::DoNotOptimize(ge::obs::analysis::read_trace_jsonl(in));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(task.telemetry.trace.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(task.jsonl.size()));
+}
+BENCHMARK(BM_ReadTraceJsonl)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -15,31 +15,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One re-speedable unit of realised work: a (core, job) pair's executed
-// units, to be completed within [release, deadline].
-struct RJob {
-  double release = 0.0;
-  double deadline = 0.0;
-  double work = 0.0;
-  std::size_t idx = 0;  // index into the core's job list
-};
-
-// A placed re-speed slice: run job `idx` at `speed` over [t0, t1].
-struct RSlice {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  double speed = 0.0;
-  std::size_t idx = 0;
-};
-
-struct Placement {
-  std::vector<double> speed;   // per input job: its critical-block speed
-  std::vector<RSlice> slices;  // in placement order
-};
+using detail::Placement;
+using detail::RJob;
+using detail::RSlice;
 
 // Disjoint sorted intervals with measure queries.  The cumulative measure
 // M(t) (total availability at or before t) makes measure(avail cap [t1,t2])
-// an O(log n) lookup during the candidate scan.
+// = M(t2) - M(t1), each an O(log n) lookup.
 class Availability {
  public:
   Availability(double lo, double hi) {
@@ -51,11 +33,14 @@ class Availability {
 
   bool empty() const { return ivs_.empty(); }
 
-  double measure_between(double t1, double t2) const {
-    if (t2 <= t1) {
-      return 0.0;
-    }
-    return cum_at(t2) - cum_at(t1);
+  // Total availability measure in (-inf, t].
+  double cum_at(double t) const {
+    const auto it = std::partition_point(
+        ivs_.begin(), ivs_.end(), [t](const auto& iv) { return iv.second <= t; });
+    const auto i = static_cast<std::size_t>(it - ivs_.begin());
+    const double extra =
+        i < ivs_.size() && ivs_[i].first < t ? t - ivs_[i].first : 0.0;
+    return cum_[i] + extra;
   }
 
   // avail cap [t1, t2], as intervals.
@@ -95,19 +80,6 @@ class Availability {
     for (std::size_t i = 0; i < ivs_.size(); ++i) {
       cum_[i + 1] = cum_[i] + (ivs_[i].second - ivs_[i].first);
     }
-  }
-
-  // Total availability measure in (-inf, t].
-  double cum_at(double t) const {
-    std::size_t i = 0;
-    double extra = 0.0;
-    while (i < ivs_.size() && ivs_[i].second <= t) {
-      ++i;
-    }
-    if (i < ivs_.size() && ivs_[i].first < t) {
-      extra = t - ivs_[i].first;
-    }
-    return cum_[i] + extra;
   }
 
   std::vector<std::pair<double, double>> ivs_;
@@ -179,9 +151,10 @@ void edf_place(const std::vector<RJob>& crit, double speed,
   }
 }
 
-// Critical-interval YDS with real-time placement.  Returns per-job block
-// speeds and the placed slices; the continuous energy of the result equals
-// opt::yds_min_energy on the same instance (differentially tested).
+}  // namespace
+
+namespace detail {
+
 Placement yds_place(std::vector<RJob> jobs) {
   Placement out;
   out.speed.assign(jobs.size(), 0.0);
@@ -204,57 +177,73 @@ Placement yds_place(std::vector<RJob> jobs) {
   }
   const double work_eps = 1e-9 * std::max(1.0, total_work);
   Availability avail(lo, hi);
+  // Per-round scan arrays, reused across rounds.
+  std::vector<double> releases;
+  std::vector<std::size_t> by_deadline;
+  std::vector<double> dl, rl, wk, cd;
+  std::vector<char> closes;
 
   while (!active.empty()) {
     GE_CHECK(!avail.empty(), "reclaim: ran out of availability");
-    // Candidate intervals: [release, deadline] pairs.  For a fixed t1 the
-    // contained work is accumulated over deadlines in ascending order.
-    std::vector<double> releases;
-    releases.reserve(active.size());
-    for (const RJob& j : active) {
-      releases.push_back(j.release);
+    // Candidate intervals: [release, deadline] pairs.  The scan reads the
+    // round's jobs as arrays in deadline order, with the availability
+    // measure up to each deadline precomputed.  For a fixed t1 the contained
+    // work is accumulated over deadlines in ascending order, starting at the
+    // first deadline past t1: earlier jobs have release < deadline <= t1, so
+    // they add no work and close no candidate.
+    const std::size_t n = active.size();
+    releases.clear();
+    by_deadline.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      releases.push_back(active[i].release);
+      by_deadline.push_back(i);
     }
     std::sort(releases.begin(), releases.end());
     releases.erase(std::unique(releases.begin(), releases.end()),
                    releases.end());
-    std::vector<std::size_t> by_deadline(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      by_deadline[i] = i;
-    }
     std::sort(by_deadline.begin(), by_deadline.end(),
               [&](std::size_t a, std::size_t b) {
                 return active[a].deadline < active[b].deadline;
               });
+    // closes[p]: no later job shares this deadline, so the candidate is
+    // evaluated only once all of them are folded in.
+    dl.resize(n);
+    rl.resize(n);
+    wk.resize(n);
+    cd.resize(n);
+    closes.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const RJob& j = active[by_deadline[p]];
+      dl[p] = j.deadline;
+      rl[p] = j.release;
+      wk[p] = j.work;
+      cd[p] = avail.cum_at(j.deadline);
+      closes[p] = p + 1 == n || active[by_deadline[p + 1]].deadline > j.deadline;
+    }
 
     double best_g = -1.0;
     double best_t1 = 0.0;
     double best_t2 = 0.0;
+    std::size_t first = 0;  // first deadline past t1; t1 only grows
     for (const double t1 : releases) {
+      const double c1 = avail.cum_at(t1);
+      while (first < n && dl[first] <= t1) {
+        ++first;
+      }
       double work = 0.0;
-      for (std::size_t p = 0; p < by_deadline.size(); ++p) {
-        const RJob& j = active[by_deadline[p]];
-        if (j.release >= t1) {
-          work += j.work;
+      for (std::size_t p = first; p < n; ++p) {
+        if (rl[p] >= t1) {
+          work += wk[p];
         }
-        const double t2 = j.deadline;
-        // Later jobs may share this deadline; only evaluate the candidate
-        // once all of them are folded in.
-        if (p + 1 < by_deadline.size() &&
-            active[by_deadline[p + 1]].deadline <= t2) {
-          continue;
-        }
-        if (work <= 0.0) {
-          continue;
-        }
-        const double span = avail.measure_between(t1, t2);
-        if (span <= 0.0) {
+        const double span = cd[p] - c1;
+        if (!closes[p] || work <= 0.0 || span <= 0.0) {
           continue;
         }
         const double g = work / span;
         if (g > best_g) {
           best_g = g;
           best_t1 = t1;
-          best_t2 = t2;
+          best_t2 = dl[p];
         }
       }
     }
@@ -286,6 +275,10 @@ Placement yds_place(std::vector<RJob> jobs) {
   }
   return out;
 }
+
+}  // namespace detail
+
+namespace {
 
 // Convex envelope of the run's DVFS ladder under a core's power model:
 // piecewise-linear through (level, P(level)) for speeds above the lowest
@@ -435,7 +428,7 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
       pooled.push_back({j.release, j.deadline, j.work});
     }
 
-    const Placement placed = yds_place(instance);
+    const Placement placed = detail::yds_place(instance);
     ServerReclaim& sr = out.servers[server];
     for (const RSlice& slice : placed.slices) {
       const double dt = slice.t1 - slice.t0;
@@ -468,7 +461,8 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
       }
     }
   } else {
-    total_cores = input.info.cores;
+    // info.cores is per server; the pooled curve spans the whole fleet.
+    total_cores = input.info.cores * num_servers;
     a_min = input.fallback_model.a();
   }
   total_cores = std::max<std::size_t>(total_cores, 1);

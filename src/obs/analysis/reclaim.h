@@ -65,6 +65,38 @@ struct ReclaimAnalysis {
   std::vector<ServerReclaim> servers;  // ascending server id, one per server
 };
 
+namespace detail {
+
+// One re-speedable unit of realised work: a (core, job) pair's executed
+// units, to be completed within [release, deadline].
+struct RJob {
+  double release = 0.0;
+  double deadline = 0.0;
+  double work = 0.0;
+  std::size_t idx = 0;  // index into the core's job list
+};
+
+// A placed re-speed slice: run job `idx` at `speed` over [t0, t1].
+struct RSlice {
+  double t0 = 0.0;
+  double t1 = 0.0;
+  double speed = 0.0;
+  std::size_t idx = 0;
+};
+
+struct Placement {
+  std::vector<double> speed;   // per input job: its critical-block speed
+  std::vector<RSlice> slices;  // in placement order
+};
+
+// Critical-interval YDS with real-time placement, the advisor's per-core
+// re-speed.  Returns per-job block speeds and the placed slices; the
+// continuous energy of the result equals opt::yds_min_energy on the same
+// instance.  Exposed so tests can pin it against a reference scan.
+Placement yds_place(std::vector<RJob> jobs);
+
+}  // namespace detail
+
 // Runs the advisor over one task.  `analysis` must come from analyze_task()
 // on the same input (the bin grid and job spans are reused).
 ReclaimAnalysis analyze_reclaim(const TaskInput& input,

@@ -4,20 +4,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 
+#include "obs/format.h"
 #include "util/check.h"
 
 namespace ge::obs::analysis {
 namespace {
-
-// Same formatting as the trace writer: enough digits to round-trip almost
-// exactly, and identical bytes for identical doubles.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 // Fixed-precision rendering for the human-facing Markdown tables.
 std::string fixed(double v, int digits) {
@@ -47,11 +39,12 @@ ReportWriter::ReportWriter(ReportOptions options) : options_(options) {}
 void ReportWriter::add_task(const TaskInput& input) {
   tasks_.push_back(analyze_task(input, options_));
   reclaims_.push_back(analyze_reclaim(input, tasks_.back()));
-  std::ostringstream trace;
-  TraceWriter writer(trace, TraceFormat::kJsonl);
-  writer.append_task(input.info, *input.buffer);
-  writer.close();
-  trace_jsonl_ += trace.str();
+  // Reserving a generous per-line estimate renders the task without
+  // regrowth copies; the untouched tail costs address space, not memory.
+  constexpr std::size_t kLineBytes = 160;
+  std::string& text = trace_jsonl_.emplace_back();
+  text.reserve((input.buffer->size() + 1) * kLineBytes);
+  append_trace_jsonl(text, input.info, *input.buffer);
 }
 
 void ReportWriter::write_markdown(std::ostream& out) const {
@@ -60,20 +53,20 @@ void ReportWriter::write_markdown(std::ostream& out) const {
 
   for (const TaskAnalysis& task : tasks_) {
     out << "\n## task " << task.info.task << " — " << task.info.scheduler
-        << " @ " << fmt(task.info.arrival_rate) << " req/s\n\n";
+        << " @ " << fmt_g12(task.info.arrival_rate) << " req/s\n\n";
     out << "- config: " << task.num_servers << " server(s), "
         << task.info.cores << " cores/server, budget "
-        << fmt(task.info.power_budget) << " W, power model "
+        << fmt_g12(task.info.power_budget) << " W, power model "
         << task.info.power_model_json << "\n";
     out << "- jobs: " << task.released << " released = " << task.completed
         << " completed + " << task.partial << " partial + " << task.dropped
         << " dropped (" << task.missed << " deadline misses)\n";
     out << "- scheduling: " << task.rounds << " rounds, " << task.mode_switches
         << " mode switches, " << task.cuts << " cuts\n";
-    out << "- energy: integrated " << fmt(task.integrated_energy_j) << " J";
+    out << "- energy: integrated " << fmt_g12(task.integrated_energy_j) << " J";
     if (task.reported_energy_j >= 0.0) {
-      out << " vs reported " << fmt(task.reported_energy_j) << " J (rel err "
-          << fmt(task.energy_rel_err) << ") — "
+      out << " vs reported " << fmt_g12(task.reported_energy_j) << " J (rel err "
+          << fmt_g12(task.energy_rel_err) << ") — "
           << (task.energy_rel_err <= options_.energy_rel_tol ? "OK" : "MISMATCH")
           << "\n";
     } else {
@@ -100,7 +93,7 @@ void ReportWriter::write_markdown(std::ostream& out) const {
         agg.energy_j += bin.energy_j;
       }
     }
-    out << "\n### speed residency (" << fmt(options_.speed_bin_ghz)
+    out << "\n### speed residency (" << fmt_g12(options_.speed_bin_ghz)
         << " GHz bins, all cores)\n\n";
     out << "| GHz | busy core-s | share | energy J |\n";
     out << "|---|---:|---:|---:|\n";
@@ -140,9 +133,9 @@ void ReportWriter::write_markdown(std::ostream& out) const {
 
     const ReclaimAnalysis& reclaim = reclaims_[&task - tasks_.data()];
     out << "\n### reclaim advisor\n\n";
-    out << "- realised " << fmt(reclaim.realized_j) << " J >= discrete-ladder "
-        << fmt(reclaim.disc_j) << " J >= continuous " << fmt(reclaim.cont_j)
-        << " J >= fluid offline " << fmt(reclaim.offline_j) << " J\n";
+    out << "- realised " << fmt_g12(reclaim.realized_j) << " J >= discrete-ladder "
+        << fmt_g12(reclaim.disc_j) << " J >= continuous " << fmt_g12(reclaim.cont_j)
+        << " J >= fluid offline " << fmt_g12(reclaim.offline_j) << " J\n";
     out << "- clairvoyantly avoidable: "
         << fixed(100.0 * reclaim.avoidable_frac, 1)
         << "% of the realised energy\n";
@@ -154,8 +147,8 @@ void ReportWriter::write_markdown(std::ostream& out) const {
       out << "| t | check | observed | expected |\n";
       out << "|---:|---|---:|---:|\n";
       for (const TraceEvent& ev : task.violations) {
-        out << "| " << fmt(ev.t) << " | " << violation_check_name(ev.mode)
-            << " | " << fmt(ev.a) << " | " << fmt(ev.b) << " |\n";
+        out << "| " << fmt_g12(ev.t) << " | " << violation_check_name(ev.mode)
+            << " | " << fmt_g12(ev.a) << " | " << fmt_g12(ev.b) << " |\n";
       }
     }
   }
@@ -170,15 +163,15 @@ void ReportWriter::write_summary_csv(std::ostream& out) const {
   for (const TaskAnalysis& task : tasks_) {
     const ReclaimAnalysis& reclaim = reclaims_[&task - tasks_.data()];
     out << task.info.task << "," << task.info.scheduler << ","
-        << fmt(task.info.arrival_rate) << "," << task.num_servers << ","
+        << fmt_g12(task.info.arrival_rate) << "," << task.num_servers << ","
         << task.info.cores << "," << task.released << "," << task.completed
         << "," << task.partial << "," << task.dropped << "," << task.missed
         << "," << task.rounds << "," << task.mode_switches << "," << task.cuts
-        << "," << task.violations.size() << "," << fmt(task.integrated_energy_j)
-        << "," << fmt(task.reported_energy_j) << "," << fmt(task.energy_rel_err)
-        << "," << fmt(task.response.mean_ms) << "," << fmt(task.response.p99_ms)
-        << "," << fmt(reclaim.cont_j) << "," << fmt(reclaim.disc_j) << ","
-        << fmt(reclaim.offline_j) << "," << fmt(reclaim.avoidable_frac)
+        << "," << task.violations.size() << "," << fmt_g12(task.integrated_energy_j)
+        << "," << fmt_g12(task.reported_energy_j) << "," << fmt_g12(task.energy_rel_err)
+        << "," << fmt_g12(task.response.mean_ms) << "," << fmt_g12(task.response.p99_ms)
+        << "," << fmt_g12(reclaim.cont_j) << "," << fmt_g12(reclaim.disc_j) << ","
+        << fmt_g12(reclaim.offline_j) << "," << fmt_g12(reclaim.avoidable_frac)
         << "\n";
   }
 }
@@ -191,12 +184,12 @@ void ReportWriter::write_jobs_csv(std::ostream& out) const {
     for (const JobSpan& job : task.jobs) {
       out << task.info.task << "," << job.id << "," << job.server << ","
           << job.core << "," << job.tenant << ","
-          << fmt(job.arrival) << "," << fmt(job.assigned)
-          << "," << fmt(job.first_exec) << "," << fmt(job.settled) << ","
-          << fmt(job.deadline) << "," << fmt(job.demand) << ","
-          << fmt(job.executed) << "," << fmt(job.energy_j) << ","
-          << fmt(job.wait_ms()) << "," << fmt(job.service_ms()) << ","
-          << fmt(job.response_ms()) << "," << fmt(job.slack_ms()) << ","
+          << fmt_g12(job.arrival) << "," << fmt_g12(job.assigned)
+          << "," << fmt_g12(job.first_exec) << "," << fmt_g12(job.settled) << ","
+          << fmt_g12(job.deadline) << "," << fmt_g12(job.demand) << ","
+          << fmt_g12(job.executed) << "," << fmt_g12(job.energy_j) << ","
+          << fmt_g12(job.wait_ms()) << "," << fmt_g12(job.service_ms()) << ","
+          << fmt_g12(job.response_ms()) << "," << fmt_g12(job.slack_ms()) << ","
           << outcome_name(job) << "," << (job.missed ? 1 : 0) << "\n";
     }
   }
@@ -209,8 +202,8 @@ void ReportWriter::write_residency_csv(std::ostream& out) const {
       for (const ResidencyBin& bin : core.bins) {
         const double lo = static_cast<double>(bin.bin) * options_.speed_bin_ghz;
         out << task.info.task << "," << core.server << "," << core.core << ","
-            << fmt(lo) << "," << fmt(lo + options_.speed_bin_ghz) << ","
-            << fmt(bin.busy_s) << "," << fmt(bin.energy_j) << "\n";
+            << fmt_g12(lo) << "," << fmt_g12(lo + options_.speed_bin_ghz) << ","
+            << fmt_g12(bin.busy_s) << "," << fmt_g12(bin.energy_j) << "\n";
       }
     }
   }
@@ -221,9 +214,9 @@ void ReportWriter::write_timeline_csv(std::ostream& out) const {
   for (const TaskAnalysis& task : tasks_) {
     for (const ServerTimeline& tl : task.timelines) {
       for (std::size_t i = 0; i < task.bin_end.size(); ++i) {
-        out << task.info.task << "," << tl.server << "," << fmt(task.bin_end[i])
-            << "," << fmt(tl.waiting[i]) << "," << fmt(tl.in_flight[i]) << ","
-            << fmt(tl.busy_cores[i]) << "," << fmt(tl.power_w[i]) << "\n";
+        out << task.info.task << "," << tl.server << "," << fmt_g12(task.bin_end[i])
+            << "," << fmt_g12(tl.waiting[i]) << "," << fmt_g12(tl.in_flight[i]) << ","
+            << fmt_g12(tl.busy_cores[i]) << "," << fmt_g12(tl.power_w[i]) << "\n";
       }
     }
   }
@@ -234,10 +227,10 @@ void ReportWriter::write_tenants_csv(std::ostream& out) const {
          "executed_units,demand_units,energy_j\n";
   for (const TaskAnalysis& task : tasks_) {
     for (const TenantStats& ts : task.tenants) {
-      out << task.info.task << "," << ts.tenant << "," << fmt(ts.q_ge) << ","
+      out << task.info.task << "," << ts.tenant << "," << fmt_g12(ts.q_ge) << ","
           << ts.released << "," << ts.completed << "," << ts.partial << ","
-          << ts.dropped << "," << ts.missed << "," << fmt(ts.executed_units)
-          << "," << fmt(ts.demand_units) << "," << fmt(ts.energy_j) << "\n";
+          << ts.dropped << "," << ts.missed << "," << fmt_g12(ts.executed_units)
+          << "," << fmt_g12(ts.demand_units) << "," << fmt_g12(ts.energy_j) << "\n";
     }
   }
 }
@@ -248,16 +241,18 @@ void ReportWriter::write_reclaim_csv(std::ostream& out) const {
     const TaskAnalysis& task = tasks_[t];
     for (const ServerReclaim& sr : reclaims_[t].servers) {
       for (std::size_t i = 0; i < task.bin_end.size(); ++i) {
-        out << task.info.task << "," << sr.server << "," << fmt(task.bin_end[i])
-            << "," << fmt(sr.realized_bin_j[i]) << "," << fmt(sr.cont_bin_j[i])
-            << "," << fmt(sr.disc_bin_j[i]) << "\n";
+        out << task.info.task << "," << sr.server << "," << fmt_g12(task.bin_end[i])
+            << "," << fmt_g12(sr.realized_bin_j[i]) << "," << fmt_g12(sr.cont_bin_j[i])
+            << "," << fmt_g12(sr.disc_bin_j[i]) << "\n";
       }
     }
   }
 }
 
 void ReportWriter::write_trace_jsonl(std::ostream& out) const {
-  out << trace_jsonl_;
+  for (const std::string& text : trace_jsonl_) {
+    out << text;
+  }
 }
 
 void ReportWriter::write_directory(const std::string& dir) const {

@@ -73,7 +73,8 @@ class ReportWriter {
   ReportOptions options_;
   std::vector<TaskAnalysis> tasks_;
   std::vector<ReclaimAnalysis> reclaims_;
-  std::string trace_jsonl_;  // all added tasks, TraceWriter JSONL rendering
+  // Per added task, its TraceWriter JSONL rendering.
+  std::vector<std::string> trace_jsonl_;
 };
 
 }  // namespace ge::obs::analysis

@@ -1,7 +1,8 @@
 #include "obs/analysis/trace_reader.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <iterator>
 #include <string_view>
 #include <utility>
@@ -88,6 +89,7 @@ class JsonParser {
     switch (peek()) {
       case '{': {
         value.kind = JsonValue::Kind::kObject;
+        value.object.reserve(kObjectFields);
         expect('{');
         skip_ws();
         if (peek() == '}') {
@@ -179,14 +181,52 @@ class JsonParser {
     }
   }
 
+  // Consumes the next character if it is one of `chars`.
+  bool consume_any(std::string_view chars) {
+    if (pos_ < text_.size() && chars.find(text_[pos_]) != std::string_view::npos) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  std::size_t consume_digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - from;
+  }
+
+  // Scans the JSON number grammar -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  // and converts it with from_chars, correctly rounded like strtod.  Tokens
+  // JSON does not allow (inf, nan, hex floats, a leading '+' or '0', "1.",
+  // ".5") and values beyond double range are checked errors.
   double parse_number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    GE_CHECK(end != begin, "JSON: expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    const std::size_t begin = pos_;
+    consume_any("-");
+    const bool leading_zero = pos_ < text_.size() && text_[pos_] == '0';
+    const std::size_t int_digits = consume_digits();
+    bool ok = int_digits > 0 && (!leading_zero || int_digits == 1);
+    if (consume_any(".")) {
+      ok = ok && consume_digits() > 0;
+    }
+    if (consume_any("eE")) {
+      consume_any("+-");
+      ok = ok && consume_digits() > 0;
+    }
+    GE_CHECK(ok, "JSON: expected a number");
+    double value = 0.0;
+    const char* end = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(text_.data() + begin, end, value);
+    GE_CHECK(ec == std::errc() && ptr == end && std::isfinite(value),
+             "JSON: number out of double range");
     return value;
   }
+
+  // Trace records carry at most eight fields; reserving them up front saves
+  // the object's regrowth copies.
+  static constexpr std::size_t kObjectFields = 8;
 
   std::string_view text_;
   std::size_t pos_ = 0;

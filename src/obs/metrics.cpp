@@ -1,8 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "obs/format.h"
 #include "util/check.h"
 
 namespace ge::obs {
@@ -27,14 +27,6 @@ const char* merge_name(Gauge::Merge merge) {
     case Gauge::Merge::kLast: return "last";
   }
   return "?";
-}
-
-// Fixed-format double: enough digits to round-trip the values we emit while
-// keeping equal doubles byte-equal (merge determinism relies on this).
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
 }
 
 }  // namespace
@@ -202,19 +194,19 @@ void MetricsRegistry::write_json(std::ostream& out) const {
         << kind_name(entry->kind) << "\", \"unit\": \"" << entry->unit << "\"";
     switch (entry->kind) {
       case Kind::kCounter:
-        out << ", \"value\": " << fmt(entry->counter.value());
+        out << ", \"value\": " << fmt_g12(entry->counter.value());
         break;
       case Kind::kGauge:
         out << ", \"merge\": \"" << merge_name(entry->gauge.merge_mode())
-            << "\", \"value\": " << fmt(entry->gauge.value());
+            << "\", \"value\": " << fmt_g12(entry->gauge.value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = entry->histogram;
-        out << ", \"count\": " << h.count() << ", \"sum\": " << fmt(h.sum())
-            << ", \"min\": " << fmt(h.min()) << ", \"max\": " << fmt(h.max())
+        out << ", \"count\": " << h.count() << ", \"sum\": " << fmt_g12(h.sum())
+            << ", \"min\": " << fmt_g12(h.min()) << ", \"max\": " << fmt_g12(h.max())
             << ", \"buckets\": [";
         for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-          out << (i == 0 ? "" : ", ") << "{\"le\": " << fmt(h.bounds()[i])
+          out << (i == 0 ? "" : ", ") << "{\"le\": " << fmt_g12(h.bounds()[i])
               << ", \"count\": " << h.bucket_counts()[i] << "}";
         }
         out << ", {\"le\": \"inf\", \"count\": " << h.bucket_counts().back()

@@ -1,17 +1,41 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include <charconv>
+#include <concepts>
+#include <string_view>
 
+#include "obs/format.h"
 #include "util/check.h"
 
 namespace ge::obs {
 namespace {
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
+// ostream-style appends into a string: text verbatim, integers in decimal,
+// doubles as %.12g.
+class Appender {
+ public:
+  explicit Appender(std::string& out) : out_(out) {}
+  Appender& operator<<(std::string_view text) {
+    out_.append(text);
+    return *this;
+  }
+  Appender& operator<<(double v) {
+    append_g12(out_, v);
+    return *this;
+  }
+  template <std::integral T>
+  Appender& operator<<(T v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    return *this;
+  }
+
+ private:
+  std::string& out_;
+};
+
+// Chrome records are assembled by string concatenation.
+std::string fmt(double v) { return fmt_g12(v); }
 
 const char* mode_name(int mode) {
   switch (mode) {
@@ -33,6 +57,98 @@ std::string escape(const std::string& text) {
     out.push_back(ch);
   }
   return out;
+}
+
+// Renders one task as JSONL into `text`, calling flush(text) after every
+// line so a stream writer can bound the text it holds.
+template <typename Flush>
+void render_jsonl(std::string& text, const TraceTaskInfo& info,
+                  const TraceBuffer& buffer, Flush&& flush) {
+  Appender out(text);
+  const std::string task = std::to_string(info.task);
+  out << "{\"ev\": \"meta\", \"task\": " << task << ", \"scheduler\": \""
+      << escape(info.scheduler) << "\", \"arrival_rate\": " << info.arrival_rate
+      << ", \"cores\": " << info.cores
+      << ", \"power_budget_w\": " << info.power_budget
+      << ", \"power_model\": " << info.power_model_json << ", \"ladder\": [";
+  for (std::size_t i = 0; i < info.ladder_units.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << info.ladder_units[i];
+  }
+  out << "]}\n";
+  flush(text);
+  for (const TraceEvent& ev : buffer.events()) {
+    switch (ev.type) {
+      case TraceEventType::kArrival:
+        out << "{\"ev\": \"arrival\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"job\": " << ev.job << ", \"demand\": " << ev.a
+            << ", \"deadline\": " << ev.b
+            << ", \"tenant\": " << static_cast<std::int64_t>(ev.c) << "}\n";
+        break;
+      case TraceEventType::kRound:
+        out << "{\"ev\": \"round\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"round\": " << ev.c << ", \"mode\": \"" << mode_name(ev.mode)
+            << "\", \"waiting\": " << ev.a << ", \"rate\": " << ev.b
+            << "}\n";
+        break;
+      case TraceEventType::kModeSwitch:
+        out << "{\"ev\": \"mode\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"mode\": \"" << mode_name(ev.mode)
+            << "\", \"quality\": " << ev.a << "}\n";
+        break;
+      case TraceEventType::kCut:
+        out << "{\"ev\": \"cut\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"core\": " << ev.core << ", \"jobs\": " << ev.a
+            << ", \"level\": " << ev.b << ", \"target_units\": " << ev.c
+            << "}\n";
+        break;
+      case TraceEventType::kCap:
+        out << "{\"ev\": \"cap\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"core\": " << ev.core << ", \"watts\": " << ev.a << "}\n";
+        break;
+      case TraceEventType::kExec:
+        out << "{\"ev\": \"exec\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"t_end\": " << ev.t2 << ", \"core\": " << ev.core
+            << ", \"job\": " << ev.job << ", \"speed\": " << ev.a << "}\n";
+        break;
+      case TraceEventType::kCompletion:
+      case TraceEventType::kDeadlineMiss:
+        out << "{\"ev\": \""
+            << (ev.type == TraceEventType::kCompletion ? "completion"
+                                                       : "deadline_miss")
+            << "\", \"task\": " << task << ", \"t\": " << ev.t
+            << ", \"core\": " << ev.core << ", \"job\": " << ev.job
+            << ", \"executed\": " << ev.a << ", \"demand\": " << ev.b
+            << ", \"quality\": " << ev.c << "}\n";
+        break;
+      case TraceEventType::kCoreOffline:
+        out << "{\"ev\": \"core_offline\", \"task\": " << task
+            << ", \"t\": " << ev.t << ", \"core\": " << ev.core << "}\n";
+        break;
+      case TraceEventType::kDispatch:
+        out << "{\"ev\": \"dispatch\", \"task\": " << task
+            << ", \"t\": " << ev.t << ", \"job\": " << ev.job
+            << ", \"server\": " << ev.core << ", \"in_flight\": " << ev.a
+            << "}\n";
+        break;
+      case TraceEventType::kAssign:
+        out << "{\"ev\": \"assign\", \"task\": " << task
+            << ", \"t\": " << ev.t << ", \"job\": " << ev.job
+            << ", \"core\": " << ev.core << "}\n";
+        break;
+      case TraceEventType::kViolation:
+        out << "{\"ev\": \"violation\", \"task\": " << task
+            << ", \"t\": " << ev.t << ", \"check\": \""
+            << violation_check_name(ev.mode) << "\", \"observed\": " << ev.a
+            << ", \"expected\": " << ev.b << "}\n";
+        break;
+      case TraceEventType::kServerState:
+        out << "{\"ev\": \"server_state\", \"task\": " << task
+            << ", \"t\": " << ev.t << ", \"server\": " << ev.core
+            << ", \"state\": \"" << server_state_name(ev.mode) << "\"}\n";
+        break;
+    }
+    flush(text);
+  }
 }
 
 }  // namespace
@@ -92,89 +208,21 @@ void TraceWriter::close() {
   }
 }
 
+void append_trace_jsonl(std::string& out, const TraceTaskInfo& info,
+                        const TraceBuffer& buffer) {
+  render_jsonl(out, info, buffer, [](std::string&) {});
+}
+
 void TraceWriter::append_jsonl(const TraceTaskInfo& info, const TraceBuffer& buffer) {
-  const std::string task = std::to_string(info.task);
-  out_ << "{\"ev\": \"meta\", \"task\": " << task << ", \"scheduler\": \""
-       << escape(info.scheduler) << "\", \"arrival_rate\": " << fmt(info.arrival_rate)
-       << ", \"cores\": " << info.cores
-       << ", \"power_budget_w\": " << fmt(info.power_budget)
-       << ", \"power_model\": " << info.power_model_json << ", \"ladder\": [";
-  for (std::size_t i = 0; i < info.ladder_units.size(); ++i) {
-    out_ << (i == 0 ? "" : ", ") << fmt(info.ladder_units[i]);
-  }
-  out_ << "]}\n";
-  for (const TraceEvent& ev : buffer.events()) {
-    switch (ev.type) {
-      case TraceEventType::kArrival:
-        out_ << "{\"ev\": \"arrival\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"job\": " << ev.job << ", \"demand\": " << fmt(ev.a)
-             << ", \"deadline\": " << fmt(ev.b)
-             << ", \"tenant\": " << static_cast<std::int64_t>(ev.c) << "}\n";
-        break;
-      case TraceEventType::kRound:
-        out_ << "{\"ev\": \"round\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"round\": " << fmt(ev.c) << ", \"mode\": \"" << mode_name(ev.mode)
-             << "\", \"waiting\": " << fmt(ev.a) << ", \"rate\": " << fmt(ev.b)
-             << "}\n";
-        break;
-      case TraceEventType::kModeSwitch:
-        out_ << "{\"ev\": \"mode\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"mode\": \"" << mode_name(ev.mode)
-             << "\", \"quality\": " << fmt(ev.a) << "}\n";
-        break;
-      case TraceEventType::kCut:
-        out_ << "{\"ev\": \"cut\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"core\": " << ev.core << ", \"jobs\": " << fmt(ev.a)
-             << ", \"level\": " << fmt(ev.b) << ", \"target_units\": " << fmt(ev.c)
-             << "}\n";
-        break;
-      case TraceEventType::kCap:
-        out_ << "{\"ev\": \"cap\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"core\": " << ev.core << ", \"watts\": " << fmt(ev.a) << "}\n";
-        break;
-      case TraceEventType::kExec:
-        out_ << "{\"ev\": \"exec\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"t_end\": " << fmt(ev.t2) << ", \"core\": " << ev.core
-             << ", \"job\": " << ev.job << ", \"speed\": " << fmt(ev.a) << "}\n";
-        break;
-      case TraceEventType::kCompletion:
-      case TraceEventType::kDeadlineMiss:
-        out_ << "{\"ev\": \""
-             << (ev.type == TraceEventType::kCompletion ? "completion"
-                                                        : "deadline_miss")
-             << "\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"core\": " << ev.core << ", \"job\": " << ev.job
-             << ", \"executed\": " << fmt(ev.a) << ", \"demand\": " << fmt(ev.b)
-             << ", \"quality\": " << fmt(ev.c) << "}\n";
-        break;
-      case TraceEventType::kCoreOffline:
-        out_ << "{\"ev\": \"core_offline\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"core\": " << ev.core << "}\n";
-        break;
-      case TraceEventType::kDispatch:
-        out_ << "{\"ev\": \"dispatch\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"job\": " << ev.job
-             << ", \"server\": " << ev.core << ", \"in_flight\": " << fmt(ev.a)
-             << "}\n";
-        break;
-      case TraceEventType::kAssign:
-        out_ << "{\"ev\": \"assign\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"job\": " << ev.job
-             << ", \"core\": " << ev.core << "}\n";
-        break;
-      case TraceEventType::kViolation:
-        out_ << "{\"ev\": \"violation\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"check\": \""
-             << violation_check_name(ev.mode) << "\", \"observed\": " << fmt(ev.a)
-             << ", \"expected\": " << fmt(ev.b) << "}\n";
-        break;
-      case TraceEventType::kServerState:
-        out_ << "{\"ev\": \"server_state\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"server\": " << ev.core
-             << ", \"state\": \"" << server_state_name(ev.mode) << "\"}\n";
-        break;
+  constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+  render_jsonl(text_, info, buffer, [this](std::string& text) {
+    if (text.size() >= kFlushBytes) {
+      out_.write(text.data(), static_cast<std::streamsize>(text.size()));
+      text.clear();
     }
-  }
+  });
+  out_.write(text_.data(), static_cast<std::streamsize>(text_.size()));
+  text_.clear();
 }
 
 void TraceWriter::append_chrome(const TraceTaskInfo& info, const TraceBuffer& buffer) {

@@ -151,6 +151,11 @@ struct TraceTaskInfo {
   std::vector<double> ladder_units;
 };
 
+// Appends the JSONL rendering of one task -- its meta record, then one line
+// per event: the bytes TraceWriter writes for it -- to `out`.
+void append_trace_jsonl(std::string& out, const TraceTaskInfo& info,
+                        const TraceBuffer& buffer);
+
 // Streaming trace writer: open(), then append_task() once per task in task
 // order, then close().  Output is deterministic: bytes depend only on the
 // (info, buffer) sequence.
@@ -170,6 +175,7 @@ class TraceWriter {
 
   std::ostream& out_;
   TraceFormat format_;
+  std::string text_;  // JSONL rendered but not yet written; reused
   bool first_record_ = true;
   bool closed_ = false;
 };

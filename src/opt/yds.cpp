@@ -18,50 +18,69 @@ struct Critical {
 
 // Finds the maximum-intensity interval.  t1 ranges over release points and
 // t2 over deadline points (a classic property of the YDS optimum).  One
-// deadline-sort per round, then an O(n) sweep per distinct release:
-// O(n^2) per round overall.
-Critical find_critical(const std::vector<YdsJob>& jobs) {
-  Critical best;
-  std::vector<double> releases;
-  releases.reserve(jobs.size());
-  for (const YdsJob& job : jobs) {
-    releases.push_back(job.release);
-  }
-  std::sort(releases.begin(), releases.end());
-  releases.erase(std::unique(releases.begin(), releases.end()), releases.end());
+// deadline-sort per round into arrays, then a linear sweep per distinct
+// release: O(n^2) per round overall.  A sweep starts at the first deadline
+// past t1 - kTimeTol: every job passed in has deadline > release + kTimeTol,
+// so an earlier job neither counts as released by t1 nor closes a candidate.
+// The arrays are reused across rounds.
+class CriticalScan {
+ public:
+  Critical find(const std::vector<YdsJob>& jobs) {
+    releases_.clear();
+    by_deadline_.clear();
+    for (const YdsJob& job : jobs) {
+      releases_.push_back(job.release);
+      by_deadline_.push_back(&job);
+    }
+    std::sort(releases_.begin(), releases_.end());
+    releases_.erase(std::unique(releases_.begin(), releases_.end()), releases_.end());
+    std::sort(by_deadline_.begin(), by_deadline_.end(),
+              [](const YdsJob* a, const YdsJob* b) { return a->deadline < b->deadline; });
+    // Deadline-ordered arrays; closes_[i]: job i is the last sharing its
+    // deadline, so a candidate interval ends there.
+    const std::size_t n = by_deadline_.size();
+    dl_.resize(n);
+    rl_.resize(n);
+    wk_.resize(n);
+    closes_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dl_[i] = by_deadline_[i]->deadline;
+      rl_[i] = by_deadline_[i]->release;
+      wk_[i] = by_deadline_[i]->work;
+      closes_[i] = i + 1 == n || by_deadline_[i + 1]->deadline > dl_[i] + kTimeTol;
+    }
 
-  std::vector<const YdsJob*> by_deadline;
-  by_deadline.reserve(jobs.size());
-  for (const YdsJob& job : jobs) {
-    by_deadline.push_back(&job);
-  }
-  std::sort(by_deadline.begin(), by_deadline.end(),
-            [](const YdsJob* a, const YdsJob* b) { return a->deadline < b->deadline; });
-
-  for (double t1 : releases) {
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < by_deadline.size(); ++i) {
-      const YdsJob* job = by_deadline[i];
-      if (job->release >= t1 - kTimeTol) {
-        cumulative += job->work;
+    Critical best;
+    std::size_t first = 0;  // first deadline past lo; lo only grows
+    for (double t1 : releases_) {
+      const double lo = t1 - kTimeTol;
+      const double hi = t1 + kTimeTol;
+      while (first < n && dl_[first] <= lo) {
+        ++first;
       }
-      // Only evaluate at the last job sharing this deadline.
-      if (i + 1 < by_deadline.size() &&
-          by_deadline[i + 1]->deadline <= job->deadline + kTimeTol) {
-        continue;
-      }
-      const double t2 = job->deadline;
-      if (t2 <= t1 + kTimeTol || cumulative <= 0.0) {
-        continue;
-      }
-      const double intensity = cumulative / (t2 - t1);
-      if (intensity > best.intensity + 1e-12) {
-        best = Critical{t1, t2, intensity};
+      double cumulative = 0.0;
+      for (std::size_t i = first; i < n; ++i) {
+        if (rl_[i] >= lo) {
+          cumulative += wk_[i];
+        }
+        if (!closes_[i] || dl_[i] <= hi || cumulative <= 0.0) {
+          continue;
+        }
+        const double intensity = cumulative / (dl_[i] - t1);
+        if (intensity > best.intensity + 1e-12) {
+          best = Critical{t1, dl_[i], intensity};
+        }
       }
     }
+    return best;
   }
-  return best;
-}
+
+ private:
+  std::vector<double> releases_;
+  std::vector<const YdsJob*> by_deadline_;
+  std::vector<double> dl_, rl_, wk_;
+  std::vector<char> closes_;
+};
 
 }  // namespace
 
@@ -102,8 +121,9 @@ YdsSchedule yds_schedule(std::span<const YdsJob> input) {
   }
 
   YdsSchedule schedule;
+  CriticalScan scan;
   while (!jobs.empty()) {
-    const Critical crit = find_critical(jobs);
+    const Critical crit = scan.find(jobs);
     GE_CHECK(crit.intensity > 0.0, "no critical interval found");
     const double t1 = crit.t1;
     const double t2 = crit.t2;

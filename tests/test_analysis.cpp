@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -251,6 +255,62 @@ TEST(TraceReader, RoundTripsEveryEventKind) {
     EXPECT_EQ(round_tripped[i].a, original[i].a);
     EXPECT_EQ(round_tripped[i].b, original[i].b);
     EXPECT_EQ(round_tripped[i].c, original[i].c);
+  }
+}
+
+// The reader accepts exactly JSON's number grammar, converted correctly
+// rounded, and keeps values finite.
+TEST(TraceReader, ParsesJsonNumbersExactly) {
+  const std::string meta =
+      "{\"ev\": \"meta\", \"task\": 0, \"scheduler\": \"GE\", \"arrival_rate\": 4, "
+      "\"cores\": 1, \"power_budget_w\": 20, \"power_model\": {\"a\": 5, "
+      "\"beta\": 2, \"units_per_ghz\": 1000}, \"ladder\": []}\n";
+  const std::pair<const char*, double> cases[] = {
+      {"-0", -0.0},      {"0", 0.0},           {"1E+2", 100.0},
+      {"0.5e-3", 5e-4},  {"-12.25", -12.25},   {"1e21", 1e21},
+      {"4.94065645841e-324", std::numeric_limits<double>::denorm_min()},
+      {"0.1", 0.1},      {"1.7976931348623157e308", std::numeric_limits<double>::max()}};
+  for (const auto& [token, expected] : cases) {
+    std::istringstream in(meta + "{\"ev\": \"cap\", \"task\": 0, \"t\": " + token +
+                          ", \"core\": 0, \"watts\": 1}\n");
+    const std::vector<ParsedTask> parsed = read_trace_jsonl(in);
+    ASSERT_EQ(parsed.size(), 1u) << token;
+    ASSERT_EQ(parsed[0].buffer.size(), 1u) << token;
+    const double got = parsed[0].buffer.events()[0].t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expected))
+        << token;
+  }
+}
+
+// strtod accepted all of these; none is a JSON number, and non-finite
+// values have no JSON spelling.  Both readers must stop with the checked
+// JSON error.
+TEST(TraceReader, RejectsNumberTokensJsonDoesNotAllow) {
+  const char* tokens[] = {"inf",  "-inf", "Infinity", "nan", "NaN",  "0x1p3",
+                          "+1",   "1.",   ".5",       "01",  "-01",  "1e",
+                          "1e+",  "-",    "--1",      "1e999", "-1e400", "0x10"};
+  const std::string meta =
+      "{\"ev\": \"meta\", \"task\": 0, \"scheduler\": \"GE\", \"arrival_rate\": 4, "
+      "\"cores\": 1, \"power_budget_w\": 20, \"power_model\": {\"a\": 5, "
+      "\"beta\": 2, \"units_per_ghz\": 1000}, \"ladder\": []}\n";
+  for (const char* token : tokens) {
+    SCOPED_TRACE(token);
+    EXPECT_DEATH(
+        {
+          std::istringstream in(meta + "{\"ev\": \"cap\", \"task\": 0, \"t\": " +
+                                token + ", \"core\": 0, \"watts\": 1}\n");
+          (void)read_trace_jsonl(in);
+        },
+        "JSON");
+    EXPECT_DEATH(
+        {
+          std::istringstream in(
+              std::string("{\"schema\": \"goodenough-metrics-v1\", \"metrics\": "
+                          "[{\"name\": \"x\", \"type\": \"counter\", \"value\": ") +
+              token + "}]}");
+          (void)read_metrics_json(in);
+        },
+        "JSON");
   }
 }
 

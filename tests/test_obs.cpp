@@ -4,8 +4,12 @@
 // are byte-identical for any worker count.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,9 +18,13 @@
 #include "exp/experiment_engine.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
+#include "obs/analysis/trace_reader.h"
+#include "obs/format.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "power/power_model.h"
+#include "util/rng.h"
 #include "workload/trace.h"
 
 namespace ge::obs {
@@ -239,6 +247,102 @@ TEST(TraceWriter, JsonlGolden) {
       "{\"ev\": \"completion\", \"task\": 0, \"t\": 0.35, \"core\": 0, "
       "\"job\": 1, \"executed\": 150, \"demand\": 150, \"quality\": 1}\n";
   EXPECT_EQ(out.str(), expected);
+}
+
+std::string printf_g12(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+// Every obs writer formats numbers with std::to_chars(general, 12), which
+// the standard defines as printf("%.12g"); pin that on the values where
+// the two conversions could plausibly part ways.
+TEST(NumberFormat, ToCharsMatchesPrintfOnEdgeValues) {
+  using limits = std::numeric_limits<double>;
+  const double edges[] = {
+      0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+      2.2250738585072009e-308,  // largest subnormal
+      limits::min(), limits::max(), -limits::max(), limits::epsilon(),
+      1e21, 1e22, 1e-5, 1e-4, 9.99999999999e-5, 0.0001, 1e12, 1e11,
+      1.0, 42.0, -7.0, 123456789012.0, 1234567890123.0, 9007199254740993.0,
+      0.1, 1.0 / 3.0, 2.0 / 3.0, 0.5, 0.25, 1500.0, 3.2e9,
+      // 12-digit rounding carries into a new leading digit or exponent.
+      9.9999999999995, 99999999999.95, 999999999999.5, 0.99999999999951,
+      9.99999999999951e-5, 9.999999999995e20, 1.99999999999951,
+      limits::infinity(), -limits::infinity(), limits::quiet_NaN()};
+  for (const double v : edges) {
+    EXPECT_EQ(fmt_g12(v), printf_g12(v)) << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+TEST(NumberFormat, ToCharsMatchesPrintfOnRandomDoubles) {
+  util::Rng rng(12);
+  for (int i = 0; i < 200000; ++i) {
+    // Alternate arbitrary finite bit patterns with decimal-looking values.
+    const double u = rng.uniform();
+    const double v =
+        i % 2 == 0
+            ? std::bit_cast<double>(static_cast<std::uint64_t>(
+                  u * 9218868437227405311.0))  // below the +inf pattern
+            : std::round(u * 1e6) * std::pow(10.0, std::floor(rng.uniform(-30.0, 30.0)));
+    ASSERT_EQ(fmt_g12(v), printf_g12(v)) << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+// Writer -> reader -> writer must reproduce the same bytes for every event
+// kind, edge values included, and the string and stream writers must agree
+// (the stream writer flushes in chunks, so the buffer spans several).
+TEST(TraceWriter, JsonlRoundTripThroughTheReaderIsByteIdentical) {
+  const double values[] = {0.0,    -0.0,     std::numeric_limits<double>::denorm_min(),
+                           1e21,   1e-5,     123456789012.0,
+                           0.1,    1.0 / 3.0, 999999999999.5,
+                           -2.5e-300, 1.7976931348623157e308, 7.0};
+  TraceTaskInfo info;
+  info.task = 0;
+  info.scheduler = "BE-P[0.8]";
+  info.arrival_rate = 1.0 / 3.0;
+  info.cores = 16;
+  info.power_budget = 320.0;
+  info.power_model_json = power::PowerModel(5.0, 2.0, 1000.0).describe_json();
+  info.ladder_units = {200.0, 400.0, 1.0 / 7.0 * 1e4};
+  TraceBuffer buf;
+  for (int rep = 0; rep < 120; ++rep) {
+    for (const double v : values) {
+      for (int kind = 0; kind <= static_cast<int>(TraceEventType::kServerState);
+           ++kind) {
+        TraceEvent ev;
+        ev.type = static_cast<TraceEventType>(kind);
+        ev.t = v;
+        ev.t2 = v * 0.5;
+        ev.core = rep % 16;
+        ev.job = 1000000007LL * rep;
+        ev.a = v;
+        ev.b = -v;
+        ev.c = ev.type == TraceEventType::kArrival ? rep % 3 : v / 3.0;
+        ev.mode = ev.type == TraceEventType::kViolation ? rep % 7
+                  : ev.type == TraceEventType::kServerState ? rep % 4
+                                                            : kModeAes + rep % 2;
+        buf.push(ev);
+      }
+    }
+  }
+
+  std::ostringstream streamed;
+  TraceWriter writer(streamed, TraceFormat::kJsonl);
+  writer.append_task(info, buf);
+  writer.close();
+  std::string appended;
+  append_trace_jsonl(appended, info, buf);
+  ASSERT_GT(appended.size(), std::size_t{1} << 17);
+  EXPECT_EQ(streamed.str(), appended);
+
+  std::istringstream in(appended);
+  const std::vector<analysis::ParsedTask> parsed = analysis::read_trace_jsonl(in);
+  ASSERT_EQ(parsed.size(), 1u);
+  std::string rewritten;
+  append_trace_jsonl(rewritten, parsed[0].info, parsed[0].buffer);
+  EXPECT_TRUE(rewritten == appended) << "round trip changed the JSONL bytes";
 }
 
 TEST(TraceWriter, ChromeIsStructurallyValidJson) {

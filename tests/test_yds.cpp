@@ -1,7 +1,12 @@
 // Tests for the full preemptive YDS scheduler and the offline reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "exp/config.h"
 #include "exp/offline_reference.h"
@@ -130,6 +135,192 @@ TEST(Yds, EnergyNeverAboveConstantSpeedSchedule) {
 TEST(Yds, RejectsEmptyWindow) {
   const std::vector<YdsJob> jobs{{1.0, 1.0, 10.0}};
   EXPECT_DEATH((void)yds_schedule(jobs), "window");
+}
+
+// ---- exactness of the candidate scan ---------------------------------------
+//
+// Reference oracle: the plain scan -- every row walks all jobs through
+// deadline-sorted pointers -- and the round loop around it.  yds_schedule
+// must reproduce every block bit for bit: same rows, same per-row summation
+// order, same (t1 ascending, t2 ascending) argmax with its "> best + 1e-12"
+// rule.
+
+constexpr double kRefTimeTol = 1e-12;
+
+struct RefCritical {
+  double t1 = 0.0;
+  double t2 = 0.0;
+  double intensity = -1.0;
+};
+
+RefCritical reference_find_critical(const std::vector<YdsJob>& jobs) {
+  RefCritical best;
+  std::vector<double> releases;
+  releases.reserve(jobs.size());
+  for (const YdsJob& job : jobs) {
+    releases.push_back(job.release);
+  }
+  std::sort(releases.begin(), releases.end());
+  releases.erase(std::unique(releases.begin(), releases.end()), releases.end());
+
+  std::vector<const YdsJob*> by_deadline;
+  by_deadline.reserve(jobs.size());
+  for (const YdsJob& job : jobs) {
+    by_deadline.push_back(&job);
+  }
+  std::sort(by_deadline.begin(), by_deadline.end(),
+            [](const YdsJob* a, const YdsJob* b) { return a->deadline < b->deadline; });
+
+  for (double t1 : releases) {
+    double cumulative = 0.0;
+    for (std::size_t i = 0; i < by_deadline.size(); ++i) {
+      const YdsJob* job = by_deadline[i];
+      if (job->release >= t1 - kRefTimeTol) {
+        cumulative += job->work;
+      }
+      // Only evaluate at the last job sharing this deadline.
+      if (i + 1 < by_deadline.size() &&
+          by_deadline[i + 1]->deadline <= job->deadline + kRefTimeTol) {
+        continue;
+      }
+      const double t2 = job->deadline;
+      if (t2 <= t1 + kRefTimeTol || cumulative <= 0.0) {
+        continue;
+      }
+      const double intensity = cumulative / (t2 - t1);
+      if (intensity > best.intensity + 1e-12) {
+        best = RefCritical{t1, t2, intensity};
+      }
+    }
+  }
+  return best;
+}
+
+std::vector<YdsBlock> reference_yds_blocks(const std::vector<YdsJob>& input) {
+  std::vector<YdsJob> jobs;
+  for (const YdsJob& job : input) {
+    if (job.work > 0.0) {
+      jobs.push_back(job);
+    }
+  }
+  std::vector<YdsBlock> blocks;
+  while (!jobs.empty()) {
+    const RefCritical crit = reference_find_critical(jobs);
+    const double t1 = crit.t1;
+    const double t2 = crit.t2;
+    YdsBlock block;
+    block.duration = t2 - t1;
+    block.speed = crit.intensity;
+    auto collapse = [t1, t2](double t) {
+      if (t <= t1 + kRefTimeTol) {
+        return t;
+      }
+      if (t < t2) {
+        return t1;
+      }
+      return t - (t2 - t1);
+    };
+    std::vector<YdsJob> remaining;
+    remaining.reserve(jobs.size());
+    for (const YdsJob& job : jobs) {
+      const bool contained =
+          job.release >= t1 - kRefTimeTol && job.deadline <= t2 + kRefTimeTol;
+      if (contained) {
+        block.work += job.work;
+        ++block.jobs;
+        continue;
+      }
+      YdsJob shrunk = job;
+      shrunk.release = collapse(job.release);
+      shrunk.deadline = collapse(job.deadline);
+      remaining.push_back(shrunk);
+    }
+    blocks.push_back(block);
+    jobs = std::move(remaining);
+  }
+  return blocks;
+}
+
+void expect_blocks_bitwise_equal(const std::vector<YdsJob>& jobs,
+                                 const std::string& label) {
+  const std::vector<YdsBlock> expected = reference_yds_blocks(jobs);
+  const std::vector<YdsBlock> actual = yds_schedule(jobs).blocks;
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[b].duration),
+              std::bit_cast<std::uint64_t>(expected[b].duration))
+        << label << " block " << b;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[b].speed),
+              std::bit_cast<std::uint64_t>(expected[b].speed))
+        << label << " block " << b;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[b].work),
+              std::bit_cast<std::uint64_t>(expected[b].work))
+        << label << " block " << b;
+    EXPECT_EQ(actual[b].jobs, expected[b].jobs) << label << " block " << b;
+  }
+}
+
+TEST(YdsScanExactness, RandomInstancesMatchTheReferenceBitwise) {
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 1 + static_cast<int>(rng.uniform(0.0, 250.0));
+    std::vector<YdsJob> jobs;
+    for (int i = 0; i < n; ++i) {
+      const double r = rng.uniform(0.0, 10.0);
+      // Every tenth job carries no work: it must be ignored identically.
+      const double w = i % 10 == 9 ? 0.0 : rng.uniform(1.0, 100.0);
+      jobs.push_back({r, r + rng.uniform(0.01, 2.0), w});
+    }
+    expect_blocks_bitwise_equal(jobs, "random trial " + std::to_string(trial));
+  }
+}
+
+// Integer grids force exact intensity ties (the 1e-12 rule decides them),
+// shared deadlines (only the last of a group closes a candidate) and shared
+// releases (one row per distinct release).
+TEST(YdsScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
+  util::Rng rng(777);
+  for (int trial = 0; trial < 80; ++trial) {
+    const int n = 2 + static_cast<int>(rng.uniform(0.0, 60.0));
+    const double grid = trial % 2 == 0 ? 1.0 : 0.25;
+    std::vector<YdsJob> jobs;
+    for (int i = 0; i < n; ++i) {
+      const double r = grid * std::floor(rng.uniform(0.0, 8.0));
+      const double d = r + grid * (1.0 + std::floor(rng.uniform(0.0, 5.0)));
+      jobs.push_back({r, d, std::floor(rng.uniform(1.0, 6.0))});
+    }
+    expect_blocks_bitwise_equal(jobs, "grid trial " + std::to_string(trial));
+  }
+}
+
+// Windows barely wider than the 1e-12 time tolerance, released just before
+// another job's release: they count towards that release's row although
+// their deadline lies within the tolerance of it.
+TEST(YdsScanExactness, WindowsNearTheTimeToleranceMatchTheReferenceBitwise) {
+  util::Rng rng(31337);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<YdsJob> jobs;
+    for (int i = 0; i < 20; ++i) {
+      const double r = std::floor(rng.uniform(0.0, 6.0));
+      jobs.push_back({r, r + 1.0 + std::floor(rng.uniform(0.0, 3.0)),
+                      std::floor(rng.uniform(1.0, 5.0))});
+      const double near = r - rng.uniform(0.1, 0.9) * 1e-12;
+      jobs.push_back({near, near + rng.uniform(1.1, 1.9) * 1e-12,
+                      rng.uniform(1e-12, 4e-12)});
+    }
+    expect_blocks_bitwise_equal(jobs, "tolerance trial " + std::to_string(trial));
+  }
+}
+
+TEST(YdsScanExactness, LargePooledInstanceMatchesTheReferenceBitwise) {
+  util::Rng rng(9001);
+  std::vector<YdsJob> jobs;
+  double t = 0.0;
+  for (int i = 0; i < 1500; ++i) {
+    t += rng.exponential(300.0);
+    jobs.push_back({t, t + rng.uniform(0.05, 0.5), rng.uniform(5.0, 400.0)});
+  }
+  expect_blocks_bitwise_equal(jobs, "pooled");
 }
 
 }  // namespace
