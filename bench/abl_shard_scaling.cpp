@@ -6,11 +6,18 @@
 // serial one by a single bit, so the table doubles as an end-to-end
 // determinism check.
 //
-// Round-robin dispatch is state-free, so the sharded run needs *zero*
-// cross-shard barriers: shards only synchronise at the final horizon, which
-// is the best case for scaling.  Speedup is bounded by physical cores (the
-// worker pool is capped at the hardware concurrency); on a single-core
-// machine every row collapses to ~1x plus stamp overhead.
+// Two regimes, one panel per rate each:
+//
+//  * prerouted -- plain round-robin dispatch is state-free, so the sharded
+//    run needs *zero* cross-shard barriers: shards only synchronise at the
+//    final horizon, the best case for scaling.  Speedup is bounded by
+//    physical cores; every shard has its own worker thread, so counts above
+//    the core count time-share.
+//  * barrier-dense -- the same fleet with lifecycle churn, wake costs,
+//    three tenants and admission control.  Pre-routing is off, so every
+//    arrival and deadline is a cross-shard barrier and most epochs have at
+//    most one shard with work; this measures the executor's per-epoch cost
+//    (a lone busy shard runs on the coordinator, idle shards are skipped).
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -39,6 +46,59 @@ double wall_seconds_best_of(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+// One table: the shard counts 1/2/4/8 on `cfg`, each row checked
+// bit-for-bit against the serial row.
+void run_panel(const ge::bench::FigureContext& ctx,
+               ge::exp::ExperimentConfig cfg, const char* regime,
+               double rate_per_server) {
+  using namespace ge;
+  const exp::SchedulerSpec spec = exp::SchedulerSpec::parse("GE");
+  const workload::Trace trace =
+      workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+
+  util::Table table(
+      {"shards", "wall_s", "speedup", "kjobs/s", "quality", "energy_J"});
+  exp::RunResult serial;
+  double serial_wall = 0.0;
+  constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
+  for (std::size_t shards : kShardCounts) {
+    if (shards > cfg.num_servers) {
+      continue;
+    }
+    cfg.shards = shards;
+    exp::RunResult r;
+    const double wall = wall_seconds_best_of(
+        2, [&] { r = exp::run_simulation(cfg, spec, trace); });
+    if (shards == 1) {
+      serial = r;
+      serial_wall = wall;
+    } else {
+      // The table is only worth printing if the parallel loop is exact.
+      GE_CHECK(r.quality == serial.quality && r.energy == serial.energy &&
+                   r.released == serial.released &&
+                   r.completed == serial.completed &&
+                   r.mean_response_ms == serial.mean_response_ms,
+               "sharded run diverged from the serial event loop");
+    }
+    table.begin_row();
+    table.add(static_cast<std::uint64_t>(shards));
+    table.add(wall, 3);
+    table.add(serial_wall / wall, 2);
+    table.add(static_cast<double>(r.released) / wall / 1000.0, 1);
+    table.add(r.quality, 4);
+    table.add(r.energy, 1);
+  }
+  char caption[96];
+  std::snprintf(caption, sizeof(caption), "%s, rate/server = %g req/s", regime,
+                rate_per_server);
+  bench::print_panel(
+      ctx, caption, table,
+      "results are bit-identical across rows by construction; prerouted wall "
+      "time drops toward 1/min(shards, cores) of the serial loop on multicore "
+      "hosts (no cross-shard barriers), and barrier-dense wall time stays "
+      "near serial");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,56 +118,20 @@ int main(int argc, char** argv) {
   std::printf("hardware concurrency: %u threads\n\n",
               std::thread::hardware_concurrency());
 
-  const exp::SchedulerSpec spec = exp::SchedulerSpec::parse("GE");
-  const std::size_t shard_counts[] = {1, 2, 4, 8};
   for (double rate_per_server : ctx.rates) {
     exp::ExperimentConfig cfg = ctx.base;
     cfg.arrival_rate =
         rate_per_server * static_cast<double>(cfg.num_servers);
-    const workload::Trace trace =
-        workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+    run_panel(ctx, cfg, "prerouted", rate_per_server);
 
-    util::Table table(
-        {"shards", "wall_s", "speedup", "kjobs/s", "quality", "energy_J"});
-    exp::RunResult serial;
-    double serial_wall = 0.0;
-    for (std::size_t shards : shard_counts) {
-      if (shards > cfg.num_servers) {
-        continue;
-      }
-      cfg.shards = shards;
-      exp::RunResult r;
-      const double wall = wall_seconds_best_of(
-          2, [&] { r = exp::run_simulation(cfg, spec, trace); });
-      if (shards == 1) {
-        serial = r;
-        serial_wall = wall;
-      } else {
-        // The table is only worth printing if the parallel loop is exact.
-        GE_CHECK(r.quality == serial.quality && r.energy == serial.energy &&
-                     r.released == serial.released &&
-                     r.completed == serial.completed &&
-                     r.mean_response_ms == serial.mean_response_ms,
-                 "sharded run diverged from the serial event loop");
-      }
-      table.begin_row();
-      table.add(static_cast<std::uint64_t>(shards));
-      table.add(wall, 3);
-      table.add(serial_wall / wall, 2);
-      table.add(static_cast<double>(r.released) / wall / 1000.0, 1);
-      table.add(r.quality, 4);
-      table.add(r.energy, 1);
-    }
-    char caption[64];
-    std::snprintf(caption, sizeof(caption), "rate/server = %g req/s",
-                  rate_per_server);
-    bench::print_panel(
-        ctx, caption,
-        table,
-        "results are bit-identical across rows by construction; wall time "
-        "drops toward 1/min(shards, cores) of the serial loop on multicore "
-        "hosts (round-robin dispatch needs no cross-shard barriers), and "
-        "stays within stamp overhead of serial when only one core exists");
+    cfg.churn = 0.1;
+    cfg.churn_dwell = 0.5;
+    cfg.wake_latency = 0.02;
+    cfg.setup_energy = 50.0;
+    cfg.num_tenants = 3;
+    cfg.tenant_qge = {0.95, 0.9, 0.8};
+    cfg.admission = 1.5;
+    run_panel(ctx, cfg, "barrier-dense (churn + admission)", rate_per_server);
   }
   return 0;
 }

@@ -4,10 +4,11 @@
 // rectification, the event queue, a full GE scheduling round, and the
 // report pipeline's passes (reclaim advisor, JSONL writer and reader).
 //
-// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md):
+// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md; one
+// command line, wrapped here):
 //
-//   bench_kernels --benchmark_repetitions=7 \
-//     --benchmark_report_aggregates_only=true \
+//   bench_kernels --benchmark_repetitions=7
+//     --benchmark_report_aggregates_only=true
 //     --benchmark_format=json --benchmark_out=BENCH_kernels.json
 //
 // tools/bench_compare.py gates regressions between two such files.

@@ -2,10 +2,11 @@
 // seconds / scheduled jobs per wall-clock second the stack sustains for the
 // main schedulers.
 //
-// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md):
+// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md; one
+// command line, wrapped here):
 //
-//   bench_simulation --benchmark_repetitions=5 \
-//     --benchmark_report_aggregates_only=true \
+//   bench_simulation --benchmark_repetitions=5
+//     --benchmark_report_aggregates_only=true
 //     --benchmark_format=json --benchmark_out=BENCH_simulation.json
 #include <benchmark/benchmark.h>
 
@@ -144,6 +145,42 @@ void BM_SimulateGE_Cluster8_Shards4(benchmark::State& state) {
   run_cluster8(state, 4);
 }
 
+// The barrier-dense regime: the same 8-server round-robin fleet at 140
+// req/s per server with churn, wake costs, three tenants and admission
+// (the perfbench `fleet_sharded` shape at a 5 s horizon).  Lifecycle and
+// admission turn pre-routing off, so every arrival and deadline is a
+// cross-shard barrier; the row pair measures the executor's per-epoch cost.
+void run_cluster8_churn(benchmark::State& state, std::size_t shards) {
+  ge::exp::ExperimentConfig cfg = bench_config(8.0 * 140.0);
+  cfg.num_servers = 8;
+  cfg.dispatch = ge::cluster::DispatchPolicy::kRoundRobin;
+  cfg.churn = 0.1;
+  cfg.churn_dwell = 0.5;
+  cfg.wake_latency = 0.02;
+  cfg.setup_energy = 50.0;
+  cfg.num_tenants = 3;
+  cfg.tenant_qge = {0.95, 0.9, 0.8};
+  cfg.admission = 1.5;
+  cfg.shards = shards;
+  const ge::workload::Trace trace =
+      ge::workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    const ge::exp::RunResult r =
+        ge::exp::run_simulation(cfg, ge::exp::SchedulerSpec::parse("GE"), trace);
+    jobs += r.released;
+    benchmark::DoNotOptimize(r.energy);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
+  state.counters["sim_seconds_per_iter"] = cfg.duration;
+}
+void BM_SimulateGE_Cluster8Churn_Shards1(benchmark::State& state) {
+  run_cluster8_churn(state, 1);
+}
+void BM_SimulateGE_Cluster8Churn_Shards2(benchmark::State& state) {
+  run_cluster8_churn(state, 2);
+}
+
 // Streaming replay of the heavy GE case: generation, release, retirement
 // and accounting all happen inside the run (no materialised trace), which
 // is the 10^6+-job path.  Compare against BM_SimulateGE_Heavy for the cost
@@ -218,6 +255,8 @@ BENCHMARK(BM_SimulateGE_Telemetry)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Cluster4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Cluster8_Shards1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Cluster8_Shards4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateGE_Cluster8Churn_Shards1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulateGE_Cluster8Churn_Shards2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Stream)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_CalendarQueue)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateFig03Sweep)->Unit(benchmark::kMillisecond);

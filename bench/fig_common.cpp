@@ -24,7 +24,7 @@ FigureContext parse_figure_args(int argc, const char* const* argv,
   }
   ctx.base.server_power_scale = flags.get_double_list("server-power-scale", {});
   ctx.base.server_max_ghz = flags.get_double_list("server-max-ghz", {});
-  ctx.base.shards = static_cast<std::size_t>(flags.get_int("shards", 1));
+  ctx.base.shards = static_cast<std::size_t>(flags.get_int_at_least("shards", 1, 1));
   ctx.rates = flags.get_double_list("rates", std::move(default_rates));
   ctx.csv = flags.get_bool("csv", false);
   ctx.exec = exp::parse_execution_options(flags);

@@ -93,8 +93,8 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.admission = flags.get_double("admission", cfg.admission);
 
   // Parallel-DES shard count (docs/CLI.md; 1 = serial event loop).
-  cfg.shards = static_cast<std::size_t>(
-      flags.get_int("shards", static_cast<std::int64_t>(cfg.shards)));
+  cfg.shards = static_cast<std::size_t>(flags.get_int_at_least(
+      "shards", static_cast<std::int64_t>(cfg.shards), 1));
 
   // Streaming replay controls (docs/CLI.md, "Streaming replay").
   cfg.stream = flags.get_bool("stream", cfg.stream);

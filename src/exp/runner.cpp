@@ -24,7 +24,6 @@
 #include "util/check.h"
 #include "util/quantiles.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/job_store.h"
 
@@ -383,14 +382,12 @@ RunResult run_simulation_sharded(const ExperimentConfig& cfg,
   }
 
   {
-    util::ThreadPool pool(
-        std::min(nshards, util::ThreadPool::default_concurrency()));
     std::vector<sim::Simulator*> shard_ptrs;
     shard_ptrs.reserve(nshards);
     for (const auto& s : shard_sims) {
       shard_ptrs.push_back(s.get());
     }
-    sim::ShardExecutor exec(global_sim, std::move(shard_ptrs), stamper, pool);
+    sim::ShardExecutor exec(global_sim, std::move(shard_ptrs), stamper);
     cluster.start();
     exec.run(horizon);
     cluster.finish();

@@ -1,13 +1,53 @@
 #include "sim/shard_exec.h"
 
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <utility>
+
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ge::sim {
 
 namespace {
 constexpr int kClassShift = 35;
 constexpr int kEpochShift = 36;
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// A spinning thread yields its core every kYieldEvery polls, so a host
+// with more shards than cores still runs the thread being waited for.
+constexpr int kYieldEvery = 64;
+
+// Waits until `flag` no longer holds `old` and returns its new value:
+// ShardExecutor::kSpinLimit polls, then parks in std::atomic::wait.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& flag,
+                           std::uint32_t old) {
+  for (int i = 0; i < ShardExecutor::kSpinLimit; ++i) {
+    const std::uint32_t v = flag.load(std::memory_order_acquire);
+    if (v != old) {
+      return v;
+    }
+    if (i % kYieldEvery == kYieldEvery - 1) {
+      std::this_thread::yield();
+    } else {
+      cpu_relax();
+    }
+  }
+  for (;;) {
+    flag.wait(old, std::memory_order_acquire);
+    const std::uint32_t v = flag.load(std::memory_order_acquire);
+    if (v != old) {
+      return v;
+    }
+  }
+}
 }  // namespace
 
 std::uint64_t StampContext::next_stamp() {
@@ -40,15 +80,162 @@ StampContext* ShardStamper::shard_context(std::size_t i) {
   return &shards_[i];
 }
 
+// One shard's worker.  Generations count the windows posted to it; each is
+// claimed exactly once, by the worker or by the coordinator taking back one
+// the worker has not started, so the window's bounds and the shard are
+// only ever touched by the claimant.  `finished` sits on its own cache
+// line: the coordinator spins on it while the worker spins on `posted`.
+struct ShardExecutor::Worker {
+  // Coordinator -> worker: bumped once per window handed off (or to stop);
+  // the window's bounds are written before the release store.
+  alignas(64) std::atomic<std::uint32_t> posted{0};
+  // The last generation claimed; a claim moves it from posted - 1 to posted.
+  std::atomic<std::uint32_t> claimed{0};
+  // Worker -> coordinator: the last generation the worker claimed and ran.
+  alignas(64) std::atomic<std::uint32_t> finished{0};
+  double time = 0.0;
+  std::uint64_t seq = 0;
+  bool drain = false;
+  // Atomic because a worker that lost its last claim may still read it
+  // while the destructor sets it.
+  std::atomic<bool> stop{false};
+  std::exception_ptr error;  // thrown by the last window, for the coordinator
+  std::thread thread;
+};
+
 ShardExecutor::ShardExecutor(Simulator& global, std::vector<Simulator*> shards,
-                             ShardStamper& stamper, util::ThreadPool& pool)
-    : global_(&global),
-      shards_(std::move(shards)),
-      stamper_(&stamper),
-      pool_(&pool) {
+                             ShardStamper& stamper)
+    : global_(&global), shards_(std::move(shards)), stamper_(&stamper) {
   GE_CHECK(!shards_.empty(), "sharded run needs at least one shard");
   for (Simulator* s : shards_) {
     GE_CHECK(s != nullptr, "null shard simulator");
+  }
+  workers_.reserve(shards_.size());
+  busy_.reserve(shards_.size());
+  try {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      Worker* w = workers_.emplace_back(std::make_unique<Worker>()).get();
+      w->thread = std::thread([this, w, i] { worker_loop(*w, i); });
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
+  }
+}
+
+ShardExecutor::~ShardExecutor() { stop_workers(); }
+
+void ShardExecutor::stop_workers() noexcept {
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    if (w->thread.joinable()) {
+      w->stop.store(true, std::memory_order_relaxed);
+      w->posted.fetch_add(1, std::memory_order_release);
+      w->posted.notify_one();
+    }
+  }
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    if (w->thread.joinable()) {
+      w->thread.join();
+    }
+  }
+}
+
+void ShardExecutor::worker_loop(Worker& w, std::size_t shard) {
+  std::uint32_t seen = 0;
+  for (;;) {
+    seen = await_change(w.posted, seen);
+    if (w.stop.load(std::memory_order_relaxed)) {
+      return;
+    }
+    std::uint32_t unclaimed = seen - 1;
+    if (!w.claimed.compare_exchange_strong(unclaimed, seen,
+                                           std::memory_order_acq_rel)) {
+      continue;  // the coordinator ran it
+    }
+    try {
+      run_window(shard, w.time, w.seq, w.drain);
+    } catch (...) {
+      w.error = std::current_exception();
+    }
+    w.finished.store(seen, std::memory_order_release);
+    w.finished.notify_one();
+  }
+}
+
+void ShardExecutor::run_window(std::size_t shard, double time,
+                               std::uint64_t seq, bool drain) {
+  ScopedStampContext scope(stamper_->shard_context(shard));
+  if (drain) {
+    shards_[shard]->run_until(time);
+  } else {
+    shards_[shard]->run_until_key(time, seq);
+  }
+}
+
+void ShardExecutor::run_windows(double time, std::uint64_t seq, bool drain) {
+  // The coordinator owns every shard here: the workers are parked or
+  // spinning, and their last release store has been acquired.
+  busy_.clear();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    double t = 0.0;
+    std::uint64_t s = 0;
+    if (shards_[i]->peek_key(t, s) &&
+        (drain ? t <= time : (t < time || (t == time && s < seq)))) {
+      busy_.push_back(i);
+    }
+  }
+  if (busy_.empty()) {
+    return;
+  }
+  for (std::size_t k = 1; k < busy_.size(); ++k) {
+    Worker& w = *workers_[busy_[k]];
+    w.time = time;
+    w.seq = seq;
+    w.drain = drain;
+    w.posted.fetch_add(1, std::memory_order_release);
+    w.posted.notify_one();
+  }
+  handed_off_windows_ += busy_.size() - 1;
+  ++inline_windows_;
+
+  // Every busy window runs to the end before an error leaves run(): a
+  // worker still writes its shard until it reports back.  The
+  // lowest-numbered failing shard's error wins.
+  std::exception_ptr error;
+  try {
+    run_window(busy_.front(), time, seq, drain);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (std::size_t k = 1; k < busy_.size(); ++k) {
+    Worker& w = *workers_[busy_[k]];
+    const std::uint32_t target = w.posted.load(std::memory_order_relaxed);
+    std::uint32_t unclaimed = target - 1;
+    std::exception_ptr e;
+    if (w.claimed.compare_exchange_strong(unclaimed, target,
+                                          std::memory_order_acq_rel)) {
+      // The worker has not woken yet: a window is a few events long, so
+      // running it here beats waiting for the wake-up.
+      ++reclaimed_windows_;
+      try {
+        run_window(busy_[k], time, seq, drain);
+      } catch (...) {
+        e = std::current_exception();
+      }
+    } else {
+      // `finished` skips the generations the coordinator reclaimed.
+      std::uint32_t done = w.finished.load(std::memory_order_acquire);
+      while (done != target) {
+        done = await_change(w.finished, done);
+      }
+      e = std::exchange(w.error, nullptr);
+    }
+    if (error == nullptr) {
+      error = std::move(e);
+    }
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 
@@ -58,20 +245,10 @@ void ShardExecutor::run(double horizon) {
   while (global_->peek_key(gt, gs) && gt <= horizon) {
     // Conservative window: every pending event strictly below the next
     // global key is local to its shard, so the shards advance to it
-    // independently.  Workers touch only their own shard's simulator and
-    // components; the pool's queue mutex orders these writes against the
-    // coordinator's reads below.
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      Simulator* shard = shards_[i];
-      StampContext* ctx = stamper_->shard_context(i);
-      pool_->submit([shard, ctx, gt, gs] {
-        ScopedStampContext scope(ctx);
-        shard->run_until_key(gt, gs);
-      });
-    }
-    pool_->wait();  // barrier: fleet state is the serial state at (gt, gs)
+    // independently.
+    run_windows(gt, gs, /*drain=*/false);
     for (Simulator* shard : shards_) {
-      shard->advance_clock_to(gt);
+      shard->advance_clock_to(gt);  // fleet state is the serial state at (gt, gs)
     }
     ++epochs_;
     if (on_epoch) {
@@ -82,15 +259,10 @@ void ShardExecutor::run(double horizon) {
     global_->step();
   }
   // No cross-shard event left inside the horizon: drain every shard fully.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Simulator* shard = shards_[i];
-    StampContext* ctx = stamper_->shard_context(i);
-    pool_->submit([shard, ctx, horizon] {
-      ScopedStampContext scope(ctx);
-      shard->run_until(horizon);
-    });
+  run_windows(horizon, 0, /*drain=*/true);
+  for (Simulator* shard : shards_) {
+    shard->advance_clock_to(horizon);
   }
-  pool_->wait();
   global_->run_until(horizon);
 }
 

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ge::util {
@@ -72,6 +74,25 @@ std::int64_t Flags::get_int(std::string_view name, std::int64_t default_value) c
     return default_value;
   }
   return std::strtoll(v->c_str(), nullptr, 10);
+}
+
+std::int64_t Flags::get_int_at_least(std::string_view name,
+                                     std::int64_t default_value,
+                                     std::int64_t min) const {
+  auto v = find(name);
+  if (!v || v->empty()) {
+    return default_value;
+  }
+  std::int64_t value = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    std::fprintf(stderr, "error: --%.*s must be an integer >= %lld, got '%s'\n",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<long long>(min), v->c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 bool Flags::get_bool(std::string_view name, bool default_value) const {

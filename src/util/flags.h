@@ -5,6 +5,7 @@
 // (google-benchmark binaries share argv with their own flags).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,6 +22,12 @@ class Flags {
   double get_double(std::string_view name, double default_value) const;
   std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
   bool get_bool(std::string_view name, bool default_value) const;
+
+  // get_int for a value that must be a whole integer >= `min`.  Anything
+  // else -- "-1", "abc", "2x" -- prints a one-line reason naming the flag
+  // to stderr and exits with status 2.
+  std::int64_t get_int_at_least(std::string_view name, std::int64_t default_value,
+                                std::int64_t min) const;
 
   // Parses a comma-separated list of doubles, e.g. --rates 100,150,200.
   std::vector<double> get_double_list(std::string_view name,

@@ -6,6 +6,7 @@
 
 #include "exp/calibrate.h"
 #include "exp/config.h"
+#include "exp/flags_config.h"
 #include "exp/runner.h"
 #include "exp/scheduler_registry.h"
 #include "exp/scheduler_spec.h"
@@ -118,6 +119,21 @@ TEST(SchedulerSpec, BadParametersDie) {
   EXPECT_DEATH((void)SchedulerSpec::parse("QOA[0.5,0.6]"), "expects between");
   EXPECT_DEATH((void)SchedulerSpec::parse("QOA[-1]"), "must be positive");
   EXPECT_DEATH((void)SchedulerSpec::parse("GE[1]"), "expects between");
+}
+
+// --shards below 1 used to wrap through size_t (-1) or die in validate()
+// with exit 134 (0, "abc"); now it is a one-line usage error.
+TEST(FlagsConfig, ShardsBelowOneIsAUsageError) {
+  for (const char* bad : {"-1", "0", "abc"}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"prog", "--servers", "4", "--shards", bad};
+    const util::Flags flags(5, argv);
+    EXPECT_EXIT((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
+                ::testing::ExitedWithCode(2), "--shards must be an integer >= 1");
+  }
+  const char* argv[] = {"prog", "--servers", "4", "--shards", "2"};
+  const util::Flags flags(5, argv);
+  EXPECT_EQ(apply_flags(ExperimentConfig::paper_defaults(), flags).shards, 2u);
 }
 
 TEST(SchedulerSpec, EffectiveBudgetScalesForBeP) {

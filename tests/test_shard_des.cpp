@@ -5,8 +5,10 @@
 //
 //  * conservative windows -- no shard ever executes an event at or past the
 //    key of the next cross-shard (global) event;
-//  * barrier-only interaction -- global events run while every worker is
-//    parked at the barrier, with every shard drained to the global key;
+//  * barrier-only interaction -- global events run while no shard window
+//    is running, with every shard drained to the global key;
+//  * idle shards run nothing, a lone busy shard runs on the calling
+//    thread, and an exception from any shard event reaches run()'s caller;
 //  * serial merge order -- per queue, the sharded (time, stamp) pop order
 //    equals the serial (time, seq) pop order projected onto that queue;
 //  * conservation -- every released job is dispatched to exactly one node,
@@ -22,7 +24,9 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -36,7 +40,6 @@
 #include "sim/event_queue.h"
 #include "sim/shard_exec.h"
 #include "sim/simulator.h"
-#include "util/thread_pool.h"
 #include "workload/trace.h"
 
 namespace ge::sim {
@@ -90,8 +93,7 @@ TEST(ShardExec, NoShardExecutesPastTheEpochHorizon) {
     }
   }
 
-  util::ThreadPool pool(2);
-  ShardExecutor exec(rig.global, rig.shards, rig.stamper, pool);
+  ShardExecutor exec(rig.global, rig.shards, rig.stamper);
   exec.on_epoch = [&](double time, std::uint64_t seq) {
     horizon_of_epoch.push_back(time);
     // At the barrier every shard is synced to the key and its remaining
@@ -167,8 +169,7 @@ TEST(ShardExec, GlobalEventsRunOnlyAtQuiescentBarriers) {
     }
   }
 
-  util::ThreadPool pool(kShards);
-  ShardExecutor exec(rig.global, rig.shards, rig.stamper, pool);
+  ShardExecutor exec(rig.global, rig.shards, rig.stamper);
   exec.run(3.0);
 
   EXPECT_EQ(global_runs, 4);
@@ -237,8 +238,7 @@ TEST(ShardExec, MergePreservesSerialTieOrderPerQueue) {
         });
       });
     }
-    util::ThreadPool pool(2);
-    ShardExecutor exec(rig.global, rig.shards, rig.stamper, pool);
+    ShardExecutor exec(rig.global, rig.shards, rig.stamper);
     exec.run(3.0);
   }
 
@@ -260,6 +260,233 @@ TEST(ShardExec, MergePreservesSerialTieOrderPerQueue) {
     }
   }
   EXPECT_EQ(global_order, expected_global);
+}
+
+// Idle shards are skipped and a lone busy shard runs on the coordinator:
+// the executor posts work to a worker only when two or more shards have
+// work inside one window, and then the lowest-numbered one stays inline.
+TEST(ShardExec, LoneBusyShardRunsOnTheCallingThread) {
+  constexpr std::size_t kShards = 4;
+  ShardRig rig(kShards);
+  std::vector<std::thread::id> ran_on[kShards];
+  auto rec = [&ran_on](std::size_t s) {
+    return [&ran_on, s] { ran_on[s].push_back(std::this_thread::get_id()); };
+  };
+  {
+    ScopedStampContext setup(rig.stamper.serial_context());
+    rig.shards[2]->schedule_at(0.5, rec(2));  // window of epoch 0: shard 2 alone
+    // Window of epoch 1, [1, 2): no shard has work.
+    rig.shards[1]->schedule_at(2.5, rec(1));  // window of epoch 2: shards 1, 3
+    rig.shards[3]->schedule_at(2.5, rec(3));
+    rig.shards[0]->schedule_at(3.5, rec(0));  // final drain: shard 0 alone
+    for (double t : {1.0, 2.0, 3.0}) {
+      rig.global.schedule_at(t, [] {});
+    }
+  }
+
+  ShardExecutor exec(rig.global, rig.shards, rig.stamper);
+  std::vector<std::uint64_t> inline_at, handed_off_at;
+  exec.on_epoch = [&](double, std::uint64_t) {
+    inline_at.push_back(exec.inline_windows());
+    handed_off_at.push_back(exec.handed_off_windows());
+  };
+  exec.run(4.0);
+
+  EXPECT_EQ(inline_at, (std::vector<std::uint64_t>{1, 1, 2}));
+  EXPECT_EQ(handed_off_at, (std::vector<std::uint64_t>{0, 0, 1}));
+  EXPECT_EQ(exec.inline_windows(), 3u);
+  EXPECT_EQ(exec.handed_off_windows(), 1u);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_EQ(ran_on[s].size(), 1u) << "shard " << s;
+  }
+  EXPECT_EQ(ran_on[2].front(), caller);
+  EXPECT_EQ(ran_on[0].front(), caller);
+  EXPECT_EQ(ran_on[1].front(), caller);
+  // Shard 3's window was posted to its worker; the coordinator runs it only
+  // if it took the window back before the worker started it.
+  EXPECT_LE(exec.reclaimed_windows(), 1u);
+  EXPECT_EQ(ran_on[3].front() == caller, exec.reclaimed_windows() == 1);
+}
+
+// A shard event that throws on a worker surfaces from run() on the calling
+// thread, and the executor's threads still join.  An exception thrown
+// inline waits for a handed-off window the worker is still running.  In
+// both cases the inline event blocks until the worker has started, so the
+// coordinator cannot take the worker's window back.
+TEST(ShardExec, ShardExceptionsReachTheCallerAndWorkersJoin) {
+  auto await_flag = [](const std::atomic<bool>& flag) {
+    while (!flag.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  };
+  {
+    ShardRig rig(3);
+    std::thread::id thrower;
+    std::atomic<bool> worker_started{false};
+    {
+      ScopedStampContext setup(rig.stamper.serial_context());
+      rig.shards[0]->schedule_at(
+          0.5, [&] { await_flag(worker_started); });
+      rig.shards[2]->schedule_at(0.5, [&thrower, &worker_started] {
+        thrower = std::this_thread::get_id();
+        worker_started.store(true, std::memory_order_release);
+        throw std::runtime_error("shard event failed");
+      });
+      rig.global.schedule_at(1.0, [] {});
+    }
+    {
+      ShardExecutor exec(rig.global, rig.shards, rig.stamper);
+      EXPECT_THROW(exec.run(2.0), std::runtime_error);
+      EXPECT_EQ(exec.handed_off_windows(), 1u);
+      EXPECT_EQ(exec.reclaimed_windows(), 0u);
+    }  // joins the workers
+    EXPECT_NE(thrower, std::this_thread::get_id())
+        << "the throwing event was meant to run on a worker";
+  }
+  {
+    ShardRig rig(2);
+    constexpr int kEvents = 2000;
+    int worker_events = 0;
+    std::atomic<bool> worker_started{false};
+    {
+      ScopedStampContext setup(rig.stamper.serial_context());
+      rig.shards[0]->schedule_at(0.5, [&] {
+        await_flag(worker_started);
+        throw std::runtime_error("inline shard event failed");
+      });
+      for (int k = 0; k < kEvents; ++k) {
+        rig.shards[1]->schedule_at(0.1 + 1e-4 * k, [&worker_events, &worker_started] {
+          worker_started.store(true, std::memory_order_release);
+          ++worker_events;
+        });
+      }
+      rig.global.schedule_at(1.0, [] {});
+    }
+    ShardExecutor exec(rig.global, rig.shards, rig.stamper);
+    EXPECT_THROW(exec.run(2.0), std::runtime_error);
+    EXPECT_EQ(exec.reclaimed_windows(), 0u);
+    EXPECT_EQ(worker_events, kEvents)
+        << "run() returned before the handed-off window finished";
+  }
+}
+
+// A barrier-dense toy fleet: every arrival is a global event that reads all
+// nodes' load, and every shard-side completion is followed at the same
+// instant by a global deadline that reads the node back.  Completions spawn
+// same-node follow-ups from shard context.  Per-node logs and the global
+// accumulator must be bit-identical to one plain serial simulator at 1, 2
+// and 8 shards.
+struct ToyNode {
+  double load = 0.0;
+  double acc = 0.0;
+  std::vector<double> log;
+};
+
+struct ToyOutcome {
+  std::vector<std::vector<double>> logs;
+  std::vector<double> loads;
+  double global_sum = 0.0;
+};
+
+// Schedules the toy program.  `node_sims[i]` carries node i's events; the
+// global simulator carries arrivals and deadlines.
+void schedule_toy(Simulator& global, const std::vector<Simulator*>& node_sims,
+                  std::vector<ToyNode>& nodes, double& global_sum) {
+  std::uint64_t x = 12345;
+  auto uniform = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  for (int k = 0; k < 400; ++k) {
+    const double at = 0.0005 * (k + 1);
+    const double work = 1.0 + uniform();
+    const double svc = 0.002 + 0.018 * uniform();
+    const bool follow_up = uniform() < 0.3;
+    global.schedule_at(at, [&global, &nodes, &node_sims, &global_sum, work, svc,
+                            follow_up] {
+      std::size_t pick = 0;
+      for (std::size_t i = 1; i < nodes.size(); ++i) {
+        if (nodes[i].load < nodes[pick].load) {
+          pick = i;
+        }
+      }
+      ToyNode& node = nodes[pick];
+      Simulator* sim = node_sims[pick];
+      node.load += work;
+      sim->schedule_in(svc, [&node, sim, work, follow_up] {
+        node.load -= work;
+        node.acc = node.acc * 0.5 + sim->now() * work;
+        node.log.push_back(node.acc);
+        if (follow_up) {
+          sim->schedule_in(0.5 * work * 1e-3, [&node, sim] {
+            node.log.push_back(sim->now());
+          });
+        }
+      });
+      global.schedule_in(svc, [&node, &global_sum] {
+        global_sum = global_sum * 0.75 + node.acc + node.load;
+      });
+    });
+  }
+}
+
+ToyOutcome toy_outcome(const std::vector<ToyNode>& nodes, double global_sum) {
+  ToyOutcome out;
+  for (const ToyNode& node : nodes) {
+    out.logs.push_back(node.log);
+    out.loads.push_back(node.load);
+  }
+  out.global_sum = global_sum;
+  return out;
+}
+
+TEST(ShardExec, BarrierDenseToyFleetIsBitIdenticalAcrossShardCounts) {
+  constexpr std::size_t kNodes = 8;
+  constexpr double kHorizon = 2.0;
+
+  ToyOutcome serial;
+  {
+    Simulator sim;
+    std::vector<Simulator*> node_sims(kNodes, &sim);
+    std::vector<ToyNode> nodes(kNodes);
+    double global_sum = 0.0;
+    schedule_toy(sim, node_sims, nodes, global_sum);
+    sim.run_until(kHorizon);
+    serial = toy_outcome(nodes, global_sum);
+  }
+  std::size_t completions = 0;
+  for (const std::vector<double>& log : serial.logs) {
+    EXPECT_FALSE(log.empty()) << "every node must see work";
+    completions += log.size();
+  }
+  ASSERT_GT(completions, 400u) << "follow-ups must run";
+
+  for (std::size_t nshards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("shards=" + std::to_string(nshards));
+    ShardRig rig(nshards);
+    std::vector<Simulator*> node_sims(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      node_sims[i] = rig.shards[i * nshards / kNodes];
+    }
+    std::vector<ToyNode> nodes(kNodes);
+    double global_sum = 0.0;
+    {
+      ScopedStampContext setup(rig.stamper.serial_context());
+      schedule_toy(rig.global, node_sims, nodes, global_sum);
+    }
+    ShardExecutor exec(rig.global, rig.shards, rig.stamper);
+    exec.run(kHorizon);
+    EXPECT_EQ(exec.epochs(), 800u) << "one barrier per arrival and deadline";
+    if (nshards > 1) {
+      EXPECT_GT(exec.handed_off_windows(), 0u) << "the worker path must run";
+    }
+    const ToyOutcome sharded = toy_outcome(nodes, global_sum);
+    EXPECT_EQ(sharded.logs, serial.logs);
+    EXPECT_EQ(sharded.loads, serial.loads);
+    EXPECT_EQ(sharded.global_sum, serial.global_sum);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -318,8 +545,7 @@ TEST(ShardExec, DispatchedJobConservationForEveryShardCount) {
         ++released;
       }
       cluster.start();
-      util::ThreadPool pool(nshards);
-      ShardExecutor exec(rig.global, rig.shards, rig.stamper, pool);
+      ShardExecutor exec(rig.global, rig.shards, rig.stamper);
       exec.run(horizon);
       cluster.finish();
 

@@ -254,6 +254,24 @@ TEST(Flags, LastOccurrenceWins) {
   EXPECT_EQ(flags.get_int("x", 0), 2);
 }
 
+TEST(Flags, IntAtLeastAcceptsWholeIntegersFromTheMinimum) {
+  const char* argv[] = {"prog", "--n", "1", "--m=12"};
+  Flags flags(4, argv);
+  EXPECT_EQ(flags.get_int_at_least("n", 5, 1), 1);
+  EXPECT_EQ(flags.get_int_at_least("m", 5, 1), 12);
+  EXPECT_EQ(flags.get_int_at_least("absent", 5, 1), 5);
+}
+
+TEST(Flags, IntAtLeastExitsNamingTheFlag) {
+  for (const char* bad : {"-1", "0", "abc", "2x", "1.5"}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"prog", "--n", bad};
+    Flags flags(3, argv);
+    EXPECT_EXIT((void)flags.get_int_at_least("n", 1, 1),
+                ::testing::ExitedWithCode(2), "--n must be an integer >= 1");
+  }
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);
