@@ -41,7 +41,6 @@
 #include "quality/quality_function.h"
 #include "quality/quality_monitor.h"
 #include "server/multicore_server.h"
-#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -329,7 +328,6 @@ BENCHMARK(BM_PlanRectifier)->Range(4, 256);
 
 // --- Event queue ------------------------------------------------------------
 
-template <typename Queue>
 void BM_EventQueuePushPop(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   ge::util::Rng rng(6);
@@ -338,7 +336,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     t = rng.uniform(0.0, 1000.0);
   }
   for (auto _ : state) {
-    Queue queue;
+    ge::sim::HeapEventQueue queue;
     for (double t : times) {
       queue.push(t, [] {});
     }
@@ -348,14 +346,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_TEMPLATE(BM_EventQueuePushPop, ge::sim::HeapEventQueue)
-    ->Name("BM_EventQueuePushPop")
-    ->Range(64, 16384);
-BENCHMARK_TEMPLATE(BM_EventQueuePushPop, ge::sim::CalendarEventQueue)
-    ->Name("BM_EventQueuePushPopCalendar")
-    ->Range(64, 16384);
+BENCHMARK(BM_EventQueuePushPop)->Range(64, 16384);
 
-template <typename Queue>
 void BM_EventQueueChurn(benchmark::State& state) {
   // The simulator's steady-state pattern: a rolling window of pending
   // events where every pop schedules a replacement and a third of the
@@ -365,7 +357,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
   const std::size_t ops = 4 * window;
   for (auto _ : state) {
     ge::util::Rng rng(8);
-    Queue queue;
+    ge::sim::HeapEventQueue queue;
     std::vector<ge::sim::EventId> pending;
     pending.reserve(window);
     double now = 0.0;
@@ -389,12 +381,46 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
 }
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, ge::sim::HeapEventQueue)
-    ->Name("BM_EventQueueChurn")
-    ->Range(64, 4096);
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, ge::sim::CalendarEventQueue)
-    ->Name("BM_EventQueueChurnCalendar")
-    ->Range(64, 4096);
+BENCHMARK(BM_EventQueueChurn)->Range(64, 4096);
+
+// The GE round's pattern: `window` pending events (one per core boundary)
+// behind a background of arrivals and deadlines, each op moving one
+// boundary to a new time.  The CancelChurn row does it as cancel + push,
+// the Reschedule row in place; both pop the same events.
+template <bool kInPlace>
+void BM_EventQueueMoveBoundary(benchmark::State& state) {
+  const std::size_t window = static_cast<std::size_t>(state.range(0));
+  const std::size_t ops = 16 * window;
+  for (auto _ : state) {
+    ge::util::Rng rng(9);
+    ge::sim::HeapEventQueue queue;
+    for (std::size_t i = 0; i < 8 * window; ++i) {
+      queue.push(rng.uniform(0.0, 100.0), [] {});
+    }
+    std::vector<ge::sim::EventId> boundary(window);
+    for (ge::sim::EventId& id : boundary) {
+      id = queue.push(rng.uniform(0.0, 1.0), [] {});
+    }
+    for (std::size_t i = 0; i < ops; ++i) {
+      ge::sim::EventId& id = boundary[i % window];
+      const double t = rng.uniform(0.0, 1.0);
+      if constexpr (kInPlace) {
+        id = queue.reschedule(id, t);
+      } else {
+        queue.cancel(id);
+        id = queue.push(t, [] {});
+      }
+    }
+    benchmark::DoNotOptimize(queue.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
+}
+BENCHMARK_TEMPLATE(BM_EventQueueMoveBoundary, false)
+    ->Name("BM_EventQueueCancelChurn")
+    ->Range(16, 1024);
+BENCHMARK_TEMPLATE(BM_EventQueueMoveBoundary, true)
+    ->Name("BM_EventQueueReschedule")
+    ->Range(16, 1024);
 
 // --- Load estimator ---------------------------------------------------------
 

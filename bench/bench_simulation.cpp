@@ -199,23 +199,6 @@ void BM_SimulateGE_Stream(benchmark::State& state) {
   state.counters["sim_seconds_per_iter"] = cfg.duration;
 }
 
-// Heavy GE case on the calendar event queue (--event-queue calendar).
-void BM_SimulateGE_CalendarQueue(benchmark::State& state) {
-  ge::exp::ExperimentConfig cfg = bench_config(220.0);
-  cfg.event_queue = ge::sim::EventQueueKind::kCalendar;
-  const ge::workload::Trace trace =
-      ge::workload::Trace::generate(cfg.workload_spec(), cfg.duration);
-  std::uint64_t jobs = 0;
-  for (auto _ : state) {
-    const ge::exp::RunResult r =
-        ge::exp::run_simulation(cfg, ge::exp::SchedulerSpec::parse("GE"), trace);
-    jobs += r.released;
-    benchmark::DoNotOptimize(r.energy);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
-  state.counters["sim_seconds_per_iter"] = cfg.duration;
-}
-
 // Fig. 3-style comparison: GE/BE/FCFS across three load points through the
 // experiment engine, the shape every figure binary runs.
 void BM_SimulateFig03Sweep(benchmark::State& state) {
@@ -258,7 +241,6 @@ BENCHMARK(BM_SimulateGE_Cluster8_Shards4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Cluster8Churn_Shards1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Cluster8Churn_Shards2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Stream)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulateGE_CalendarQueue)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateFig03Sweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace

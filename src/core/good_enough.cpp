@@ -137,8 +137,8 @@ void GoodEnoughScheduler::finish() {
   }
   waiting_.clear();
   for (std::size_t i = 0; i < env_.server->core_count(); ++i) {
-    auto queue = env_.server->core(i).queue();  // copy: settle() mutates it
-    for (workload::Job* job : queue) {
+    queue_scratch_ = env_.server->core(i).queue();  // settle() mutates it
+    for (workload::Job* job : queue_scratch_) {
       if (!job->settled) {
         settle_tracked(job);
       }
@@ -182,6 +182,9 @@ void GoodEnoughScheduler::refresh_edf_cache() {
   const std::size_t m = env_.server->core_count();
   edf_cache_.resize(m);
   edf_demand_.resize(m);
+  cut_targets_.resize(m);
+  cut_levels_.resize(m);
+  cut_valid_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     server::Core& core = env_.server->core(i);
     const std::uint8_t online = core.online() ? 1 : 0;
@@ -196,6 +199,7 @@ void GoodEnoughScheduler::refresh_edf_cache() {
     }
     edf_dirty_[i] = 0;
     edf_online_[i] = online;
+    cut_valid_[i] = 0;
     std::vector<workload::Job*>& jobs = edf_cache_[i];
     std::vector<double>& demands = edf_demand_[i];
     jobs.clear();
@@ -237,20 +241,24 @@ void GoodEnoughScheduler::set_targets(server::Core& core, Mode mode) {
   // AES: Longest-First cutting against the original demands (a running job
   // is re-cut as if new, Sec. III-B); a target can never drop below what is
   // already executed.  Demands come from the SoA lane kept alongside the
-  // EDF cache -- one contiguous copy instead of a pointer-chasing gather.
-  const std::vector<double>& lane =
-      edf_demand_[static_cast<std::size_t>(core.id())];
-  cut_demands_.assign(lane.begin(), lane.end());
-  opt::cut_longest_first(cut_demands_, *env_.quality_function, options_.cut_target,
-                         cut_scratch_);
-  const opt::CutResult& cut = cut_scratch_.result;
+  // EDF cache, and the cut is recomputed only when that lane was rebuilt.
+  const std::size_t c = static_cast<std::size_t>(core.id());
+  if (cut_valid_[c] == 0) {
+    opt::cut_longest_first(edf_demand_[c], *env_.quality_function,
+                           options_.cut_target, cut_scratch_);
+    cut_targets_[c].swap(cut_scratch_.result.targets);
+    cut_levels_[c] = cut_scratch_.result.level;
+    cut_valid_[c] = 1;
+  }
+  const std::vector<double>& targets = cut_targets_[c];
+  const double level = cut_levels_[c];
   double target_units = 0.0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i]->target = std::max(cut.targets[i], std::min(jobs[i]->executed, jobs[i]->demand));
+    jobs[i]->target = std::max(targets[i], std::min(jobs[i]->executed, jobs[i]->demand));
     target_units += jobs[i]->target;
   }
   if (m_cut_level_ != nullptr) {
-    m_cut_level_->observe(cut.level);
+    m_cut_level_->observe(level);
   }
   if (trace() != nullptr) {
     obs::TraceEvent ev;
@@ -258,7 +266,7 @@ void GoodEnoughScheduler::set_targets(server::Core& core, Mode mode) {
     ev.t = now();
     ev.core = core.id();
     ev.a = static_cast<double>(jobs.size());
-    ev.b = cut.level;
+    ev.b = level;
     ev.c = target_units;
     trace()->push(ev);
   }
@@ -337,7 +345,8 @@ void GoodEnoughScheduler::plan_core(server::Core& core, double cap_watts,
   }
   const double s_cap = std::min(pm.speed_for_power(cap_watts), options_.core_speed_cap);
   if (plan_jobs_.empty() || s_cap <= 0.0) {
-    core.install_plan(opt::ExecutionPlan{}, cap_watts);
+    plan_.segments.clear();
+    core.install_plan(std::move(plan_), cap_watts);
     return;
   }
   if (m_plans_ != nullptr) {
@@ -355,8 +364,9 @@ void GoodEnoughScheduler::plan_core(server::Core& core, double cap_watts,
       alloc_jobs_[i] = opt::AllocJob{plan_jobs_[i].job->executed,
                                      plan_jobs_[i].remaining, plan_jobs_[i].deadline};
     }
-    const std::vector<double> extra =
-        opt::maximize_quality(t, alloc_jobs_, s_cap, *env_.quality_function);
+    opt::maximize_quality(t, alloc_jobs_, s_cap, *env_.quality_function,
+                          qopt_scratch_);
+    const std::vector<double>& extra = qopt_scratch_.extra;
     trimmed_.clear();
     trimmed_.reserve(plan_jobs_.size());
     for (std::size_t i = 0; i < plan_jobs_.size(); ++i) {
@@ -368,26 +378,26 @@ void GoodEnoughScheduler::plan_core(server::Core& core, double cap_watts,
     }
     plan_jobs_.swap(trimmed_);
   }
-  opt::ExecutionPlan plan = opt::plan_min_energy(t, plan_jobs_, s_cap);
+  opt::plan_min_energy(t, plan_jobs_, s_cap, plan_);
   double cap_final = cap_watts;
-  if (options_.speed_table != nullptr && !plan.empty()) {
+  if (options_.speed_table != nullptr && !plan_.empty()) {
     // Discrete DVFS rectification (Sec. IV-A-5): round up when the budget
     // slack affords it, down otherwise; cores are processed lowest-cap
     // first by the caller.
     opt::ExecutionPlan ceiled =
-        rectify_plan(plan, *options_.speed_table,
+        rectify_plan(plan_, *options_.speed_table,
                      std::numeric_limits<double>::infinity());
     const double peak = ceiled.max_power(pm);
     if (peak <= cap_watts + *budget_slack + 1e-9) {
       const double extra = std::max(peak - cap_watts, 0.0);
       *budget_slack -= extra;
       cap_final = cap_watts + extra;
-      plan = std::move(ceiled);
+      plan_ = std::move(ceiled);
     } else {
-      plan = rectify_plan(plan, *options_.speed_table, s_cap);
+      plan_ = rectify_plan(plan_, *options_.speed_table, s_cap);
     }
   }
-  core.install_plan(std::move(plan), cap_final);
+  core.install_plan(std::move(plan_), cap_final);
 }
 
 void GoodEnoughScheduler::schedule_round() {
@@ -440,8 +450,8 @@ void GoodEnoughScheduler::schedule_round() {
   const std::size_t m = env_.server->core_count();
   for (std::size_t i = 0; i < m; ++i) {
     env_.server->core(i).advance_to(t);
-    auto queue = env_.server->core(i).queue();  // copy: settle() mutates it
-    for (workload::Job* job : queue) {
+    queue_scratch_ = env_.server->core(i).queue();  // settle() mutates it
+    for (workload::Job* job : queue_scratch_) {
       if (!job->settled && job->expired(t)) {
         settle_tracked(job);
       }
@@ -489,8 +499,8 @@ void GoodEnoughScheduler::schedule_round() {
   }
   // Jobs that already hit their (possibly re-raised) target complete now.
   for (std::size_t i = 0; i < m; ++i) {
-    auto queue = env_.server->core(i).queue();
-    for (workload::Job* job : queue) {
+    queue_scratch_ = env_.server->core(i).queue();
+    for (workload::Job* job : queue_scratch_) {
       if (!job->settled && job->remaining_target() <= kWorkEps) {
         settle_tracked(job);
       }

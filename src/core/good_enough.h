@@ -163,14 +163,28 @@ class GoodEnoughScheduler : public Scheduler {
   // Per-core change tracking for incremental rounds (1 = must rebuild).
   std::vector<std::uint8_t> edf_dirty_;
   std::vector<std::uint8_t> edf_online_;  // online state at last rebuild
+  // Per-core memo of the last AES cut: cut_longest_first is a pure function
+  // of the demand lane (plus the fixed quality function and cut target), so
+  // its targets and level stay exact while the core's cache stays clean.
+  // A rebuild clears cut_valid_.
+  std::vector<std::vector<double>> cut_targets_;
+  std::vector<double> cut_levels_;
+  std::vector<std::uint8_t> cut_valid_;
   std::vector<opt::PlanJob> plan_jobs_;
   std::vector<opt::AllocJob> alloc_jobs_;
   std::vector<opt::PlanJob> trimmed_;
-  std::vector<double> cut_demands_;
+  // Plan under construction; install_plan hands back the replaced plan's
+  // storage, so segment buffers circulate between cores instead of being
+  // allocated per plan.
+  opt::ExecutionPlan plan_;
   std::vector<double> demand_watts_;
   std::vector<double> caps_;
   std::vector<std::size_t> order_;
+  // Snapshot of a core queue for the settlement sweeps (settle() mutates
+  // the queue being walked).
+  std::vector<workload::Job*> queue_scratch_;
   opt::CutScratch cut_scratch_;
+  opt::QualityOptScratch qopt_scratch_;
 
   // Cached telemetry handles (null when metrics are off); catalog in
   // docs/OBSERVABILITY.md.

@@ -10,7 +10,6 @@
 #include "cluster/dispatcher.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
-#include "sim/event_queue.h"
 #include "workload/generator.h"
 
 namespace ge::cluster {
@@ -156,10 +155,6 @@ struct ExperimentConfig {
   // run replays the capped prefix of the uncapped job stream), so
   // stream on/off and capped sweeps stay comparable.
   std::uint64_t max_jobs = 0;
-  // Event queue backing the simulator: binary heap (default) or calendar
-  // queue (O(1) amortised holds).  Pop order is identical; see
-  // src/sim/calendar_queue.h for the tie-order contract.
-  sim::EventQueueKind event_queue = sim::EventQueueKind::kHeap;
   // When true the runner samples total power and checks it never exceeds
   // the budget (used by tests; cheap but pointless in sweeps).
   bool verify_power = false;

@@ -2,6 +2,9 @@
 
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "util/check.h"
 
 namespace ge::exp {
@@ -100,9 +103,13 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.stream = flags.get_bool("stream", cfg.stream);
   cfg.max_jobs = static_cast<std::uint64_t>(
       flags.get_int("max-jobs", static_cast<std::int64_t>(cfg.max_jobs)));
-  const std::string queue = flags.get_string("event-queue", "");
-  if (!queue.empty()) {
-    cfg.event_queue = sim::parse_event_queue_kind(queue);
+  // The simulator has one event queue now; an unknown flag would be ignored
+  // silently, so the retired selector is refused outright.
+  if (flags.has("event-queue")) {
+    std::fprintf(stderr,
+                 "error: --event-queue was removed; the simulator has a single "
+                 "event queue\n");
+    std::exit(2);
   }
   return cfg;
 }

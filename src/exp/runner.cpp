@@ -274,12 +274,12 @@ RunResult run_simulation_sharded(const ExperimentConfig& cfg,
   sim::ShardStamper stamper(nshards);
   sim::ScopedStampContext setup_scope(stamper.serial_context());
 
-  sim::Simulator global_sim(cfg.event_queue);
+  sim::Simulator global_sim;
   global_sim.set_stamp_mode(true);
   std::vector<std::unique_ptr<sim::Simulator>> shard_sims;
   shard_sims.reserve(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
-    shard_sims.push_back(std::make_unique<sim::Simulator>(cfg.event_queue));
+    shard_sims.push_back(std::make_unique<sim::Simulator>());
     shard_sims.back()->set_stamp_mode(true);
   }
   // Contiguous server blocks per shard, balanced to within one server.
@@ -429,7 +429,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   if (nshards > 1) {
     return run_simulation_sharded(cfg, spec, *trace, timeline, nshards);
   }
-  sim::Simulator sim(cfg.event_queue);
+  sim::Simulator sim;
   // Install telemetry before any component is built: cores and schedulers
   // cache their handles at construction.
   obs::Telemetry tel_view;

@@ -39,10 +39,17 @@ double required_speed(double now, std::span<const PlanJob> jobs) {
 
 ExecutionPlan plan_min_energy(double now, std::span<const PlanJob> jobs,
                               double speed_cap) {
-  check_sorted(now, jobs);
   ExecutionPlan plan;
+  plan_min_energy(now, jobs, speed_cap, plan);
+  return plan;
+}
+
+void plan_min_energy(double now, std::span<const PlanJob> jobs, double speed_cap,
+                     ExecutionPlan& plan) {
+  check_sorted(now, jobs);
+  plan.segments.clear();
   if (speed_cap <= 0.0) {
-    return plan;
+    return;
   }
   plan.segments.reserve(jobs.size());
 
@@ -92,7 +99,6 @@ ExecutionPlan plan_min_energy(double now, std::span<const PlanJob> jobs,
     }
     i = best_k + 1;
   }
-  return plan;
 }
 
 }  // namespace ge::opt

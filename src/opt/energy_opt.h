@@ -42,4 +42,9 @@ double required_speed(double now, std::span<const PlanJob> jobs);
 ExecutionPlan plan_min_energy(double now, std::span<const PlanJob> jobs,
                               double speed_cap);
 
+// Same plan, written into `plan` (its previous segments are discarded and
+// their capacity reused).
+void plan_min_energy(double now, std::span<const PlanJob> jobs, double speed_cap,
+                     ExecutionPlan& plan);
+
 }  // namespace ge::opt

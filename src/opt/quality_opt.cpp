@@ -126,10 +126,18 @@ void solve(std::span<const AllocJob> jobs, std::size_t l, std::size_t r, double 
 std::vector<double> maximize_quality(double now, std::span<const AllocJob> jobs,
                                      double speed_cap,
                                      const quality::QualityFunction& f) {
+  QualityOptScratch scratch;
+  maximize_quality(now, jobs, speed_cap, f, scratch);
+  return std::move(scratch.extra);
+}
+
+void maximize_quality(double now, std::span<const AllocJob> jobs, double speed_cap,
+                      const quality::QualityFunction& f, QualityOptScratch& scratch) {
   const std::size_t n = jobs.size();
-  std::vector<double> x(n, 0.0);
+  std::vector<double>& x = scratch.extra;
+  x.assign(n, 0.0);
   if (n == 0 || speed_cap <= 0.0) {
-    return x;
+    return;
   }
   double prev_deadline = -std::numeric_limits<double>::infinity();
   for (const AllocJob& aj : jobs) {
@@ -138,12 +146,12 @@ std::vector<double> maximize_quality(double now, std::span<const AllocJob> jobs,
     GE_CHECK(aj.deadline >= prev_deadline - 1e-9, "jobs must be EDF-sorted");
     prev_deadline = aj.deadline;
   }
-  std::vector<double> capacity(n);
+  std::vector<double>& capacity = scratch.capacity;
+  capacity.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     capacity[k] = speed_cap * std::max(jobs[k].deadline - now, 0.0);
   }
   solve(jobs, 0, n - 1, 0.0, capacity[n - 1], capacity, f, x);
-  return x;
 }
 
 double allocation_quality(std::span<const AllocJob> jobs, std::span<const double> extra,

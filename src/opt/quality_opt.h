@@ -31,6 +31,15 @@ struct AllocJob {
   double deadline = 0.0;   // absolute seconds
 };
 
+// Reusable working memory for maximize_quality: a scheduler trims once per
+// over-capped core per round, so routing the calls through one scratch
+// keeps the prefix capacities and the result off the allocator.  The
+// result of the last call lives in `extra`.
+struct QualityOptScratch {
+  std::vector<double> capacity;  // prefix capacity s * (d_k - now)
+  std::vector<double> extra;     // x_j, same order as the jobs
+};
+
 // Returns the optimal extra allocation x_j (same order as `jobs`).  `jobs`
 // must be EDF-sorted.  Deadlines at or before `now` force x_j contributions
 // of the corresponding prefix towards zero.  speed_cap <= 0 returns all
@@ -38,6 +47,10 @@ struct AllocJob {
 std::vector<double> maximize_quality(double now, std::span<const AllocJob> jobs,
                                      double speed_cap,
                                      const quality::QualityFunction& f);
+
+// Allocation-free variant: identical outputs, delivered in scratch.extra.
+void maximize_quality(double now, std::span<const AllocJob> jobs, double speed_cap,
+                      const quality::QualityFunction& f, QualityOptScratch& scratch);
 
 // Total quality sum f(e_j + x_j) of an allocation (helper for tests).
 double allocation_quality(std::span<const AllocJob> jobs,

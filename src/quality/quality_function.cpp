@@ -45,6 +45,8 @@ ExponentialQuality::ExponentialQuality(double c, double xmax) : c_(c), xmax_(xma
   GE_CHECK(c > 0.0, "concavity multiplier c must be positive");
   GE_CHECK(xmax > 0.0, "xmax must be positive");
   norm_ = 1.0 - std::exp(-c_ * xmax_);
+  slope_at_zero_ = derivative(0.0);
+  slope_at_xmax_ = derivative(xmax_);
 }
 
 double ExponentialQuality::value(double x) const {
@@ -66,10 +68,10 @@ double ExponentialQuality::inverse(double q) const {
 }
 
 double ExponentialQuality::inverse_derivative(double slope) const {
-  if (slope >= derivative(0.0)) {
+  if (slope >= slope_at_zero_) {
     return 0.0;
   }
-  if (slope <= derivative(xmax_)) {
+  if (slope <= slope_at_xmax_) {
     return xmax_;
   }
   // f'(x) = c e^{-cx} / norm  =>  x = -ln(slope * norm / c) / c.

@@ -61,6 +61,10 @@ class ExponentialQuality final : public QualityFunction {
   double c_;
   double xmax_;
   double norm_;  // 1 - e^{-c xmax}
+  // f'(0) and f'(xmax), the clamps of inverse_derivative: evaluated once at
+  // construction with the same expression derivative() uses.
+  double slope_at_zero_;
+  double slope_at_xmax_;
 };
 
 // f(x) = x / xmax.  Degenerate (not strictly concave) boundary case: with a

@@ -1,6 +1,7 @@
 #include "server/core.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/telemetry.h"
 #include "util/check.h"
@@ -18,13 +19,10 @@ Core::Core(int id, const power::PowerModel& pm, sim::Simulator& sim)
 void Core::set_offline(double now) {
   advance_to(now);
   finished_buffer_.clear();  // stranded jobs settle via their deadline events
-  if (boundary_event_ != sim::kInvalidEventId) {
-    sim_->cancel(boundary_event_);
-    boundary_event_ = sim::kInvalidEventId;
-  }
   plan_ = opt::ExecutionPlan{};
   seg_idx_ = 0;
   seg_credited_ = 0.0;
+  rearm_boundary_event();  // the plan is empty: cancels the boundary event
   power_cap_ = 0.0;
   online_ = false;
   if (obs::Telemetry* tel = sim_->telemetry(); tel != nullptr && tel->trace) {
@@ -36,7 +34,7 @@ void Core::set_offline(double now) {
   }
 }
 
-void Core::install_plan(opt::ExecutionPlan plan, double power_cap) {
+void Core::install_plan(opt::ExecutionPlan&& plan, double power_cap) {
   GE_CHECK(online_, "cannot install a plan on an offline core");
   const double now = sim_->now();
   advance_to(now);
@@ -51,15 +49,11 @@ void Core::install_plan(opt::ExecutionPlan plan, double power_cap) {
              "plan references a job not pinned to this core");
     GE_CHECK(!seg.job->settled, "plan references a settled job");
   }
-  if (boundary_event_ != sim::kInvalidEventId) {
-    sim_->cancel(boundary_event_);
-    boundary_event_ = sim::kInvalidEventId;
-  }
-  plan_ = std::move(plan);
+  std::swap(plan_, plan);
   seg_idx_ = 0;
   seg_credited_ = 0.0;
   power_cap_ = power_cap;
-  arm_boundary_event();
+  rearm_boundary_event();
 }
 
 void Core::advance_to(double t) {
@@ -131,11 +125,7 @@ void Core::remove_job(workload::Job* job, double now) {
   plan_.segments.resize(w);
   if (current_dropped) {
     seg_credited_ = 0.0;
-    if (boundary_event_ != sim::kInvalidEventId) {
-      sim_->cancel(boundary_event_);
-      boundary_event_ = sim::kInvalidEventId;
-    }
-    arm_boundary_event();
+    rearm_boundary_event();
   }
   flush_finished();
 }
@@ -162,13 +152,23 @@ double Core::current_speed(double t) const {
   return 0.0;
 }
 
-void Core::arm_boundary_event() {
-  GE_CHECK(boundary_event_ == sim::kInvalidEventId, "boundary event already armed");
+void Core::rearm_boundary_event() {
   if (seg_idx_ >= plan_.segments.size()) {
+    if (boundary_event_ != sim::kInvalidEventId) {
+      sim_->cancel(boundary_event_);
+      boundary_event_ = sim::kInvalidEventId;
+    }
     return;
   }
   const double when = plan_.segments[seg_idx_].end;
-  boundary_event_ = sim_->schedule_at(when, [this] { on_segment_boundary(); });
+  // Moving a pending event in place is cancel + schedule_at of the same
+  // action, seq draw included, so the event order is unchanged.
+  if (boundary_event_ != sim::kInvalidEventId) {
+    boundary_event_ = sim_->reschedule(boundary_event_, when);
+  }
+  if (boundary_event_ == sim::kInvalidEventId) {
+    boundary_event_ = sim_->schedule_at(when, [this] { on_segment_boundary(); });
+  }
 }
 
 void Core::flush_finished() {
@@ -186,7 +186,7 @@ void Core::flush_finished() {
 void Core::on_segment_boundary() {
   boundary_event_ = sim::kInvalidEventId;
   advance_to(sim_->now());
-  arm_boundary_event();
+  rearm_boundary_event();
   flush_finished();
   if (!busy(sim_->now()) && on_idle_) {
     on_idle_(id_);

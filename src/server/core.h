@@ -52,8 +52,10 @@ class Core {
 
   // Replaces the current plan.  Advances execution to sim.now() first.
   // power_cap is the cap assigned by the distribution policy; the plan's
-  // peak power must not exceed it (checked).
-  void install_plan(opt::ExecutionPlan plan, double power_cap);
+  // peak power must not exceed it (checked).  On return `plan` holds the
+  // replaced plan's storage (contents unspecified), so a caller that plans
+  // every round can reuse its capacity instead of allocating.
+  void install_plan(opt::ExecutionPlan&& plan, double power_cap);
 
   // Integrates work/energy along the current plan up to time t (<= now).
   // Does not fire callbacks; segment-boundary events do that.
@@ -84,7 +86,9 @@ class Core {
   double power_cap() const noexcept { return power_cap_; }
 
  private:
-  void arm_boundary_event();
+  // Points boundary_event_ at the current segment's end (moving a pending
+  // event in place), or cancels it when the plan has run dry.
+  void rearm_boundary_event();
   void on_segment_boundary();
   void flush_finished();
 

@@ -1,44 +1,36 @@
-// Pending-event set for the discrete-event simulator.
+// Pending-event set for the discrete-event simulator: an indexed 4-ary
+// min-heap.
 //
-// `EventQueue` is the abstract interface; two implementations are provided
-// and selectable per run (exp::ExperimentConfig::event_queue, --event-queue):
+// Ordering contract: events pop in non-decreasing time order, ties broken
+// by scheduling order (a per-queue monotone sequence number, or a caller
+// stamp -- see push_with_seq).  Because (time, seq) is a total order, the
+// pop sequence is a function of the pushed keys alone, not of the heap's
+// shape: any change to the structure that keeps the keys pops the exact
+// same events.
 //
-//   * HeapEventQueue (default): a binary min-heap keyed by
-//     (time, sequence number) -- O(log n) push/pop.
-//   * CalendarEventQueue: a calendar queue (Brown, CACM 1988) -- an array of
-//     time-bucketed sorted lists with O(1) amortized push/pop under the
-//     roughly uniform event-time distributions a DES produces.  See
-//     calendar_queue.h.
+// Layout: heap nodes are plain (time, seq, slot) triples, so sifting moves
+// 24-byte PODs.  The event's action and its current heap position live in a
+// slot table indexed by `slot`; every node move updates its slot's
+// position.  That index makes cancellation eager: cancel() removes the node
+// at once (the last node fills the hole and sifts), so the heap never holds
+// dead entries and its size is always the live count.  reschedule() moves a
+// pending event to a new key in place -- exactly cancel() followed by a push
+// of the same action, without releasing and re-acquiring the slot or the
+// action.
 //
-// Ordering contract (shared by all implementations): events pop in
-// non-decreasing time order, ties broken by scheduling order (a per-queue
-// monotone sequence number).  Because (time, seq) is a total order, every
-// conforming implementation pops the exact same event sequence -- simulation
-// results are bit-identical across queue kinds, not merely equivalent.  The
-// differential suite in tests/test_sim.cpp and the fuzz leg in
-// tests/test_fuzz_e2e.cpp enforce this.
-//
-// Cancellation is lazy: a cancelled event is marked dead in the slot table
-// and its entry is dropped when it surfaces at a structural boundary (heap
-// top / bucket back).
-//
-// Slot recycling: event liveness used to live in a flat byte-per-id table
-// that grew with every id ever issued -- O(total events) resident memory,
-// which defeats bounded-memory streaming replay.  Ids are now generational
-// handles: the low 32 bits name a slot in a recycled table, the high 32 bits
-// carry the slot's generation, and +1 keeps 0 as kInvalidEventId.  A slot
-// returns to the free list when its entry physically leaves the structure
-// (pop or dead-entry skim), so the table size tracks *pending* events.
-// Stale handles fail the generation check, preserving the old API promise
-// that cancel()/is_pending() on an executed id are a safe no-op.  The
-// tie-break sequence number is deliberately separate from the id so
-// recycling cannot perturb event order.
+// Ids are generational handles: the low 32 bits name a slot, the high 32
+// bits carry the slot's generation, and +1 keeps 0 as kInvalidEventId.  A
+// slot returns to a LIFO free list when its event is popped or cancelled,
+// so the slot table tracks the peak of *concurrently pending* events, not
+// the total ever scheduled.  Popping, cancelling or rescheduling bumps the
+// generation, so stale handles fail the check and cancel()/is_pending() on
+// them is a safe no-op.  A reschedule hands back the id a cancel + push
+// would have produced (same slot, next generation).  The tie-break seq is
+// separate from the id, so recycling cannot perturb event order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace ge::sim {
@@ -46,28 +38,19 @@ namespace ge::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Which EventQueue implementation a Simulator uses.
-enum class EventQueueKind : std::uint8_t { kHeap, kCalendar };
-
-// "heap" / "calendar"; parse is case-sensitive and GE_CHECKs on junk.
-std::string to_string(EventQueueKind kind);
-EventQueueKind parse_event_queue_kind(const std::string& name);
-
 struct Event {
   double time = 0.0;
   EventId id = kInvalidEventId;
   std::function<void()> action;
 };
 
-class EventQueue {
+class HeapEventQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  static std::unique_ptr<EventQueue> create(EventQueueKind kind);
-
   // Inserts an event and returns its id.  Ids are unique among *pending*
   // events; a fresh queue that never recycles hands out 1, 2, 3, ...
-  EventId push(double time, std::function<void()> action);
+  EventId push(double time, std::function<void()> action) {
+    return push_with_seq(time, next_seq_++, std::move(action));
+  }
 
   // Inserts an event whose tie-break seq is supplied by the caller instead
   // of the internal counter.  Sharded runs (see shard_exec.h) stamp every
@@ -82,100 +65,79 @@ class EventQueue {
   // unknown, stale, already executed, or already cancelled.
   bool cancel(EventId id);
 
-  bool is_pending(EventId id) const;
+  // Moves a pending event to `time` with a fresh tie-break seq (the next
+  // internal counter value, or `seq`), keeping its action.  Returns the
+  // event's new id; the old id goes stale.  A non-pending id returns
+  // kInvalidEventId, leaves the queue alone and draws no seq.
+  EventId reschedule(EventId id, double time);
+  EventId reschedule_with_seq(EventId id, double time, std::uint64_t seq);
 
-  bool empty() const noexcept { return live_count_ == 0; }
-  std::size_t size() const noexcept { return live_count_; }  // live events
+  bool is_pending(EventId id) const noexcept { return live_slot(id) != kNoSlot; }
 
-  // Time of the earliest live event; requires !empty().
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
+
+  // Time of the earliest event; requires !empty().
   double next_time() const;
 
-  // Full (time, seq) key of the earliest live event; requires !empty().
-  // The sharded executor compares keys across queues to find the next
+  // Full (time, seq) key of the earliest event; requires !empty().  The
+  // sharded executor compares keys across queues to find the next
   // cross-shard event and the per-shard safe horizon.
   void next_key(double& time, std::uint64_t& seq) const;
 
-  // Removes and returns the earliest live event; requires !empty().
+  // Removes and returns the earliest event; requires !empty().
   Event pop();
 
   // --- introspection (tests, gauges) ---
-  // Allocated slot-table entries; with recycling this tracks the peak
-  // *concurrently pending* events, not the total ever scheduled.
+  // Allocated slot-table entries: the peak of concurrently pending events.
   std::size_t slot_count() const noexcept { return slots_.size(); }
   std::size_t peak_live() const noexcept { return peak_live_; }
+  // Seqs drawn from the internal counter (pushes and reschedules).
   std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
- protected:
-  // One pending (or lazily-dead) event inside a concrete structure.  `seq`
-  // is the tie-break; `slot` indexes the shared slot table.
-  struct Entry {
+ private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  struct Node {
     double time;
     std::uint64_t seq;
     std::uint32_t slot;
+  };
+  struct Slot {
     std::function<void()> action;
+    std::uint32_t gen = 0;
+    std::uint32_t pos = kNoSlot;  // heap index; kNoSlot while free
   };
 
-  // (time, seq) strict weak ordering helpers.
-  static bool entry_before(const Entry& a, const Entry& b) noexcept {
+  static bool before(const Node& a, const Node& b) noexcept {
     if (a.time != b.time) {
       return a.time < b.time;
     }
     return a.seq < b.seq;
   }
-
-  bool slot_dead(std::uint32_t slot) const noexcept {
-    return slots_[slot].state != SlotState::kLive;
-  }
-  // Returns a physically-removed entry's slot to the free list.  Concrete
-  // structures call this whenever they drop a dead entry; the base calls it
-  // on pop.  `mutable` path: skimming happens inside const next_time().
-  void release_slot(std::uint32_t slot) const;
-
-  // --- implemented by the concrete structure ---
-  virtual void insert(Entry entry) = 0;
-  // Earliest live entry; never called on an empty queue.  May skim dead
-  // entries (releasing their slots).  The reference is valid only until the
-  // next mutation.
-  virtual const Entry& peek_min() const = 0;
-  // Removes and returns the earliest live entry; never called empty.
-  virtual Entry remove_min() = 0;
-
- private:
-  enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
-  struct Slot {
-    std::uint32_t gen = 0;
-    SlotState state = SlotState::kFree;
-  };
-
   static EventId encode(std::uint32_t slot, std::uint32_t gen) noexcept {
     return ((static_cast<EventId>(gen) << 32) | slot) + 1;
   }
 
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;  // LIFO
-  std::size_t live_count_ = 0;
+  // Slot of a pending id, or kNoSlot.
+  std::uint32_t live_slot(EventId id) const noexcept;
+  void release_slot(std::uint32_t slot);
+  void place(std::size_t i, const Node& node) {
+    heap_[i] = node;
+    slots_[node.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  // Moves `node` from hole `i` towards the root / the leaves.
+  void sift_up(std::size_t i, Node node);
+  void sift_down(std::size_t i, Node node);
+  // Refills hole `i` with `node`, sifting whichever way restores order.
+  void settle(std::size_t i, const Node& node);
+  void remove_at(std::size_t i);
+
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;  // LIFO
   std::size_t peak_live_ = 0;
-  std::uint64_t next_seq_ = 1;  // tie-break; equals the legacy event id
-};
-
-// The default implementation: binary min-heap on (time, seq).
-class HeapEventQueue final : public EventQueue {
- protected:
-  void insert(Entry entry) override;
-  const Entry& peek_min() const override;
-  Entry remove_min() override;
-
- private:
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return entry_before(b, a);
-    }
-  };
-
-  // Pops dead entries off the top of the heap.
-  void skim() const;
-
-  mutable std::vector<Entry> heap_;
+  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace ge::sim

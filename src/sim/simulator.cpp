@@ -5,16 +5,23 @@
 
 namespace ge::sim {
 
+namespace {
+
+std::uint64_t next_stamp() {
+  StampContext* ctx = current_stamp_context();
+  GE_CHECK(ctx != nullptr, "stamp-mode scheduling outside a ScopedStampContext");
+  return ctx->next_stamp();
+}
+
+}  // namespace
+
 EventId Simulator::schedule_at(double time, std::function<void()> action) {
   GE_CHECK(time >= now_ - 1e-9, "cannot schedule an event in the past");
   const double at = time < now_ ? now_ : time;
   if (stamp_mode_) {
-    StampContext* ctx = current_stamp_context();
-    GE_CHECK(ctx != nullptr,
-             "stamp-mode schedule_at outside a ScopedStampContext");
-    return queue_->push_with_seq(at, ctx->next_stamp(), std::move(action));
+    return queue_.push_with_seq(at, next_stamp(), std::move(action));
   }
-  return queue_->push(at, std::move(action));
+  return queue_.push(at, std::move(action));
 }
 
 EventId Simulator::schedule_in(double delay, std::function<void()> action) {
@@ -22,13 +29,25 @@ EventId Simulator::schedule_in(double delay, std::function<void()> action) {
   return schedule_at(now_ + (delay > 0.0 ? delay : 0.0), std::move(action));
 }
 
-bool Simulator::cancel(EventId id) { return queue_->cancel(id); }
+bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
+
+EventId Simulator::reschedule(EventId id, double time) {
+  GE_CHECK(time >= now_ - 1e-9, "cannot reschedule an event into the past");
+  const double at = time < now_ ? now_ : time;
+  if (!queue_.is_pending(id)) {
+    return kInvalidEventId;
+  }
+  if (stamp_mode_) {
+    return queue_.reschedule_with_seq(id, at, next_stamp());
+  }
+  return queue_.reschedule(id, at);
+}
 
 bool Simulator::step() {
-  if (queue_->empty()) {
+  if (queue_.empty()) {
     return false;
   }
-  Event ev = queue_->pop();
+  Event ev = queue_.pop();
   GE_CHECK(ev.time >= now_ - 1e-9, "event time went backwards");
   if (ev.time > now_) {
     now_ = ev.time;
@@ -40,7 +59,7 @@ bool Simulator::step() {
 
 void Simulator::run_until(double horizon) {
   GE_CHECK(horizon >= now_, "run_until horizon is in the past");
-  while (!queue_->empty() && queue_->next_time() <= horizon) {
+  while (!queue_.empty() && queue_.next_time() <= horizon) {
     step();
   }
   now_ = horizon;
@@ -52,10 +71,10 @@ void Simulator::run_to_completion() {
 }
 
 bool Simulator::peek_key(double& time, std::uint64_t& seq) const {
-  if (queue_->empty()) {
+  if (queue_.empty()) {
     return false;
   }
-  queue_->next_key(time, seq);
+  queue_.next_key(time, seq);
   return true;
 }
 

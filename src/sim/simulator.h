@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "sim/event_queue.h"
 
@@ -21,11 +20,6 @@ namespace ge::sim {
 
 class Simulator {
  public:
-  // The pending-event structure is pluggable (see event_queue.h); every
-  // kind yields bit-identical runs, so this is a performance knob only.
-  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kHeap)
-      : queue_(EventQueue::create(queue_kind)) {}
-
   double now() const noexcept { return now_; }
 
   // Telemetry rides on the simulator because every instrumented component
@@ -50,7 +44,14 @@ class Simulator {
   // Cancels a pending event; returns false if it already ran or was cancelled.
   bool cancel(EventId id);
 
-  bool event_pending(EventId id) const { return queue_->is_pending(id); }
+  // Moves a pending event to absolute time `time` (>= now), keeping its
+  // action: exactly cancel(id) followed by schedule_at(time, same action),
+  // including the moment its tie-break seq (or shard stamp) is drawn.
+  // Returns the event's new id.  A non-pending id returns kInvalidEventId
+  // and draws nothing.
+  EventId reschedule(EventId id, double time);
+
+  bool event_pending(EventId id) const { return queue_.is_pending(id); }
 
   // Executes the next event, if any.  Returns false when the queue is empty.
   bool step();
@@ -82,14 +83,14 @@ class Simulator {
   void run_to_completion();
 
   std::uint64_t executed_events() const noexcept { return executed_; }
-  std::size_t pending_events() const noexcept { return queue_->size(); }
+  std::size_t pending_events() const noexcept { return queue_.size(); }
 
   // High-water mark of concurrently pending events (streaming gauge).
-  std::size_t peak_pending_events() const noexcept { return queue_->peak_live(); }
+  std::size_t peak_pending_events() const noexcept { return queue_.peak_live(); }
 
  private:
   double now_ = 0.0;
-  std::unique_ptr<EventQueue> queue_;
+  HeapEventQueue queue_;
   std::uint64_t executed_ = 0;
   bool stamp_mode_ = false;
 #ifndef GE_NO_TELEMETRY

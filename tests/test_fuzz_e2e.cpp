@@ -226,27 +226,6 @@ TEST(FuzzEndToEnd, StreamingReplayBitIdenticalAcross60Configs) {
   }
 }
 
-// The calendar queue must replay the exact heap event order end to end, with
-// and without streaming (the per-queue differential test in test_sim.cpp
-// covers the raw pop order; this pins the full stack).
-TEST(FuzzEndToEnd, CalendarQueueBitIdenticalAcross60Configs) {
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    FuzzCase fc = make_fuzz_case(seed);
-    fc.cfg.stream = seed % 2 == 0;  // alternate materialised / streaming
-    const RunResult heap = run_simulation(fc.cfg, fc.spec);
-
-    ExperimentConfig cal_cfg = fc.cfg;
-    cal_cfg.event_queue = sim::EventQueueKind::kCalendar;
-    const RunResult calendar = run_simulation(cal_cfg, fc.spec);
-
-    const std::string what = "seed=" + std::to_string(seed) + " sched=" +
-                             heap.scheduler +
-                             (fc.cfg.stream ? " stream" : " materialised");
-    expect_sane(heap, what);
-    expect_identical(heap, calendar, what);
-  }
-}
-
 constexpr int kClusterFuzzCases = 100;
 
 TEST(FuzzEndToEnd, ClusterTelemetryOnOffBitIdenticalAcross100Configs) {
@@ -292,42 +271,36 @@ TEST(FuzzEndToEnd, ClusterTelemetryOnOffBitIdenticalAcross100Configs) {
 
 // Sharded parallel DES (--shards, docs/DESIGN.md "Sharded parallel DES"):
 // for every shard count the run must be bit-identical to the serial loop.
-// The matrix crosses shard count {1,2,4} with streaming on/off, both event
-// queue kinds, and fleet sizes {2,4,8} (random scheduler/dispatch/shape per
-// cell).  Streaming runs fall back to the serial loop internally, so the
-// pairing also pins that fallback's identity.
+// The matrix crosses shard count {1,2,4} with streaming on/off and fleet
+// sizes {2,4,8} (random scheduler/dispatch/shape per cell).  Streaming runs
+// fall back to the serial loop internally, so the pairing also pins that
+// fallback's identity.
 TEST(FuzzEndToEnd, ShardMatrixBitIdenticalToSerial) {
   const std::size_t fleets[] = {2, 4, 8};
   const std::size_t shard_counts[] = {1, 2, 4};
   std::uint64_t seed = 4000;
   for (std::size_t servers : fleets) {
     for (bool stream : {false, true}) {
-      for (sim::EventQueueKind queue :
-           {sim::EventQueueKind::kHeap, sim::EventQueueKind::kCalendar}) {
-        FuzzCase fc = make_cluster_fuzz_case(++seed);
-        // The fleet size is the matrix axis, not the random draw; drop the
-        // random per-server vectors (sized for the drawn fleet) with it.
-        fc.cfg.num_servers = servers;
-        fc.cfg.server_cores.clear();
-        fc.cfg.server_power_scale.clear();
-        fc.cfg.stream = stream;
-        fc.cfg.event_queue = queue;
-        fc.cfg.shards = 1;
-        const RunResult serial = run_simulation(fc.cfg, fc.spec);
-        expect_sane(serial, "shard matrix serial seed=" + std::to_string(seed));
-        for (std::size_t shards : shard_counts) {
-          ExperimentConfig sharded_cfg = fc.cfg;
-          sharded_cfg.shards = shards;
-          const RunResult sharded = run_simulation(sharded_cfg, fc.spec);
-          expect_identical(
-              serial, sharded,
-              "seed=" + std::to_string(seed) + " sched=" + serial.scheduler +
-                  " servers=" + std::to_string(servers) + " dispatch=" +
-                  serial.dispatch + (stream ? " stream" : " materialised") +
-                  (queue == sim::EventQueueKind::kCalendar ? " calendar"
-                                                           : " heap") +
-                  " shards=" + std::to_string(shards));
-        }
+      FuzzCase fc = make_cluster_fuzz_case(++seed);
+      // The fleet size is the matrix axis, not the random draw; drop the
+      // random per-server vectors (sized for the drawn fleet) with it.
+      fc.cfg.num_servers = servers;
+      fc.cfg.server_cores.clear();
+      fc.cfg.server_power_scale.clear();
+      fc.cfg.stream = stream;
+      fc.cfg.shards = 1;
+      const RunResult serial = run_simulation(fc.cfg, fc.spec);
+      expect_sane(serial, "shard matrix serial seed=" + std::to_string(seed));
+      for (std::size_t shards : shard_counts) {
+        ExperimentConfig sharded_cfg = fc.cfg;
+        sharded_cfg.shards = shards;
+        const RunResult sharded = run_simulation(sharded_cfg, fc.spec);
+        expect_identical(
+            serial, sharded,
+            "seed=" + std::to_string(seed) + " sched=" + serial.scheduler +
+                " servers=" + std::to_string(servers) + " dispatch=" +
+                serial.dispatch + (stream ? " stream" : " materialised") +
+                " shards=" + std::to_string(shards));
       }
     }
   }

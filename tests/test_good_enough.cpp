@@ -2,11 +2,19 @@
 // small controlled simulations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "core/good_enough.h"
 #include "exp/config.h"
 #include "exp/runner.h"
+#include "obs/telemetry.h"
+#include "opt/job_cutter.h"
 #include "quality/quality_function.h"
 #include "quality/quality_monitor.h"
 
@@ -22,10 +30,15 @@ struct Harness {
   quality::QualityMonitor monitor{f};
   std::unique_ptr<GoodEnoughScheduler> scheduler;
   std::vector<std::unique_ptr<workload::Job>> jobs;
+  obs::Telemetry telemetry;
 
   explicit Harness(std::size_t cores = 2, double budget = 40.0,
-                   GoodEnoughOptions options = {})
-      : server(cores, budget, pm, sim) {
+                   GoodEnoughOptions options = {}, obs::Telemetry tel = {})
+      : server(cores, budget, pm, sim), telemetry(tel) {
+    // Attached before the scheduler exists: it caches its handles.
+    if (telemetry.trace != nullptr || telemetry.metrics != nullptr) {
+      sim.set_telemetry(&telemetry);
+    }
     SchedulerEnv env{&sim, &server, &f, &monitor};
     scheduler = std::make_unique<GoodEnoughScheduler>(env, options);
     for (std::size_t i = 0; i < cores; ++i) {
@@ -285,6 +298,95 @@ TEST(GoodEnough, DiscreteSpeedsStayOnLadder) {
   for (double s : speeds) {
     EXPECT_TRUE(table.is_level(s)) << s;
   }
+}
+
+TEST(GoodEnough, CutMemoGivesTheTargetsOfAFreshCutEveryRound) {
+  // A short quantum leaves many cores clean between rounds, so their cut is
+  // reused from the memo, while arrivals and settlements dirty the others.
+  // Replaying the trace gives each round's cut set (kAssign adds a job to
+  // its core, a settlement removes it).  Right after the round, every job
+  // it cut must hold max(fresh cut target, min(executed, demand)) bit for
+  // bit.  The budget is ample, so no Quality-OPT trim rewrites a target.
+  obs::MetricsRegistry metrics;
+  obs::TraceBuffer trace;
+  GoodEnoughOptions options;
+  options.quantum = 0.01;
+  Harness h(16, 1e6, options, obs::Telemetry{&metrics, &trace, nullptr});
+  std::mt19937_64 rng(21);
+  std::uniform_real_distribution<double> arrival(0.0, 4.0);
+  std::uniform_real_distribution<double> window(0.2, 0.4);
+  std::uniform_real_distribution<double> demand(130.0, 1000.0);
+  std::vector<double> arrivals(300);
+  for (double& a : arrivals) {
+    a = arrival(rng);
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+  std::map<std::int64_t, workload::Job*> by_id;
+  for (const double a : arrivals) {
+    workload::Job* job = h.add_job(a, window(rng), demand(rng));
+    by_id[static_cast<std::int64_t>(job->id)] = job;
+  }
+
+  std::map<std::int32_t, std::vector<workload::Job*>> open;  // per core
+  std::map<std::int32_t, bool> touched;  // assign/settle since its last cut
+  std::map<std::int32_t, bool> cut_before;
+  opt::CutScratch fresh;
+  std::size_t seen = 0;
+  std::size_t cuts = 0;
+  std::size_t clean_cuts = 0;
+  double next_t = 0.0;
+  std::uint64_t next_seq = 0;
+  // The quantum re-arms forever, so stop once the last deadline has passed.
+  while (h.sim.peek_key(next_t, next_seq) && next_t <= 5.0) {
+    h.sim.step();
+    const std::vector<obs::TraceEvent>& events = trace.events();
+    for (; seen < events.size(); ++seen) {
+      const obs::TraceEvent& ev = events[seen];
+      if (ev.type == obs::TraceEventType::kAssign) {
+        open[ev.core].push_back(by_id.at(ev.job));
+        touched[ev.core] = true;
+      } else if ((ev.type == obs::TraceEventType::kCompletion ||
+                  ev.type == obs::TraceEventType::kDeadlineMiss) &&
+                 ev.core >= 0) {
+        std::erase(open[ev.core], by_id.at(ev.job));
+        touched[ev.core] = true;
+      } else if (ev.type == obs::TraceEventType::kCut) {
+        std::vector<workload::Job*> jobs = open[ev.core];
+        std::sort(jobs.begin(), jobs.end(),
+                  [](const workload::Job* a, const workload::Job* b) {
+                    return a->deadline != b->deadline ? a->deadline < b->deadline
+                                                      : a->id < b->id;
+                  });
+        ASSERT_EQ(static_cast<double>(jobs.size()), ev.a) << "t=" << ev.t;
+        std::vector<double> demands;
+        for (const workload::Job* job : jobs) {
+          demands.push_back(job->demand);
+        }
+        opt::cut_longest_first(demands, h.f, options.cut_target, fresh);
+        EXPECT_EQ(std::memcmp(&fresh.result.level, &ev.b, sizeof ev.b), 0)
+            << "t=" << ev.t << " core=" << ev.core;
+        double units = 0.0;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          const double want = std::max(fresh.result.targets[i],
+                                       std::min(jobs[i]->executed, jobs[i]->demand));
+          EXPECT_EQ(std::memcmp(&jobs[i]->target, &want, sizeof want), 0)
+              << "t=" << ev.t << " job=" << jobs[i]->id;
+          units += want;
+        }
+        EXPECT_EQ(units, ev.c) << "t=" << ev.t;
+        ++cuts;
+        if (cut_before[ev.core] && !touched[ev.core]) {
+          ++clean_cuts;  // the round reused this core's memo
+        }
+        cut_before[ev.core] = true;
+        touched[ev.core] = false;
+      }
+    }
+  }
+  EXPECT_EQ(metrics.counter("ge.quality_opt_trims", "plans").value(), 0.0);
+  EXPECT_GT(cuts, 1000u);
+  EXPECT_GT(clean_cuts, 1000u);
+  EXPECT_GT(cuts - clean_cuts, 100u);
 }
 
 }  // namespace

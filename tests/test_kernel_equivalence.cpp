@@ -4,7 +4,7 @@
 // flat-state event queue, EDF sort-once GE round) are only admissible if
 // they produce *bit-identical* results to the originals -- the repo's
 // determinism contract (docs/DETERMINISM.md) pins figures to seeds, so even
-// a last-ulp drift would silently invalidate every pinned artefact.  Three
+// a last-ulp drift would silently invalidate every pinned artefact.  Four
 // layers of defence:
 //
 //  1. GoldenPinnedSeeds: end-to-end RunResults for eight pinned
@@ -13,17 +13,25 @@
 //  2. Reference-implementation sweeps: the optimised cutter and power model
 //     against verbatim copies of the pre-optimisation code across thousands
 //     of random instances, field-by-field bitwise.
-//  3. Model-based event-queue check: random push/cancel/pop interleavings
-//     against an obviously-correct reference model.
+//  3. Model-based event-queue check: random push/cancel/reschedule/pop
+//     interleavings against an obviously-correct reference model.
+//  4. GE hot-path memo: cached quality-function slopes against the uncached
+//     formula (the per-core cut memo is checked round by round in
+//     test_good_enough.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <random>
+#include <set>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/config.h"
@@ -32,7 +40,6 @@
 #include "opt/job_cutter.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
-#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "workload/trace.h"
 
@@ -322,16 +329,13 @@ TEST(KernelEquivalence, CutLevelBisectionStillMeetsTarget) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. EventQueue implementations (generational slot table) vs a reference
-//    model (ordered map keyed by (time, push order)) under random
-//    push/cancel/pop interleavings, including cancels of invalid, executed,
-//    already-cancelled and stale (recycled-slot) ids.  Runs against both the
-//    heap and the calendar queue.
+// 3. The indexed event heap vs reference models under random interleavings,
+//    including cancels of invalid, executed, already-cancelled and stale
+//    (recycled-slot) ids.
 // ---------------------------------------------------------------------------
 
-template <typename Queue>
-void event_queue_matches_reference_model() {
-  Queue queue;
+TEST(KernelEquivalence, HeapEventQueueMatchesReferenceModel) {
+  sim::HeapEventQueue queue;
   // Continuous random times make key collisions measure-zero, so ordering
   // by (time, push order) matches the queue's (time, seq) contract.
   std::map<std::pair<double, std::uint64_t>, sim::EventId> model;
@@ -397,17 +401,8 @@ void event_queue_matches_reference_model() {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(KernelEquivalence, HeapEventQueueMatchesReferenceModel) {
-  event_queue_matches_reference_model<sim::HeapEventQueue>();
-}
-
-TEST(KernelEquivalence, CalendarEventQueueMatchesReferenceModel) {
-  event_queue_matches_reference_model<sim::CalendarEventQueue>();
-}
-
-template <typename Queue>
-void event_queue_is_pending_tracks_lifecycle() {
-  Queue queue;
+TEST(KernelEquivalence, HeapEventQueueIsPendingTracksLifecycle) {
+  sim::HeapEventQueue queue;
   EXPECT_FALSE(queue.is_pending(sim::kInvalidEventId));
   EXPECT_FALSE(queue.is_pending(1));  // not yet issued
   const sim::EventId a = queue.push(1.0, [] {});
@@ -424,12 +419,240 @@ void event_queue_is_pending_tracks_lifecycle() {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(KernelEquivalence, HeapEventQueueIsPendingTracksLifecycle) {
-  event_queue_is_pending_tracks_lifecycle<sim::HeapEventQueue>();
+// Every operation of the heap, push_with_seq and reschedule included,
+// against a std::set of (time, seq) keys.  Times sit on a grid so equal
+// timestamps are common and order rests on the seq; pushes outnumber pops,
+// so the heap grows to a few hundred nodes and cancels hit every depth.  With
+// `caller_seqs` the queue sees only push_with_seq / reschedule_with_seq
+// with unique random seqs (the sharded stamp pattern); otherwise only
+// push / reschedule, whose seqs come from the internal counter.
+void heap_matches_set_model(std::uint64_t seed, bool caller_seqs) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               (caller_seqs ? " caller seqs" : " internal seqs"));
+  using Key = std::pair<double, std::uint64_t>;
+  sim::HeapEventQueue queue;
+  std::set<Key> keys;
+  std::map<Key, int> tag_of;                // key -> event tag
+  std::map<int, Key> key_of;                // live tag -> key
+  std::map<int, sim::EventId> id_of;        // live tag -> current id
+  std::vector<sim::EventId> retired;        // popped, cancelled or moved ids
+  std::set<std::uint64_t> used_seqs;
+  int fired = -1;
+  int next_tag = 0;
+  std::uint64_t counter = 0;  // mirrors the queue's internal seq counter
+  std::size_t peak = 0;
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> op_dist(0, 19);
+  std::uniform_int_distribution<int> grid(0, 400);
+
+  const auto draw_seq = [&]() -> std::uint64_t {
+    if (!caller_seqs) {
+      return ++counter;
+    }
+    std::uint64_t seq;
+    do {
+      seq = rng() >> 1;
+    } while (!used_seqs.insert(seq).second);
+    return seq;
+  };
+  const auto random_live_tag = [&]() {
+    auto it = key_of.begin();
+    std::advance(it, std::uniform_int_distribution<std::size_t>(
+                         0, key_of.size() - 1)(rng));
+    return it->first;
+  };
+  const auto retire = [&](sim::EventId id) {
+    retired.push_back(id);
+    EXPECT_FALSE(queue.is_pending(id));
+    EXPECT_FALSE(queue.cancel(id));
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    const int op = op_dist(rng);
+    const double t = 0.25 * grid(rng);
+    if (op < 8 || keys.empty()) {
+      const int tag = next_tag++;
+      const std::uint64_t seq = draw_seq();
+      const sim::EventId id =
+          caller_seqs ? queue.push_with_seq(t, seq, [&fired, tag] { fired = tag; })
+                      : queue.push(t, [&fired, tag] { fired = tag; });
+      ASSERT_TRUE(queue.is_pending(id));
+      keys.insert({t, seq});
+      tag_of[{t, seq}] = tag;
+      key_of[tag] = {t, seq};
+      id_of[tag] = id;
+    } else if (op < 12) {
+      // Cancel: a live event, or a retired / never-issued / bad-generation
+      // handle, which must be refused without touching the queue.
+      if (op < 10) {
+        const int tag = random_live_tag();
+        EXPECT_TRUE(queue.cancel(id_of[tag]));
+        retire(id_of[tag]);
+        keys.erase(key_of[tag]);
+        tag_of.erase(key_of[tag]);
+        key_of.erase(tag);
+        id_of.erase(tag);
+      } else if (op == 10 && !retired.empty()) {
+        EXPECT_FALSE(queue.cancel(retired[std::uniform_int_distribution<std::size_t>(
+            0, retired.size() - 1)(rng)]));
+      } else {
+        const sim::EventId live = id_of[random_live_tag()];
+        EXPECT_FALSE(queue.cancel(live + (std::uint64_t{7} << 32)));  // wrong gen
+        EXPECT_FALSE(queue.cancel((std::uint64_t{1} << 31) + 5));      // no slot
+        EXPECT_FALSE(queue.cancel(sim::kInvalidEventId));
+      }
+    } else if (op < 16) {
+      // Reschedule a live event, or try a retired handle (no-op, no seq).
+      if (op == 15 && !retired.empty()) {
+        const std::uint64_t before = queue.total_pushed();
+        const sim::EventId stale = retired[std::uniform_int_distribution<std::size_t>(
+            0, retired.size() - 1)(rng)];
+        EXPECT_EQ(caller_seqs ? queue.reschedule_with_seq(stale, t, 1)
+                              : queue.reschedule(stale, t),
+                  sim::kInvalidEventId);
+        EXPECT_EQ(queue.total_pushed(), before);
+      } else {
+        const int tag = random_live_tag();
+        const sim::EventId old_id = id_of[tag];
+        const std::uint64_t seq = draw_seq();
+        const sim::EventId id = caller_seqs
+                                    ? queue.reschedule_with_seq(old_id, t, seq)
+                                    : queue.reschedule(old_id, t);
+        ASSERT_NE(id, sim::kInvalidEventId);
+        EXPECT_NE(id, old_id);
+        EXPECT_TRUE(queue.is_pending(id));
+        retire(old_id);
+        keys.erase(key_of[tag]);
+        tag_of.erase(key_of[tag]);
+        keys.insert({t, seq});
+        tag_of[{t, seq}] = tag;
+        key_of[tag] = {t, seq};
+        id_of[tag] = id;
+      }
+    } else {
+      const Key expected = *keys.begin();
+      double nt = 0.0;
+      std::uint64_t ns = 0;
+      queue.next_key(nt, ns);
+      EXPECT_EQ(nt, expected.first);
+      EXPECT_EQ(ns, expected.second);
+      sim::Event ev = queue.pop();
+      EXPECT_EQ(ev.time, expected.first);
+      const int tag = tag_of[expected];
+      EXPECT_EQ(ev.id, id_of[tag]);
+      ev.action();
+      EXPECT_EQ(fired, tag);
+      retire(ev.id);
+      keys.erase(expected);
+      tag_of.erase(expected);
+      key_of.erase(tag);
+      id_of.erase(tag);
+    }
+    peak = std::max(peak, keys.size());
+    ASSERT_EQ(queue.size(), keys.size());
+    // Eager recycling: no dead entries, so the slot table never outgrows
+    // the peak number of concurrently pending events.
+    EXPECT_EQ(queue.peak_live(), peak);
+    EXPECT_EQ(queue.slot_count(), peak);
+    if (!caller_seqs) {
+      EXPECT_EQ(queue.total_pushed(), counter);
+    }
+  }
+  while (!keys.empty()) {
+    const sim::Event ev = queue.pop();
+    EXPECT_EQ(ev.time, keys.begin()->first);
+    EXPECT_EQ(ev.id, id_of[tag_of[*keys.begin()]]);
+    keys.erase(keys.begin());
+  }
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST(KernelEquivalence, CalendarEventQueueIsPendingTracksLifecycle) {
-  event_queue_is_pending_tracks_lifecycle<sim::CalendarEventQueue>();
+TEST(KernelEquivalence, HeapEventQueueMatchesSetModelWithReschedule) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    heap_matches_set_model(seed, /*caller_seqs=*/false);
+    heap_matches_set_model(seed, /*caller_seqs=*/true);
+  }
+}
+
+TEST(KernelEquivalence, HeapEventQueueRecyclesSlotsEagerly) {
+  // A cancel frees its slot at once, so cancel + push reuses it (next
+  // generation) and a reschedule hands out the id that pair would have.
+  sim::HeapEventQueue a;
+  sim::HeapEventQueue b;
+  const sim::EventId a0 = a.push(5.0, [] {});
+  const sim::EventId b0 = b.push(5.0, [] {});
+  a.push(6.0, [] {});
+  b.push(6.0, [] {});
+  EXPECT_TRUE(a.cancel(a0));
+  const sim::EventId a1 = a.push(1.0, [] {});
+  const sim::EventId b1 = b.reschedule(b0, 1.0);
+  EXPECT_EQ(a1, b1);
+  EXPECT_EQ(a.slot_count(), 2u);
+  EXPECT_EQ(b.slot_count(), 2u);
+  EXPECT_EQ(a.total_pushed(), b.total_pushed());
+  EXPECT_EQ(a.pop().id, a1);
+  EXPECT_EQ(b.pop().id, b1);
+  // A churn of cancels never grows the table past the live peak.
+  sim::HeapEventQueue c;
+  for (int i = 0; i < 1000; ++i) {
+    const sim::EventId id = c.push(static_cast<double>(i % 7), [] {});
+    c.push(1.0, [] {});
+    EXPECT_TRUE(c.cancel(id));
+    c.pop();
+  }
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(c.slot_count(), 2u);
+  EXPECT_EQ(c.peak_live(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// 4. GE hot path: the cached slope clamps against the uncached formula.
+// ---------------------------------------------------------------------------
+
+TEST(KernelEquivalence, ExponentialInverseDerivativeMatchesUncachedFormula) {
+  // The clamps f'(0) and f'(xmax) are cached at construction; the result
+  // must equal the formula that evaluates them per call, bit for bit.
+  const auto uncached = [](const quality::ExponentialQuality& f, double slope) {
+    if (slope >= f.derivative(0.0)) {
+      return 0.0;
+    }
+    if (slope <= f.derivative(f.xmax())) {
+      return f.xmax();
+    }
+    const double c = f.concavity();
+    const double norm = 1.0 - std::exp(-c * f.xmax());
+    const double x = -std::log(slope * norm / c) / c;
+    return std::clamp(x, 0.0, f.xmax());
+  };
+  std::mt19937_64 rng(515);
+  for (const auto& [c, xmax] : {std::pair{0.003, 1000.0}, std::pair{0.01, 400.0},
+                                std::pair{0.0005, 2500.0}}) {
+    const quality::ExponentialQuality f(c, xmax);
+    const double d0 = f.derivative(0.0);
+    const double dmax = f.derivative(xmax);
+    std::vector<double> slopes = {d0,
+                                  dmax,
+                                  std::nextafter(d0, 0.0),
+                                  std::nextafter(d0, 1.0),
+                                  std::nextafter(dmax, 0.0),
+                                  std::nextafter(dmax, 1.0),
+                                  0.0,
+                                  -1.0,
+                                  2.0 * d0};
+    std::uniform_real_distribution<double> inside(dmax, d0);
+    std::uniform_real_distribution<double> wide(0.0, 2.0 * d0);
+    for (int i = 0; i < 20000; ++i) {
+      slopes.push_back(i % 2 == 0 ? inside(rng) : wide(rng));
+    }
+    for (const double slope : slopes) {
+      const double got = f.inverse_derivative(slope);
+      const double want = uncached(f, slope);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "c=" << c << " slope=" << slope << " got=" << got << " want=" << want;
+    }
+    EXPECT_EQ(f.inverse_derivative(d0), 0.0);
+    EXPECT_EQ(f.inverse_derivative(dmax), xmax);
+  }
 }
 
 }  // namespace

@@ -33,7 +33,6 @@
 #include "opt/yds.h"
 #include "power/discrete_speed.h"
 #include "power/power_model.h"
-#include "sim/event_queue.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/trace.h"
@@ -362,7 +361,6 @@ std::vector<NamedConfig> golden_configs() {
     c.seed = 38;
     c.failure_time = 1.0;
     c.failure_cores = 2;
-    c.event_queue = sim::EventQueueKind::kCalendar;
     cases.push_back({"GE", c});
   }
   return cases;

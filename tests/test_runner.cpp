@@ -136,6 +136,22 @@ TEST(FlagsConfig, ShardsBelowOneIsAUsageError) {
   EXPECT_EQ(apply_flags(ExperimentConfig::paper_defaults(), flags).shards, 2u);
 }
 
+TEST(FlagsConfig, RemovedEventQueueFlagIsAUsageError) {
+  // The single event queue left nothing to select; the old flag must not be
+  // ignored silently the way unknown flags are.
+  for (const char* value : {"heap", "calendar", "junk"}) {
+    SCOPED_TRACE(value);
+    const char* argv[] = {"prog", "--event-queue", value};
+    const util::Flags flags(3, argv);
+    EXPECT_EXIT((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
+                ::testing::ExitedWithCode(2), "--event-queue was removed");
+  }
+  const char* argv[] = {"prog", "--event-queue"};
+  const util::Flags flags(2, argv);
+  EXPECT_EXIT((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
+              ::testing::ExitedWithCode(2), "--event-queue was removed");
+}
+
 TEST(SchedulerSpec, EffectiveBudgetScalesForBeP) {
   const ExperimentConfig cfg = ExperimentConfig::paper_defaults();
   SchedulerSpec spec = SchedulerSpec::parse("BE-P");

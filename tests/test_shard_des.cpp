@@ -20,6 +20,7 @@
 // pins in test_golden_schedulers.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
@@ -37,7 +38,6 @@
 #include "exp/scheduler_spec.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
-#include "sim/event_queue.h"
 #include "sim/shard_exec.h"
 #include "sim/simulator.h"
 #include "workload/trace.h"
@@ -375,14 +375,29 @@ TEST(ShardExec, ShardExceptionsReachTheCallerAndWorkersJoin) {
 // A barrier-dense toy fleet: every arrival is a global event that reads all
 // nodes' load, and every shard-side completion is followed at the same
 // instant by a global deadline that reads the node back.  Completions spawn
-// same-node follow-ups from shard context.  Per-node logs and the global
-// accumulator must be bit-identical to one plain serial simulator at 1, 2
-// and 8 shards.
+// same-node follow-ups from shard context.  Each node also keeps one pending
+// tick that arrivals (global context) and completions (shard context) move
+// in place with reschedule, as a core moves its segment-boundary event on
+// every re-plan; each move lands on the instant of the event scheduled just
+// before it, so only the stamp drawn by reschedule orders the tie.
+// Per-node logs and the global accumulator must be bit-identical to one
+// plain serial simulator at 1, 2 and 8 shards.
 struct ToyNode {
   double load = 0.0;
   double acc = 0.0;
   std::vector<double> log;
+  EventId tick = kInvalidEventId;
 };
+
+void move_tick(ToyNode& node, Simulator* sim, double at) {
+  node.tick = sim->reschedule(node.tick, at);
+  if (node.tick == kInvalidEventId) {
+    node.tick = sim->schedule_at(at, [&node, sim] {
+      node.tick = kInvalidEventId;
+      node.log.push_back(-sim->now());
+    });
+  }
+}
 
 struct ToyOutcome {
   std::vector<std::vector<double>> logs;
@@ -419,12 +434,13 @@ void schedule_toy(Simulator& global, const std::vector<Simulator*>& node_sims,
         node.load -= work;
         node.acc = node.acc * 0.5 + sim->now() * work;
         node.log.push_back(node.acc);
+        const double next = sim->now() + 0.5 * work * 1e-3;
         if (follow_up) {
-          sim->schedule_in(0.5 * work * 1e-3, [&node, sim] {
-            node.log.push_back(sim->now());
-          });
+          sim->schedule_at(next, [&node, sim] { node.log.push_back(sim->now()); });
         }
+        move_tick(node, sim, next);
       });
+      move_tick(node, sim, sim->now() + svc);
       global.schedule_in(svc, [&node, &global_sum] {
         global_sum = global_sum * 0.75 + node.acc + node.load;
       });
@@ -462,6 +478,13 @@ TEST(ShardExec, BarrierDenseToyFleetIsBitIdenticalAcrossShardCounts) {
     completions += log.size();
   }
   ASSERT_GT(completions, 400u) << "follow-ups must run";
+  std::size_t ticks = 0;
+  for (const std::vector<double>& log : serial.logs) {
+    ticks += static_cast<std::size_t>(
+        std::count_if(log.begin(), log.end(), [](double v) { return v < 0.0; }));
+  }
+  EXPECT_GT(ticks, 0u) << "some ticks must fire";
+  EXPECT_LT(ticks, 400u) << "most ticks must be moved before they fire";
 
   for (std::size_t nshards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE("shards=" + std::to_string(nshards));
@@ -733,7 +756,6 @@ std::vector<GoldenCase> golden_cases() {
     c.seed = 38;
     c.failure_time = 1.0;
     c.failure_cores = 2;
-    c.event_queue = sim::EventQueueKind::kCalendar;
     cases.push_back({"GE", c});
   }
   return cases;

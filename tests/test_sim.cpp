@@ -1,21 +1,14 @@
 // Unit tests for the discrete-event engine.
 //
-// The EventQueue contract tests run as a typed suite over every
-// implementation (heap and calendar): both must honour the exact same
-// (time, scheduling-order) dequeue contract, which is what makes the queue
-// kind a pure performance knob.
+// The EventQueue contract tests pin the (time, scheduling-order) dequeue
+// contract, eager cancellation and slot recycling of the indexed heap.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
 
 namespace ge::sim {
 namespace {
@@ -26,7 +19,7 @@ class EventQueueContract : public ::testing::Test {
   Queue q;
 };
 
-using QueueKinds = ::testing::Types<HeapEventQueue, CalendarEventQueue>;
+using QueueKinds = ::testing::Types<HeapEventQueue>;
 TYPED_TEST_SUITE(EventQueueContract, QueueKinds);
 
 TYPED_TEST(EventQueueContract, PopsInTimeOrder) {
@@ -139,65 +132,6 @@ TYPED_TEST(EventQueueContract, RecycledSlotsKeepHandlesDistinct) {
   EXPECT_TRUE(q.cancel(second));
 }
 
-// Differential: the heap and the calendar queue must produce the identical
-// pop sequence under a randomized push/pop/cancel workload, including
-// timestamp collisions and pushes behind the current minimum (the raw queue
-// API permits them even though the Simulator never schedules in the past).
-TEST(EventQueueDifferential, HeapAndCalendarPopIdentically) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    HeapEventQueue heap;
-    CalendarEventQueue calendar;
-    util::Rng rng(seed);
-    std::vector<std::pair<EventId, EventId>> live;  // (heap id, calendar id)
-    std::vector<int> pops_heap;
-    std::vector<int> pops_cal;
-    int tag = 0;
-    const auto push_both = [&](double t) {
-      const int id = tag++;
-      live.emplace_back(heap.push(t, [&pops_heap, id] { pops_heap.push_back(id); }),
-                        calendar.push(t, [&pops_cal, id] { pops_cal.push_back(id); }));
-    };
-    const auto pop_both = [&](int step) {
-      ASSERT_DOUBLE_EQ(heap.next_time(), calendar.next_time());
-      Event he = heap.pop();
-      Event ce = calendar.pop();
-      ASSERT_EQ(he.time, ce.time) << "seed " << seed << " step " << step;
-      he.action();
-      ce.action();
-      ASSERT_EQ(pops_heap.back(), pops_cal.back())
-          << "seed " << seed << " step " << step;
-      std::erase_if(live,
-                    [&](const auto& pair) { return pair.first == he.id; });
-    };
-    for (int step = 0; step < 4000; ++step) {
-      const double p = rng.uniform(0.0, 1.0);
-      if (p < 0.55 || heap.empty()) {
-        // Coarse grid forces frequent timestamp ties; occasional pushes at
-        // time 0 land behind the cursor after earlier pops.
-        const double t =
-            (rng.uniform(0.0, 1.0) < 0.05)
-                ? 0.0
-                : std::floor(rng.uniform(0.0, 400.0)) * 0.25;
-        push_both(t);
-      } else if (p < 0.75 && !live.empty()) {
-        const std::size_t victim = static_cast<std::size_t>(
-            rng.uniform(0.0, static_cast<double>(live.size())));
-        const auto [hid, cid] = live[victim];
-        EXPECT_EQ(heap.cancel(hid), calendar.cancel(cid));
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      } else {
-        pop_both(step);
-      }
-      ASSERT_EQ(heap.size(), calendar.size());
-    }
-    while (!heap.empty()) {
-      pop_both(-1);
-    }
-    EXPECT_TRUE(calendar.empty());
-    EXPECT_EQ(pops_heap, pops_cal);
-  }
-}
-
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator sim;
   double seen = -1.0;
@@ -256,6 +190,71 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_FALSE(sim.event_pending(id));
   sim.run_until(2.0);
   EXPECT_FALSE(ran);
+}
+
+TEST(Simulator, RescheduleMovesTheEventAndKeepsItsAction) {
+  Simulator sim;
+  std::vector<double> ran_at;
+  const EventId first = sim.schedule_at(5.0, [&] { ran_at.push_back(sim.now()); });
+  const EventId moved = sim.reschedule(first, 2.0);
+  ASSERT_NE(moved, kInvalidEventId);
+  EXPECT_NE(moved, first);
+  EXPECT_FALSE(sim.event_pending(first));  // the old handle goes stale
+  EXPECT_TRUE(sim.event_pending(moved));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.cancel(first));
+  sim.run_to_completion();
+  EXPECT_EQ(ran_at, (std::vector<double>{2.0}));
+  EXPECT_FALSE(sim.event_pending(moved));
+}
+
+TEST(Simulator, RescheduleOfANonPendingIdDoesNothing) {
+  Simulator sim;
+  int runs = 0;
+  const EventId done = sim.schedule_at(1.0, [&] { ++runs; });
+  const EventId cancelled = sim.schedule_at(2.0, [&] { ++runs; });
+  sim.cancel(cancelled);
+  sim.run_until(1.5);
+  EXPECT_EQ(sim.reschedule(done, 3.0), kInvalidEventId);
+  EXPECT_EQ(sim.reschedule(cancelled, 3.0), kInvalidEventId);
+  EXPECT_EQ(sim.reschedule(kInvalidEventId, 3.0), kInvalidEventId);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_to_completion();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(Simulator, RescheduleOrdersExactlyLikeCancelThenSchedule) {
+  // Ties at one timestamp resolve by the moment the seq was drawn, so a
+  // rescheduled event must land after events scheduled before the move and
+  // before events scheduled after it -- the order cancel + schedule_at gives.
+  const auto run = [](bool in_place) {
+    Simulator sim;
+    std::vector<int> order;
+    const auto log = [&order](int tag) {
+      return [&order, tag] { order.push_back(tag); };
+    };
+    const EventId mover = sim.schedule_at(4.0, log(0));
+    sim.schedule_at(1.0, log(1));
+    sim.schedule_at(1.0, log(2));
+    if (in_place) {
+      sim.reschedule(mover, 1.0);
+    } else {
+      sim.cancel(mover);
+      sim.schedule_at(1.0, log(0));
+    }
+    sim.schedule_at(1.0, log(3));
+    sim.run_to_completion();
+    return order;
+  };
+  EXPECT_EQ(run(true), (std::vector<int>{1, 2, 0, 3}));
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(Simulator, RescheduleIntoThePastDies) {
+  Simulator sim;
+  const EventId id = sim.schedule_at(5.0, [] {});
+  sim.run_until(2.0);
+  EXPECT_DEATH(sim.reschedule(id, 1.0), "past");
 }
 
 TEST(Simulator, ExecutedEventsCounter) {

@@ -1,8 +1,7 @@
 // Tests for the online speed-scaling zoo (core/speed_scaling.h): the
 // YDS-on-suffix staircase helper, the OA == YDS differential on an offline
 // instance, and deadline-feasibility property checks for OA/qOA/AVR/BKP
-// under fuzzed workloads across the materialised, streaming, and
-// calendar-queue paths.
+// under fuzzed workloads across the materialised and streaming paths.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -116,8 +115,7 @@ ExperimentConfig fuzz_config(std::mt19937_64& rng) {
 TEST(SpeedScalingFeasibility, NeverMissesDeadlineAcrossPaths) {
   // OA/qOA/AVR/BKP must complete every released job when the power cap is
   // slack -- including qOA with q < 1, where the finish-by-deadline repair
-  // carries feasibility.  Stream on/off and heap vs calendar queue must all
-  // agree bit-identically.
+  // carries feasibility.  Stream on/off must agree bit-identically.
   const char* kScheds[] = {"OA", "QOA[1.5]", "QOA[0.75]", "AVR", "BKP"};
   std::mt19937_64 rng(20260809ULL);
   for (int iter = 0; iter < 5; ++iter) {
@@ -137,13 +135,6 @@ TEST(SpeedScalingFeasibility, NeverMissesDeadlineAcrossPaths) {
       EXPECT_EQ(s.quality, base.quality);
       EXPECT_EQ(s.energy, base.energy);
       EXPECT_EQ(s.completed, base.completed);
-
-      ExperimentConfig calendar = cfg;
-      calendar.event_queue = sim::EventQueueKind::kCalendar;
-      const RunResult c = run_simulation(calendar, spec);
-      EXPECT_EQ(c.quality, base.quality);
-      EXPECT_EQ(c.energy, base.energy);
-      EXPECT_EQ(c.completed, base.completed);
     }
   }
 }
