@@ -14,6 +14,7 @@
 // tools/bench_compare.py gates regressions between two such files.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -295,8 +296,11 @@ void BM_QualityOptAllocator(benchmark::State& state) {
 }
 BENCHMARK(BM_QualityOptAllocator)->Range(4, 256);
 
-void BM_FullYdsSchedule(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+// n jobs released over n/150 s, each with a 0.1-0.4 s window.  `agreeable`
+// pairs the sorted releases with the sorted deadlines instead: the same
+// release and deadline sets, but a later release never has an earlier
+// deadline (and every window stays non-empty).
+std::vector<ge::opt::YdsJob> random_yds_jobs(std::size_t n, bool agreeable) {
   ge::util::Rng rng(7);
   std::vector<ge::opt::YdsJob> jobs;
   jobs.reserve(n);
@@ -305,12 +309,42 @@ void BM_FullYdsSchedule(benchmark::State& state) {
     jobs.push_back(ge::opt::YdsJob{release, release + rng.uniform(0.1, 0.4),
                                    rng.uniform(50.0, 500.0)});
   }
+  if (agreeable) {
+    std::vector<double> deadlines;
+    for (const ge::opt::YdsJob& job : jobs) {
+      deadlines.push_back(job.deadline);
+    }
+    std::sort(deadlines.begin(), deadlines.end());
+    std::sort(jobs.begin(), jobs.end(),
+              [](const auto& a, const auto& b) { return a.release < b.release; });
+    for (std::size_t i = 0; i < n; ++i) {
+      jobs[i].deadline = deadlines[i];
+    }
+  }
+  return jobs;
+}
+
+void BM_FullYdsSchedule(benchmark::State& state) {
+  const std::vector<ge::opt::YdsJob> jobs =
+      random_yds_jobs(static_cast<std::size_t>(state.range(0)), false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ge::opt::yds_schedule(jobs));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FullYdsSchedule)->Range(16, 512);
+
+// The linear taut-string profile on the agreeable variant of the same jobs
+// (what the reclaim advisor runs per core and for the pooled floor).
+void BM_AgreeableProfile(benchmark::State& state) {
+  const std::vector<ge::opt::YdsJob> jobs =
+      random_yds_jobs(static_cast<std::size_t>(state.range(0)), true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ge::opt::agreeable_profile(jobs));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AgreeableProfile)->Arg(16)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_PlanRectifier(benchmark::State& state) {
   std::vector<ge::workload::Job> jobs;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -15,7 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using detail::Placement;
 using detail::RJob;
 using detail::RSlice;
 
@@ -333,8 +333,11 @@ struct JobAgg {
 
 }  // namespace
 
+namespace detail {
+
 ReclaimAnalysis analyze_reclaim(const TaskInput& input,
-                                const TaskAnalysis& analysis) {
+                                const TaskAnalysis& analysis, bool yds_only,
+                                ReclaimPaths* paths) {
   GE_CHECK(input.buffer != nullptr, "analyze_reclaim: null trace buffer");
   const bool exact_models = !input.models.empty();
   const std::size_t num_servers = analysis.num_servers;
@@ -404,18 +407,36 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
            model_of(server, ev.core).power(ev.a));
   }
 
+  // Each instance takes the taut-string profile when it is agreeable, and
+  // critical-interval YDS otherwise (or always, under `yds_only`).
+  auto agreeable = [&](const std::vector<opt::YdsJob>& jobs)
+      -> std::optional<std::vector<opt::SpeedSegment>> {
+    if (paths != nullptr) {
+      ++paths->instances;
+    }
+    if (yds_only) {
+      return std::nullopt;
+    }
+    std::optional<std::vector<opt::SpeedSegment>> profile =
+        opt::agreeable_profile(jobs);
+    if (profile && paths != nullptr) {
+      ++paths->linear;
+    }
+    return profile;
+  };
+
   // --- per-core clairvoyant re-speed -----------------------------------------
   std::vector<opt::YdsJob> pooled;
+  std::vector<opt::YdsJob> instance;
   for (const auto& [key, jobs_on_core] : core_jobs) {
     const auto [server, core] = key;
     const power::PowerModel& pm = model_of(server, core);
     const LadderEnvelope envelope(input.info.ladder_units, pm);
 
-    std::vector<RJob> instance;
-    instance.reserve(jobs_on_core.size());
+    instance.clear();
     for (const auto& [job_id, agg] : jobs_on_core) {
       const JobSpan* span = span_of.at(job_id);
-      RJob j;
+      opt::YdsJob j;
       // The realised slices must lie inside the window, so the instance is
       // feasible by construction (the run itself is a witness schedule).
       j.release = (span->arrival >= 0.0 && span->arrival <= agg.first_start)
@@ -423,22 +444,31 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
                       : agg.first_start;
       j.deadline = std::max(span->deadline, agg.last_end);
       j.work = agg.work;
-      j.idx = instance.size();
       instance.push_back(j);
-      pooled.push_back({j.release, j.deadline, j.work});
+      pooled.push_back(j);
     }
 
-    const Placement placed = detail::yds_place(instance);
     ServerReclaim& sr = out.servers[server];
-    for (const RSlice& slice : placed.slices) {
-      const double dt = slice.t1 - slice.t0;
-      const double cont_w = pm.power(slice.speed);
-      const double disc_w =
-          envelope.discrete() ? envelope.power(slice.speed) : cont_w;
-      sr.cont_j += cont_w * dt;
-      sr.disc_j += disc_w * dt;
-      spread(sr.cont_bin_j, slice.t0, slice.t1, cont_w);
-      spread(sr.disc_bin_j, slice.t0, slice.t1, disc_w);
+    auto price = [&](double t0, double t1, double speed) {
+      const double cont_w = pm.power(speed);
+      const double disc_w = envelope.discrete() ? envelope.power(speed) : cont_w;
+      sr.cont_j += cont_w * (t1 - t0);
+      sr.disc_j += disc_w * (t1 - t0);
+      spread(sr.cont_bin_j, t0, t1, cont_w);
+      spread(sr.disc_bin_j, t0, t1, disc_w);
+    };
+    if (const auto profile = agreeable(instance)) {
+      for (const opt::SpeedSegment& seg : *profile) {
+        price(seg.t0, seg.t1, seg.speed);
+      }
+      continue;
+    }
+    std::vector<RJob> jobs(instance.size());
+    for (std::size_t i = 0; i < instance.size(); ++i) {
+      jobs[i] = {instance[i].release, instance[i].deadline, instance[i].work, i};
+    }
+    for (const RSlice& slice : yds_place(std::move(jobs)).slices) {
+      price(slice.t0, slice.t1, slice.speed);
     }
   }
   for (const ServerReclaim& sr : out.servers) {
@@ -470,13 +500,32 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
     const power::PowerModel fluid(
         a_min * std::pow(static_cast<double>(total_cores), 1.0 - beta), beta,
         upg);
-    out.offline_j = opt::yds_min_energy(pooled, fluid);
+    if (const auto profile = agreeable(pooled)) {
+      for (const opt::SpeedSegment& seg : *profile) {
+        out.offline_j += fluid.power(seg.speed) * (seg.t1 - seg.t0);
+      }
+    } else {
+      out.offline_j = opt::yds_min_energy(pooled, fluid);
+    }
   }
 
   out.avoidable_frac =
       out.realized_j > 0.0 ? (out.realized_j - out.cont_j) / out.realized_j
                            : 0.0;
   return out;
+}
+
+bool takes_linear_path(const TaskInput& input, const TaskAnalysis& analysis) {
+  ReclaimPaths paths;
+  (void)analyze_reclaim(input, analysis, /*yds_only=*/false, &paths);
+  return paths.linear == paths.instances;
+}
+
+}  // namespace detail
+
+ReclaimAnalysis analyze_reclaim(const TaskInput& input,
+                                const TaskAnalysis& analysis) {
+  return detail::analyze_reclaim(input, analysis, /*yds_only=*/false, nullptr);
 }
 
 }  // namespace ge::obs::analysis

@@ -11,13 +11,15 @@
 //
 //   * realized_j -- the energy the run actually integrated over its exec
 //     slices (bit-identical to TaskAnalysis residency totals);
-//   * disc_j -- per-core YDS re-speed priced through the convex envelope of
+//   * disc_j -- per-core re-speed priced through the convex envelope of
 //     the run's DVFS ladder (only distinct from cont_j when the run used
 //     discrete speeds; the envelope of the realised ladder upper-bounds the
 //     best achievable discrete schedule while staying provably below the
 //     realised energy, because realised speeds are ladder levels and the
-//     YDS profile simultaneously minimises every convex power curve);
-//   * cont_j -- per-core continuous YDS re-speed: for each core, the
+//     YDS profile simultaneously minimises every convex power curve -- the
+//     envelope included, so pricing the one profile through it is the
+//     envelope's own optimum, whichever path computed the profile);
+//   * cont_j -- per-core continuous re-speed: for each core, the
 //     minimum-energy preemptive schedule of its realised per-job work
 //     within [release, max(deadline, last realised slice end)];
 //   * offline_j -- fluid fleet-wide lower bound: all realised work pooled
@@ -25,10 +27,20 @@
 //     a_min * m^(1-beta) * (S/u)^beta (Jensen: running m cores at the same
 //     total speed never beats this curve).
 //
-// The advisor's YDS re-speed uses its own critical-interval construction
-// with real-time placement (opt::yds_schedule collapses the timeline, which
-// is enough for energies but not for per-interval attribution); the
-// continuous energies are differentially tested against opt::yds_min_energy.
+// Each re-speed (one per core, plus the pooled floor) is a YDS speed
+// profile, computed one of two ways:
+//   * agreeable instances -- sorted by release, the deadlines never
+//     decrease, as with the paper's deadline = arrival + 150 ms -- take
+//     opt::agreeable_profile, the taut string between the cumulative
+//     release and deadline curves, in one linear pass.  Its real-time
+//     segments are what the totals and bins are priced and spread from;
+//   * any other instance (e.g. random deadline windows) falls back to
+//     critical-interval YDS: per core, detail::yds_place with real-time
+//     placement (opt::yds_schedule collapses the timeline, which is enough
+//     for energies but not for per-interval attribution); for the pooled
+//     floor, opt::yds_min_energy.
+// The fallback is also the test oracle: on agreeable instances both paths
+// agree within 1e-9 relative, totals and bins.
 //
 // Everything is a pure function of (TaskInput, TaskAnalysis): byte-stable
 // outputs for a given trace, no clocks, no RNG.
@@ -90,10 +102,29 @@ struct Placement {
 };
 
 // Critical-interval YDS with real-time placement, the advisor's per-core
-// re-speed.  Returns per-job block speeds and the placed slices; the
-// continuous energy of the result equals opt::yds_min_energy on the same
-// instance.  Exposed so tests can pin it against a reference scan.
+// re-speed when the core's jobs are not agreeable.  Returns per-job block
+// speeds and the placed slices; the continuous energy of the result equals
+// opt::yds_min_energy on the same instance.  Exposed so tests can pin it
+// against a reference scan.
 Placement yds_place(std::vector<RJob> jobs);
+
+// How many of a task's instances (one per core, plus the pooled floor) the
+// advisor priced, and how many of them took the linear agreeable path.
+struct ReclaimPaths {
+  std::size_t instances = 0;
+  std::size_t linear = 0;
+};
+
+// analyze_reclaim with the path choice open to tests: `yds_only` prices
+// every instance with the YDS fallback (the oracle the linear path is
+// checked against); `paths`, if non-null, counts the paths taken.
+ReclaimAnalysis analyze_reclaim(const TaskInput& input,
+                                const TaskAnalysis& analysis, bool yds_only,
+                                ReclaimPaths* paths);
+
+// True when every per-core instance and the pooled floor of the task take
+// the linear agreeable path.
+bool takes_linear_path(const TaskInput& input, const TaskAnalysis& analysis);
 
 }  // namespace detail
 

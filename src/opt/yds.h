@@ -20,8 +20,14 @@
 // from the timeline, and recurse on the remaining jobs.  Candidate t1/t2
 // are release/deadline points, so each round costs O(n^2) with the
 // per-release sweep used below.
+//
+// agreeable_profile() is the linear-time special case: when the deadlines
+// are agreeable (a later release never has an earlier deadline) the YDS
+// speed profile is the taut string between the cumulative-release and
+// cumulative-deadline work curves, computed in one pass.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,5 +65,25 @@ YdsSchedule yds_schedule(std::span<const YdsJob> jobs);
 
 // Minimal energy of the instance under the power model (convenience).
 double yds_min_energy(std::span<const YdsJob> jobs, const power::PowerModel& pm);
+
+// One piece of a speed profile: run at `speed` over the real time [t0, t1].
+struct SpeedSegment {
+  double t0 = 0.0;
+  double t1 = 0.0;
+  double speed = 0.0;
+};
+
+// Minimum-energy speed profile for agreeable jobs: sorted by (release,
+// deadline), the deadlines never decrease.  Returns the positive-speed
+// segments in time order (idle gaps are left out), or nullopt when the
+// positive-work jobs are not agreeable.  The profile is the YDS one
+// (Gaujal, Navet and Walsh, ACM TECS 2005): the taut string from
+// (first release, 0) to (last deadline, total work) that passes below every
+// upper corner (r, work released before r) and above every lower corner
+// (d, work due by d).  A two-chain funnel builds it in one forward pass,
+// O(n) after the sort.  Being the YDS profile, it minimises the energy of
+// every convex power curve at once.
+std::optional<std::vector<SpeedSegment>> agreeable_profile(
+    std::span<const YdsJob> jobs);
 
 }  // namespace ge::opt

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -90,6 +91,23 @@ std::int64_t Flags::get_int_at_least(std::string_view name,
     std::fprintf(stderr, "error: --%.*s must be an integer >= %lld, got '%s'\n",
                  static_cast<int>(name.size()), name.data(),
                  static_cast<long long>(min), v->c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+double Flags::get_positive_double(std::string_view name,
+                                  double default_value) const {
+  auto v = find(name);
+  if (!v || v->empty()) {
+    return default_value;
+  }
+  double value = 0.0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) || value <= 0.0) {
+    std::fprintf(stderr, "error: --%.*s must be a number > 0, got '%s'\n",
+                 static_cast<int>(name.size()), name.data(), v->c_str());
     std::exit(2);
   }
   return value;

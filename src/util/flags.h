@@ -29,6 +29,11 @@ class Flags {
   std::int64_t get_int_at_least(std::string_view name, std::int64_t default_value,
                                 std::int64_t min) const;
 
+  // get_double for a value that must be a finite number > 0.  Anything
+  // else -- "0", "-1", "abc", "0.2x", "inf" -- prints a one-line reason
+  // naming the flag to stderr and exits with status 2.
+  double get_positive_double(std::string_view name, double default_value) const;
+
   // Parses a comma-separated list of doubles, e.g. --rates 100,150,200.
   std::vector<double> get_double_list(std::string_view name,
                                       std::vector<double> default_value) const;

@@ -16,10 +16,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "agreeable_instances.h"
 #include "cluster/cluster.h"
 #include "exp/config.h"
 #include "exp/runner.h"
@@ -234,15 +237,20 @@ TEST(Reclaim, DiscreteLadderPricesAboveContinuous) {
 struct RunReclaim {
   exp::RunResult result;
   ReclaimAnalysis reclaim;
+  // The advisor's inputs, kept for the oracle and path checks.
+  std::unique_ptr<obs::RunTelemetry> telem;
+  TaskInput input;
+  TaskAnalysis analysis;
 };
 
 RunReclaim run_and_reclaim(const exp::ExperimentConfig& cfg,
                            const std::string& sched) {
   const exp::SchedulerSpec spec = exp::SchedulerSpec::parse(sched);
-  obs::RunTelemetry telem;
+  RunReclaim out;
+  out.telem = std::make_unique<obs::RunTelemetry>();
+  obs::RunTelemetry& telem = *out.telem;
   telem.want_trace = true;
 
-  RunReclaim out;
   if (cfg.stream) {
     out.result = exp::run_simulation_stream(cfg, spec, nullptr, &telem);
   } else {
@@ -251,7 +259,7 @@ RunReclaim run_and_reclaim(const exp::ExperimentConfig& cfg,
     out.result = exp::run_simulation(cfg, spec, trace, nullptr, &telem);
   }
 
-  TaskInput input;
+  TaskInput& input = out.input;
   input.info.task = 0;
   input.info.scheduler = sched;
   input.info.arrival_rate = cfg.arrival_rate;
@@ -271,8 +279,8 @@ RunReclaim run_and_reclaim(const exp::ExperimentConfig& cfg,
   }
   input.reported_energy_j = out.result.energy;
 
-  const TaskAnalysis analysis = obs::analysis::analyze_task(input);
-  out.reclaim = obs::analysis::analyze_reclaim(input, analysis);
+  out.analysis = obs::analysis::analyze_task(input);
+  out.reclaim = obs::analysis::analyze_reclaim(input, out.analysis);
   return out;
 }
 
@@ -846,17 +854,20 @@ std::uint64_t reclaim_digest(const ReclaimAnalysis& r) {
 }
 
 // Digests of every reclaim total and bin on the golden cluster configs,
-// pinned bit for bit: a faster scan must not move any of them.
+// pinned bit for bit.  Every instance of these configs is agreeable, so the
+// digests pin the linear taut-string path; a change that moves them must
+// show its drift against the YDS oracle
+// (GoldenClusterConfigsMatchTheYdsOracle) and refresh them.
 TEST(ReclaimScanExactness, GoldenClusterTotalsAndBinsAreBitwiseUnchanged) {
   constexpr std::uint64_t kDigests[] = {
-      0xdbc7bcd9bb2f393aull,
-      0xf4aa5ca1dc3f8a0dull,
-      0x1fe4226d3dfcbe59ull,
-      0x9d759a8962991165ull,
-      0x4b7cd89a28d4d3eeull,
-      0x257f8e8c8681a112ull,
-      0xeb934017c56d43d0ull,
-      0x8c6f403cb3ac1cecull,
+      0x167ad930747828c4ull,
+      0x631da061e7519aebull,
+      0xfd2ddda78c248449ull,
+      0x4799d5a096d76c7cull,
+      0x5becafeb6d7bb673ull,
+      0xd919a80fb0f0e6a3ull,
+      0xfc1efd9fb40100c9ull,
+      0xd55128434682c8e1ull,
   };
   const std::vector<NamedConfig> cases = golden_configs();
   ASSERT_EQ(cases.size(), std::size(kDigests));
@@ -916,6 +927,162 @@ TEST(ReclaimChain, ReloadedMultiServerReportKeepsTheFleetFloor) {
   EXPECT_NEAR(reloaded.cont_j, in_process.cont_j, 1e-9 * in_process.cont_j);
   expect_chain(reloaded, "reloaded 2-server report");
   EXPECT_LT(reloaded.offline_j, reloaded.cont_j);
+}
+
+// ---- the linear agreeable path ---------------------------------------------
+//
+// Oracle: the YDS fallback, detail::analyze_reclaim with `yds_only`.  Every
+// total and every bin must agree with it within 1e-9 relative.
+
+void expect_matches_yds_oracle(const ReclaimAnalysis& linear,
+                               const ReclaimAnalysis& yds,
+                               const std::string& label) {
+  EXPECT_EQ(linear.realized_j, yds.realized_j) << label;
+  EXPECT_NEAR(linear.cont_j, yds.cont_j, 1e-9 * std::max(1.0, yds.cont_j)) << label;
+  EXPECT_NEAR(linear.disc_j, yds.disc_j, 1e-9 * std::max(1.0, yds.disc_j)) << label;
+  EXPECT_NEAR(linear.offline_j, yds.offline_j, 1e-9 * std::max(1.0, yds.offline_j))
+      << label;
+  ASSERT_EQ(linear.servers.size(), yds.servers.size()) << label;
+  for (std::size_t s = 0; s < yds.servers.size(); ++s) {
+    const ServerReclaim& a = linear.servers[s];
+    const ServerReclaim& e = yds.servers[s];
+    const std::string where = label + " server " + std::to_string(s);
+    const double cont_tol = 1e-9 * std::max(1.0, e.cont_j);
+    const double disc_tol = 1e-9 * std::max(1.0, e.disc_j);
+    EXPECT_NEAR(a.cont_j, e.cont_j, cont_tol) << where;
+    EXPECT_NEAR(a.disc_j, e.disc_j, disc_tol) << where;
+    EXPECT_EQ(a.realized_bin_j, e.realized_bin_j) << where;
+    ASSERT_EQ(a.cont_bin_j.size(), e.cont_bin_j.size()) << where;
+    for (std::size_t i = 0; i < e.cont_bin_j.size(); ++i) {
+      EXPECT_NEAR(a.cont_bin_j[i], e.cont_bin_j[i], cont_tol) << where << " bin " << i;
+      EXPECT_NEAR(a.disc_bin_j[i], e.disc_bin_j[i], disc_tol) << where << " bin " << i;
+    }
+  }
+}
+
+// Energy of [t0, t1] at `speed` spread over `bins` equal bins of [lo, hi].
+void add_binned(std::vector<double>& bins, double lo, double hi, double t0,
+                double t1, double watts) {
+  const double width = (hi - lo) / static_cast<double>(bins.size());
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    const double a = std::max(t0, lo + width * static_cast<double>(i));
+    const double b = std::min(t1, lo + width * static_cast<double>(i + 1));
+    if (b > a) {
+      bins[i] += watts * (b - a);
+    }
+  }
+}
+
+// Per-core view: the profile and detail::yds_place's real-time slices put
+// the same energy in every bin, on every agreeable shape.
+TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
+  util::Rng rng(16);
+  const power::PowerModel pm(5.0, 2.0, 1000.0);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = trial < 5 ? 1 : 2 + rng.uniform_index(150);
+    const std::vector<opt::YdsJob> jobs =
+        testdata::agreeable_instance(rng, testdata::kAgreeableShapes[trial % 5], n);
+    const std::string label = "trial " + std::to_string(trial);
+    std::vector<RJob> rjobs;
+    double lo = kInf, hi = -kInf;
+    for (const opt::YdsJob& j : jobs) {
+      rjobs.push_back({j.release, j.deadline, j.work, rjobs.size()});
+      lo = std::min(lo, j.release);
+      hi = std::max(hi, j.deadline);
+    }
+    const std::optional<std::vector<opt::SpeedSegment>> profile =
+        opt::agreeable_profile(jobs);
+    ASSERT_TRUE(profile.has_value()) << label;
+    std::vector<double> expected(40, 0.0), actual(40, 0.0);
+    double total = 0.0;
+    for (const RSlice& slice : obs::analysis::detail::yds_place(rjobs).slices) {
+      add_binned(expected, lo, hi, slice.t0, slice.t1, pm.power(slice.speed));
+      total += pm.power(slice.speed) * (slice.t1 - slice.t0);
+    }
+    for (const opt::SpeedSegment& seg : *profile) {
+      add_binned(actual, lo, hi, seg.t0, seg.t1, pm.power(seg.speed));
+    }
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_NEAR(actual[i], expected[i], 1e-9 * std::max(1.0, total))
+          << label << " bin " << i;
+    }
+  }
+}
+
+TEST(ReclaimAgreeable, GoldenClusterConfigsMatchTheYdsOracle) {
+  const std::vector<NamedConfig> cases = golden_configs();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const RunReclaim rr = run_and_reclaim(cases[i].cfg, cases[i].sched);
+    const std::string label = "golden case " + std::to_string(i);
+    obs::analysis::detail::ReclaimPaths paths;
+    const ReclaimAnalysis linear =
+        obs::analysis::detail::analyze_reclaim(rr.input, rr.analysis, false, &paths);
+    EXPECT_GT(paths.linear, 0u) << label;
+    const ReclaimAnalysis yds =
+        obs::analysis::detail::analyze_reclaim(rr.input, rr.analysis, true, nullptr);
+    expect_matches_yds_oracle(linear, yds, label);
+  }
+}
+
+// Nested windows on one core (and so in the pooled floor): no instance is
+// agreeable, every one falls back to YDS, and the result is bit for bit
+// what the YDS-only advisor produced before the linear path existed.
+TEST(ReclaimAgreeable, NotAgreeableTaskKeepsTheYdsResultBitwise) {
+  const TraceBuffer buf = synth_buffer({
+      {1, 0.0, 1.0, {{0.0, 0.2, 900.0}, {0.5, 0.6, 400.0}}},
+      {2, 0.1, 0.5, {{0.2, 0.45, 1800.0}}},
+      {3, 0.6, 2.0, {{0.7, 1.1, 650.0}}},
+      {4, 1.0, 1.9, {{1.1, 1.5, 1200.0}}},
+  });
+  TaskInput input;
+  input.info = synth_info(1);
+  input.info.ladder_units =
+      power::DiscreteSpeedTable::uniform_ghz(0.2, 3.2, 1000.0).levels();
+  input.buffer = &buf;
+  input.models = {{power::PowerModel(5.0, 2.0, 1000.0)}};
+  const TaskAnalysis analysis = obs::analysis::analyze_task(input);
+
+  EXPECT_FALSE(obs::analysis::detail::takes_linear_path(input, analysis));
+  obs::analysis::detail::ReclaimPaths paths;
+  (void)obs::analysis::detail::analyze_reclaim(input, analysis, false, &paths);
+  EXPECT_EQ(paths.instances, 2u);
+  EXPECT_EQ(paths.linear, 0u);
+  // The digest the YDS-only advisor gave on this task.
+  const ReclaimAnalysis r = obs::analysis::analyze_reclaim(input, analysis);
+  EXPECT_EQ(reclaim_digest(r), 0xfae9f2536e66667dull);
+}
+
+// The benchmark's report workload in small: 2-server jsq, discrete speeds,
+// two tenants, deadline = arrival + 150 ms.  Every per-core instance and
+// the pooled floor are agreeable, in process and after the report
+// directory round trip.
+TEST(ReclaimAgreeable, ReportShapedRunTakesTheLinearPathInProcessAndReloaded) {
+  exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
+  cfg.num_servers = 2;
+  cfg.dispatch = cluster::DispatchPolicy::kJsq;
+  cfg.arrival_rate = 300.0;
+  cfg.discrete_speeds = true;
+  cfg.num_tenants = 2;
+  cfg.tenant_qge = {0.95, 0.85};
+  cfg.duration = 3.0;
+  cfg.seed = 13;
+  const RunReclaim rr = run_and_reclaim(cfg, "GE");
+  obs::analysis::detail::ReclaimPaths paths;
+  (void)obs::analysis::detail::analyze_reclaim(rr.input, rr.analysis, false, &paths);
+  EXPECT_GT(paths.instances, 2u);
+  EXPECT_EQ(paths.linear, paths.instances);
+  EXPECT_TRUE(obs::analysis::detail::takes_linear_path(rr.input, rr.analysis));
+
+  obs::analysis::ReportWriter writer;
+  writer.add_task(rr.input);
+  const std::string dir = ::testing::TempDir() + "/reclaim_linear_path";
+  std::filesystem::remove_all(dir);
+  writer.write_directory(dir);
+  const obs::analysis::LoadedReport loaded = obs::analysis::load_report_dir(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_EQ(loaded.inputs.size(), 1u);
+  const TaskAnalysis reloaded = obs::analysis::analyze_task(loaded.inputs[0]);
+  EXPECT_TRUE(obs::analysis::detail::takes_linear_path(loaded.inputs[0], reloaded));
 }
 
 }  // namespace

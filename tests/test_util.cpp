@@ -272,6 +272,25 @@ TEST(Flags, IntAtLeastExitsNamingTheFlag) {
   }
 }
 
+TEST(Flags, PositiveDoubleAcceptsFiniteNumbersAboveZero) {
+  const char* argv[] = {"prog", "--w", "0.2", "--tol=1e-6", "--n", "3"};
+  Flags flags(6, argv);
+  EXPECT_EQ(flags.get_positive_double("w", 1.0), 0.2);
+  EXPECT_EQ(flags.get_positive_double("tol", 1.0), 1e-6);
+  EXPECT_EQ(flags.get_positive_double("n", 1.0), 3.0);
+  EXPECT_EQ(flags.get_positive_double("absent", 0.5), 0.5);
+}
+
+TEST(Flags, PositiveDoubleExitsNamingTheFlag) {
+  for (const char* bad : {"0", "-1", "abc", "0.2x", "inf", "nan", " 1"}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"prog", "--w", bad};
+    Flags flags(3, argv);
+    EXPECT_EXIT((void)flags.get_positive_double("w", 1.0),
+                ::testing::ExitedWithCode(2), "--w must be a number > 0");
+  }
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);

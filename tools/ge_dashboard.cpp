@@ -12,6 +12,9 @@
 //   --gantt-cap N    max exec slices drawn individually in the Gantt panel
 //                    before falling back to binned busy blocks (default 4000)
 //
+// --speed-bin must be a number > 0, --bins and --gantt-cap integers >= 1;
+// any other value exits 2 with a one-line message naming the flag.
+//
 // The output embeds every style and chart inline (no scripts, no external
 // fetches) and its bytes are a pure function of the report directory and
 // flags, so CI diffs dashboards across --jobs/--shards byte-for-byte.  A
@@ -35,18 +38,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A malformed value exits 2 naming the flag, before any input is read.
+  obs::analysis::DashboardOptions options;
+  options.speed_bin_ghz =
+      flags.get_positive_double("speed-bin", options.speed_bin_ghz);
+  options.timeline_bins = static_cast<std::size_t>(flags.get_int_at_least(
+      "bins", static_cast<std::int64_t>(options.timeline_bins), 1));
+  options.gantt_slice_cap = static_cast<std::size_t>(flags.get_int_at_least(
+      "gantt-cap", static_cast<std::int64_t>(options.gantt_slice_cap), 1));
+
   obs::analysis::LoadedReport loaded = obs::analysis::load_report_dir(report_dir);
   if (!loaded.ok()) {
     std::fprintf(stderr, "ge_dashboard: %s\n", loaded.error.c_str());
     return 2;
   }
-
-  obs::analysis::DashboardOptions options;
-  options.speed_bin_ghz = flags.get_double("speed-bin", options.speed_bin_ghz);
-  options.timeline_bins = static_cast<std::size_t>(
-      flags.get_int("bins", static_cast<std::int64_t>(options.timeline_bins)));
-  options.gantt_slice_cap = static_cast<std::size_t>(flags.get_int(
-      "gantt-cap", static_cast<std::int64_t>(options.gantt_slice_cap)));
 
   std::ofstream out(out_path, std::ios::binary);
   if (!out.good()) {

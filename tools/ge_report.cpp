@@ -29,6 +29,9 @@
 //                    accrual term round-trips the writer's %.12g formatting,
 //                    so the in-process 1e-9 does not hold from files)
 //
+// --speed-bin and --energy-tol must be numbers > 0 and --bins an integer
+// >= 1; any other value exits 2 with a one-line message naming the flag.
+//
 // Output is deterministic: report and dashboard bytes are a pure function
 // of the input files and flags (schemas ge-report-v1 / ge-dashboard-v1,
 // docs/OBSERVABILITY.md).  CI runs this tool on the telemetry smoke trace
@@ -57,6 +60,13 @@ int main(int argc, char** argv) {
                  "[--dashboard FILE] [--metrics FILE]\n");
     return 2;
   }
+  // A malformed value exits 2 naming the flag, before any input is read.
+  obs::analysis::DashboardOptions options;
+  options.speed_bin_ghz =
+      flags.get_positive_double("speed-bin", options.speed_bin_ghz);
+  options.timeline_bins = static_cast<std::size_t>(flags.get_int_at_least(
+      "bins", static_cast<std::int64_t>(options.timeline_bins), 1));
+  options.energy_rel_tol = flags.get_positive_double("energy-tol", 1e-6);
 
   // Both input modes end in the same shape: `parsed` owns the buffers,
   // `inputs` views them.
@@ -104,12 +114,6 @@ int main(int argc, char** argv) {
   if (loaded.inputs.size() == 1 && metrics_energy_j >= 0.0) {
     loaded.inputs[0].reported_energy_j = metrics_energy_j;
   }
-
-  obs::analysis::DashboardOptions options;
-  options.speed_bin_ghz = flags.get_double("speed-bin", options.speed_bin_ghz);
-  options.timeline_bins = static_cast<std::size_t>(
-      flags.get_int("bins", static_cast<std::int64_t>(options.timeline_bins)));
-  options.energy_rel_tol = flags.get_double("energy-tol", 1e-6);
 
   const std::string dashboard_path = flags.get_string("dashboard", "");
   const std::string out_dir = flags.get_string("out", "report");
