@@ -12,10 +12,12 @@ namespace ge::exp {
 ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.arrival_rate = flags.get_double("rate", cfg.arrival_rate);
   cfg.duration = flags.get_double("seconds", cfg.duration);
+  // Counts are range-checked (exit 2 on a bad value): a negative or
+  // malformed one would otherwise wrap on the unsigned cast.
   cfg.seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
+      flags.get_int_at_least("seed", static_cast<std::int64_t>(cfg.seed), 0));
   cfg.cores = static_cast<std::size_t>(
-      flags.get_int("cores", static_cast<std::int64_t>(cfg.cores)));
+      flags.get_int_at_least("cores", static_cast<std::int64_t>(cfg.cores), 1));
   cfg.power_budget = flags.get_double("budget", cfg.power_budget);
   cfg.q_ge = flags.get_double("qge", cfg.q_ge);
 
@@ -48,11 +50,12 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
 
   cfg.quantum = flags.get_double("quantum", cfg.quantum);
   cfg.counter_threshold = static_cast<int>(
-      flags.get_int("counter", cfg.counter_threshold));
+      flags.get_int_at_least("counter", cfg.counter_threshold, 1));
   cfg.critical_load = flags.get_double("critical-load", cfg.critical_load);
   cfg.load_window = flags.get_double("load-window", cfg.load_window);
   cfg.monitor_window = static_cast<std::size_t>(
-      flags.get_int("monitor-window", static_cast<std::int64_t>(cfg.monitor_window)));
+      flags.get_int_at_least("monitor-window",
+                             static_cast<std::int64_t>(cfg.monitor_window), 0));
 
   cfg.discrete_speeds = flags.get_bool("discrete", cfg.discrete_speeds);
   cfg.discrete_step_ghz = flags.get_double("step-ghz", cfg.discrete_step_ghz);
@@ -62,11 +65,13 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.hetero_spread = flags.get_double("hetero-spread", cfg.hetero_spread);
   cfg.failure_time = flags.get_double("failure-time", cfg.failure_time);
   cfg.failure_cores = static_cast<std::size_t>(
-      flags.get_int("failure-cores", static_cast<std::int64_t>(cfg.failure_cores)));
+      flags.get_int_at_least("failure-cores",
+                             static_cast<std::int64_t>(cfg.failure_cores), 0));
 
   // Cluster shape (--servers 1 is the paper's single-server setup).
   cfg.num_servers = static_cast<std::size_t>(
-      flags.get_int("servers", static_cast<std::int64_t>(cfg.num_servers)));
+      flags.get_int_at_least("servers",
+                             static_cast<std::int64_t>(cfg.num_servers), 1));
   const std::string dispatch = flags.get_string("dispatch", "");
   if (!dispatch.empty()) {
     cfg.dispatch = cluster::parse_dispatch_policy(dispatch);
@@ -91,7 +96,8 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   // Multi-tenant workload: tenant count, optional per-tenant Q_GE targets,
   // and the admission-control slack factor (0 disables admission).
   cfg.num_tenants = static_cast<std::size_t>(
-      flags.get_int("tenants", static_cast<std::int64_t>(cfg.num_tenants)));
+      flags.get_int_at_least("tenants",
+                             static_cast<std::int64_t>(cfg.num_tenants), 1));
   cfg.tenant_qge = flags.get_double_list("tenant-qge", cfg.tenant_qge);
   cfg.admission = flags.get_double("admission", cfg.admission);
 
@@ -102,7 +108,8 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   // Streaming replay controls (docs/CLI.md, "Streaming replay").
   cfg.stream = flags.get_bool("stream", cfg.stream);
   cfg.max_jobs = static_cast<std::uint64_t>(
-      flags.get_int("max-jobs", static_cast<std::int64_t>(cfg.max_jobs)));
+      flags.get_int_at_least("max-jobs", static_cast<std::int64_t>(cfg.max_jobs),
+                             0));
   // The simulator has one event queue now; an unknown flag would be ignored
   // silently, so the retired selector is refused outright.
   if (flags.has("event-queue")) {

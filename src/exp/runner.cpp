@@ -149,11 +149,11 @@ void init_tenants(const ExperimentConfig& cfg, JobAccounting& acct) {
 // serial and sharded paths.  Every loop walks jobs in id order and nodes in
 // node order, so the floating-point accumulation sequence depends only on
 // the final state, not on how the run was executed -- this is what makes
-// sharded results bit-identical to serial ones.  `now` is the simulator
-// clock at the end of the run (== horizon on every path).
+// sharded results bit-identical to serial ones.  Both executors stop the
+// clock at `horizon`.
 void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
                       cluster::Cluster& cluster, JobAccounting& acct,
-                      double horizon, double now, RunResult& result) {
+                      double horizon, RunResult& result) {
   result.scheduler = cluster.node(0).scheduler().name();
   result.arrival_rate = cfg.arrival_rate;
   result.duration = cfg.duration;
@@ -176,8 +176,8 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
   double aes = 0.0;
   double bq = 0.0;
   for (std::size_t s = 0; s < cluster.size(); ++s) {
-    aes += cluster.node(s).scheduler().aes_time(now);
-    bq += cluster.node(s).scheduler().bq_time(now);
+    aes += cluster.node(s).scheduler().aes_time(horizon);
+    bq += cluster.node(s).scheduler().bq_time(horizon);
   }
   result.aes_fraction = (aes + bq) > 0.0 ? aes / (aes + bq) : 0.0;
 
@@ -252,155 +252,6 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
   }
 }
 
-// One sharded experiment (docs/DESIGN.md §11): per-server-group simulators
-// advanced by worker threads, with a barrier at every cross-shard event.
-// Only materialised, telemetry-free runs shard (run_simulation_impl routes
-// here); results are bit-identical to the serial path because
-//   * setup and every cross-shard event run in the serial stamp context,
-//     whose shared counter reproduces the serial push order, so each
-//     queue's (time, seq) order is the serial order projected onto it;
-//   * a shard's servers interact with nothing outside the shard between
-//     cross-shard events, so their state evolution is the serial one;
-//   * finalize_results only walks final state, in id / node order.
-RunResult run_simulation_sharded(const ExperimentConfig& cfg,
-                                 const SchedulerSpec& spec,
-                                 const workload::Trace& trace,
-                                 Timeline* timeline, std::size_t nshards) {
-  const power::PowerModel pm = cfg.power_model();
-  const double budget = effective_budget(spec, cfg);
-  const std::unique_ptr<quality::QualityFunction> fp = cfg.make_quality_function();
-  const quality::QualityFunction& f = *fp;
-
-  sim::ShardStamper stamper(nshards);
-  sim::ScopedStampContext setup_scope(stamper.serial_context());
-
-  sim::Simulator global_sim;
-  global_sim.set_stamp_mode(true);
-  std::vector<std::unique_ptr<sim::Simulator>> shard_sims;
-  shard_sims.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) {
-    shard_sims.push_back(std::make_unique<sim::Simulator>());
-    shard_sims.back()->set_stamp_mode(true);
-  }
-  // Contiguous server blocks per shard, balanced to within one server.
-  std::vector<sim::Simulator*> node_sims(cfg.num_servers);
-  for (std::size_t s = 0; s < cfg.num_servers; ++s) {
-    node_sims[s] = shard_sims[s * nshards / cfg.num_servers].get();
-  }
-
-  cluster::Cluster cluster(
-      cfg.cluster_node_specs(budget), f,
-      [&spec, &cfg](const sched::SchedulerEnv& env,
-                    const power::DiscreteSpeedTable* table) {
-        return make_scheduler(spec, env, cfg, table);
-      },
-      cfg.dispatch, cfg.seed, global_sim, node_sims);
-  install_admission(cfg, cluster);
-
-  RunResult result;
-  JobAccounting acct{&f, &result, 0.0, 0.0, {}, {}};
-  init_tenants(cfg, acct);
-  std::vector<workload::Job> jobs = trace.jobs();
-
-  // State-free dispatch policies consult nothing the run mutates, so taking
-  // the decisions at setup replays the exact pick sequence the serial run
-  // makes at the arrival events (same jobs, same order, same private RNG
-  // stream); each arrival and deadline then lives entirely on its server's
-  // shard, and a run without verify/failure/timeline events needs no
-  // barriers at all.  State-reading policies (JSQ, least-energy) must
-  // observe the fleet exactly as the serial run would, so their arrivals
-  // and deadlines become cross-shard barrier events instead -- as must
-  // every arrival of a lifecycle or admission-controlled run, where the
-  // dispatch decision depends on run time state (server availability) or
-  // may not dispatch at all.
-  const bool preroutable =
-      (cfg.dispatch == cluster::DispatchPolicy::kSingle ||
-       cfg.dispatch == cluster::DispatchPolicy::kRandom ||
-       cfg.dispatch == cluster::DispatchPolicy::kRoundRobin) &&
-      !cfg.lifecycle_active() && cfg.admission <= 0.0;
-  for (workload::Job& job : jobs) {
-    if (preroutable) {
-      const std::size_t s = cluster.preroute(&job);
-      sim::Simulator& shard = *node_sims[s];
-      shard.schedule_at(job.arrival, [&cluster, &job] { cluster.deliver(&job); });
-      shard.schedule_at(job.deadline,
-                        [&cluster, &job] { cluster.on_deadline(&job); });
-    } else {
-      global_sim.schedule_at(job.arrival,
-                             [&cluster, &job] { cluster.on_job_arrival(&job); });
-      global_sim.schedule_at(job.deadline,
-                             [&cluster, &job] { cluster.on_deadline(&job); });
-    }
-  }
-
-  if (cfg.verify_power) {
-    // Reads every server: a cross-shard event, exact at the barrier.
-    const double step = 0.01;
-    for (double t = step; t < cfg.duration + cfg.deadline_interval_max; t += step) {
-      global_sim.schedule_at(t, [&cluster, &global_sim] {
-        for (std::size_t s = 0; s < cluster.size(); ++s) {
-          const server::MulticoreServer& server = cluster.node(s).server();
-          GE_CHECK(server.total_power(global_sim.now()) <=
-                       server.power_budget() * (1.0 + 1e-6) + 1e-6,
-                   "total power exceeded the budget");
-        }
-      });
-    }
-  }
-
-  if (cfg.failure_time >= 0.0 && cfg.failure_cores > 0) {
-    global_sim.schedule_at(cfg.failure_time, [&cluster, &global_sim, &cfg] {
-      server::MulticoreServer& server = cluster.node(cluster.size() - 1).server();
-      const std::size_t n = server.core_count();
-      for (std::size_t i = n - cfg.failure_cores; i < n; ++i) {
-        server.core(i).set_offline(global_sim.now());
-      }
-    });
-  }
-
-  const double horizon = cfg.duration + cfg.deadline_interval_max + 2.0 * cfg.quantum;
-
-  if (timeline != nullptr) {
-    GE_CHECK(timeline->interval > 0.0, "timeline interval must be positive");
-    auto* ge_sched =
-        dynamic_cast<sched::GoodEnoughScheduler*>(&cluster.node(0).scheduler());
-    for (double t = timeline->interval; t < horizon; t += timeline->interval) {
-      global_sim.schedule_at(t, [&cluster, &global_sim, ge_sched, timeline] {
-        TimelinePoint point;
-        point.time = global_sim.now();
-        point.total_power = cluster.total_power(point.time);
-        point.quality = cluster.monitored_quality();
-        point.busy_cores = cluster.busy_cores(point.time);
-        point.backlog = cluster.total_backlog();
-        if (ge_sched != nullptr) {
-          point.mode =
-              ge_sched->mode() == sched::GoodEnoughScheduler::Mode::kBq ? 1 : 0;
-        }
-        timeline->points.push_back(point);
-      });
-    }
-  }
-
-  {
-    std::vector<sim::Simulator*> shard_ptrs;
-    shard_ptrs.reserve(nshards);
-    for (const auto& s : shard_sims) {
-      shard_ptrs.push_back(s.get());
-    }
-    sim::ShardExecutor exec(global_sim, std::move(shard_ptrs), stamper);
-    cluster.start();
-    exec.run(horizon);
-    cluster.finish();
-  }
-
-  acct.responses.reserve(jobs.size());
-  for (const workload::Job& job : jobs) {
-    acct.account(job);
-  }
-  finalize_results(cfg, pm, cluster, acct, horizon, horizon, result);
-  return result;
-}
-
 // Shards only when nothing requires the single serial event sequence: the
 // run must be materialised (streaming drives one global JobStore pipeline)
 // and telemetry-free (trace/metric emission order is the serial event
@@ -414,11 +265,26 @@ std::size_t effective_shard_count(const ExperimentConfig& cfg,
   return std::min(cfg.shards, cfg.num_servers);
 }
 
-// One experiment end to end.  `trace == nullptr` selects the streaming path;
-// everything outside job release/accounting is shared, and release order is
+// One experiment end to end: setup -> execute -> finalize, for both job
+// sources and both executors.
+//
+// Job source: `trace == nullptr` selects the streaming pipeline, otherwise
+// a private copy of `trace` is scheduled up front.  Release order is
 // engineered so the event sequence matches the materialised path wherever
-// the (time, seq) tie order is observable -- see the comments at the
-// streaming block.
+// the (time, seq) tie order is observable -- see the streaming block.
+//
+// Executor (docs/DESIGN.md §11): with nshards == 1 every event runs on
+// `sim`'s serial loop.  Otherwise each contiguous block of servers lives on
+// its own shard simulator, `sim` carries setup and the cross-shard events,
+// and a ShardExecutor advances the shards on worker threads with a barrier
+// at every `sim` event.  Results are bit-identical to the serial loop
+// because
+//   * setup and every cross-shard event run in the serial stamp context,
+//     whose shared counter reproduces the serial push order, so each
+//     queue's (time, seq) order is the serial order projected onto it;
+//   * a shard's servers interact with nothing outside the shard between
+//     cross-shard events, so their state evolution is the serial one;
+//   * finalize_results only walks final state, in id / node order.
 RunResult run_simulation_impl(const ExperimentConfig& cfg,
                               const SchedulerSpec& spec,
                               const workload::Trace* trace, Timeline* timeline,
@@ -426,9 +292,6 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   cfg.validate();
   const std::size_t nshards =
       effective_shard_count(cfg, trace != nullptr, telemetry != nullptr);
-  if (nshards > 1) {
-    return run_simulation_sharded(cfg, spec, *trace, timeline, nshards);
-  }
   sim::Simulator sim;
   // Install telemetry before any component is built: cores and schedulers
   // cache their handles at construction.
@@ -445,18 +308,57 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   const double budget = effective_budget(spec, cfg);
   const std::unique_ptr<quality::QualityFunction> fp = cfg.make_quality_function();
   const quality::QualityFunction& f = *fp;
+  const std::vector<cluster::NodeSpec> node_specs = cfg.cluster_node_specs(budget);
+
+  // Node s runs on node_sims[s]: `sim` itself on a serial run, otherwise
+  // its shard's simulator, in contiguous server blocks balanced to within
+  // one server.
+  std::optional<sim::ShardStamper> stamper;
+  std::vector<std::unique_ptr<sim::Simulator>> shard_sims;
+  std::vector<sim::Simulator*> node_sims(node_specs.size(), &sim);
+  if (nshards > 1) {
+    stamper.emplace(nshards);
+    sim.set_stamp_mode(true);
+    for (std::size_t i = 0; i < nshards; ++i) {
+      shard_sims.push_back(std::make_unique<sim::Simulator>());
+      shard_sims.back()->set_stamp_mode(true);
+    }
+    for (std::size_t s = 0; s < node_sims.size(); ++s) {
+      node_sims[s] = shard_sims[s * nshards / node_sims.size()].get();
+    }
+  }
+  sim::ScopedStampContext setup_scope(stamper ? stamper->serial_context()
+                                              : nullptr);
 
   // Every run is a cluster run; the paper's single server is the one-node
   // cluster with the passthrough dispatcher (bit-identical results -- see
   // src/cluster/cluster.h and the golden test in tests/test_cluster.cpp).
   cluster::Cluster cluster(
-      cfg.cluster_node_specs(budget), f,
+      node_specs, f,
       [&spec, &cfg](const sched::SchedulerEnv& env,
                     const power::DiscreteSpeedTable* table) {
         return make_scheduler(spec, env, cfg, table);
       },
-      cfg.dispatch, cfg.seed, sim);
+      cfg.dispatch, cfg.seed, sim, node_sims);
   install_admission(cfg, cluster);
+
+  // The arrival event of either job source: records kArrival (when tracing),
+  // then hands the job to the dispatcher.  Events capture it by reference,
+  // which keeps each materialised arrival's closure inside std::function's
+  // inline buffer (two pointers) instead of a heap block per job.
+  const auto arrive = [&cluster, trace_buf](workload::Job* job) {
+    if (trace_buf != nullptr) {
+      obs::TraceEvent ev;
+      ev.type = obs::TraceEventType::kArrival;
+      ev.t = job->arrival;
+      ev.job = static_cast<std::int64_t>(job->id);
+      ev.a = job->demand;
+      ev.b = job->deadline;
+      ev.c = static_cast<double>(job->tenant);
+      trace_buf->push(ev);
+    }
+    cluster.on_job_arrival(job);
+  };
 
   // The watchdog observes the trace buffer live, re-deriving each invariant
   // from the same events the analysis layer consumes; violations land in the
@@ -464,7 +366,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   std::unique_ptr<obs::analysis::Watchdog> watchdog;
   if (telemetry != nullptr && telemetry->want_watchdog && trace_buf != nullptr) {
     obs::analysis::WatchdogOptions wopts;
-    for (const cluster::NodeSpec& node : cfg.cluster_node_specs(budget)) {
+    for (const cluster::NodeSpec& node : node_specs) {
       wopts.models.push_back(node.core_models);
       wopts.server_budgets_w.push_back(node.power_budget);
     }
@@ -487,22 +389,34 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   std::function<void()> stage_next;
 
   if (trace != nullptr) {
+    // On a sharded run, state-free dispatch policies consult nothing the
+    // run mutates, so taking the decisions at setup replays the exact pick
+    // sequence the serial run makes at the arrival events (same jobs, same
+    // order, same private RNG stream); each arrival and deadline then lives
+    // entirely on its server's shard, and a run without verify/failure/
+    // timeline events needs no barriers at all.  State-reading policies
+    // (JSQ, least-energy) must observe the fleet exactly as the serial run
+    // would, so their arrivals and deadlines stay on `sim` as cross-shard
+    // barrier events -- as must every arrival of a lifecycle or
+    // admission-controlled run, where the dispatch decision depends on run
+    // time state (server availability) or may not dispatch at all.  A
+    // serial run always dispatches at arrival time, after its kArrival.
+    const bool preroute =
+        nshards > 1 &&
+        (cfg.dispatch == cluster::DispatchPolicy::kSingle ||
+         cfg.dispatch == cluster::DispatchPolicy::kRandom ||
+         cfg.dispatch == cluster::DispatchPolicy::kRoundRobin) &&
+        !cfg.lifecycle_active() && cfg.admission <= 0.0;
     jobs = trace->jobs();
     for (workload::Job& job : jobs) {
-      sim.schedule_at(job.arrival, [&cluster, &job, trace_buf] {
-        if (trace_buf != nullptr) {
-          obs::TraceEvent ev;
-          ev.type = obs::TraceEventType::kArrival;
-          ev.t = job.arrival;
-          ev.job = static_cast<std::int64_t>(job.id);
-          ev.a = job.demand;
-          ev.b = job.deadline;
-          ev.c = static_cast<double>(job.tenant);
-          trace_buf->push(ev);
-        }
-        cluster.on_job_arrival(&job);
-      });
-      sim.schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
+      sim::Simulator* owner = &sim;
+      if (preroute) {
+        owner = node_sims[cluster.preroute(&job)];
+        owner->schedule_at(job.arrival, [&cluster, &job] { cluster.deliver(&job); });
+      } else {
+        sim.schedule_at(job.arrival, [&arrive, &job] { arrive(&job); });
+      }
+      owner->schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
     }
   } else {
     // The quarantine must outlast every scheduler-side reference to a
@@ -524,7 +438,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
       st->staged = std::move(job);
       sim.schedule_at(at, release_staged);
     };
-    release_staged = [&cluster, &sim, &st, &stage_next, &acct, trace_buf] {
+    release_staged = [&cluster, &sim, &st, &stage_next, &acct, &arrive] {
       st->store.reclaim(sim.now());
       workload::Job* job = st->store.acquire(*st->staged);
       st->staged.reset();
@@ -546,23 +460,14 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
         }
       });
       stage_next();
-      if (trace_buf != nullptr) {
-        obs::TraceEvent ev;
-        ev.type = obs::TraceEventType::kArrival;
-        ev.t = job->arrival;
-        ev.job = static_cast<std::int64_t>(job->id);
-        ev.a = job->demand;
-        ev.b = job->deadline;
-        ev.c = static_cast<double>(job->tenant);
-        trace_buf->push(ev);
-      }
-      cluster.on_job_arrival(job);
+      arrive(job);
     };
     stage_next();  // first arrival gets seq 1, like the materialised path
   }
 
   if (cfg.verify_power) {
     // Sample total power on a grid; no server may exceed its own budget.
+    // Reads every server: a cross-shard event, exact at the barrier.
     const double step = 0.01;
     for (double t = step; t < cfg.duration + cfg.deadline_interval_max; t += step) {
       sim.schedule_at(t, [&cluster, &sim] {
@@ -618,7 +523,15 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     obs::ScopedTimer run_timer(
         tel_view.profile != nullptr ? &tel_view.profile->sim_run : nullptr);
     cluster.start();
-    sim.run_until(horizon);
+    if (stamper) {
+      std::vector<sim::Simulator*> shard_ptrs;
+      for (const std::unique_ptr<sim::Simulator>& shard : shard_sims) {
+        shard_ptrs.push_back(shard.get());
+      }
+      sim::ShardExecutor(sim, std::move(shard_ptrs), *stamper).run(horizon);
+    } else {
+      sim.run_until(horizon);
+    }
     cluster.finish();
   }
 
@@ -634,7 +547,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     GE_CHECK(st->retired.empty(), "retired jobs stuck in the reorder buffer");
     GE_CHECK(st->store.in_flight() == 0, "jobs still in flight after drain");
   }
-  finalize_results(cfg, pm, cluster, acct, horizon, sim.now(), result);
+  finalize_results(cfg, pm, cluster, acct, horizon, result);
 
   if (watchdog != nullptr) {
     obs::analysis::Watchdog::Totals totals;
@@ -739,16 +652,6 @@ RunResult run_simulation_stream(const ExperimentConfig& cfg,
                                 const SchedulerSpec& spec, Timeline* timeline,
                                 obs::RunTelemetry* telemetry) {
   return run_simulation_impl(cfg, spec, nullptr, timeline, telemetry);
-}
-
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace) {
-  return run_simulation(cfg, spec, trace, nullptr);
-}
-
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace, Timeline* timeline) {
-  return run_simulation(cfg, spec, trace, timeline, nullptr);
 }
 
 RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,

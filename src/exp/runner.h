@@ -1,11 +1,17 @@
 // Simulation runner: wires workload -> scheduler -> server -> metrics and
 // executes one experiment end to end.
 //
-// The workload is materialised as a Trace up front so that every scheduler
-// compared at the same sweep point sees byte-identical randomness.  The run
-// releases arrivals for `duration` seconds, drains until every released job
-// settles (each job has a deadline event, so the drain is bounded by the
-// deadline window), and then aggregates the paper's metrics.
+// Jobs come from one of two sources.  A materialised Trace is scheduled up
+// front, so every scheduler compared at the same sweep point sees
+// byte-identical randomness; the streaming source (cfg.stream) generates
+// and releases jobs on the fly instead.  The events then run on one of two
+// executors: the serial event loop, or -- for a materialised, telemetry-free
+// run with cfg.shards > 1 -- a sharded loop that advances contiguous server
+// blocks on worker threads (docs/DESIGN.md §11).  Every combination gives
+// bit-identical results.  The run releases arrivals for `duration` seconds,
+// drains until every released job settles (each job has a deadline event,
+// so the drain is bounded by the deadline window), and then aggregates the
+// paper's metrics.
 #pragma once
 
 #include <cstdint>
@@ -130,22 +136,15 @@ RunResult run_simulation_stream(const ExperimentConfig& cfg,
                                 obs::RunTelemetry* telemetry = nullptr);
 
 // Runs the scheduler on a caller-provided trace (shared across schedulers).
+// A non-null `timeline` is sampled every `timeline->interval` seconds (the
+// interval must be positive).  A non-null `telemetry` records metrics and,
+// if telemetry->want_trace, trace events; the registry and buffer are
+// filled per run, and callers (the experiment engine) merge them across
+// runs in task order so output stays deterministic.  See
+// docs/OBSERVABILITY.md for the schema.
 RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace);
-
-// As above, additionally sampling a state timeline every
-// `timeline->interval` seconds into `timeline` (interval must be positive).
-struct Timeline;
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace, Timeline* timeline);
-
-// As above, additionally recording telemetry (metrics and, if
-// telemetry->want_trace, trace events) into `telemetry`.  Either pointer may
-// be null.  The registry and buffer are filled per run; callers (the
-// experiment engine) merge them across runs in task order so output stays
-// deterministic.  See docs/OBSERVABILITY.md for the schema.
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace, Timeline* timeline,
-                         obs::RunTelemetry* telemetry);
+                         const workload::Trace& trace,
+                         Timeline* timeline = nullptr,
+                         obs::RunTelemetry* telemetry = nullptr);
 
 }  // namespace ge::exp

@@ -36,6 +36,7 @@
 #include "exp/config.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
+#include "exp/timeline.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
 #include "sim/shard_exec.h"
@@ -796,15 +797,38 @@ TEST(ShardGoldens, SerialAndShardedReproducePreRefactorResults) {
         cases[i].cfg.workload_spec(), cases[i].cfg.duration);
     const SchedulerSpec spec = SchedulerSpec::parse(cases[i].sched);
 
+    // The verify-power sampler and timeline sampling ride along as
+    // cross-shard events; neither may perturb the run, and the timeline
+    // must sample the same fleet state under both executors.
     ExperimentConfig serial_cfg = cases[i].cfg;
     serial_cfg.shards = 1;
-    expect_matches_golden(run_simulation(serial_cfg, spec, trace),
-                          kGoldens[i]);
+    serial_cfg.verify_power = true;
+    Timeline serial_timeline;
+    serial_timeline.interval = 0.05;
+    expect_matches_golden(
+        run_simulation(serial_cfg, spec, trace, &serial_timeline), kGoldens[i]);
 
     ExperimentConfig sharded_cfg = cases[i].cfg;
     sharded_cfg.shards = 4;
-    expect_matches_golden(run_simulation(sharded_cfg, spec, trace),
-                          kGoldens[i]);
+    sharded_cfg.verify_power = true;
+    Timeline sharded_timeline;
+    sharded_timeline.interval = 0.05;
+    expect_matches_golden(
+        run_simulation(sharded_cfg, spec, trace, &sharded_timeline), kGoldens[i]);
+
+    ASSERT_FALSE(serial_timeline.empty());
+    ASSERT_EQ(serial_timeline.points.size(), sharded_timeline.points.size());
+    for (std::size_t k = 0; k < serial_timeline.points.size(); ++k) {
+      SCOPED_TRACE("timeline point " + std::to_string(k));
+      const TimelinePoint& a = serial_timeline.points[k];
+      const TimelinePoint& b = sharded_timeline.points[k];
+      EXPECT_EQ(a.time, b.time);
+      EXPECT_EQ(a.total_power, b.total_power);
+      EXPECT_EQ(a.quality, b.quality);
+      EXPECT_EQ(a.busy_cores, b.busy_cores);
+      EXPECT_EQ(a.backlog, b.backlog);
+      EXPECT_EQ(a.mode, b.mode);
+    }
   }
 }
 

@@ -1,8 +1,9 @@
-# Runs ge_report and ge_dashboard on each malformed flag value and requires
-# a clean exit 2 with a one-line message naming the flag, not an abort.
+# Runs ge_report, ge_dashboard and ge_sweep on each malformed flag value
+# and requires a clean exit 2 with a one-line message naming the flag, not
+# an abort or a value wrapped through an unsigned cast.
 #
-#   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DREPORT_DIR=dir
-#         -P check_flag_errors.cmake
+#   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DGE_SWEEP=path
+#         -DREPORT_DIR=dir -P check_flag_errors.cmake
 #
 # REPORT_DIR must be a valid report directory, so a failure to load it can
 # never stand in for the flag error.
@@ -20,7 +21,17 @@ set(cases
   "ge_dashboard|bins|-1"
   "ge_dashboard|gantt-cap|-5"
   "ge_dashboard|gantt-cap|abc"
-  "ge_dashboard|speed-bin|abc")
+  "ge_dashboard|speed-bin|abc"
+  "ge_sweep|servers|-1"
+  "ge_sweep|servers|abc"
+  "ge_sweep|cores|-2"
+  "ge_sweep|cores|abc"
+  "ge_sweep|tenants|0"
+  "ge_sweep|counter|0"
+  "ge_sweep|failure-cores|-1"
+  "ge_sweep|monitor-window|-3"
+  "ge_sweep|max-jobs|-5"
+  "ge_sweep|seed|-1")
 
 set(failures 0)
 foreach(entry IN LISTS cases)
@@ -30,8 +41,10 @@ foreach(entry IN LISTS cases)
   list(GET parts 2 value)
   if(tool STREQUAL "ge_report")
     set(cmd "${GE_REPORT}" --report "${REPORT_DIR}" --out flag_errors_out)
-  else()
+  elseif(tool STREQUAL "ge_dashboard")
     set(cmd "${GE_DASHBOARD}" --report "${REPORT_DIR}" --out flag_errors.html)
+  else()
+    set(cmd "${GE_SWEEP}" --schedulers GE --seconds 0.1 --progress false)
   endif()
   execute_process(COMMAND ${cmd} --${flag} ${value}
                   RESULT_VARIABLE status
