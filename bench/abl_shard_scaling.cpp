@@ -6,18 +6,23 @@
 // serial one by a single bit, so the table doubles as an end-to-end
 // determinism check.
 //
-// Two regimes, one panel per rate each:
+// Three panels per rate:
 //
 //  * prerouted -- plain round-robin dispatch is state-free, so the sharded
 //    run needs *zero* cross-shard barriers: shards only synchronise at the
 //    final horizon, the best case for scaling.  Speedup is bounded by
 //    physical cores; every shard has its own worker thread, so counts above
 //    the core count time-share.
-//  * barrier-dense -- the same fleet with lifecycle churn, wake costs,
-//    three tenants and admission control.  Pre-routing is off, so every
-//    arrival and deadline is a cross-shard barrier and most epochs have at
-//    most one shard with work; this measures the executor's per-epoch cost
-//    (a lone busy shard runs on the coordinator, idle shards are skipped).
+//  * prerouted (churn + admission) -- the same fleet with lifecycle churn,
+//    wake costs, three tenants and admission control (the perfbench
+//    `fleet_sharded` shape).  Dispatch is still planned at setup against
+//    the precomputed availability windows, so only the lifecycle
+//    transitions (a few per window) are cross-shard barriers.
+//  * barrier-dense (churn + admission, jsq) -- that fleet under
+//    join-shortest-queue, which reads live load: every arrival and deadline
+//    is a cross-shard barrier and most epochs have at most one shard with
+//    work; this measures the executor's per-epoch cost (a lone busy shard
+//    runs on the coordinator, idle shards are skipped).
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -95,8 +100,8 @@ void run_panel(const ge::bench::FigureContext& ctx,
       ctx, caption, table,
       "results are bit-identical across rows by construction; prerouted wall "
       "time drops toward 1/min(shards, cores) of the serial loop on multicore "
-      "hosts (no cross-shard barriers), and barrier-dense wall time stays "
-      "near serial");
+      "hosts (no or few cross-shard barriers), and barrier-dense wall time "
+      "stays near serial");
 }
 
 }  // namespace
@@ -131,7 +136,11 @@ int main(int argc, char** argv) {
     cfg.num_tenants = 3;
     cfg.tenant_qge = {0.95, 0.9, 0.8};
     cfg.admission = 1.5;
-    run_panel(ctx, cfg, "barrier-dense (churn + admission)", rate_per_server);
+    run_panel(ctx, cfg, "prerouted (churn + admission)", rate_per_server);
+
+    cfg.dispatch = cluster::DispatchPolicy::kJsq;
+    run_panel(ctx, cfg, "barrier-dense (churn + admission, jsq)",
+              rate_per_server);
   }
   return 0;
 }

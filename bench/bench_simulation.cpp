@@ -145,11 +145,12 @@ void BM_SimulateGE_Cluster8_Shards4(benchmark::State& state) {
   run_cluster8(state, 4);
 }
 
-// The barrier-dense regime: the same 8-server round-robin fleet at 140
-// req/s per server with churn, wake costs, three tenants and admission
-// (the perfbench `fleet_sharded` shape at a 5 s horizon).  Lifecycle and
-// admission turn pre-routing off, so every arrival and deadline is a
-// cross-shard barrier; the row pair measures the executor's per-epoch cost.
+// The lifecycle regime: the same 8-server round-robin fleet at 140 req/s
+// per server with churn, wake costs, three tenants and admission (the
+// perfbench `fleet_sharded` shape at a 5 s horizon).  Dispatch, admission
+// and the churn windows are all planned at setup, so only the lifecycle
+// transitions are cross-shard barriers (bench/abl_shard_scaling keeps a
+// barrier-dense jsq panel).
 void run_cluster8_churn(benchmark::State& state, std::size_t shards) {
   ge::exp::ExperimentConfig cfg = bench_config(8.0 * 140.0);
   cfg.num_servers = 8;

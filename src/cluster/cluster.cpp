@@ -1,7 +1,11 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -158,6 +162,108 @@ void Cluster::deliver(workload::Job* job) {
   nodes_[server_of(*job)]->scheduler_->on_job_arrival(job);
 }
 
+std::vector<Cluster::Route> Cluster::plan_dispatch(
+    std::vector<workload::Job>& jobs) {
+  GE_CHECK(is_state_free(dispatcher_->policy()),
+           "plan_dispatch needs a state-free dispatch policy");
+  GE_CHECK(sim_->telemetry() == nullptr,
+           "plan_dispatch would emit trace events out of order");
+  GE_CHECK(std::is_sorted(jobs.begin(), jobs.end(),
+                          [](const workload::Job& a, const workload::Job& b) {
+                            return a.arrival < b.arrival;
+                          }),
+           "plan_dispatch needs jobs sorted by arrival");
+
+  // The transitions that change dispatchability, in serial event order:
+  // start() registers them node by node, each node's in time order, so a
+  // stable sort by time reproduces the (time, seq) order.
+  struct Flip {
+    double at;
+    std::size_t node;
+    bool online;
+  };
+  std::vector<Flip> flips;
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    if (nodes_[s]->lifecycle_ == nullptr) continue;
+    for (const LifecycleTransition& tr : nodes_[s]->lifecycle_->transitions()) {
+      if (tr.kind == LifecycleTransition::Kind::kLeaveService ||
+          tr.kind == LifecycleTransition::Kind::kCompleteWake) {
+        flips.push_back(
+            {tr.at, s, tr.kind == LifecycleTransition::Kind::kCompleteWake});
+      }
+    }
+  }
+  std::stable_sort(flips.begin(), flips.end(),
+                   [](const Flip& a, const Flip& b) { return a.at < b.at; });
+
+  std::vector<Route> routes(jobs.size(), Route::kArrival);
+  planned_online_.assign(nodes_.size(), 1);
+  std::size_t online = nodes_.size();
+  // The planned pending queue: held job indices in arrival order, plus
+  // their deadlines as a min-heap keyed like the serial deadline events.
+  std::vector<std::size_t> held;
+  using Expiry = std::pair<double, std::size_t>;  // (deadline, job index)
+  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
+  // Settles every held job whose deadline event precedes the serial event
+  // at (t, job index `before`); a transition at t passes `before` = SIZE_MAX
+  // since every job event at t precedes it.
+  const auto expire = [&](double t, std::size_t before) {
+    while (!expiries.empty() &&
+           (expiries.top().first < t ||
+            (expiries.top().first == t && expiries.top().second < before))) {
+      const std::size_t i = expiries.top().second;
+      expiries.pop();
+      ++expired_in_queue_;
+      settle_at_dispatcher(&jobs[i], jobs[i].deadline);
+      routes[i] = Route::kSettled;
+    }
+  };
+
+  constexpr std::size_t kAfterJobs = std::numeric_limits<std::size_t>::max();
+  std::size_t next_flip = 0;
+  for (std::size_t i = 0; i <= jobs.size(); ++i) {
+    const double t = i < jobs.size() ? jobs[i].arrival
+                                     : std::numeric_limits<double>::infinity();
+    for (; next_flip < flips.size() && flips[next_flip].at < t; ++next_flip) {
+      const Flip& flip = flips[next_flip];
+      planned_online_[flip.node] = flip.online ? 1 : 0;
+      if (!flip.online) {
+        --online;
+        continue;
+      }
+      ++online;
+      // complete_wake -> flush_pending, at this flip's availability.
+      expire(flip.at, kAfterJobs);
+      for (const std::size_t h : held) {
+        if (!jobs[h].settled) preroute(&jobs[h]);
+      }
+      held.clear();
+      expiries = {};
+    }
+    if (i == jobs.size()) break;
+    workload::Job& job = jobs[i];
+    if (admission_ != nullptr && !admission_(job)) {
+      ++rejected_;
+      settle_at_dispatcher(&job, job.arrival);
+      routes[i] = Route::kSettled;
+    } else if (online == 0) {
+      expire(job.arrival, i);
+      held.push_back(i);
+      expiries.push({job.deadline, i});
+      pending_peak_ = std::max(pending_peak_, expiries.size());
+      routes[i] = Route::kHeld;
+    } else {
+      preroute(&job);
+    }
+  }
+  // No wake left: every job still queued expires at its deadline.
+  expire(std::numeric_limits<double>::infinity(), kAfterJobs);
+  planned_online_.clear();
+  return routes;
+}
+
+void Cluster::hold(workload::Job* job) { pending_.push_back(job); }
+
 void Cluster::on_deadline(workload::Job* job) {
   if (job->server == workload::kUnassigned) {
     // Never dispatched: either admission-rejected (already settled) or
@@ -200,7 +306,7 @@ void Cluster::flush_pending() {
     workload::Job* job = pending_.front();
     pending_.pop_front();
     if (job->settled) continue;  // expired jobs are erased eagerly; belt+braces
-    preroute(job);
+    if (job->server == workload::kUnassigned) preroute(job);
     deliver(job);
   }
 }
@@ -239,6 +345,7 @@ std::size_t Cluster::online_cores(std::size_t server) const {
 }
 
 bool Cluster::dispatchable(std::size_t server) const {
+  if (!planned_online_.empty()) return planned_online_[server] != 0;
   const auto& lifecycle = nodes_[server]->lifecycle_;
   return lifecycle == nullptr || lifecycle->dispatchable();
 }

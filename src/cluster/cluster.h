@@ -149,14 +149,36 @@ class Cluster final : public DispatchView {
   void on_deadline(workload::Job* job);     // forward to the job's node
   void finish();                            // scheduler->finish(), node order
 
-  // The two halves of on_job_arrival, split so the sharded runner can take
-  // the dispatch decision at setup (state-free policies only: the pick
-  // sequence is then identical to the serial run's) and deliver the job on
-  // its owning shard.  preroute() picks the node, stamps job->server,
-  // counts the dispatch and emits the kDispatch trace event; deliver()
-  // hands the prerouted job to its node's scheduler.
+  // The two halves of on_job_arrival's dispatch.  preroute() picks the
+  // node, stamps job->server, counts the dispatch and emits the kDispatch
+  // trace event; deliver() hands the prerouted job to its node's scheduler.
   std::size_t preroute(workload::Job* job);
   void deliver(workload::Job* job);
+
+  // -- setup-time dispatch (sharded runs, docs/DESIGN.md §11) ---------------
+  // What plan_dispatch decided for one job, and so which events it needs.
+  enum class Route : std::uint8_t {
+    kSettled,  // admission-rejected, or expired while queued: no events
+    kArrival,  // dispatched at arrival: deliver() and deadline on its node
+    kHeld,     // arrived to a dark fleet: hold() at arrival, delivered to
+               // its planned node by the next completed wake's flush
+  };
+
+  // Replays, before the run, every dispatch decision the serial run would
+  // take for `jobs` (sorted by arrival, the Trace order), for a state-free
+  // policy (is_state_free) on a telemetry-free run.  The replay sweeps the
+  // arrivals in (arrival, index) order together with the lifecycle
+  // transitions; at equal times job events come first, because the runner
+  // schedules every job event before start() registers the transitions.
+  // It drives the real dispatcher -- so the rr cursor and the random
+  // stream advance exactly as in the serial run -- while dispatchable()
+  // reads the planned availability.  Rejections and in-queue expiries are
+  // settled here (counted in rejected() / expired_in_queue() /
+  // pending_peak()), and every other job leaves with job->server set.
+  // Assumes the run executes every job's deadline event.
+  std::vector<Route> plan_dispatch(std::vector<workload::Job>& jobs);
+  // Arrival of a kHeld job: queue it for the next completed wake.
+  void hold(workload::Job* job);
 
   // Node the job was dispatched to; checked error if it never arrived.
   std::size_t server_of(const workload::Job& job) const;
@@ -211,8 +233,9 @@ class Cluster final : public DispatchView {
   // and emits the settlement trace event the watchdog's conservation checks
   // expect.
   void settle_at_dispatcher(workload::Job* job, double finish_time);
-  // Re-dispatches every queued, unsettled job in arrival order; called when
-  // a wake completes.
+  // Re-dispatches every queued, unsettled job in arrival order -- to its
+  // planned node when plan_dispatch already picked one; called when a
+  // wake completes.
   void flush_pending();
   bool any_dispatchable() const;
 
@@ -222,6 +245,9 @@ class Cluster final : public DispatchView {
   std::size_t total_cores_ = 0;
   bool lifecycle_active_ = false;
   AdmissionHook admission_;
+  // Per-node availability while plan_dispatch runs (empty otherwise);
+  // dispatchable() reads it instead of the live lifecycle state.
+  std::vector<char> planned_online_;
   std::deque<workload::Job*> pending_;
   std::size_t pending_peak_ = 0;
   std::uint64_t rejected_ = 0;

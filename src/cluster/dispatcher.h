@@ -49,6 +49,15 @@ enum class DispatchPolicy {
 // "single", "random", "rr", "jsq", "least-energy".
 const char* to_string(DispatchPolicy policy) noexcept;
 
+// True for the policies whose picks read no load or energy state -- only
+// the pick order and per-server dispatchability -- so a sharded run can
+// take every decision at setup (Cluster::plan_dispatch).
+constexpr bool is_state_free(DispatchPolicy policy) noexcept {
+  return policy == DispatchPolicy::kSingle ||
+         policy == DispatchPolicy::kRandom ||
+         policy == DispatchPolicy::kRoundRobin;
+}
+
 // Parses the names above (aliases: "round-robin" for rr, "power" for
 // least-energy); case-insensitive, checked error on anything else.
 DispatchPolicy parse_dispatch_policy(const std::string& name);

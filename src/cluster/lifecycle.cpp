@@ -40,6 +40,17 @@ void LifecycleSpec::validate() const {
 
 ServerLifecycle::ServerLifecycle(LifecycleSpec spec) : spec_(std::move(spec)) {
   spec_.validate();
+  using Kind = LifecycleTransition::Kind;
+  for (const AvailabilityWindow& w : spec_.windows) {
+    transitions_.push_back({w.off_at, Kind::kLeaveService});
+    if (spec_.drain_grace_s > 0.0 && w.off_at + spec_.drain_grace_s < w.on_at) {
+      transitions_.push_back({w.off_at + spec_.drain_grace_s, Kind::kPowerOff});
+    }
+    if (spec_.wake_latency_s > 0.0) {
+      transitions_.push_back({w.on_at, Kind::kBeginWake});
+    }
+    transitions_.push_back({w.on_at + spec_.wake_latency_s, Kind::kCompleteWake});
+  }
 }
 
 double ServerLifecycle::offline_s(double now) const noexcept {
@@ -58,23 +69,10 @@ void ServerLifecycle::schedule(sim::Simulator& sim,
     // from t=0 without special-casing the first window.
     transition_observer_(0.0, state_);
   }
-  // All transitions are known up front, so register them all here: when the
-  // sharded runner calls this inside the serial stamp context, every
-  // transition becomes a deterministic cross-shard barrier event.
-  for (const AvailabilityWindow& w : spec_.windows) {
-    const double off_at = w.off_at;
-    sim.schedule_at(off_at, [this, off_at] { leave_service(off_at); });
-    if (spec_.drain_grace_s > 0.0 &&
-        w.off_at + spec_.drain_grace_s < w.on_at) {
-      const double off_done = w.off_at + spec_.drain_grace_s;
-      sim.schedule_at(off_done, [this, off_done] { power_off(off_done); });
-    }
-    const double online_at = w.on_at + spec_.wake_latency_s;
-    if (spec_.wake_latency_s > 0.0) {
-      const double wake_at = w.on_at;
-      sim.schedule_at(wake_at, [this, wake_at] { begin_wake(wake_at); });
-    }
-    sim.schedule_at(online_at, [this, online_at] { complete_wake(online_at); });
+  // Capturing the index keeps each closure inside std::function's inline
+  // buffer.
+  for (std::size_t i = 0; i < transitions_.size(); ++i) {
+    sim.schedule_at(transitions_[i].at, [this, i] { apply(transitions_[i]); });
   }
 }
 
@@ -82,6 +80,19 @@ void ServerLifecycle::enter(double now, ServerState next) {
   state_ = next;
   if (transition_observer_) {
     transition_observer_(now, next);
+  }
+}
+
+void ServerLifecycle::apply(const LifecycleTransition& transition) {
+  switch (transition.kind) {
+    case LifecycleTransition::Kind::kLeaveService:
+      return leave_service(transition.at);
+    case LifecycleTransition::Kind::kPowerOff:
+      return power_off(transition.at);
+    case LifecycleTransition::Kind::kBeginWake:
+      return begin_wake(transition.at);
+    case LifecycleTransition::Kind::kCompleteWake:
+      return complete_wake(transition.at);
   }
 }
 

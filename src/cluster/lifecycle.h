@@ -16,13 +16,17 @@
 // exec-slice energy identity (watchdog / ge_report cross-check) keeps
 // holding bit-exactly.
 //
-// Determinism: every transition is computed up front from the spec --
-// schedule() registers plain simulator events, so lifecycle runs inherit
-// the engine's bit-identity contract (the sharded runner schedules them in
-// the serial stamp context, making each transition a cross-shard barrier
-// event; see docs/DESIGN.md §11).  The windows themselves come from the
-// experiment config: either an explicit fleet-wide window or per-server
-// churn traces drawn from a dedicated RNG stream
+// Determinism: every transition is computed up front from the spec
+// (transitions()) -- schedule() registers them as plain simulator events,
+// so lifecycle runs inherit the engine's bit-identity contract.  Because
+// the list is known at setup, so is every server's dispatchability at any
+// instant: a sharded run with a state-free dispatch policy replays the
+// serial pick sequence against it before the run starts
+// (Cluster::plan_dispatch), and only the transitions themselves -- a few
+// per window -- stay cross-shard barrier events, scheduled in the serial
+// stamp context (docs/DESIGN.md §11).  The windows themselves come from
+// the experiment config: either an explicit fleet-wide window or
+// per-server churn traces drawn from a dedicated RNG stream
 // (ExperimentConfig::cluster_node_specs).
 #pragma once
 
@@ -72,6 +76,19 @@ struct LifecycleSpec {
   void validate() const;
 };
 
+// One precomputed state change.  Only kLeaveService and kCompleteWake
+// change dispatchability.
+struct LifecycleTransition {
+  enum class Kind : std::uint8_t {
+    kLeaveService,  // ONLINE -> DRAINING (or OFF when there is no grace)
+    kPowerOff,      // DRAINING -> OFF
+    kBeginWake,     // OFF -> WAKING
+    kCompleteWake,  // -> ONLINE; charges setup energy
+  };
+  double at = 0.0;
+  Kind kind = Kind::kLeaveService;
+};
+
 class ServerLifecycle {
  public:
   explicit ServerLifecycle(LifecycleSpec spec);
@@ -88,7 +105,13 @@ class ServerLifecycle {
 
   const LifecycleSpec& spec() const noexcept { return spec_; }
 
-  // Registers every transition of every window as simulator events.
+  // Every transition of every window, in time order -- which is also the
+  // order schedule() registers them in.
+  const std::vector<LifecycleTransition>& transitions() const noexcept {
+    return transitions_;
+  }
+
+  // Registers every transition as a simulator event.
   // `on_online` fires after each completed wake (the cluster re-dispatches
   // its pending queue there); it may be null.  Call exactly once, before
   // the run starts.
@@ -104,12 +127,14 @@ class ServerLifecycle {
 
  private:
   void enter(double now, ServerState next);  // state_ = next; notify observer
-  void leave_service(double now);  // -> DRAINING (or OFF when no grace)
-  void power_off(double now);      // DRAINING -> OFF
-  void begin_wake(double now);     // OFF -> WAKING
-  void complete_wake(double now);  // -> ONLINE; charges setup energy
+  void apply(const LifecycleTransition& transition);
+  void leave_service(double now);
+  void power_off(double now);
+  void begin_wake(double now);
+  void complete_wake(double now);
 
   LifecycleSpec spec_;
+  std::vector<LifecycleTransition> transitions_;
   ServerState state_ = ServerState::kOnline;
   std::uint64_t wakes_ = 0;
   double setup_energy_accum_j_ = 0.0;

@@ -190,8 +190,7 @@ struct ExperimentConfig {
   std::unique_ptr<quality::QualityFunction> make_quality_function() const;
 
   // True when any server carries availability windows (churn or an explicit
-  // off_at/on_at window); such runs route every arrival through the cluster
-  // (no preroute-at-setup in the sharded runner).
+  // off_at/on_at window).
   bool lifecycle_active() const noexcept {
     return churn > 0.0 || (off_at >= 0.0 && on_at > off_at);
   }

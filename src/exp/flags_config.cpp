@@ -123,7 +123,7 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
 
 ExecutionOptions parse_execution_options(const util::Flags& flags) {
   ExecutionOptions exec;
-  exec.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
+  exec.jobs = static_cast<std::size_t>(flags.get_int_at_least("jobs", 0, 0));
   // Progress goes to stderr; default it on only for interactive runs so CI
   // logs and `2> file` captures stay clean.
   exec.progress = flags.get_bool("progress", isatty(STDERR_FILENO) != 0);

@@ -389,34 +389,43 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   std::function<void()> stage_next;
 
   if (trace != nullptr) {
-    // On a sharded run, state-free dispatch policies consult nothing the
-    // run mutates, so taking the decisions at setup replays the exact pick
-    // sequence the serial run makes at the arrival events (same jobs, same
-    // order, same private RNG stream); each arrival and deadline then lives
-    // entirely on its server's shard, and a run without verify/failure/
-    // timeline events needs no barriers at all.  State-reading policies
-    // (JSQ, least-energy) must observe the fleet exactly as the serial run
-    // would, so their arrivals and deadlines stay on `sim` as cross-shard
-    // barrier events -- as must every arrival of a lifecycle or
-    // admission-controlled run, where the dispatch decision depends on run
-    // time state (server availability) or may not dispatch at all.  A
-    // serial run always dispatches at arrival time, after its kArrival.
-    const bool preroute =
-        nshards > 1 &&
-        (cfg.dispatch == cluster::DispatchPolicy::kSingle ||
-         cfg.dispatch == cluster::DispatchPolicy::kRandom ||
-         cfg.dispatch == cluster::DispatchPolicy::kRoundRobin) &&
-        !cfg.lifecycle_active() && cfg.admission <= 0.0;
+    // On a sharded run with a state-free dispatch policy, every dispatch
+    // decision is taken at setup: the admission screen is a pure function
+    // of the job and the lifecycle windows are known up front, so
+    // Cluster::plan_dispatch replays the serial pick sequence exactly (same
+    // jobs, same order, same private RNG stream, same availability).  A
+    // rejected or in-queue-expired job then needs no event at all, a job
+    // dispatched at arrival lives entirely on its server's shard, and only
+    // a job arriving to a fully dark fleet keeps its arrival on `sim`,
+    // where it queues for the wake (a global event) that delivers it.  A
+    // run without transitions or verify/failure/timeline events needs no
+    // barriers at all.  State-reading policies (JSQ, least-energy) must
+    // observe the fleet exactly as the serial run would, so their arrivals
+    // and deadlines stay on `sim` as cross-shard barrier events.  A serial
+    // run always dispatches at arrival time, after its kArrival.
+    const bool preroute = nshards > 1 && cluster::is_state_free(cfg.dispatch);
     jobs = trace->jobs();
-    for (workload::Job& job : jobs) {
-      sim::Simulator* owner = &sim;
-      if (preroute) {
-        owner = node_sims[cluster.preroute(&job)];
-        owner->schedule_at(job.arrival, [&cluster, &job] { cluster.deliver(&job); });
-      } else {
-        sim.schedule_at(job.arrival, [&arrive, &job] { arrive(&job); });
+    if (preroute) {
+      using Route = cluster::Cluster::Route;
+      const std::vector<Route> routes = cluster.plan_dispatch(jobs);
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        workload::Job& job = jobs[i];
+        if (routes[i] == Route::kSettled) {
+          continue;
+        }
+        sim::Simulator* owner = node_sims[cluster.server_of(job)];
+        if (routes[i] == Route::kHeld) {
+          sim.schedule_at(job.arrival, [&cluster, &job] { cluster.hold(&job); });
+        } else {
+          owner->schedule_at(job.arrival, [&cluster, &job] { cluster.deliver(&job); });
+        }
+        owner->schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
       }
-      owner->schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
+    } else {
+      for (workload::Job& job : jobs) {
+        sim.schedule_at(job.arrival, [&arrive, &job] { arrive(&job); });
+        sim.schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
+      }
     }
   } else {
     // The quarantine must outlast every scheduler-side reference to a

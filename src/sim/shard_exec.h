@@ -17,10 +17,14 @@
 //       execute the global event                            [coordinator]
 //     drain the shards to the run horizon the same way
 //
-// When lifecycle churn, admission or state-reading dispatch make every
-// arrival and deadline a global event, most epochs have no busy shard or
-// exactly one; those never leave the coordinator thread, and the windows
-// of the rest are a few events long, often shorter than a wake-up.  Each
+// State-free dispatch (single, rr, random) is planned at setup, admission
+// and lifecycle windows included, so such a run's only global events are
+// the lifecycle transitions, the arrivals of jobs that find the whole fleet
+// dark, and verify/failure/timeline events.  When state-reading dispatch
+// (jsq, least-energy) makes every arrival and deadline a global event
+// instead, most epochs have no busy shard or exactly one; those never
+// leave the coordinator thread, and the windows of the rest are a few
+// events long, often shorter than a wake-up.  Each
 // shard owns one persistent worker, woken through a per-shard atomic
 // generation: it polls kSpinLimit times (yielding its core now and then),
 // then parks in std::atomic::wait.  Worker and coordinator claim a posted
@@ -115,8 +119,9 @@ class ShardStamper {
 
 // Drives one sharded run.  All simulators must be in stamp mode and share
 // the stamper's tie order; the global simulator carries only cross-shard
-// events (dispatch decisions that read fleet state, power verification,
-// failure injection, timeline sampling).
+// events (dispatch decisions that read fleet state, lifecycle transitions
+// and the dark-fleet arrivals they deliver, power verification, failure
+// injection, timeline sampling).
 class ShardExecutor {
  public:
   // Polls a waiting thread makes of its atomic before it parks.

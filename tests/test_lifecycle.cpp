@@ -10,15 +10,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
 #include "cluster/lifecycle.h"
+#include "core/queue_policy.h"
 #include "exp/config.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/telemetry.h"
+#include "quality/quality_function.h"
 #include "sim/simulator.h"
 #include "workload/trace.h"
 
@@ -449,6 +453,183 @@ TEST(ChurnDeterminism, StreamingMatchesMaterialisedBitForBit) {
   const exp::RunResult b =
       exp::run_simulation(streaming, exp::SchedulerSpec::parse("GE"));
   expect_identical(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Setup-time routing: a sharded run with state-free dispatch takes every
+// decision in Cluster::plan_dispatch, which must replay the serial
+// dispatcher exactly -- including a fleet that goes fully dark and jobs
+// that sit on a transition instant.
+
+TEST(PlanDispatch, RoutesHoldsRejectsAndExpiresLikeTheSerialDispatcher) {
+  sim::Simulator sim;
+  quality::ExponentialQuality f(0.003, 1000.0);
+  std::vector<cluster::NodeSpec> nodes(2);
+  for (cluster::NodeSpec& node : nodes) {
+    node.core_models.assign(2, power::PowerModel(5.0, 2.0, 1000.0));
+    node.power_budget = 40.0;
+  }
+  nodes[0].lifecycle.windows = {{0.2, 0.5}};
+  nodes[1].lifecycle.windows = {{0.3, 0.6}};
+  cluster::Cluster cluster(
+      nodes, f,
+      [](const sched::SchedulerEnv& env, const power::DiscreteSpeedTable*) {
+        return std::make_unique<sched::QueuePolicyScheduler>(
+            env, sched::QueuePolicyOptions{});
+      },
+      cluster::DispatchPolicy::kRoundRobin, 1, sim);
+  cluster.set_admission_hook(
+      [](const workload::Job& job) { return job.demand <= 500.0; });
+
+  std::vector<workload::Job> jobs;
+  const auto add = [&jobs](double arrival, double deadline, double demand) {
+    workload::Job job;
+    job.id = jobs.size() + 1;
+    job.arrival = arrival;
+    job.deadline = deadline;
+    job.demand = demand;
+    job.target = demand;
+    jobs.push_back(job);
+  };
+  add(0.10, 0.25, 100.0);  // both online: rr -> 0
+  add(0.25, 0.40, 100.0);  // node 0 dark: rr -> 1
+  add(0.35, 0.80, 100.0);  // fleet dark: held, flushed at node 0's wake
+  add(0.40, 0.55, 900.0);  // rejected, even while dark
+  add(0.45, 0.50, 100.0);  // held; its deadline ties node 0's wake and wins
+  add(0.45, 0.90, 100.0);  // held, flushed behind the 0.35 job
+  add(0.60, 0.75, 100.0);  // arrives with node 1's wake: node 1 still dark
+
+  using Route = cluster::Cluster::Route;
+  const std::vector<Route> routes = cluster.plan_dispatch(jobs);
+  const std::vector<Route> want = {Route::kArrival, Route::kArrival,
+                                   Route::kHeld,    Route::kSettled,
+                                   Route::kSettled, Route::kHeld,
+                                   Route::kArrival};
+  EXPECT_EQ(routes, want);
+  // The flush runs with only node 0 online, so both held jobs land there.
+  EXPECT_EQ(jobs[0].server, 0);
+  EXPECT_EQ(jobs[1].server, 1);
+  EXPECT_EQ(jobs[2].server, 0);
+  EXPECT_EQ(jobs[5].server, 0);
+  EXPECT_EQ(jobs[6].server, 0);
+  EXPECT_EQ(cluster.node(0).dispatched(), 4u);
+  EXPECT_EQ(cluster.node(1).dispatched(), 1u);
+  // Rejected at arrival, expired at the deadline, neither ever dispatched.
+  EXPECT_EQ(cluster.rejected(), 1u);
+  EXPECT_EQ(cluster.expired_in_queue(), 1u);
+  EXPECT_TRUE(jobs[3].settled);
+  EXPECT_EQ(jobs[3].finish_time, jobs[3].arrival);
+  EXPECT_EQ(jobs[3].server, workload::kUnassigned);
+  EXPECT_TRUE(jobs[4].settled);
+  EXPECT_EQ(jobs[4].finish_time, jobs[4].deadline);
+  EXPECT_EQ(jobs[4].server, workload::kUnassigned);
+  EXPECT_EQ(cluster.pending_peak(), 3u);
+  EXPECT_EQ(cluster.pending(), 0u);  // held jobs queue at run time
+  // The planned availability is gone: the live lifecycle state answers.
+  EXPECT_TRUE(cluster.dispatchable(0));
+  EXPECT_TRUE(cluster.dispatchable(1));
+}
+
+TEST(ShardedDarkFleet, MatchesSerialAcrossShardCounts) {
+  std::uint64_t expired = 0;
+  for (const cluster::DispatchPolicy policy :
+       {cluster::DispatchPolicy::kRoundRobin, cluster::DispatchPolicy::kRandom}) {
+    for (const double admission : {0.0, 0.6}) {
+      exp::ExperimentConfig cfg = fleet_off_config();
+      cfg.num_servers = 4;  // --shards 4 then puts one server on each shard
+      cfg.dispatch = policy;
+      cfg.admission = admission;
+      SCOPED_TRACE(std::string(cluster::to_string(policy)) +
+                   " admission=" + std::to_string(admission));
+      const exp::RunResult serial =
+          exp::run_simulation(cfg, exp::SchedulerSpec::parse("GE"));
+      EXPECT_EQ(serial.wakes, 4u);
+      EXPECT_EQ(serial.rejected > 0, admission > 0.0);
+      expired = std::max(expired, serial.expired_in_queue);
+      for (const std::size_t shards : {2u, 4u}) {
+        cfg.shards = shards;
+        expect_identical(
+            serial, exp::run_simulation(cfg, exp::SchedulerSpec::parse("GE")));
+      }
+    }
+  }
+  EXPECT_GT(expired, 0u);
+}
+
+TEST(ShardedDarkFleet, TimestampTiesMatchSerial) {
+  exp::ExperimentConfig cfg = fleet_off_config();
+  cfg.num_servers = 4;
+  cfg.off_at = 0.2;
+  cfg.on_at = 0.5;
+  cfg.wake_latency = 0.1;
+  // The lifecycle computes the wake instant with the same expression.
+  const double wake = cfg.on_at + cfg.wake_latency;
+
+  // With a job arriving at the wake instant, that arrival already expires
+  // the job whose deadline ties the wake; without it, the wake's flush
+  // must.
+  for (const bool arrival_at_wake : {true, false}) {
+    std::vector<workload::Job> jobs;
+    const auto add = [&jobs](double arrival, double deadline) {
+      workload::Job job;
+      job.id = jobs.size() + 1;
+      job.arrival = arrival;
+      job.deadline = deadline;
+      job.demand = 120.0;
+      job.target = job.demand;
+      jobs.push_back(job);
+    };
+    for (const double t : {0.02, 0.06, 0.10, 0.14}) add(t, t + 0.15);
+    add(cfg.off_at, cfg.off_at + 0.15);  // precedes the leave: dispatched
+    const std::uint64_t at_off = jobs.back().id;
+    add(0.25, 0.80);  // held, flushed at the wake
+    add(0.30, 0.50);  // held, expires before the wake
+    add(0.45, wake);  // held; its deadline ties the wake and wins
+    add(0.50, 0.90);  // held, flushed at the wake
+    std::uint64_t at_wake = 0;
+    if (arrival_at_wake) {
+      add(wake, wake + 0.15);  // precedes the wake: held, then flushed
+      at_wake = jobs.back().id;
+    }
+    for (const double t : {0.62, 0.66, 0.70, 0.74, 0.78}) add(t, t + 0.15);
+    const workload::Trace trace(jobs);
+
+    for (const cluster::DispatchPolicy policy :
+         {cluster::DispatchPolicy::kRoundRobin, cluster::DispatchPolicy::kRandom}) {
+      cfg.dispatch = policy;
+      cfg.shards = 1;
+      SCOPED_TRACE(std::string(cluster::to_string(policy)) +
+                   (arrival_at_wake ? " with" : " without") +
+                   " an arrival at the wake");
+      // The serial run fixes the tie semantics the plan must reproduce.
+      obs::RunTelemetry telemetry;
+      const exp::RunResult serial = exp::run_simulation(
+          cfg, exp::SchedulerSpec::parse("GE"), trace, nullptr, &telemetry);
+      EXPECT_EQ(serial.expired_in_queue, 2u);
+      EXPECT_EQ(serial.wakes, 4u);
+      std::size_t checked = 0;
+      for (const obs::TraceEvent& ev : telemetry.trace.events()) {
+        if (ev.type != obs::TraceEventType::kDispatch) continue;
+        if (ev.job == static_cast<std::int64_t>(at_off)) {
+          EXPECT_EQ(ev.t, cfg.off_at);
+          ++checked;
+        } else if (ev.job == static_cast<std::int64_t>(at_wake)) {
+          EXPECT_EQ(ev.t, wake);
+          ++checked;
+        }
+      }
+      EXPECT_EQ(checked, arrival_at_wake ? 2u : 1u);
+
+      const exp::RunResult untraced =
+          exp::run_simulation(cfg, exp::SchedulerSpec::parse("GE"), trace);
+      expect_identical(serial, untraced);
+      for (const std::size_t shards : {2u, 4u}) {
+        cfg.shards = shards;
+        expect_identical(untraced, exp::run_simulation(
+                                       cfg, exp::SchedulerSpec::parse("GE"), trace));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ set(cases
   "ge_sweep|failure-cores|-1"
   "ge_sweep|monitor-window|-3"
   "ge_sweep|max-jobs|-5"
-  "ge_sweep|seed|-1")
+  "ge_sweep|seed|-1"
+  "ge_sweep|jobs|-1"
+  "ge_sweep|jobs|abc")
 
 set(failures 0)
 foreach(entry IN LISTS cases)
