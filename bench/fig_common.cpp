@@ -12,9 +12,10 @@ FigureContext parse_figure_args(int argc, const char* const* argv,
   util::Flags flags(argc, argv);
   FigureContext ctx;
   ctx.base = exp::ExperimentConfig::paper_defaults();
-  ctx.base.duration = flags.get_double("seconds", 60.0);
-  ctx.base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  ctx.base.num_servers = static_cast<std::size_t>(flags.get_int("servers", 1));
+  ctx.base.duration = flags.get_positive_double("seconds", 60.0);
+  ctx.base.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 1, 0));
+  ctx.base.num_servers =
+      static_cast<std::size_t>(flags.get_int_at_least("servers", 1, 1));
   const std::string dispatch = flags.get_string("dispatch", "");
   if (!dispatch.empty()) {
     ctx.base.dispatch = cluster::parse_dispatch_policy(dispatch);

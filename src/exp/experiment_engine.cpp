@@ -207,11 +207,6 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentPlan& plan) const {
   }
 
   const bool want_telemetry = options_.telemetry.enabled();
-#ifdef GE_NO_TELEMETRY
-  GE_CHECK(!want_telemetry,
-           "telemetry output requested, but this binary was built with "
-           "-DGE_TELEMETRY=OFF");
-#endif
   std::vector<std::unique_ptr<obs::RunTelemetry>> telem(
       want_telemetry ? tasks.size() : 0);
   for (auto& t : telem) {

@@ -10,16 +10,21 @@
 namespace ge::exp {
 
 ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
-  cfg.arrival_rate = flags.get_double("rate", cfg.arrival_rate);
-  cfg.duration = flags.get_double("seconds", cfg.duration);
-  // Counts are range-checked (exit 2 on a bad value): a negative or
-  // malformed one would otherwise wrap on the unsigned cast.
+  // Range-checked (exit 2 on a bad value), not left to the validator's
+  // abort; a negative count would also wrap on the unsigned cast.
+  cfg.arrival_rate = flags.get_positive_double("rate", cfg.arrival_rate);
+  cfg.duration = flags.get_positive_double("seconds", cfg.duration);
   cfg.seed = static_cast<std::uint64_t>(
       flags.get_int_at_least("seed", static_cast<std::int64_t>(cfg.seed), 0));
   cfg.cores = static_cast<std::size_t>(
       flags.get_int_at_least("cores", static_cast<std::int64_t>(cfg.cores), 1));
-  cfg.power_budget = flags.get_double("budget", cfg.power_budget);
+  cfg.power_budget = flags.get_positive_double("budget", cfg.power_budget);
   cfg.q_ge = flags.get_double("qge", cfg.q_ge);
+  if (cfg.q_ge < 0.0 || cfg.q_ge > 1.0) {
+    std::fprintf(stderr, "error: --qge must be in [0, 1], got '%s'\n",
+                 flags.get_string("qge", "").c_str());
+    std::exit(2);
+  }
 
   const std::string family = flags.get_string("quality-family", "");
   if (family == "linear") {

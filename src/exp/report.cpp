@@ -1,23 +1,22 @@
 #include "exp/report.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace ge::exp {
 namespace {
 
-void json_field(std::ostringstream& os, const char* key, double value,
-                bool* first) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  os << (*first ? "" : ", ") << '"' << key << "\": " << buf;
-  *first = false;
+// Every member after a record's first: ", "key": value".
+void json_field(std::ostringstream& os, const char* key, double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+  os << ", \"" << key << "\": " << std::string_view(buf, res.ptr);
 }
 
-void json_field(std::ostringstream& os, const char* key, std::uint64_t value,
-                bool* first) {
-  os << (*first ? "" : ", ") << '"' << key << "\": " << value;
-  *first = false;
+void json_field(std::ostringstream& os, const char* key, std::uint64_t value) {
+  os << ", \"" << key << "\": " << value;
 }
 
 }  // namespace
@@ -90,65 +89,60 @@ std::string summarize(const RunResult& r, const ExperimentConfig& cfg) {
 
 std::string to_json(const RunResult& r) {
   std::ostringstream os;
-  bool first = true;
-  os << '{';
-  os << "\"scheduler\": \"" << r.scheduler << '"';
-  first = false;
-  json_field(os, "arrival_rate", r.arrival_rate, &first);
-  json_field(os, "duration_s", r.duration, &first);
-  json_field(os, "quality", r.quality, &first);
-  json_field(os, "energy_j", r.energy, &first);
-  json_field(os, "static_energy_j", r.static_energy, &first);
-  json_field(os, "avg_power_w", r.avg_power, &first);
-  json_field(os, "mean_response_ms", r.mean_response_ms, &first);
-  json_field(os, "p50_response_ms", r.p50_response_ms, &first);
-  json_field(os, "p95_response_ms", r.p95_response_ms, &first);
-  json_field(os, "p99_response_ms", r.p99_response_ms, &first);
-  json_field(os, "aes_fraction", r.aes_fraction, &first);
-  json_field(os, "avg_speed_ghz", r.avg_speed_ghz, &first);
-  json_field(os, "speed_variance", r.speed_variance, &first);
-  json_field(os, "busy_fraction", r.busy_fraction, &first);
-  json_field(os, "energy_cov", r.energy_cov, &first);
-  json_field(os, "released", r.released, &first);
-  json_field(os, "completed", r.completed, &first);
-  json_field(os, "partial", r.partial, &first);
-  json_field(os, "dropped", r.dropped, &first);
-  json_field(os, "rounds", r.rounds, &first);
-  json_field(os, "wf_rounds", r.wf_rounds, &first);
-  json_field(os, "es_rounds", r.es_rounds, &first);
-  json_field(os, "num_servers", r.num_servers, &first);
+  os << "{\"scheduler\": \"" << r.scheduler << '"';
+  json_field(os, "arrival_rate", r.arrival_rate);
+  json_field(os, "duration_s", r.duration);
+  json_field(os, "quality", r.quality);
+  json_field(os, "energy_j", r.energy);
+  json_field(os, "static_energy_j", r.static_energy);
+  json_field(os, "avg_power_w", r.avg_power);
+  json_field(os, "mean_response_ms", r.mean_response_ms);
+  json_field(os, "p50_response_ms", r.p50_response_ms);
+  json_field(os, "p95_response_ms", r.p95_response_ms);
+  json_field(os, "p99_response_ms", r.p99_response_ms);
+  json_field(os, "aes_fraction", r.aes_fraction);
+  json_field(os, "avg_speed_ghz", r.avg_speed_ghz);
+  json_field(os, "speed_variance", r.speed_variance);
+  json_field(os, "busy_fraction", r.busy_fraction);
+  json_field(os, "energy_cov", r.energy_cov);
+  json_field(os, "released", r.released);
+  json_field(os, "completed", r.completed);
+  json_field(os, "partial", r.partial);
+  json_field(os, "dropped", r.dropped);
+  json_field(os, "rounds", r.rounds);
+  json_field(os, "wf_rounds", r.wf_rounds);
+  json_field(os, "es_rounds", r.es_rounds);
+  json_field(os, "num_servers", r.num_servers);
   os << ", \"dispatch\": \"" << r.dispatch << '"';
-  json_field(os, "server_energy_cov", r.server_energy_cov, &first);
-  json_field(os, "server_load_cov", r.server_load_cov, &first);
-  json_field(os, "setup_energy_j", r.setup_energy_j, &first);
-  json_field(os, "wakes", r.wakes, &first);
-  json_field(os, "rejected", r.rejected, &first);
-  json_field(os, "expired_in_queue", r.expired_in_queue, &first);
+  json_field(os, "server_energy_cov", r.server_energy_cov);
+  json_field(os, "server_load_cov", r.server_load_cov);
+  json_field(os, "setup_energy_j", r.setup_energy_j);
+  json_field(os, "wakes", r.wakes);
+  json_field(os, "rejected", r.rejected);
+  json_field(os, "expired_in_queue", r.expired_in_queue);
   // Sentinel -1 means "no offline reference ran"; only emit real bounds.
   if (r.offline_energy_j >= 0.0) {
-    json_field(os, "offline_energy_j", r.offline_energy_j, &first);
+    json_field(os, "offline_energy_j", r.offline_energy_j);
   }
   // Sentinel -1 means "no --report pass ran the reclaim advisor".
   if (r.reclaim_energy_j >= 0.0) {
-    json_field(os, "reclaim_energy_j", r.reclaim_energy_j, &first);
-    json_field(os, "reclaim_disc_j", r.reclaim_disc_j, &first);
-    json_field(os, "reclaim_offline_j", r.reclaim_offline_j, &first);
+    json_field(os, "reclaim_energy_j", r.reclaim_energy_j);
+    json_field(os, "reclaim_disc_j", r.reclaim_disc_j);
+    json_field(os, "reclaim_offline_j", r.reclaim_offline_j);
   }
   if (!r.tenants.empty()) {
     os << ", \"tenants\": [";
     for (std::size_t t = 0; t < r.tenants.size(); ++t) {
       const TenantRunResult& tr = r.tenants[t];
-      bool tf = true;
-      os << (t == 0 ? "" : ", ") << '{';
-      json_field(os, "tenant", static_cast<std::uint64_t>(t), &tf);
-      json_field(os, "q_target", tr.q_target, &tf);
-      json_field(os, "quality", tr.quality, &tf);
-      json_field(os, "slo_burn", tr.slo_burn, &tf);
-      json_field(os, "energy_j", tr.energy_j, &tf);
-      json_field(os, "released", tr.released, &tf);
-      json_field(os, "completed", tr.completed, &tf);
-      json_field(os, "partial", tr.partial, &tf);
-      json_field(os, "dropped", tr.dropped, &tf);
+      os << (t == 0 ? "" : ", ") << "{\"tenant\": " << t;
+      json_field(os, "q_target", tr.q_target);
+      json_field(os, "quality", tr.quality);
+      json_field(os, "slo_burn", tr.slo_burn);
+      json_field(os, "energy_j", tr.energy_j);
+      json_field(os, "released", tr.released);
+      json_field(os, "completed", tr.completed);
+      json_field(os, "partial", tr.partial);
+      json_field(os, "dropped", tr.dropped);
       os << '}';
     }
     os << ']';

@@ -2,7 +2,7 @@
 // ablations (GE-NoComp, GE-ES, GE-WF, GE-RR), the Over-Qualified control
 // (OQ), Best Effort (BE) and its calibrated power/speed-control variants
 // (BE-P, BE-S).  Behaviour is pinned bit-identical to the pre-registry
-// switch by tests/test_golden_schedulers.cpp.
+// switch by the `registry/` records of tests/goldens.txt.
 #include <algorithm>
 #include <cmath>
 #include <memory>

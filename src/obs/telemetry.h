@@ -7,11 +7,9 @@
 //
 // Cost model: with telemetry off the pointer is null and every hook is one
 // predictable branch (components cache the metric handles they use at
-// construction time, so the off path never touches the registry).  Building
-// with -DGE_TELEMETRY=OFF compiles the hooks out entirely:
-// Simulator::telemetry() becomes a constexpr nullptr and the branches fold
-// away -- that configuration is the baseline for the overhead numbers in
-// docs/OBSERVABILITY.md.
+// construction time, so the off path never touches the registry).  That
+// branch is within noise of no hooks at all (docs/OBSERVABILITY.md,
+// "Overhead").
 #pragma once
 
 #include <memory>

@@ -25,15 +25,9 @@ class Simulator {
   // Telemetry rides on the simulator because every instrumented component
   // (cores, schedulers, the runner) already holds a Simulator reference.
   // Null (the default) means telemetry is off; hooks test the pointer once
-  // at construction or per event.  With GE_NO_TELEMETRY the accessor is a
-  // constexpr nullptr, so the compiler deletes the hooks outright.
-#ifdef GE_NO_TELEMETRY
-  static constexpr obs::Telemetry* telemetry() noexcept { return nullptr; }
-  void set_telemetry(obs::Telemetry*) noexcept {}
-#else
+  // at construction or per event.
   obs::Telemetry* telemetry() const noexcept { return telemetry_; }
   void set_telemetry(obs::Telemetry* telemetry) noexcept { telemetry_ = telemetry; }
-#endif
 
   // Schedules `action` at absolute virtual time `time` (>= now).
   EventId schedule_at(double time, std::function<void()> action);
@@ -93,9 +87,7 @@ class Simulator {
   HeapEventQueue queue_;
   std::uint64_t executed_ = 0;
   bool stamp_mode_ = false;
-#ifndef GE_NO_TELEMETRY
   obs::Telemetry* telemetry_ = nullptr;
-#endif
 };
 
 }  // namespace ge::sim

@@ -8,6 +8,43 @@
 namespace ge::util {
 namespace {
 
+// The whole of `text` as a finite T; nullopt for anything else -- "abc",
+// "0.9x", "inf", an empty list element.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(static_cast<double>(value))) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// A malformed value: one line naming the flag on stderr, exit status 2.
+[[noreturn]] void reject(std::string_view name, const std::string& what,
+                         const std::string& value) {
+  std::fprintf(stderr, "error: --%.*s must be %s, got '%s'\n",
+               static_cast<int>(name.size()), name.data(), what.c_str(),
+               value.c_str());
+  std::exit(2);
+}
+
+// The flag's value as a T accepted by `ok`; the default when the flag is
+// absent or empty; otherwise reject() naming `what`.
+template <typename T, typename Ok>
+T checked(const std::optional<std::string>& text, std::string_view name,
+          T default_value, const std::string& what, Ok ok) {
+  if (!text || text->empty()) {
+    return default_value;
+  }
+  const std::optional<T> value = parse_number<T>(*text);
+  if (!value || !ok(*value)) {
+    reject(name, what, *text);
+  }
+  return *value;
+}
+
 bool parse_bool(const std::string& text, bool fallback) {
   if (text == "true" || text == "1" || text == "yes" || text == "on" || text.empty()) {
     return true;
@@ -62,55 +99,27 @@ std::string Flags::get_string(std::string_view name, std::string default_value) 
 }
 
 double Flags::get_double(std::string_view name, double default_value) const {
-  auto v = find(name);
-  if (!v || v->empty()) {
-    return default_value;
-  }
-  return std::strtod(v->c_str(), nullptr);
+  return checked(find(name), name, default_value, "a finite number",
+                 [](double) { return true; });
 }
 
 std::int64_t Flags::get_int(std::string_view name, std::int64_t default_value) const {
-  auto v = find(name);
-  if (!v || v->empty()) {
-    return default_value;
-  }
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return checked(find(name), name, default_value, "an integer",
+                 [](std::int64_t) { return true; });
 }
 
 std::int64_t Flags::get_int_at_least(std::string_view name,
                                      std::int64_t default_value,
                                      std::int64_t min) const {
-  auto v = find(name);
-  if (!v || v->empty()) {
-    return default_value;
-  }
-  std::int64_t value = 0;
-  const char* end = v->data() + v->size();
-  const auto [ptr, ec] = std::from_chars(v->data(), end, value);
-  if (ec != std::errc() || ptr != end || value < min) {
-    std::fprintf(stderr, "error: --%.*s must be an integer >= %lld, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(),
-                 static_cast<long long>(min), v->c_str());
-    std::exit(2);
-  }
-  return value;
+  return checked(find(name), name, default_value,
+                 "an integer >= " + std::to_string(min),
+                 [min](std::int64_t value) { return value >= min; });
 }
 
 double Flags::get_positive_double(std::string_view name,
                                   double default_value) const {
-  auto v = find(name);
-  if (!v || v->empty()) {
-    return default_value;
-  }
-  double value = 0.0;
-  const char* end = v->data() + v->size();
-  const auto [ptr, ec] = std::from_chars(v->data(), end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value) || value <= 0.0) {
-    std::fprintf(stderr, "error: --%.*s must be a number > 0, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), v->c_str());
-    std::exit(2);
-  }
-  return value;
+  return checked(find(name), name, default_value, "a number > 0",
+                 [](double value) { return value > 0.0; });
 }
 
 bool Flags::get_bool(std::string_view name, bool default_value) const {
@@ -135,7 +144,12 @@ std::vector<double> Flags::get_double_list(std::string_view name,
     if (comma == std::string::npos) {
       comma = text.size();
     }
-    out.push_back(std::strtod(text.substr(pos, comma - pos).c_str(), nullptr));
+    const std::optional<double> value =
+        parse_number<double>(std::string_view(text).substr(pos, comma - pos));
+    if (!value) {
+      reject(name, "a comma-separated list of finite numbers", text);
+    }
+    out.push_back(*value);
     pos = comma + 1;
   }
   return out;

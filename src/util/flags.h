@@ -19,22 +19,21 @@ class Flags {
 
   bool has(std::string_view name) const;
   std::string get_string(std::string_view name, std::string default_value) const;
-  double get_double(std::string_view name, double default_value) const;
-  std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
   bool get_bool(std::string_view name, bool default_value) const;
 
-  // get_int for a value that must be a whole integer >= `min`.  Anything
-  // else -- "-1", "abc", "2x" -- prints a one-line reason naming the flag
-  // to stderr and exits with status 2.
+  // Numeric accessors return the default when the flag is absent or empty.
+  // A value that is not wholly a finite number of the asked-for kind --
+  // "abc", "0.9x", "inf", "1.5" for an integer -- or is out of range
+  // prints a one-line reason naming the flag to stderr and exits with
+  // status 2.
+  double get_double(std::string_view name, double default_value) const;
+  std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
+  // An integer >= `min`.
   std::int64_t get_int_at_least(std::string_view name, std::int64_t default_value,
                                 std::int64_t min) const;
-
-  // get_double for a value that must be a finite number > 0.  Anything
-  // else -- "0", "-1", "abc", "0.2x", "inf" -- prints a one-line reason
-  // naming the flag to stderr and exits with status 2.
+  // A number > 0.
   double get_positive_double(std::string_view name, double default_value) const;
-
-  // Parses a comma-separated list of doubles, e.g. --rates 100,150,200.
+  // A comma-separated list of numbers, e.g. --rates 100,150,200.
   std::vector<double> get_double_list(std::string_view name,
                                       std::vector<double> default_value) const;
 

@@ -1,7 +1,8 @@
 // Tests for the ExperimentEngine: the determinism contract (bit-identical
-// results for any worker count), trace sharing across a plan point, the
-// plan-builder sweeps, and the replicate() statistics pinned against the
-// pre-engine serial implementation.
+// results for any worker count, compared as to_json records, which print
+// every field in round-trip form), trace sharing across a plan point, the
+// plan-builder sweeps and replicate().  The replicate() statistics of the
+// pre-engine serial implementation are pinned in tests/goldens.txt.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,6 +10,7 @@
 #include "exp/config.h"
 #include "exp/experiment_engine.h"
 #include "exp/replicate.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "exp/sweep.h"
@@ -24,34 +26,6 @@ ExperimentConfig small_config(double rate = 120.0, double seconds = 2.0) {
   return cfg;
 }
 
-// Bit-identical comparison of every RunResult field (EXPECT_EQ on doubles
-// is exact, which is the point: parallel execution must not perturb even
-// the last ulp).
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.scheduler, b.scheduler);
-  EXPECT_EQ(a.arrival_rate, b.arrival_rate);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.quality, b.quality);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.static_energy, b.static_energy);
-  EXPECT_EQ(a.avg_power, b.avg_power);
-  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
-  EXPECT_EQ(a.p50_response_ms, b.p50_response_ms);
-  EXPECT_EQ(a.p95_response_ms, b.p95_response_ms);
-  EXPECT_EQ(a.p99_response_ms, b.p99_response_ms);
-  EXPECT_EQ(a.aes_fraction, b.aes_fraction);
-  EXPECT_EQ(a.avg_speed_ghz, b.avg_speed_ghz);
-  EXPECT_EQ(a.speed_variance, b.speed_variance);
-  EXPECT_EQ(a.released, b.released);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.partial, b.partial);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.wf_rounds, b.wf_rounds);
-  EXPECT_EQ(a.es_rounds, b.es_rounds);
-  EXPECT_EQ(a.busy_fraction, b.busy_fraction);
-  EXPECT_EQ(a.energy_cov, b.energy_cov);
-}
 
 ExperimentPlan mixed_plan() {
   // Two points x three schedulers, plus an isolated run with its own seed:
@@ -81,7 +55,7 @@ TEST(ExperimentEngine, OneWorkerAndFourWorkersAreBitIdentical) {
   ASSERT_EQ(b.size(), plan.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
-    expect_identical(a[i], b[i]);
+    EXPECT_EQ(to_json(a[i]), to_json(b[i]));
   }
 }
 
@@ -93,7 +67,7 @@ TEST(ExperimentEngine, RepeatedParallelRunsAreBitIdentical) {
   const std::vector<RunResult> b = run_plan(plan, parallel);
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
-    expect_identical(a[i], b[i]);
+    EXPECT_EQ(to_json(a[i]), to_json(b[i]));
   }
 }
 
@@ -141,7 +115,7 @@ TEST(Sweep, ParallelSweepMatchesSerialSweep) {
     ASSERT_EQ(a[p].results.size(), b[p].results.size());
     for (std::size_t s = 0; s < a[p].results.size(); ++s) {
       SCOPED_TRACE(testing::Message() << "point " << p << " spec " << s);
-      expect_identical(a[p].results[s], b[p].results[s]);
+      EXPECT_EQ(to_json(a[p].results[s]), to_json(b[p].results[s]));
     }
   }
 }
@@ -173,26 +147,6 @@ TEST(Sweep, EmptySeriesTableKeepsXColumnHeader) {
       {}, "arrival_rate", [](const RunResult& r) { return r.quality; });
   EXPECT_EQ(table.columns(), 1u);
   EXPECT_EQ(table.rows(), 0u);
-}
-
-// Statistics pinned against the pre-engine serial replicate() (captured at
-// the commit introducing the engine): paper defaults, 150 req/s, 2 s
-// horizon, seed 7, GE, 4 replicas.  Guards both the refactor and any later
-// change that would silently alter replication results.
-TEST(Replicate, MatchesPreEngineSerialValues) {
-  ExperimentConfig cfg = ExperimentConfig::paper_defaults();
-  cfg.arrival_rate = 150.0;
-  cfg.duration = 2.0;
-  cfg.seed = 7;
-  const ReplicationSummary s =
-      replicate(cfg, SchedulerSpec::parse("GE"), 4);
-  EXPECT_DOUBLE_EQ(s.quality.mean(), 0.90099869843882752);
-  EXPECT_DOUBLE_EQ(s.quality.stddev(), 0.0027970569599472307);
-  EXPECT_DOUBLE_EQ(s.energy.mean(), 390.31597684823714);
-  EXPECT_DOUBLE_EQ(s.energy.stddev(), 34.812405858722613);
-  EXPECT_DOUBLE_EQ(s.aes_fraction.mean(), 0.60518978504522292);
-  EXPECT_DOUBLE_EQ(s.aes_fraction.stddev(), 0.11982312402337592);
-  EXPECT_DOUBLE_EQ(s.p99_response_ms.mean(), 150.00000000000011);
 }
 
 TEST(Replicate, ParallelReplicationMatchesSerial) {

@@ -9,7 +9,7 @@
 //    perturb a single bit of the results (docs/OBSERVABILITY.md);
 //  * ExperimentEngine --jobs 1 vs --jobs 4 -- parallel execution is
 //    indexed by task order and must be byte-identical to serial
-//    (docs/DETERMINISM.md);
+//    (DESIGN.md section 7);
 //  * --shards 1 vs --shards {2,4} -- the sharded parallel event loop
 //    (docs/DESIGN.md, "Sharded parallel DES") replays the serial event
 //    order exactly, for every fleet size x stream x queue-kind combination;
@@ -30,6 +30,7 @@
 #include "cluster/dispatcher.h"
 #include "exp/config.h"
 #include "exp/experiment_engine.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/telemetry.h"
@@ -111,34 +112,11 @@ FuzzCase make_cluster_fuzz_case(std::uint64_t seed) {
   return fc;
 }
 
+// Every RunResult field, bit for bit (to_json prints doubles in round-trip
+// form).
 void expect_identical(const RunResult& a, const RunResult& b,
                       const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.scheduler, b.scheduler);
-  EXPECT_EQ(a.num_servers, b.num_servers);
-  EXPECT_EQ(a.dispatch, b.dispatch);
-  EXPECT_EQ(a.server_energy_cov, b.server_energy_cov);
-  EXPECT_EQ(a.server_load_cov, b.server_load_cov);
-  EXPECT_EQ(a.quality, b.quality);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.static_energy, b.static_energy);
-  EXPECT_EQ(a.avg_power, b.avg_power);
-  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
-  EXPECT_EQ(a.p50_response_ms, b.p50_response_ms);
-  EXPECT_EQ(a.p95_response_ms, b.p95_response_ms);
-  EXPECT_EQ(a.p99_response_ms, b.p99_response_ms);
-  EXPECT_EQ(a.aes_fraction, b.aes_fraction);
-  EXPECT_EQ(a.avg_speed_ghz, b.avg_speed_ghz);
-  EXPECT_EQ(a.speed_variance, b.speed_variance);
-  EXPECT_EQ(a.released, b.released);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.partial, b.partial);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.wf_rounds, b.wf_rounds);
-  EXPECT_EQ(a.es_rounds, b.es_rounds);
-  EXPECT_EQ(a.busy_fraction, b.busy_fraction);
-  EXPECT_EQ(a.energy_cov, b.energy_cov);
+  EXPECT_EQ(to_json(a), to_json(b)) << what;
 }
 
 void expect_sane(const RunResult& r, const std::string& what) {

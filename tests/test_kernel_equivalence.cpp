@@ -3,13 +3,13 @@
 // The optimised kernels (scratch-reuse LF cutter, beta==2 power fast path,
 // flat-state event queue, EDF sort-once GE round) are only admissible if
 // they produce *bit-identical* results to the originals -- the repo's
-// determinism contract (docs/DETERMINISM.md) pins figures to seeds, so even
+// determinism contract (DESIGN.md section 7) pins figures to seeds, so even
 // a last-ulp drift would silently invalidate every pinned artefact.  Four
 // layers of defence:
 //
-//  1. GoldenPinnedSeeds: end-to-end RunResults for eight pinned
-//     (scheduler, rate, seed, ladder) points, captured from the
-//     pre-optimisation build and compared with EXPECT_EQ (exact).
+//  1. End-to-end RunResults for eight pinned (scheduler, rate, seed,
+//     ladder) points, first captured from the pre-optimisation build: the
+//     `kernel/` records of tests/goldens.txt (test_goldens).
 //  2. Reference-implementation sweeps: the optimised cutter and power model
 //     against verbatim copies of the pre-optimisation code across thousands
 //     of random instances, field-by-field bitwise.
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <random>
 #include <set>
@@ -34,89 +33,13 @@
 #include <utility>
 #include <vector>
 
-#include "exp/config.h"
-#include "exp/runner.h"
-#include "exp/scheduler_spec.h"
 #include "opt/job_cutter.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
 #include "sim/event_queue.h"
-#include "workload/trace.h"
 
 namespace ge {
 namespace {
-
-// ---------------------------------------------------------------------------
-// 1. End-to-end golden results, captured from the pre-optimisation build
-//    (commit e3d9eef) with %.17g precision -- enough to round-trip a double
-//    exactly.  Any change in summation order, sort order or math library
-//    call on the simulation path shows up here.
-// ---------------------------------------------------------------------------
-
-struct GoldenRun {
-  const char* scheduler;
-  double rate;
-  std::uint64_t seed;
-  bool discrete;
-  double quality;
-  double energy;
-  double mean_response_ms;
-  double aes_fraction;
-  double avg_speed_ghz;
-  std::uint64_t released;
-  std::uint64_t completed;
-  std::uint64_t partial;
-  std::uint64_t dropped;
-  std::uint64_t rounds;
-};
-
-constexpr GoldenRun kGoldenRuns[] = {
-    {"GE", 100, 11ULL, false, 0.90008764233722216, 430.32237279687791,
-     148.54488186790354, 0.83401342970200809, 1.1852589280302941, 398, 75, 323, 0,
-     312},
-    {"GE", 220, 12ULL, false, 0.85601718414018235, 1239.1789690915582,
-     142.48396268602281, 0.046697214226062371, 1.9243801383697192, 836, 285, 551,
-     0, 130},
-    {"GE", 180, 13ULL, true, 0.89167080675069632, 1120.9449139316621,
-     144.89482603354918, 0.064212170081530157, 1.8288911621817325, 740, 194, 546,
-     0, 115},
-    {"BE", 220, 14ULL, false, 0.8257523892559151, 1273.7288651532717,
-     142.7814956959979, 0, 1.9617000687016277, 890, 261, 629, 0, 134},
-    {"OQ", 150, 15ULL, false, 0.89590113488017564, 742.39511924111775,
-     145.66464365623207, 1, 1.4554880041800737, 580, 68, 512, 0, 195},
-    {"FCFS", 150, 16ULL, false, 0.91827324950069977, 890.26675004175115, 150, 0,
-     1.620920858671796, 646, 428, 218, 0, 0},
-    {"GE-NoComp", 200, 17ULL, false, 0.84686863380378674, 1144.4842843261008,
-     143.83918795583165, 1, 1.8020785197346274, 758, 112, 646, 0, 125},
-    {"SJF", 150, 18ULL, true, 0.78376760874465978, 583.80449533284411,
-     142.40554424137781, 0, 1.3235555631310858, 582, 428, 85, 69, 0},
-};
-
-TEST(KernelEquivalence, GoldenPinnedSeeds) {
-  for (const GoldenRun& g : kGoldenRuns) {
-    exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
-    cfg.arrival_rate = g.rate;
-    cfg.duration = 4.0;
-    cfg.seed = g.seed;
-    cfg.discrete_speeds = g.discrete;
-    const workload::Trace trace =
-        workload::Trace::generate(cfg.workload_spec(), cfg.duration);
-    const exp::RunResult r =
-        exp::run_simulation(cfg, exp::SchedulerSpec::parse(g.scheduler), trace);
-    SCOPED_TRACE(std::string(g.scheduler) + " rate=" + std::to_string(g.rate) +
-                 " seed=" + std::to_string(g.seed));
-    EXPECT_EQ(r.quality, g.quality);
-    EXPECT_EQ(r.energy, g.energy);
-    EXPECT_EQ(r.mean_response_ms, g.mean_response_ms);
-    EXPECT_EQ(r.aes_fraction, g.aes_fraction);
-    EXPECT_EQ(r.avg_speed_ghz, g.avg_speed_ghz);
-    EXPECT_EQ(r.released, g.released);
-    EXPECT_EQ(r.completed, g.completed);
-    EXPECT_EQ(r.partial, g.partial);
-    EXPECT_EQ(r.dropped, g.dropped);
-    EXPECT_EQ(r.rounds, g.rounds);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // 2a. PowerModel beta==2 fast path vs std::pow.  glibc's pow is correctly

@@ -16,6 +16,7 @@
 
 #include "exp/config.h"
 #include "exp/experiment_engine.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/analysis/trace_reader.h"
@@ -462,9 +463,7 @@ TEST(RunnerTelemetry, NullTelemetryMatchesInstrumentedRun) {
                                         three_job_trace(), nullptr, &telemetry);
   const RunResult without = run_simulation(
       tiny_config(), SchedulerSpec::parse("GE"), three_job_trace(), nullptr, nullptr);
-  EXPECT_EQ(with.quality, without.quality);
-  EXPECT_EQ(with.energy, without.energy);
-  EXPECT_EQ(with.p99_response_ms, without.p99_response_ms);
+  EXPECT_EQ(to_json(with), to_json(without));
 }
 
 std::string slurp(const std::string& path) {

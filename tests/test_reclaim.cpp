@@ -4,7 +4,7 @@
 //
 //   offline_j <= cont_j <= disc_j <= realized_j
 //
-// across the lifecycle golden configs and a stream x shards fuzz matrix
+// across the golden cluster configs and a stream x shards fuzz matrix
 // (where the advisor's numbers must also be bit-identical across the
 // streaming and sharded paths, like every other output).
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "agreeable_instances.h"
+#include "golden_cases.h"
 #include "cluster/cluster.h"
 #include "exp/config.h"
 #include "exp/runner.h"
@@ -51,6 +52,9 @@ using obs::analysis::ReclaimAnalysis;
 using obs::analysis::ServerReclaim;
 using obs::analysis::TaskAnalysis;
 using obs::analysis::TaskInput;
+using testdata::reclaim_digest;
+using testdata::run_and_reclaim;
+using testdata::RunReclaim;
 
 // One synthetic job: arrival -> exec slice(s) on core 0 -> completion.
 struct SynthJob {
@@ -232,154 +236,10 @@ TEST(Reclaim, DiscreteLadderPricesAboveContinuous) {
   expect_chain(r, "ladder");
 }
 
-// Runs `sched` on cfg with trace capture and feeds the realised trace to
-// the advisor, exactly as the engine's --report path does.
-struct RunReclaim {
-  exp::RunResult result;
-  ReclaimAnalysis reclaim;
-  // The advisor's inputs, kept for the oracle and path checks.
-  std::unique_ptr<obs::RunTelemetry> telem;
-  TaskInput input;
-  TaskAnalysis analysis;
-};
-
-RunReclaim run_and_reclaim(const exp::ExperimentConfig& cfg,
-                           const std::string& sched) {
-  const exp::SchedulerSpec spec = exp::SchedulerSpec::parse(sched);
-  RunReclaim out;
-  out.telem = std::make_unique<obs::RunTelemetry>();
-  obs::RunTelemetry& telem = *out.telem;
-  telem.want_trace = true;
-
-  if (cfg.stream) {
-    out.result = exp::run_simulation_stream(cfg, spec, nullptr, &telem);
-  } else {
-    const workload::Trace trace = workload::Trace::generate(
-        cfg.workload_spec(), cfg.duration, cfg.max_jobs);
-    out.result = exp::run_simulation(cfg, spec, trace, nullptr, &telem);
-  }
-
-  TaskInput& input = out.input;
-  input.info.task = 0;
-  input.info.scheduler = sched;
-  input.info.arrival_rate = cfg.arrival_rate;
-  input.info.cores = cfg.cores;
-  input.info.power_budget = exp::effective_budget(spec, cfg);
-  input.info.power_model_json = cfg.power_model().describe_json();
-  if (cfg.discrete_speeds) {
-    input.info.ladder_units = power::DiscreteSpeedTable::uniform_ghz(
-                                  cfg.discrete_step_ghz, cfg.discrete_max_ghz,
-                                  cfg.power_model().units_per_ghz())
-                                  .levels();
-  }
-  input.buffer = &telem.trace;
-  for (const cluster::NodeSpec& node :
-       cfg.cluster_node_specs(input.info.power_budget)) {
-    input.models.push_back(node.core_models);
-  }
-  input.reported_energy_j = out.result.energy;
-
-  out.analysis = obs::analysis::analyze_task(input);
-  out.reclaim = obs::analysis::analyze_reclaim(input, out.analysis);
-  return out;
-}
-
-// The eight cluster configs test_lifecycle pins goldens for: dispatch
-// policies, heterogeneous fleets, discrete speeds, a mid-run core failure.
-struct NamedConfig {
-  const char* sched;
-  exp::ExperimentConfig cfg;
-};
-
-std::vector<NamedConfig> golden_configs() {
-  std::vector<NamedConfig> cases;
-  const auto base = [] {
-    exp::ExperimentConfig c = exp::ExperimentConfig::paper_defaults();
-    c.duration = 2.0;
-    c.cores = 4;
-    c.power_budget = 80.0;
-    return c;
-  };
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 2;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 200.0;
-    c.seed = 31;
-    cases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kJsq;
-    c.arrival_rate = 320.0;
-    c.seed = 32;
-    cases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.cores = 2;
-    c.power_budget = 40.0;
-    c.num_servers = 8;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 400.0;
-    c.seed = 33;
-    cases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kRandom;
-    c.arrival_rate = 250.0;
-    c.seed = 34;
-    cases.push_back({"BE", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kLeastEnergy;
-    c.arrival_rate = 280.0;
-    c.seed = 35;
-    c.discrete_speeds = true;
-    cases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 2;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 150.0;
-    c.seed = 36;
-    cases.push_back({"OA", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 8;
-    c.dispatch = cluster::DispatchPolicy::kJsq;
-    c.arrival_rate = 350.0;
-    c.seed = 37;
-    c.server_cores = {4, 2, 4, 2, 4, 2, 4, 2};
-    c.server_power_scale = {1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2};
-    cases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 300.0;
-    c.seed = 38;
-    c.failure_time = 1.0;
-    c.failure_cores = 2;
-    cases.push_back({"GE", c});
-  }
-  return cases;
-}
-
 TEST(ReclaimChain, HoldsOnEveryGoldenClusterConfig) {
-  const std::vector<NamedConfig> cases = golden_configs();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const RunReclaim rr = run_and_reclaim(cases[i].cfg, cases[i].sched);
-    const std::string label =
-        "golden case " + std::to_string(i) + " (" + cases[i].sched + ")";
+  for (const testdata::ClusterCase& c : testdata::cluster_cases()) {
+    const RunReclaim rr = run_and_reclaim(c.cfg, c.sched);
+    const std::string label = std::string("golden case ") + c.name;
     expect_chain(rr.reclaim, label);
     // The advisor's realised total is the run's own energy accounting,
     // exact in-process (no formatting round-trip).
@@ -394,59 +254,23 @@ TEST(ReclaimChain, HoldsOnEveryGoldenClusterConfig) {
 // streaming and sharded paths pin bit-identical results, so the advisor,
 // a pure function of the trace, must inherit that).
 TEST(ReclaimChain, FuzzMatrixStreamShardsAgreeAndHold) {
-  std::vector<NamedConfig> bases;
-  {
-    exp::ExperimentConfig c = exp::ExperimentConfig::paper_defaults();
-    c.duration = 1.5;
-    c.cores = 4;
-    c.power_budget = 80.0;
-    c.arrival_rate = 180.0;
-    c.seed = 71;
-    bases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = exp::ExperimentConfig::paper_defaults();
-    c.duration = 1.5;
-    c.cores = 2;
-    c.power_budget = 40.0;
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kJsq;
-    c.arrival_rate = 260.0;
-    c.seed = 72;
-    bases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = exp::ExperimentConfig::paper_defaults();
-    c.duration = 1.5;
-    c.cores = 4;
-    c.power_budget = 80.0;
-    c.num_servers = 2;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 150.0;
-    c.seed = 73;
-    c.discrete_speeds = true;
-    bases.push_back({"GE", c});
-  }
-  {
-    exp::ExperimentConfig c = exp::ExperimentConfig::paper_defaults();
-    c.duration = 1.5;
-    c.cores = 4;
-    c.power_budget = 80.0;
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kRandom;
-    c.arrival_rate = 300.0;
-    c.seed = 74;
-    bases.push_back({"BE", c});
-  }
-  {
-    exp::ExperimentConfig c = exp::ExperimentConfig::paper_defaults();
-    c.duration = 1.5;
-    c.cores = 4;
-    c.power_budget = 80.0;
-    c.arrival_rate = 120.0;
-    c.seed = 75;
-    c.max_jobs = 150;
-    bases.push_back({"OA", c});
+  using cluster::DispatchPolicy;
+  struct Base {
+    const char* sched;
+    exp::ExperimentConfig cfg;
+  };
+  std::vector<Base> bases = {
+      {"GE", testdata::small_fleet(1, DispatchPolicy::kRoundRobin, 180.0, 71)},
+      {"GE", testdata::small_fleet(4, DispatchPolicy::kJsq, 260.0, 72)},
+      {"GE", testdata::small_fleet(2, DispatchPolicy::kRoundRobin, 150.0, 73)},
+      {"BE", testdata::small_fleet(4, DispatchPolicy::kRandom, 300.0, 74)},
+      {"OA", testdata::small_fleet(1, DispatchPolicy::kRoundRobin, 120.0, 75)}};
+  bases[1].cfg.cores = 2;
+  bases[1].cfg.power_budget = 40.0;
+  bases[2].cfg.discrete_speeds = true;
+  bases[4].cfg.max_jobs = 150;
+  for (Base& base : bases) {
+    base.cfg.duration = 1.5;
   }
 
   for (std::size_t b = 0; b < bases.size(); ++b) {
@@ -828,55 +652,6 @@ TEST(ReclaimScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
   }
 }
 
-// FNV-1a over the bit patterns of every reclaim total and bin.
-std::uint64_t reclaim_digest(const ReclaimAnalysis& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](double v) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    for (int b = 0; b < 64; b += 8) {
-      h = (h ^ ((bits >> b) & 0xffu)) * 1099511628211ull;
-    }
-  };
-  for (double v : {r.realized_j, r.cont_j, r.disc_j, r.offline_j, r.avoidable_frac}) {
-    mix(v);
-  }
-  for (const ServerReclaim& sr : r.servers) {
-    for (double v : {sr.realized_j, sr.cont_j, sr.disc_j}) {
-      mix(v);
-    }
-    for (const auto* bins : {&sr.realized_bin_j, &sr.cont_bin_j, &sr.disc_bin_j}) {
-      for (double v : *bins) {
-        mix(v);
-      }
-    }
-  }
-  return h;
-}
-
-// Digests of every reclaim total and bin on the golden cluster configs,
-// pinned bit for bit.  Every instance of these configs is agreeable, so the
-// digests pin the linear taut-string path; a change that moves them must
-// show its drift against the YDS oracle
-// (GoldenClusterConfigsMatchTheYdsOracle) and refresh them.
-TEST(ReclaimScanExactness, GoldenClusterTotalsAndBinsAreBitwiseUnchanged) {
-  constexpr std::uint64_t kDigests[] = {
-      0x167ad930747828c4ull,
-      0x631da061e7519aebull,
-      0xfd2ddda78c248449ull,
-      0x4799d5a096d76c7cull,
-      0x5becafeb6d7bb673ull,
-      0xd919a80fb0f0e6a3ull,
-      0xfc1efd9fb40100c9ull,
-      0xd55128434682c8e1ull,
-  };
-  const std::vector<NamedConfig> cases = golden_configs();
-  ASSERT_EQ(cases.size(), std::size(kDigests));
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const RunReclaim rr = run_and_reclaim(cases[i].cfg, cases[i].sched);
-    EXPECT_EQ(reclaim_digest(rr.reclaim), kDigests[i]) << "golden case " << i;
-  }
-}
-
 // A report dir carries one power model and a per-server core count; the
 // reloaded advisor must price the pooled fluid bound over the whole fleet
 // (cores x servers), matching the in-process value up to the %.12g trace
@@ -1010,10 +785,9 @@ TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
 }
 
 TEST(ReclaimAgreeable, GoldenClusterConfigsMatchTheYdsOracle) {
-  const std::vector<NamedConfig> cases = golden_configs();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const RunReclaim rr = run_and_reclaim(cases[i].cfg, cases[i].sched);
-    const std::string label = "golden case " + std::to_string(i);
+  for (const testdata::ClusterCase& c : testdata::cluster_cases()) {
+    const RunReclaim rr = run_and_reclaim(c.cfg, c.sched);
+    const std::string label = std::string("golden case ") + c.name;
     obs::analysis::detail::ReclaimPaths paths;
     const ReclaimAnalysis linear =
         obs::analysis::detail::analyze_reclaim(rr.input, rr.analysis, false, &paths);

@@ -1,6 +1,13 @@
 // Tests for config validation and the report helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "exp/config.h"
 #include "exp/report.h"
 #include "exp/runner.h"
@@ -96,6 +103,102 @@ TEST(Report, JsonValuesMatchResult) {
   EXPECT_NE(json.find("\"released\": " + std::to_string(r.released)),
             std::string::npos);
   EXPECT_NE(json.find("\"scheduler\": \"GE\""), std::string::npos);
+}
+
+// The numeric members of each JSON object in `json`, by key: the record
+// itself first, then one map per tenant slice.
+std::vector<std::map<std::string, std::string>> json_numbers(const std::string& json) {
+  std::vector<std::map<std::string, std::string>> objects;
+  const auto add = [&objects](const std::string& object) {
+    objects.emplace_back();
+    for (std::size_t at = object.find("\": "); at != std::string::npos;
+         at = object.find("\": ", at + 3)) {
+      const std::size_t key = object.rfind('"', at - 1) + 1;
+      const std::string value =
+          object.substr(at + 3, object.find_first_of(",}", at) - (at + 3));
+      if (value.front() != '"') {
+        objects.back()[object.substr(key, at - key)] = value;
+      }
+    }
+  };
+  add(json.substr(0, json.find("\"tenants\"")));
+  for (std::size_t open = json.find('{', 1); open != std::string::npos;
+       open = json.find('{', open + 1)) {
+    add(json.substr(open, json.find('}', open) - open));
+  }
+  return objects;
+}
+
+// Each printed number parses back to exactly its field (counts are small
+// enough to be exact as doubles), and nothing else was printed.
+void expect_round_trips(const std::map<std::string, std::string>& printed,
+                        const std::map<std::string, double>& fields) {
+  EXPECT_EQ(printed.size(), fields.size());
+  for (const auto& [key, value] : fields) {
+    const auto it = printed.find(key);
+    ASSERT_NE(it, printed.end()) << key;
+    double parsed = 0.0;
+    const char* end = it->second.data() + it->second.size();
+    const auto [ptr, ec] = std::from_chars(it->second.data(), end, parsed);
+    EXPECT_TRUE(ec == std::errc() && ptr == end) << key << ": " << it->second;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed), std::bit_cast<std::uint64_t>(value))
+        << key << ": " << it->second;
+  }
+}
+
+// Every number to_json prints parses back to its field bit for bit, so
+// equal records mean bitwise-equal results (the golden store relies on it).
+TEST(Report, JsonNumbersRoundTripBitExactly) {
+  ExperimentConfig cfg = small_config();
+  cfg.num_servers = 2;
+  cfg.churn = 0.3;
+  cfg.churn_dwell = 0.4;
+  cfg.wake_latency = 0.05;
+  cfg.setup_energy = 20.0;
+  cfg.num_tenants = 2;
+  cfg.admission = 1.5;
+  RunResult r = run_simulation(cfg, SchedulerSpec{});
+  ASSERT_EQ(r.tenants.size(), 2u);
+  ASSERT_GT(r.wakes, 0u);
+  // Values %.10g would round, at both ends of the range.
+  r.offline_energy_j = 0.1 + 0.2;
+  r.reclaim_energy_j = 1.0 / 3.0;
+  r.reclaim_disc_j = std::numeric_limits<double>::denorm_min();
+  r.reclaim_offline_j = std::numeric_limits<double>::max();
+
+  const std::vector<std::map<std::string, std::string>> printed =
+      json_numbers(to_json(r));
+  ASSERT_EQ(printed.size(), 1 + r.tenants.size());
+  const auto n = [](std::uint64_t count) { return static_cast<double>(count); };
+  expect_round_trips(
+      printed[0],
+      {{"arrival_rate", r.arrival_rate}, {"duration_s", r.duration},
+       {"quality", r.quality}, {"energy_j", r.energy},
+       {"static_energy_j", r.static_energy}, {"avg_power_w", r.avg_power},
+       {"mean_response_ms", r.mean_response_ms}, {"p50_response_ms", r.p50_response_ms},
+       {"p95_response_ms", r.p95_response_ms}, {"p99_response_ms", r.p99_response_ms},
+       {"aes_fraction", r.aes_fraction}, {"avg_speed_ghz", r.avg_speed_ghz},
+       {"speed_variance", r.speed_variance}, {"busy_fraction", r.busy_fraction},
+       {"energy_cov", r.energy_cov}, {"released", n(r.released)},
+       {"completed", n(r.completed)}, {"partial", n(r.partial)},
+       {"dropped", n(r.dropped)}, {"rounds", n(r.rounds)},
+       {"wf_rounds", n(r.wf_rounds)}, {"es_rounds", n(r.es_rounds)},
+       {"num_servers", n(r.num_servers)}, {"server_energy_cov", r.server_energy_cov},
+       {"server_load_cov", r.server_load_cov}, {"setup_energy_j", r.setup_energy_j},
+       {"wakes", n(r.wakes)}, {"rejected", n(r.rejected)},
+       {"expired_in_queue", n(r.expired_in_queue)},
+       {"offline_energy_j", r.offline_energy_j}, {"reclaim_energy_j", r.reclaim_energy_j},
+       {"reclaim_disc_j", r.reclaim_disc_j}, {"reclaim_offline_j", r.reclaim_offline_j}});
+  for (std::size_t t = 0; t < r.tenants.size(); ++t) {
+    SCOPED_TRACE("tenant " + std::to_string(t));
+    const TenantRunResult& tr = r.tenants[t];
+    expect_round_trips(printed[1 + t],
+                       {{"tenant", n(t)}, {"q_target", tr.q_target},
+                        {"quality", tr.quality}, {"slo_burn", tr.slo_burn},
+                        {"energy_j", tr.energy_j}, {"released", n(tr.released)},
+                        {"completed", n(tr.completed)}, {"partial", n(tr.partial)},
+                        {"dropped", n(tr.dropped)}});
+  }
 }
 
 }  // namespace

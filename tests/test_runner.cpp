@@ -7,6 +7,7 @@
 #include "exp/calibrate.h"
 #include "exp/config.h"
 #include "exp/flags_config.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_registry.h"
 #include "exp/scheduler_spec.h"
@@ -164,10 +165,7 @@ TEST(Runner, DeterministicForSeed) {
   const ExperimentConfig cfg = small_config();
   const RunResult a = run_simulation(cfg, SchedulerSpec{});
   const RunResult b = run_simulation(cfg, SchedulerSpec{});
-  EXPECT_DOUBLE_EQ(a.quality, b.quality);
-  EXPECT_DOUBLE_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.released, b.released);
-  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(to_json(a), to_json(b));
 }
 
 TEST(Runner, DifferentSeedsDiffer) {

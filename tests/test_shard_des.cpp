@@ -1,5 +1,5 @@
 // Property tests for the sharded parallel DES (docs/DESIGN.md, "Sharded
-// parallel DES") plus the golden bit-identity pin.
+// parallel DES") plus serial-vs-sharded equality on the golden configs.
 //
 // The executor promises (src/sim/shard_exec.h):
 //
@@ -14,16 +14,14 @@
 //  * conservation -- every released job is dispatched to exactly one node,
 //    whatever the shard count.
 //
-// The golden table at the bottom pins eight cluster configurations captured
-// from the pre-shard serial runner at full %.17g precision; --shards 1 and
-// --shards 4 must both reproduce every field exactly, mirroring the golden
-// pins in test_golden_schedulers.cpp.
+// At the bottom, --shards 4 must reproduce the serial result and timeline on
+// the eight golden cluster configurations (their records are pinned in
+// tests/goldens.txt).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -34,9 +32,11 @@
 #include "cluster/dispatcher.h"
 #include "core/queue_policy.h"
 #include "exp/config.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "exp/timeline.h"
+#include "golden_cases.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
 #include "sim/shard_exec.h"
@@ -597,231 +597,37 @@ TEST(ShardExec, DispatchedJobConservationForEveryShardCount) {
 }  // namespace ge::sim
 
 // ---------------------------------------------------------------------------
-// Golden bit-identity pin: eight cluster configurations captured from the
-// pre-shard serial runner at %.17g.  Both --shards 1 (the serial loop) and
-// --shards 4 must reproduce every field bit-for-bit.
+// Serial vs sharded on the golden cluster configs (test_goldens pins their
+// records): the verify-power sampler and timeline sampling ride along as
+// cross-shard events, and --shards 4 must give the serial result and
+// sample the same fleet state.
 
 namespace ge::exp {
 namespace {
 
-struct ShardGolden {
-  double quality;
-  double energy;
-  double static_energy;
-  double avg_power;
-  double mean_response_ms;
-  double p50_response_ms;
-  double p95_response_ms;
-  double p99_response_ms;
-  double aes_fraction;
-  double avg_speed_ghz;
-  double speed_variance;
-  double busy_fraction;
-  double energy_cov;
-  double server_energy_cov;
-  double server_load_cov;
-  std::uint64_t released;
-  std::uint64_t completed;
-  std::uint64_t partial;
-  std::uint64_t dropped;
-  std::uint64_t rounds;
-  std::uint64_t wf_rounds;
-  std::uint64_t es_rounds;
-};
-
-// Captured 2026-08 from the serial cluster runner immediately before the
-// shard refactor landed (commit history: "Add scheduler plugin registry...").
-const ShardGolden kGoldens[] = {
-    {0.56587724082986823, 324.70217712867009, 0, 162.35108856433504,
-     140.67291253704991, 143.17535673944371, 150.00000000000003, 150.00000000000014,
-     0.079781573069152414, 1.9510618629959109, 0.050487412368935995, 0.66811373629107407, 0.016481284795732291,
-     0.0075022852013331377, 0,
-     368ULL, 0ULL, 368ULL, 0ULL, 62ULL, 0ULL, 62ULL},
-    {0.60163260926090711, 631.26837788939088, 0, 315.63418894469544,
-     143.17061084948131, 146.06242313927947, 150.00000000000003, 150.00000000000014,
-     0.076602606036120083, 1.9392425447920201, 0.053948841269492634, 0.65669437363190608, 0.025849908838190792,
-     0.013361650375972433, 0.017777292362333254,
-     656ULL, 9ULL, 647ULL, 0ULL, 116ULL, 0ULL, 116ULL},
-    {0.53243785922366471, 646.18934389021831, 0, 323.09467194510916,
-     145.54472847366083, 148.35048039918442, 150.00000000000003, 150.00000000000014,
-     0.085643156174699864, 1.9411372001962242, 0.05446961178315151, 0.67083182997794599, 0.015210792656826897,
-     0.0081954276394195415, 0.0034405088570410879,
-     769ULL, 0ULL, 769ULL, 0ULL, 184ULL, 0ULL, 184ULL},
-    {0.69961752696561896, 621.14024225437856, 0, 310.57012112718928,
-     139.87846256932278, 146.68473997758389, 150.00000000000003, 150.00000000000011,
-     0, 1.9039997156142563, 0.10864216997063299, 0.66013298680611654, 0.063160534270097074,
-     0.017533796096419602, 0.084252927019621074,
-     526ULL, 60ULL, 466ULL, 0ULL, 130ULL, 130ULL, 0ULL},
-    {0.47248919386554378, 399.6338418067877, 0, 199.81692090339385,
-     116.31714020673382, 118.99963519251332, 150.00000000000003, 150.00000000000003,
-     0.069012280637373247, 1.8565128517389282, 0.10550244331125262, 0.44644847944399557, 0.054123640237371477,
-     0.038349315749852023, 0.12628324601824251,
-     561ULL, 8ULL, 553ULL, 0ULL, 180ULL, 2ULL, 178ULL},
-    {0.60863487062493271, 327.31274922524608, 0, 163.65637461262304,
-     145.20753106106281, 149.99999999999991, 150.00000000000003, 150.00000000000011,
-     0, 1.9749103636939014, 0.02011194397192588, 0.66261901088842856, 0.021407504866125325,
-     0.0055089949868426386, 0,
-     312ULL, 54ULL, 258ULL, 0ULL, 0ULL, 0ULL, 0ULL},
-    {0.76904918739271055, 895.55549540207676, 0, 447.77774770103838,
-     144.66947188052043, 149.99999999999991, 150.00000000000003, 150.00000000000014,
-     0.094794845108694833, 1.8176188123686952, 0.070255691941641274, 0.66204103694840355, 0.0435201372950254,
-     0.31475651250422743, 0.3133806607838534,
-     703ULL, 110ULL, 593ULL, 0ULL, 241ULL, 0ULL, 241ULL},
-    {0.63039729904351327, 625.52342454728739, 0, 312.7617122736437,
-     143.38309930306275, 146.00772128421039, 150.00000000000003, 150.00000000000014,
-     0.099539613865742546, 1.9772245006581841, 0.12500501273374959, 0.61526433586807283, 0.29333063841725115,
-     0.010692931401653836, 0,
-     580ULL, 14ULL, 564ULL, 2ULL, 114ULL, 0ULL, 114ULL},
-};
-
-struct GoldenCase {
-  const char* sched;
-  ExperimentConfig cfg;
-};
-
-std::vector<GoldenCase> golden_cases() {
-  std::vector<GoldenCase> cases;
-  auto base = [] {
-    ExperimentConfig c = ExperimentConfig::paper_defaults();
-    c.duration = 2.0;
-    c.cores = 4;
-    c.power_budget = 80.0;
-    return c;
-  };
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 2;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 200.0;
-    c.seed = 31;
-    cases.push_back({"GE", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kJsq;
-    c.arrival_rate = 320.0;
-    c.seed = 32;
-    cases.push_back({"GE", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.cores = 2;
-    c.power_budget = 40.0;
-    c.num_servers = 8;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 400.0;
-    c.seed = 33;
-    cases.push_back({"GE", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kRandom;
-    c.arrival_rate = 250.0;
-    c.seed = 34;
-    cases.push_back({"BE", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kLeastEnergy;
-    c.arrival_rate = 280.0;
-    c.seed = 35;
-    c.discrete_speeds = true;
-    cases.push_back({"GE", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 2;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 150.0;
-    c.seed = 36;
-    cases.push_back({"OA", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 8;
-    c.dispatch = cluster::DispatchPolicy::kJsq;
-    c.arrival_rate = 350.0;
-    c.seed = 37;
-    c.server_cores = {4, 2, 4, 2, 4, 2, 4, 2};
-    c.server_power_scale = {1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2};
-    cases.push_back({"GE", c});
-  }
-  {
-    ExperimentConfig c = base();
-    c.num_servers = 4;
-    c.dispatch = cluster::DispatchPolicy::kRoundRobin;
-    c.arrival_rate = 300.0;
-    c.seed = 38;
-    c.failure_time = 1.0;
-    c.failure_cores = 2;
-    cases.push_back({"GE", c});
-  }
-  return cases;
-}
-
-void expect_matches_golden(const RunResult& r, const ShardGolden& g) {
-  EXPECT_EQ(r.quality, g.quality);
-  EXPECT_EQ(r.energy, g.energy);
-  EXPECT_EQ(r.static_energy, g.static_energy);
-  EXPECT_EQ(r.avg_power, g.avg_power);
-  EXPECT_EQ(r.mean_response_ms, g.mean_response_ms);
-  EXPECT_EQ(r.p50_response_ms, g.p50_response_ms);
-  EXPECT_EQ(r.p95_response_ms, g.p95_response_ms);
-  EXPECT_EQ(r.p99_response_ms, g.p99_response_ms);
-  EXPECT_EQ(r.aes_fraction, g.aes_fraction);
-  EXPECT_EQ(r.avg_speed_ghz, g.avg_speed_ghz);
-  EXPECT_EQ(r.speed_variance, g.speed_variance);
-  EXPECT_EQ(r.busy_fraction, g.busy_fraction);
-  EXPECT_EQ(r.energy_cov, g.energy_cov);
-  EXPECT_EQ(r.server_energy_cov, g.server_energy_cov);
-  EXPECT_EQ(r.server_load_cov, g.server_load_cov);
-  EXPECT_EQ(r.released, g.released);
-  EXPECT_EQ(r.completed, g.completed);
-  EXPECT_EQ(r.partial, g.partial);
-  EXPECT_EQ(r.dropped, g.dropped);
-  EXPECT_EQ(r.rounds, g.rounds);
-  EXPECT_EQ(r.wf_rounds, g.wf_rounds);
-  EXPECT_EQ(r.es_rounds, g.es_rounds);
-}
-
-TEST(ShardGoldens, SerialAndShardedReproducePreRefactorResults) {
-  const std::vector<GoldenCase> cases = golden_cases();
-  ASSERT_EQ(cases.size(), std::size(kGoldens));
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    SCOPED_TRACE("golden case " + std::to_string(i) + " sched=" +
-                 cases[i].sched);
-    const workload::Trace trace = workload::Trace::generate(
-        cases[i].cfg.workload_spec(), cases[i].cfg.duration);
-    const SchedulerSpec spec = SchedulerSpec::parse(cases[i].sched);
-
-    // The verify-power sampler and timeline sampling ride along as
-    // cross-shard events; neither may perturb the run, and the timeline
-    // must sample the same fleet state under both executors.
-    ExperimentConfig serial_cfg = cases[i].cfg;
-    serial_cfg.shards = 1;
-    serial_cfg.verify_power = true;
-    Timeline serial_timeline;
-    serial_timeline.interval = 0.05;
-    expect_matches_golden(
-        run_simulation(serial_cfg, spec, trace, &serial_timeline), kGoldens[i]);
-
-    ExperimentConfig sharded_cfg = cases[i].cfg;
-    sharded_cfg.shards = 4;
-    sharded_cfg.verify_power = true;
-    Timeline sharded_timeline;
-    sharded_timeline.interval = 0.05;
-    expect_matches_golden(
-        run_simulation(sharded_cfg, spec, trace, &sharded_timeline), kGoldens[i]);
-
-    ASSERT_FALSE(serial_timeline.empty());
-    ASSERT_EQ(serial_timeline.points.size(), sharded_timeline.points.size());
-    for (std::size_t k = 0; k < serial_timeline.points.size(); ++k) {
+TEST(ShardTimeline, ShardedRunsMatchSerialOnTheGoldenClusterConfigs) {
+  for (const testdata::ClusterCase& c : testdata::cluster_cases()) {
+    SCOPED_TRACE(c.name);
+    const workload::Trace trace =
+        workload::Trace::generate(c.cfg.workload_spec(), c.cfg.duration);
+    std::vector<std::string> records;
+    std::vector<Timeline> timelines;
+    for (const std::size_t shards : {1u, 4u}) {
+      ExperimentConfig cfg = c.cfg;
+      cfg.shards = shards;
+      cfg.verify_power = true;
+      Timeline& timeline = timelines.emplace_back();
+      timeline.interval = 0.05;
+      records.push_back(
+          to_json(run_simulation(cfg, SchedulerSpec::parse(c.sched), trace, &timeline)));
+    }
+    EXPECT_EQ(records[0], records[1]);
+    ASSERT_FALSE(timelines[0].empty());
+    ASSERT_EQ(timelines[0].points.size(), timelines[1].points.size());
+    for (std::size_t k = 0; k < timelines[0].points.size(); ++k) {
       SCOPED_TRACE("timeline point " + std::to_string(k));
-      const TimelinePoint& a = serial_timeline.points[k];
-      const TimelinePoint& b = sharded_timeline.points[k];
+      const TimelinePoint& a = timelines[0].points[k];
+      const TimelinePoint& b = timelines[1].points[k];
       EXPECT_EQ(a.time, b.time);
       EXPECT_EQ(a.total_power, b.total_power);
       EXPECT_EQ(a.quality, b.quality);

@@ -9,6 +9,7 @@
 
 #include "core/speed_scaling.h"
 #include "exp/config.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "opt/yds.h"
@@ -132,9 +133,7 @@ TEST(SpeedScalingFeasibility, NeverMissesDeadlineAcrossPaths) {
       ExperimentConfig streamed = cfg;
       streamed.stream = true;
       const RunResult s = run_simulation_stream(streamed, spec);
-      EXPECT_EQ(s.quality, base.quality);
-      EXPECT_EQ(s.energy, base.energy);
-      EXPECT_EQ(s.completed, base.completed);
+      EXPECT_EQ(to_json(s), to_json(base));
     }
   }
 }

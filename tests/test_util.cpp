@@ -291,6 +291,24 @@ TEST(Flags, PositiveDoubleExitsNamingTheFlag) {
   }
 }
 
+TEST(Flags, NumbersMustBeWhollyFinite) {
+  for (const char* bad : {"abc", "0.9x", "inf", "1e999", " 1"}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"prog", "--x", bad};
+    Flags flags(3, argv);
+    EXPECT_EXIT((void)flags.get_double("x", 0.0), ::testing::ExitedWithCode(2),
+                "--x must be a finite number");
+    EXPECT_EXIT((void)flags.get_int("x", 0), ::testing::ExitedWithCode(2),
+                "--x must be an integer");
+  }
+  const char* argv[] = {"prog", "--xs", "100,abc", "--ys", "1,,2"};
+  Flags flags(5, argv);
+  EXPECT_EXIT((void)flags.get_double_list("xs", {}), ::testing::ExitedWithCode(2),
+              "--xs must be a comma-separated list of finite numbers");
+  EXPECT_EXIT((void)flags.get_double_list("ys", {}), ::testing::ExitedWithCode(2),
+              "--ys must be a comma-separated list");
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);

@@ -12,7 +12,7 @@ Usage:
             * carries every expected panel id, once per task, in order.
 --tasks N   expected number of tasks (default: infer >= 1 from the file).
 --identical two or more dashboards that must be byte-for-byte identical
-            (the --jobs/--shards determinism contract, docs/DETERMINISM.md).
+            (the --jobs/--shards determinism contract, DESIGN.md section 7).
 
 Exits non-zero with a message on the first violation; CI runs this on the
 dashboard smoke artifact so drift in the panel contract fails the build.

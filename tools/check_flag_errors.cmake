@@ -1,6 +1,7 @@
 # Runs ge_report, ge_dashboard and ge_sweep on each malformed flag value
 # and requires a clean exit 2 with a one-line message naming the flag, not
-# an abort or a value wrapped through an unsigned cast.
+# an abort, a value wrapped through an unsigned cast or a silently
+# truncated number.
 #
 #   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DGE_SWEEP=path
 #         -DREPORT_DIR=dir -P check_flag_errors.cmake
@@ -33,7 +34,13 @@ set(cases
   "ge_sweep|max-jobs|-5"
   "ge_sweep|seed|-1"
   "ge_sweep|jobs|-1"
-  "ge_sweep|jobs|abc")
+  "ge_sweep|jobs|abc"
+  "ge_sweep|rate|abc"
+  "ge_sweep|rates|100,abc"
+  "ge_sweep|seconds|abc"
+  "ge_sweep|budget|-5"
+  "ge_sweep|qge|2"
+  "ge_sweep|qge|0.9x")
 
 set(failures 0)
 foreach(entry IN LISTS cases)

@@ -24,7 +24,7 @@ Usage:
            Two or more output files that must be byte-for-byte identical.
            CI uses this for the determinism contracts: the same run under
            --jobs 1 vs --jobs N and under --shards 1 vs --shards N must
-           emit identical metrics/trace/report bytes (docs/DETERMINISM.md).
+           emit identical metrics/trace/report bytes (DESIGN.md section 7).
 
 Exits non-zero with a line-numbered message on the first violation; CI runs
 this after the telemetry smoke run so schema drift fails the build.
