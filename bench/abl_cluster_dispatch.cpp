@@ -17,16 +17,18 @@ int main(int argc, char** argv) {
   bench::print_banner(ctx, "Ablation",
                       "cluster dispatch policy x server count x load");
 
-  const char* policies[] = {"random", "rr", "jsq", "least-energy"};
+  const cluster::DispatchPolicy policies[] = {
+      cluster::DispatchPolicy::kRandom, cluster::DispatchPolicy::kRoundRobin,
+      cluster::DispatchPolicy::kJsq, cluster::DispatchPolicy::kLeastEnergy};
   for (std::size_t servers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     std::vector<exp::RunVariant> variants;
-    for (const char* policy : policies) {
+    for (cluster::DispatchPolicy policy : policies) {
       exp::RunVariant variant;
-      variant.label = policy;
+      variant.label = cluster::to_string(policy);
       variant.spec = exp::SchedulerSpec::parse("GE");
       variant.tweak = [servers, policy](exp::ExperimentConfig cfg) {
         cfg.num_servers = servers;
-        cfg.dispatch = cluster::parse_dispatch_policy(policy);
+        cfg.dispatch = policy;
         return cfg;
       };
       variants.push_back(std::move(variant));

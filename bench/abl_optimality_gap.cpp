@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   // Figure-default 60 s is too long for the quadratic reference; use a few
   // seconds unless the caller insists.
-  ctx.base.duration = flags.get_double("seconds", 4.0);
+  ctx.base.duration = flags.get_positive_double("seconds", 4.0);
   bench::print_banner(ctx, "Ablation",
                       "GE vs clairvoyant fluid-YDS reference (offline, "
                       "preemptive, unpartitioned, no budget)");

@@ -84,7 +84,9 @@ int main(int argc, char** argv) {
 
   constexpr std::size_t kServers = 2;
   const double qges[] = {0.8, 0.9, 1.0};
-  for (const char* policy : {"rr", "jsq", "random"}) {
+  for (cluster::DispatchPolicy policy :
+       {cluster::DispatchPolicy::kRoundRobin, cluster::DispatchPolicy::kJsq,
+        cluster::DispatchPolicy::kRandom}) {
     util::Table table({"rate/server", "q80_J", "q80_frac", "q80_disc",
                        "q90_J", "q90_frac", "q90_disc", "q100_J", "q100_frac",
                        "q100_disc"});
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
       for (double qge : qges) {
         exp::ExperimentConfig cfg = ctx.base;
         cfg.num_servers = kServers;
-        cfg.dispatch = cluster::parse_dispatch_policy(policy);
+        cfg.dispatch = policy;
         cfg.arrival_rate = rate * static_cast<double>(kServers);
         cfg.q_ge = qge;
         const ReclaimPoint point = run_point(cfg);
@@ -104,7 +106,7 @@ int main(int argc, char** argv) {
       }
     }
     bench::print_panel(
-        ctx, std::string(policy) + " dispatch: realised J / reclaim fraction",
+        ctx, std::string(cluster::to_string(policy)) + " dispatch: realised J / reclaim fraction",
         table,
         "the reclaimable fraction peaks near the critical load "
         "(compensation sprints leave convexity headroom a clairvoyant "

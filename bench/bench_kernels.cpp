@@ -524,7 +524,7 @@ void BM_GESchedulingRound(benchmark::State& state) {
     }
     sim.run_until(2.2);
     scheduler.finish();
-    rounds += scheduler.rounds();
+    rounds += scheduler.stats(0.0).rounds;
     benchmark::DoNotOptimize(monitor.quality());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));

@@ -14,19 +14,8 @@ FigureContext parse_figure_args(int argc, const char* const* argv,
   ctx.base = exp::ExperimentConfig::paper_defaults();
   ctx.base.duration = flags.get_positive_double("seconds", 60.0);
   ctx.base.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 1, 0));
-  ctx.base.num_servers =
-      static_cast<std::size_t>(flags.get_int_at_least("servers", 1, 1));
-  const std::string dispatch = flags.get_string("dispatch", "");
-  if (!dispatch.empty()) {
-    ctx.base.dispatch = cluster::parse_dispatch_policy(dispatch);
-  }
-  for (double n : flags.get_double_list("server-cores", {})) {
-    ctx.base.server_cores.push_back(static_cast<std::size_t>(n));
-  }
-  ctx.base.server_power_scale = flags.get_double_list("server-power-scale", {});
-  ctx.base.server_max_ghz = flags.get_double_list("server-max-ghz", {});
-  ctx.base.shards = static_cast<std::size_t>(flags.get_int_at_least("shards", 1, 1));
-  ctx.rates = flags.get_double_list("rates", std::move(default_rates));
+  ctx.base = exp::apply_cluster_flags(std::move(ctx.base), flags);
+  ctx.rates = flags.get_positive_double_list("rates", std::move(default_rates));
   ctx.csv = flags.get_bool("csv", false);
   ctx.exec = exp::parse_execution_options(flags);
   return ctx;

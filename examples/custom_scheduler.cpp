@@ -174,9 +174,9 @@ int main(int argc, char** argv) {
   using namespace ge;
   const util::Flags flags(argc, argv);
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
-  cfg.arrival_rate = flags.get_double("rate", 150.0);
-  cfg.duration = flags.get_double("seconds", 10.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  cfg.arrival_rate = flags.get_positive_double("rate", 150.0);
+  cfg.duration = flags.get_positive_double("seconds", 10.0);
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 1, 0));
 
   // The new scheduler is a first-class citizen: parse by name (registry
   // lookup, case-insensitive) and compare against a built-in cousin.

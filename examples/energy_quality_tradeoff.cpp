@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
   using namespace ge;
   const util::Flags flags(argc, argv);
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
-  cfg.arrival_rate = flags.get_double("rate", 150.0);
-  cfg.duration = flags.get_double("seconds", 20.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
+  cfg.arrival_rate = flags.get_positive_double("rate", 150.0);
+  cfg.duration = flags.get_positive_double("seconds", 20.0);
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 9, 0));
 
   const workload::Trace trace =
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);

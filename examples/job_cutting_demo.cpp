@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace ge;
   const util::Flags flags(argc, argv);
-  const double q_ge = flags.get_double("qge", 0.9);
+  const double q_ge = flags.get_fraction("qge", 0.9);
   const double c = flags.get_double("c", 0.003);
 
   const quality::ExponentialQuality f(c, 1000.0);

@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
   // 1. Describe the experiment: the paper's Sec. IV-B defaults, overridable
   //    from the command line.
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
-  cfg.arrival_rate = flags.get_double("rate", 150.0);
-  cfg.duration = flags.get_double("seconds", 30.0);
-  cfg.q_ge = flags.get_double("qge", 0.9);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  cfg.arrival_rate = flags.get_positive_double("rate", 150.0);
+  cfg.duration = flags.get_positive_double("seconds", 30.0);
+  cfg.q_ge = flags.get_fraction("qge", 0.9);
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 1, 0));
 
   // 2. Pick a scheduler.  "GE" is the paper's contribution; try "BE",
   //    "FCFS", "SJF", ... for the baselines.

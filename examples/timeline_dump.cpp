@@ -18,16 +18,16 @@ int main(int argc, char** argv) {
   using namespace ge;
   const util::Flags flags(argc, argv);
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
-  cfg.arrival_rate = flags.get_double("rate", 170.0);
-  cfg.duration = flags.get_double("seconds", 20.0);
+  cfg.arrival_rate = flags.get_positive_double("rate", 170.0);
+  cfg.duration = flags.get_positive_double("seconds", 20.0);
   cfg.burst_peak_to_mean = flags.get_double("burst", 1.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2));
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 2, 0));
   const std::string path = flags.get_string("file", "/tmp/ge_timeline.csv");
 
   const workload::Trace trace =
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);
   exp::Timeline timeline;
-  timeline.interval = flags.get_double("interval", 0.05);
+  timeline.interval = flags.get_positive_double("interval", 0.05);
   const exp::RunResult r = exp::run_simulation(cfg, exp::SchedulerSpec::parse("GE"),
                                                trace, &timeline);
   timeline.save_csv(path);

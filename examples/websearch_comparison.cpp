@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   using namespace ge;
   const util::Flags flags(argc, argv);
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
-  cfg.duration = flags.get_double("seconds", 20.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  cfg.duration = flags.get_positive_double("seconds", 20.0);
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 3, 0));
 
   struct Profile {
     const char* name;

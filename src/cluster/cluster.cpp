@@ -439,25 +439,31 @@ void Cluster::export_metrics(obs::MetricsRegistry& registry,
       .set(static_cast<double>(nodes_.size()));
   for (std::size_t s = 0; s < nodes_.size(); ++s) {
     const std::string prefix = "s" + std::to_string(s) + ".";
+    const ServerLifecycle* lifecycle = nodes_[s]->lifecycle_.get();
     registry.counter(prefix + "dispatched_jobs", "jobs")
         .add(static_cast<double>(nodes_[s]->dispatched_));
-    nodes_[s]->server_->export_metrics(registry, elapsed, prefix);
-  }
-}
-
-void Cluster::export_lifecycle_metrics(obs::MetricsRegistry& registry,
-                                       double now) const {
-  for (std::size_t s = 0; s < nodes_.size(); ++s) {
-    const std::string prefix =
-        nodes_.size() > 1 ? "s" + std::to_string(s) + "." : "server.";
-    const ServerLifecycle* lifecycle = nodes_[s]->lifecycle_.get();
     registry.counter(prefix + "wakes", "wakes")
         .add(lifecycle != nullptr ? static_cast<double>(lifecycle->wakes())
                                   : 0.0);
     registry.counter(prefix + "setup_energy_j", "J")
         .add(lifecycle != nullptr ? lifecycle->setup_energy_j() : 0.0);
     registry.counter(prefix + "offline_s", "s")
-        .add(lifecycle != nullptr ? lifecycle->offline_s(now) : 0.0);
+        .add(lifecycle != nullptr ? lifecycle->offline_s(elapsed) : 0.0);
+    const server::MulticoreServer& server = *nodes_[s]->server_;
+    const double busy = server.total_busy_time();
+    registry.counter(prefix + "server.energy_j", "J").add(server.total_energy());
+    registry.counter(prefix + "server.busy_core_s", "s").add(busy);
+    registry.counter(prefix + "server.idle_core_s", "s")
+        .add(static_cast<double>(server.core_count()) * elapsed - busy);
+    registry.gauge(prefix + "server.online_cores", "cores", obs::Gauge::Merge::kMin)
+        .set(static_cast<double>(server.online_cores()));
+    for (std::size_t i = 0; i < server.core_count(); ++i) {
+      const server::Core& core = server.core(i);
+      const std::string core_prefix = prefix + "core." + std::to_string(core.id()) + ".";
+      registry.counter(core_prefix + "energy_j", "J").add(core.energy());
+      registry.counter(core_prefix + "busy_s", "s").add(core.busy_time());
+      registry.counter(core_prefix + "idle_s", "s").add(elapsed - core.busy_time());
+    }
   }
 }
 

@@ -215,18 +215,11 @@ class Cluster final : public DispatchView {
   double total_setup_energy() const;
   std::uint64_t total_wakes() const;
 
-  // End-of-run telemetry for a multi-node cluster: cluster.servers, then
-  // per node (in node order) the "sK."-prefixed dispatch count and server
-  // metrics.  The one-node cluster must NOT use this -- the runner exports
-  // the node's server metrics unprefixed, preserving the single-server
-  // metric schema byte-for-byte.
+  // End-of-run telemetry (docs/OBSERVABILITY.md): cluster.servers, then per
+  // node in node order under an "sK." prefix, s0 included: dispatch count,
+  // lifecycle breakdown (zeros for always-on nodes), server/core energy and
+  // busy / idle time (idle = elapsed - busy).
   void export_metrics(obs::MetricsRegistry& registry, double elapsed) const;
-
-  // Per-server lifecycle telemetry (wakes, setup energy, offline seconds);
-  // prefixed "sK." for a multi-node cluster, "server." for one node.  Only
-  // meaningful -- and only called by the runner -- when lifecycle_active().
-  void export_lifecycle_metrics(obs::MetricsRegistry& registry,
-                                double now) const;
 
  private:
   // Settles `job` at the dispatch tier (no scheduler/monitor involvement)

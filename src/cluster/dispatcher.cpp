@@ -39,7 +39,7 @@ class RandomDispatcher final : public Dispatcher {
       if (k == 0) return s;
       --k;
     }
-    GE_CHECK(false, "dispatch: random pick out of range");
+    GE_FAIL("dispatch: random pick out of range");
   }
 
  private:
@@ -61,7 +61,7 @@ class RoundRobinDispatcher final : public Dispatcher {
         return s;
       }
     }
-    GE_CHECK(false, "dispatch: no dispatchable server");
+    GE_FAIL("dispatch: no dispatchable server");
   }
 
  private:
@@ -148,7 +148,7 @@ const char* to_string(DispatchPolicy policy) noexcept {
   return "unknown";
 }
 
-DispatchPolicy parse_dispatch_policy(const std::string& name) {
+std::optional<DispatchPolicy> find_dispatch_policy(const std::string& name) {
   const std::string key = lower(name);
   if (key == "single") {
     return DispatchPolicy::kSingle;
@@ -165,7 +165,7 @@ DispatchPolicy parse_dispatch_policy(const std::string& name) {
   if (key == "least-energy" || key == "power") {
     return DispatchPolicy::kLeastEnergy;
   }
-  GE_CHECK(false, "unknown dispatch policy: " + name);
+  return std::nullopt;
 }
 
 std::unique_ptr<Dispatcher> make_dispatcher(DispatchPolicy policy,
@@ -183,7 +183,7 @@ std::unique_ptr<Dispatcher> make_dispatcher(DispatchPolicy policy,
     case DispatchPolicy::kLeastEnergy:
       return std::make_unique<LeastEnergyDispatcher>(view);
   }
-  GE_CHECK(false, "unhandled dispatch policy");
+  GE_FAIL("unhandled dispatch policy");
 }
 
 }  // namespace ge::cluster

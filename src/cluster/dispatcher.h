@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "util/rng.h"
@@ -59,8 +60,8 @@ constexpr bool is_state_free(DispatchPolicy policy) noexcept {
 }
 
 // Parses the names above (aliases: "round-robin" for rr, "power" for
-// least-energy); case-insensitive, checked error on anything else.
-DispatchPolicy parse_dispatch_policy(const std::string& name);
+// least-energy); case-insensitive, nullopt on anything else.
+std::optional<DispatchPolicy> find_dispatch_policy(const std::string& name);
 
 // Read-only view of the live cluster a policy may consult.  Implemented by
 // cluster::Cluster; a test can implement it directly to unit-test policies.

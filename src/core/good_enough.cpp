@@ -51,23 +51,6 @@ GoodEnoughScheduler::GoodEnoughScheduler(SchedulerEnv env, GoodEnoughOptions opt
   if (obs::Telemetry* tel = env_.sim->telemetry(); tel != nullptr) {
     prof_ = tel->profile;
   }
-  if (obs::Telemetry* tel = env_.sim->telemetry();
-      tel != nullptr && tel->metrics != nullptr) {
-    obs::MetricsRegistry& reg = *tel->metrics;
-    m_rounds_ = &reg.counter("ge.rounds", "rounds");
-    m_rounds_aes_ = &reg.counter("ge.rounds_aes", "rounds");
-    m_rounds_bq_ = &reg.counter("ge.rounds_bq", "rounds");
-    m_rounds_es_ = &reg.counter("ge.rounds_equal_sharing", "rounds");
-    m_rounds_wf_ = &reg.counter("ge.rounds_water_filling", "rounds");
-    m_mode_switches_ = &reg.counter("ge.mode_switches", "switches");
-    m_plans_ = &reg.counter("ge.plan_recomputations", "plans");
-    m_qopt_trims_ = &reg.counter("ge.quality_opt_trims", "plans");
-    m_edf_rebuilds_ = &reg.counter("ge.edf_rebuilds", "cores");
-    m_edf_skips_ = &reg.counter("ge.edf_skips", "cores");
-    m_cut_level_ = &reg.histogram(
-        "ge.cut_level_units", {130, 200, 300, 400, 500, 600, 700, 800, 900, 1000},
-        "units");
-  }
 }
 
 void GoodEnoughScheduler::start() {
@@ -156,12 +139,14 @@ void GoodEnoughScheduler::account_mode_time() {
   }
 }
 
-double GoodEnoughScheduler::aes_time(double t) const {
-  return aes_time_ + (mode_ == Mode::kAes ? std::max(t - mode_accounted_until_, 0.0) : 0.0);
-}
-
-double GoodEnoughScheduler::bq_time(double t) const {
-  return bq_time_ + (mode_ == Mode::kBq ? std::max(t - mode_accounted_until_, 0.0) : 0.0);
+SchedulerStats GoodEnoughScheduler::stats(double t) const {
+  const double open = std::max(t - mode_accounted_until_, 0.0);
+  return {.aes_s = aes_time_ + (mode_ == Mode::kAes ? open : 0.0),
+          .bq_s = bq_time_ + (mode_ == Mode::kBq ? open : 0.0),
+          .rounds = rounds_,
+          .wf_rounds = wf_rounds_,
+          .es_rounds = es_rounds_,
+          .mode = mode_ == Mode::kBq ? 1 : 0};
 }
 
 GoodEnoughScheduler::Mode GoodEnoughScheduler::choose_mode() const {

@@ -91,16 +91,10 @@ class GoodEnoughScheduler : public Scheduler {
   void on_deadline(workload::Job* job) override;
   void finish() override;
 
-  double aes_time(double now) const override;
-  double bq_time(double now) const override;
+  SchedulerStats stats(double now) const override;
   std::size_t backlog() const override { return waiting_.size(); }
 
-  Mode mode() const noexcept { return mode_; }
   const GoodEnoughOptions& options() const noexcept { return options_; }
-  std::uint64_t rounds() const noexcept { return rounds_; }
-  // Rounds that used Water-Filling vs Equal-Sharing (hybrid diagnostics).
-  std::uint64_t wf_rounds() const noexcept { return wf_rounds_; }
-  std::uint64_t es_rounds() const noexcept { return es_rounds_; }
 
  private:
   void schedule_round();
@@ -186,19 +180,6 @@ class GoodEnoughScheduler : public Scheduler {
   opt::CutScratch cut_scratch_;
   opt::QualityOptScratch qopt_scratch_;
 
-  // Cached telemetry handles (null when metrics are off); catalog in
-  // docs/OBSERVABILITY.md.
-  obs::Counter* m_rounds_ = nullptr;
-  obs::Counter* m_rounds_aes_ = nullptr;
-  obs::Counter* m_rounds_bq_ = nullptr;
-  obs::Counter* m_rounds_es_ = nullptr;
-  obs::Counter* m_rounds_wf_ = nullptr;
-  obs::Counter* m_mode_switches_ = nullptr;
-  obs::Counter* m_plans_ = nullptr;
-  obs::Counter* m_qopt_trims_ = nullptr;
-  obs::Counter* m_edf_rebuilds_ = nullptr;
-  obs::Counter* m_edf_skips_ = nullptr;
-  obs::Histogram* m_cut_level_ = nullptr;
   // Wall-clock self-profiling spans (--profile); null when profiling is off.
   obs::Profiler* prof_ = nullptr;
 };

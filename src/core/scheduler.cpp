@@ -33,6 +33,22 @@ Scheduler::Scheduler(SchedulerEnv env, std::string name)
       m_job_quality_ = &reg.histogram(
           "job.quality", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
           "ratio");
+      // The GE round family is registered for every algorithm (zeros for
+      // those without GE rounds), so the metric-name set of a run does not
+      // depend on its scheduler.
+      m_rounds_ = &reg.counter("ge.rounds", "rounds");
+      m_rounds_aes_ = &reg.counter("ge.rounds_aes", "rounds");
+      m_rounds_bq_ = &reg.counter("ge.rounds_bq", "rounds");
+      m_rounds_es_ = &reg.counter("ge.rounds_equal_sharing", "rounds");
+      m_rounds_wf_ = &reg.counter("ge.rounds_water_filling", "rounds");
+      m_mode_switches_ = &reg.counter("ge.mode_switches", "switches");
+      m_plans_ = &reg.counter("ge.plan_recomputations", "plans");
+      m_qopt_trims_ = &reg.counter("ge.quality_opt_trims", "plans");
+      m_edf_rebuilds_ = &reg.counter("ge.edf_rebuilds", "cores");
+      m_edf_skips_ = &reg.counter("ge.edf_skips", "cores");
+      m_cut_level_ = &reg.histogram(
+          "ge.cut_level_units",
+          {130, 200, 300, 400, 500, 600, 700, 800, 900, 1000}, "units");
     }
   }
 }

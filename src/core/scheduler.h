@@ -9,6 +9,7 @@
 // identically.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "quality/quality_function.h"
@@ -24,6 +25,18 @@ class TraceBuffer;
 }
 
 namespace ge::sched {
+
+// Counters of an algorithm: time in the AES / BQ modes (Fig. 1), rounds by
+// power-distribution branch (hybrid diagnostics) and the current mode.
+// Algorithms without rounds or modes report the zero-initialised struct.
+struct SchedulerStats {
+  double aes_s = 0.0;
+  double bq_s = 0.0;
+  std::uint64_t rounds = 0;
+  std::uint64_t wf_rounds = 0;  // Water-Filling rounds
+  std::uint64_t es_rounds = 0;  // Equal-Sharing rounds
+  int mode = -1;                // 0 = AES, 1 = BQ, -1 = no mode concept
+};
 
 struct SchedulerEnv {
   sim::Simulator* sim = nullptr;
@@ -67,10 +80,8 @@ class Scheduler {
 
   const std::string& name() const noexcept { return name_; }
 
-  // Time spent in the AES / BQ execution modes (Fig. 1).  Algorithms
-  // without a mode concept report zero for both.
-  virtual double aes_time(double now) const { (void)now; return 0.0; }
-  virtual double bq_time(double now) const { (void)now; return 0.0; }
+  // Mode times up to `now`, round counts and the current mode.
+  virtual SchedulerStats stats(double now) const { (void)now; return {}; }
 
   // Jobs waiting for assignment (timeline observability).
   virtual std::size_t backlog() const { return 0; }
@@ -94,6 +105,20 @@ class Scheduler {
   obs::TraceBuffer* trace() const noexcept { return trace_; }
 
   SchedulerEnv env_;
+
+  // Handles of the ge.* round family (null when metrics are off), which
+  // the base registers for every algorithm; only the GE engine counts.
+  obs::Counter* m_rounds_ = nullptr;
+  obs::Counter* m_rounds_aes_ = nullptr;
+  obs::Counter* m_rounds_bq_ = nullptr;
+  obs::Counter* m_rounds_es_ = nullptr;
+  obs::Counter* m_rounds_wf_ = nullptr;
+  obs::Counter* m_mode_switches_ = nullptr;
+  obs::Counter* m_plans_ = nullptr;
+  obs::Counter* m_qopt_trims_ = nullptr;
+  obs::Counter* m_edf_rebuilds_ = nullptr;
+  obs::Counter* m_edf_skips_ = nullptr;
+  obs::Histogram* m_cut_level_ = nullptr;
 
  private:
   std::string name_;

@@ -4,8 +4,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-
-#include "util/check.h"
+#include <optional>
+#include <utility>
 
 namespace ge::exp {
 
@@ -19,12 +19,7 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.cores = static_cast<std::size_t>(
       flags.get_int_at_least("cores", static_cast<std::int64_t>(cfg.cores), 1));
   cfg.power_budget = flags.get_positive_double("budget", cfg.power_budget);
-  cfg.q_ge = flags.get_double("qge", cfg.q_ge);
-  if (cfg.q_ge < 0.0 || cfg.q_ge > 1.0) {
-    std::fprintf(stderr, "error: --qge must be in [0, 1], got '%s'\n",
-                 flags.get_string("qge", "").c_str());
-    std::exit(2);
-  }
+  cfg.q_ge = flags.get_fraction("qge", cfg.q_ge);
 
   const std::string family = flags.get_string("quality-family", "");
   if (family == "linear") {
@@ -33,8 +28,9 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
     cfg.quality_family = QualityFamily::kPowerLaw;
   } else if (family == "exponential") {
     cfg.quality_family = QualityFamily::kExponential;
-  } else {
-    GE_CHECK(family.empty(), "unknown quality family: " + family);
+  } else if (!family.empty()) {
+    util::Flags::reject("quality-family", "one of exponential, linear, powerlaw",
+                        family);
   }
   cfg.quality_c = flags.get_double("quality-c", cfg.quality_c);
 
@@ -73,20 +69,7 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
       flags.get_int_at_least("failure-cores",
                              static_cast<std::int64_t>(cfg.failure_cores), 0));
 
-  // Cluster shape (--servers 1 is the paper's single-server setup).
-  cfg.num_servers = static_cast<std::size_t>(
-      flags.get_int_at_least("servers",
-                             static_cast<std::int64_t>(cfg.num_servers), 1));
-  const std::string dispatch = flags.get_string("dispatch", "");
-  if (!dispatch.empty()) {
-    cfg.dispatch = cluster::parse_dispatch_policy(dispatch);
-  }
-  for (double n : flags.get_double_list("server-cores", {})) {
-    cfg.server_cores.push_back(static_cast<std::size_t>(n));
-  }
-  cfg.server_power_scale =
-      flags.get_double_list("server-power-scale", cfg.server_power_scale);
-  cfg.server_max_ghz = flags.get_double_list("server-max-ghz", cfg.server_max_ghz);
+  cfg = apply_cluster_flags(std::move(cfg), flags);
 
   // Server lifecycle: availability churn or one explicit off/on window, plus
   // wake-transition costs (docs/CLI.md, "Server lifecycle").
@@ -106,10 +89,6 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.tenant_qge = flags.get_double_list("tenant-qge", cfg.tenant_qge);
   cfg.admission = flags.get_double("admission", cfg.admission);
 
-  // Parallel-DES shard count (docs/CLI.md; 1 = serial event loop).
-  cfg.shards = static_cast<std::size_t>(flags.get_int_at_least(
-      "shards", static_cast<std::int64_t>(cfg.shards), 1));
-
   // Streaming replay controls (docs/CLI.md, "Streaming replay").
   cfg.stream = flags.get_bool("stream", cfg.stream);
   cfg.max_jobs = static_cast<std::uint64_t>(
@@ -123,6 +102,36 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
                  "event queue\n");
     std::exit(2);
   }
+  return cfg;
+}
+
+ExperimentConfig apply_cluster_flags(ExperimentConfig cfg,
+                                     const util::Flags& flags) {
+  // --servers 1 is the paper's single-server setup.
+  cfg.num_servers = static_cast<std::size_t>(
+      flags.get_int_at_least("servers",
+                             static_cast<std::int64_t>(cfg.num_servers), 1));
+  const std::string dispatch = flags.get_string("dispatch", "");
+  if (!dispatch.empty()) {
+    const std::optional<cluster::DispatchPolicy> policy =
+        cluster::find_dispatch_policy(dispatch);
+    if (!policy) {
+      util::Flags::reject("dispatch",
+                          "one of single, random, rr, jsq, least-energy",
+                          dispatch);
+    }
+    cfg.dispatch = *policy;
+  }
+  for (std::int64_t n : flags.get_int_list_at_least("server-cores", {}, 1)) {
+    cfg.server_cores.push_back(static_cast<std::size_t>(n));
+  }
+  cfg.server_power_scale =
+      flags.get_positive_double_list("server-power-scale", cfg.server_power_scale);
+  cfg.server_max_ghz =
+      flags.get_positive_double_list("server-max-ghz", cfg.server_max_ghz);
+  // Parallel-DES shard count (docs/CLI.md; 1 = serial event loop).
+  cfg.shards = static_cast<std::size_t>(flags.get_int_at_least(
+      "shards", static_cast<std::int64_t>(cfg.shards), 1));
   return cfg;
 }
 

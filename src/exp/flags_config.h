@@ -18,7 +18,14 @@ namespace ge::exp {
 //   --quantum S --counter N --critical-load R --load-window S
 //   --monitor-window N --discrete [--step-ghz G --max-ghz G]
 //   --static-power W --failure-time S --failure-cores K --hetero-spread X
+// plus the cluster-shape flags below.
 ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags);
+
+// Applies the cluster-shape flags alone (the figure binaries' subset):
+//   --servers N --dispatch single|random|rr|jsq|least-energy
+//   --server-cores C,C,... --server-power-scale X,... --server-max-ghz G,...
+//   --shards N
+ExperimentConfig apply_cluster_flags(ExperimentConfig cfg, const util::Flags& flags);
 
 // Parses the engine execution flags shared by every figure binary and
 // ge_sweep (previously duplicated in each):

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "core/good_enough.h"
 #include "obs/analysis/watchdog.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
@@ -38,13 +37,12 @@ constexpr double kCompleteTol = 1e-6;
 // order, so the floating-point accumulation sequence is identical.
 struct JobAccounting {
   const quality::QualityFunction* f;
-  RunResult* result;
   double achieved = 0.0;
   double potential = 0.0;
   util::QuantileCollector responses;
 
-  // Per-tenant accumulators; sized num_tenants on multi-tenant runs, empty
-  // otherwise (single-tenant accounting touches none of this).
+  // Per-tenant accumulators, one per tenant (one on single-tenant runs);
+  // the run's outcome counts are their sums.
   struct TenantAcc {
     double achieved = 0.0;
     double potential = 0.0;
@@ -65,32 +63,20 @@ struct JobAccounting {
     potential += best;
     GE_CHECK(job.finish_time >= job.arrival - 1e-9, "finish before arrival");
     responses.add((job.finish_time - job.arrival) * 1000.0);
-    ++result->released;
-    std::uint64_t* outcome;
+    GE_CHECK(job.tenant >= 0 &&
+                 static_cast<std::size_t>(job.tenant) < tenants.size(),
+             "job tenant out of range");
+    TenantAcc& acc = tenants[static_cast<std::size_t>(job.tenant)];
+    acc.achieved += value;
+    acc.potential += best;
+    acc.executed += credited;
+    ++acc.released;
     if (job.executed >= job.demand - kCompleteTol) {
-      outcome = &result->completed;
+      ++acc.completed;
     } else if (job.executed > kCompleteTol) {
-      outcome = &result->partial;
+      ++acc.partial;
     } else {
-      outcome = &result->dropped;
-    }
-    ++*outcome;
-    if (!tenants.empty()) {
-      GE_CHECK(job.tenant >= 0 &&
-                   static_cast<std::size_t>(job.tenant) < tenants.size(),
-               "job tenant out of range");
-      TenantAcc& acc = tenants[static_cast<std::size_t>(job.tenant)];
-      acc.achieved += value;
-      acc.potential += best;
-      acc.executed += credited;
-      ++acc.released;
-      if (outcome == &result->completed) {
-        ++acc.completed;
-      } else if (outcome == &result->partial) {
-        ++acc.partial;
-      } else {
-        ++acc.dropped;
-      }
+      ++acc.dropped;
     }
   }
 };
@@ -138,11 +124,29 @@ void install_admission(const ExperimentConfig& cfg, cluster::Cluster& cluster) {
   });
 }
 
-// Sizes the per-tenant accumulators on multi-tenant runs.
-void init_tenants(const ExperimentConfig& cfg, JobAccounting& acct) {
-  if (cfg.num_tenants > 1) {
-    acct.tenants.resize(cfg.num_tenants);
+// Per-tenant slices of the run (one slice on a single-tenant run).
+std::vector<TenantRunResult> tenant_results(const ExperimentConfig& cfg,
+                                            const JobAccounting& acct,
+                                            double energy) {
+  double executed_total = 0.0;
+  for (const JobAccounting::TenantAcc& acc : acct.tenants) {
+    executed_total += acc.executed;
   }
+  std::vector<TenantRunResult> out(acct.tenants.size());
+  for (std::size_t t = 0; t < acct.tenants.size(); ++t) {
+    const JobAccounting::TenantAcc& acc = acct.tenants[t];
+    TenantRunResult& tr = out[t];
+    tr.q_target = cfg.tenant_q_target(t);
+    tr.quality = acc.potential > 0.0 ? acc.achieved / acc.potential : 1.0;
+    tr.slo_burn = (1.0 - tr.quality) / std::max(1.0 - tr.q_target, 1e-9);
+    tr.energy_j =
+        executed_total > 0.0 ? energy * (acc.executed / executed_total) : 0.0;
+    tr.released = acc.released;
+    tr.completed = acc.completed;
+    tr.partial = acc.partial;
+    tr.dropped = acc.dropped;
+  }
+  return out;
 }
 
 // Post-run aggregation over per-job and per-node state, shared by the
@@ -159,6 +163,12 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
   result.duration = cfg.duration;
   result.num_servers = static_cast<std::uint64_t>(cluster.size());
   result.dispatch = cluster.dispatcher().name();
+  for (const JobAccounting::TenantAcc& acc : acct.tenants) {
+    result.released += acc.released;
+    result.completed += acc.completed;
+    result.partial += acc.partial;
+    result.dropped += acc.dropped;
+  }
 
   result.quality = acct.potential > 0.0 ? acct.achieved / acct.potential : 1.0;
   result.energy = cluster.total_energy();
@@ -176,8 +186,12 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
   double aes = 0.0;
   double bq = 0.0;
   for (std::size_t s = 0; s < cluster.size(); ++s) {
-    aes += cluster.node(s).scheduler().aes_time(horizon);
-    bq += cluster.node(s).scheduler().bq_time(horizon);
+    const sched::SchedulerStats stats = cluster.node(s).scheduler().stats(horizon);
+    aes += stats.aes_s;
+    bq += stats.bq_s;
+    result.rounds += stats.rounds;
+    result.wf_rounds += stats.wf_rounds;
+    result.es_rounds += stats.es_rounds;
   }
   result.aes_fraction = (aes + bq) > 0.0 ? aes / (aes + bq) : 0.0;
 
@@ -197,28 +211,17 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
   result.energy_cov =
       core_energy.mean() > 0.0 ? core_energy.stddev() / core_energy.mean() : 0.0;
 
-  if (cluster.size() > 1) {
-    util::RunningStats server_energy;
-    util::RunningStats server_load;
-    for (std::size_t s = 0; s < cluster.size(); ++s) {
-      server_energy.add(cluster.node(s).server().total_energy());
-      server_load.add(static_cast<double>(cluster.node(s).dispatched()));
-    }
-    result.server_energy_cov = server_energy.mean() > 0.0
-                                   ? server_energy.stddev() / server_energy.mean()
-                                   : 0.0;
-    result.server_load_cov =
-        server_load.mean() > 0.0 ? server_load.stddev() / server_load.mean() : 0.0;
-  }
-
+  // One server has zero spread, so its CoVs come out 0.
+  util::RunningStats server_energy;
+  util::RunningStats server_load;
   for (std::size_t s = 0; s < cluster.size(); ++s) {
-    if (auto* ge = dynamic_cast<sched::GoodEnoughScheduler*>(
-            &cluster.node(s).scheduler())) {
-      result.rounds += ge->rounds();
-      result.wf_rounds += ge->wf_rounds();
-      result.es_rounds += ge->es_rounds();
-    }
+    server_energy.add(cluster.node(s).server().total_energy());
+    server_load.add(static_cast<double>(cluster.node(s).dispatched()));
   }
+  result.server_energy_cov =
+      server_energy.mean() > 0.0 ? server_energy.stddev() / server_energy.mean() : 0.0;
+  result.server_load_cov =
+      server_load.mean() > 0.0 ? server_load.stddev() / server_load.mean() : 0.0;
 
   result.setup_energy_j = cluster.total_setup_energy();
   result.wakes = cluster.total_wakes();
@@ -227,29 +230,69 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
   // The offline bound covers the whole trace, so node 0's value is the
   // run's (offline reference schedulers are single-server anyway).
   result.offline_energy_j = cluster.node(0).scheduler().offline_bound_energy();
-
-  if (!acct.tenants.empty()) {
-    double executed_total = 0.0;
-    for (const JobAccounting::TenantAcc& acc : acct.tenants) {
-      executed_total += acc.executed;
-    }
-    result.tenants.resize(acct.tenants.size());
-    for (std::size_t t = 0; t < acct.tenants.size(); ++t) {
-      const JobAccounting::TenantAcc& acc = acct.tenants[t];
-      TenantRunResult& out = result.tenants[t];
-      out.q_target = cfg.tenant_q_target(t);
-      out.quality = acc.potential > 0.0 ? acc.achieved / acc.potential : 1.0;
-      out.slo_burn =
-          (1.0 - out.quality) / std::max(1.0 - out.q_target, 1e-9);
-      out.energy_j =
-          executed_total > 0.0 ? result.energy * (acc.executed / executed_total)
-                               : 0.0;
-      out.released = acc.released;
-      out.completed = acc.completed;
-      out.partial = acc.partial;
-      out.dropped = acc.dropped;
-    }
+  // RunResult carries tenant slices only for multi-tenant runs, so
+  // single-tenant records keep their shape.
+  if (cfg.num_tenants > 1) {
+    result.tenants = tenant_results(cfg, acct, result.energy);
   }
+}
+
+// End-of-run metrics, one layout for every run (docs/OBSERVABILITY.md,
+// goodenough-metrics-v2): every family is emitted, zeros included, so the
+// metric-name set does not depend on the configuration.  Servers and
+// tenants are always prefixed ("sK.", "tN."), s0 and t0 included.
+void export_run_metrics(const ExperimentConfig& cfg, const sim::Simulator& sim,
+                        const cluster::Cluster& cluster, const JobAccounting& acct,
+                        const workload::JobStore* store, double horizon,
+                        const RunResult& result, obs::MetricsRegistry& reg) {
+  const auto count = [&reg](const std::string& name, const char* unit,
+                            double value) { reg.counter(name, unit).add(value); };
+  // Peaks and footprints merge as the largest task.
+  const auto peak = [&reg](const char* name, const char* unit, double value) {
+    reg.gauge(name, unit, obs::Gauge::Merge::kMax).set(value);
+  };
+  count("jobs.released", "jobs", static_cast<double>(result.released));
+  count("jobs.completed", "jobs", static_cast<double>(result.completed));
+  count("jobs.partial", "jobs", static_cast<double>(result.partial));
+  count("jobs.dropped", "jobs", static_cast<double>(result.dropped));
+  count("jobs.rejected", "jobs", static_cast<double>(result.rejected));
+  count("jobs.expired_in_queue", "jobs", static_cast<double>(result.expired_in_queue));
+  count("energy.total_j", "J", result.energy);
+  count("energy.static_j", "J", result.static_energy);
+  count("sim.events_executed", "events", static_cast<double>(sim.executed_events()));
+  peak("sim.peak_pending_events", "events",
+       static_cast<double>(sim.peak_pending_events()));
+  // Worst run quality across merged tasks; the full distribution is in the
+  // run.quality histogram.
+  reg.gauge("quality.monitored", "ratio", obs::Gauge::Merge::kMin).set(result.quality);
+  reg.histogram("run.quality", {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
+                "ratio")
+      .observe(result.quality);
+  // The job arena exists only on streamed runs; materialised runs report 0.
+  peak("stream.peak_in_flight", "jobs",
+       store != nullptr ? static_cast<double>(store->peak_in_flight()) : 0.0);
+  peak("stream.arena_slots", "jobs",
+       store != nullptr ? static_cast<double>(store->capacity()) : 0.0);
+  peak("stream.arena_bytes", "bytes",
+       store != nullptr ? static_cast<double>(store->memory_bytes()) : 0.0);
+  peak("dispatch.pending_peak", "jobs", static_cast<double>(cluster.pending_peak()));
+  count("lifecycle.wakes", "wakes", static_cast<double>(result.wakes));
+  count("lifecycle.setup_energy_j", "J", result.setup_energy_j);
+
+  const std::vector<TenantRunResult> tenants = tenant_results(cfg, acct, result.energy);
+  peak("workload.tenants", "tenants", static_cast<double>(tenants.size()));
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    const TenantRunResult& tr = tenants[t];
+    const std::string prefix = "t" + std::to_string(t) + ".";
+    count(prefix + "released", "jobs", static_cast<double>(tr.released));
+    count(prefix + "completed", "jobs", static_cast<double>(tr.completed));
+    count(prefix + "partial", "jobs", static_cast<double>(tr.partial));
+    count(prefix + "dropped", "jobs", static_cast<double>(tr.dropped));
+    count(prefix + "energy_j", "J", tr.energy_j);
+    reg.gauge(prefix + "quality", "ratio", obs::Gauge::Merge::kMin).set(tr.quality);
+    reg.gauge(prefix + "slo_burn", "ratio", obs::Gauge::Merge::kMax).set(tr.slo_burn);
+  }
+  cluster.export_metrics(reg, horizon);
 }
 
 // Shards only when nothing requires the single serial event sequence: the
@@ -376,8 +419,8 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   }
 
   RunResult result;
-  JobAccounting acct{&f, &result, 0.0, 0.0, {}, {}};
-  init_tenants(cfg, acct);
+  JobAccounting acct{&f, 0.0, 0.0, {}, {}};
+  acct.tenants.resize(cfg.num_tenants);
 
   // Materialised path: private, mutable copy of the trace; addresses are
   // stable for the run.  Accounting happens after the run, in id order.
@@ -509,20 +552,15 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     GE_CHECK(timeline->interval > 0.0, "timeline interval must be positive");
     // Mode comes from node 0's scheduler; with GE on every node they switch
     // on their own feedback, and node 0 is the representative trace.
-    auto* ge_sched =
-        dynamic_cast<sched::GoodEnoughScheduler*>(&cluster.node(0).scheduler());
     for (double t = timeline->interval; t < horizon; t += timeline->interval) {
-      sim.schedule_at(t, [&cluster, &sim, ge_sched, timeline] {
+      sim.schedule_at(t, [&cluster, &sim, timeline] {
         TimelinePoint point;
         point.time = sim.now();
         point.total_power = cluster.total_power(point.time);
         point.quality = cluster.monitored_quality();
         point.busy_cores = cluster.busy_cores(point.time);
         point.backlog = cluster.total_backlog();
-        if (ge_sched != nullptr) {
-          point.mode =
-              ge_sched->mode() == sched::GoodEnoughScheduler::Mode::kBq ? 1 : 0;
-        }
+        point.mode = cluster.node(0).scheduler().stats(point.time).mode;
         timeline->points.push_back(point);
       });
     }
@@ -569,79 +607,8 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   }
 
   if (telemetry != nullptr) {
-    obs::MetricsRegistry& reg = telemetry->metrics;
-    reg.counter("jobs.released", "jobs").add(static_cast<double>(result.released));
-    reg.counter("jobs.completed", "jobs").add(static_cast<double>(result.completed));
-    reg.counter("jobs.partial", "jobs").add(static_cast<double>(result.partial));
-    reg.counter("jobs.dropped", "jobs").add(static_cast<double>(result.dropped));
-    reg.counter("energy.total_j", "J").add(result.energy);
-    reg.counter("energy.static_j", "J").add(result.static_energy);
-    reg.counter("sim.events_executed", "events")
-        .add(static_cast<double>(sim.executed_events()));
-    // Worst run quality across merged tasks; the full distribution is in the
-    // run.quality histogram.
-    reg.gauge("quality.monitored", "ratio", obs::Gauge::Merge::kMin)
-        .set(result.quality);
-    reg.histogram("run.quality",
-                  {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, "ratio")
-        .observe(result.quality);
-    if (st != nullptr) {
-      // Streaming-only memory gauges; the non-streaming metric schema stays
-      // byte-identical.  Peaks merge with kMax across tasks.
-      reg.gauge("stream.peak_in_flight", "jobs", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(st->store.peak_in_flight()));
-      reg.gauge("stream.arena_slots", "jobs", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(st->store.capacity()));
-      reg.gauge("stream.arena_bytes", "bytes", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(st->store.memory_bytes()));
-      reg.gauge("sim.peak_pending_events", "events", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(sim.peak_pending_events()));
-    }
-    if (cfg.lifecycle_active() || cfg.admission > 0.0) {
-      // Dispatcher-level settlements; gated so the default metric schema
-      // stays byte-identical.
-      reg.counter("jobs.rejected", "jobs")
-          .add(static_cast<double>(result.rejected));
-      reg.counter("jobs.expired_in_queue", "jobs")
-          .add(static_cast<double>(result.expired_in_queue));
-      reg.gauge("dispatch.pending_peak", "jobs", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(cluster.pending_peak()));
-    }
-    if (cfg.lifecycle_active()) {
-      reg.counter("lifecycle.wakes", "wakes")
-          .add(static_cast<double>(result.wakes));
-      reg.counter("lifecycle.setup_energy_j", "J").add(result.setup_energy_j);
-      cluster.export_lifecycle_metrics(reg, horizon);
-    }
-    if (cfg.num_tenants > 1) {
-      // Per-tenant slices under "tN." prefixes, mirroring the per-server
-      // "sK." scheme; the gauge lets validators recover the tenant count.
-      reg.gauge("workload.tenants", "tenants", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(cfg.num_tenants));
-      for (std::size_t t = 0; t < result.tenants.size(); ++t) {
-        const TenantRunResult& tr = result.tenants[t];
-        const std::string prefix = "t" + std::to_string(t) + ".";
-        reg.counter(prefix + "released", "jobs")
-            .add(static_cast<double>(tr.released));
-        reg.counter(prefix + "completed", "jobs")
-            .add(static_cast<double>(tr.completed));
-        reg.counter(prefix + "partial", "jobs")
-            .add(static_cast<double>(tr.partial));
-        reg.counter(prefix + "dropped", "jobs")
-            .add(static_cast<double>(tr.dropped));
-        reg.counter(prefix + "energy_j", "J").add(tr.energy_j);
-        reg.gauge(prefix + "quality", "ratio", obs::Gauge::Merge::kMin)
-            .set(tr.quality);
-        reg.gauge(prefix + "slo_burn", "ratio", obs::Gauge::Merge::kMax)
-            .set(tr.slo_burn);
-      }
-    }
-    if (cluster.size() == 1) {
-      // Single-server runs keep the unprefixed metric schema byte-for-byte.
-      cluster.node(0).server().export_metrics(reg, horizon);
-    } else {
-      cluster.export_metrics(reg, horizon);
-    }
+    export_run_metrics(cfg, sim, cluster, acct, st != nullptr ? &st->store : nullptr,
+                       horizon, result, telemetry->metrics);
   }
   return result;
 }

@@ -173,7 +173,7 @@ class JsonParser {
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
           default:
-            GE_CHECK(false, "JSON: unsupported escape sequence");
+            GE_FAIL("JSON: unsupported escape sequence");
         }
         continue;
       }
@@ -238,26 +238,17 @@ int parse_mode(const std::string& name) {
   return -1;
 }
 
-std::int32_t parse_check(const std::string& name) {
-  for (std::int32_t check = 0;; ++check) {
-    const char* known = violation_check_name(check);
+// Index of `name` in the table `name_of` spells ("?" past its end); an
+// unknown name is a checked error naming `what`.
+std::int32_t parse_name(const std::string& name,
+                        const char* (*name_of)(std::int32_t), const char* what) {
+  for (std::int32_t i = 0;; ++i) {
+    const char* known = name_of(i);
     if (std::string_view(known) == "?") {
-      GE_CHECK(false, "trace JSONL: unknown violation check name");
+      GE_FAIL(std::string("trace JSONL: unknown ") + what + " name");
     }
     if (name == known) {
-      return check;
-    }
-  }
-}
-
-std::int32_t parse_server_state(const std::string& name) {
-  for (std::int32_t state = 0;; ++state) {
-    const char* known = server_state_name(state);
-    if (std::string_view(known) == "?") {
-      GE_CHECK(false, "trace JSONL: unknown server lifecycle state name");
-    }
-    if (name == known) {
-      return state;
+      return i;
     }
   }
 }
@@ -366,15 +357,16 @@ std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
       ev.core = static_cast<std::int32_t>(record.num("core"));
     } else if (kind == "violation") {
       ev.type = TraceEventType::kViolation;
-      ev.mode = parse_check(record.str("check"));
+      ev.mode = parse_name(record.str("check"), violation_check_name, "violation check");
       ev.a = record.num("observed");
       ev.b = record.num("expected");
     } else if (kind == "server_state") {
       ev.type = TraceEventType::kServerState;
       ev.core = static_cast<std::int32_t>(record.num("server"));
-      ev.mode = parse_server_state(record.str("state"));
+      ev.mode = parse_name(record.str("state"), server_state_name,
+                           "server lifecycle state");
     } else {
-      GE_CHECK(false, "trace JSONL: unknown event kind");
+      GE_FAIL("trace JSONL: unknown event kind");
     }
     tasks.back().buffer.push(ev);
   }
@@ -403,9 +395,11 @@ MetricsValues read_metrics_json(std::istream& in) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   const JsonValue root = JsonParser(text).parse();
-  GE_CHECK(root.kind == JsonValue::Kind::kObject &&
-               root.str("schema") == "goodenough-metrics-v1",
-           "metrics JSON: unexpected schema");
+  const std::string& schema = root.str("schema");  // checked, object or not
+  GE_CHECK(schema == "goodenough-metrics-v2",
+           "metrics JSON: schema '" + schema +
+               "' is not goodenough-metrics-v2 (v1 files are no longer read; "
+               "re-run to regenerate)");
   const JsonValue* metrics = root.find("metrics");
   GE_CHECK(metrics != nullptr && metrics->kind == JsonValue::Kind::kArray,
            "metrics JSON: missing metrics array");

@@ -6,9 +6,10 @@
 //     TraceWriter's JSONL rendering (schema: docs/OBSERVABILITY.md).
 //     Unknown "ev" kinds are a checked error, so schema drift between
 //     writer and reader fails loudly instead of silently skewing reports.
-//   * read_metrics_json(): parses a --metrics file into a flat name ->
-//     scalar view (counters and gauges; histograms expose count and sum as
-//     "<name>.count" / "<name>.sum").
+//   * read_metrics_json(): parses a goodenough-metrics-v2 --metrics file
+//     into a flat name -> scalar view (counters and gauges; histograms
+//     expose count and sum as "<name>.count" / "<name>.sum").  Any other
+//     schema, v1 included, is a checked error.
 //
 // Numbers round-trip through the writer's %.12g formatting, which costs up
 // to ~1e-12 relative per value: file-based energy cross-checks therefore use

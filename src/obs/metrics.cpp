@@ -185,7 +185,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\n  \"schema\": \"goodenough-metrics-v1\",\n  \"metrics\": [";
+  out << "{\n  \"schema\": \"goodenough-metrics-v2\",\n  \"metrics\": [";
   bool first = true;
   for (const auto& entry : entries_) {
     out << (first ? "\n" : ",\n");

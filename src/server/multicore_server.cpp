@@ -1,8 +1,5 @@
 #include "server/multicore_server.h"
 
-#include <string>
-
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace ge::server {
@@ -94,23 +91,6 @@ int MulticoreServer::find_idle_core(double t) const {
     }
   }
   return -1;
-}
-
-void MulticoreServer::export_metrics(obs::MetricsRegistry& registry,
-                                     double elapsed,
-                                     const std::string& prefix) const {
-  registry.counter(prefix + "server.energy_j", "J").add(total_energy());
-  registry.counter(prefix + "server.busy_core_s", "s").add(total_busy_time());
-  registry.counter(prefix + "server.idle_core_s", "s")
-      .add(static_cast<double>(cores_.size()) * elapsed - total_busy_time());
-  registry.gauge(prefix + "server.online_cores", "cores", obs::Gauge::Merge::kMin)
-      .set(static_cast<double>(online_cores()));
-  for (const auto& core : cores_) {
-    const std::string core_prefix = prefix + "core." + std::to_string(core->id());
-    registry.counter(core_prefix + ".energy_j", "J").add(core->energy());
-    registry.counter(core_prefix + ".busy_s", "s").add(core->busy_time());
-    registry.counter(core_prefix + ".idle_s", "s").add(elapsed - core->busy_time());
-  }
 }
 
 std::size_t MulticoreServer::online_cores() const {

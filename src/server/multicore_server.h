@@ -9,16 +9,11 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "power/power_model.h"
 #include "server/core.h"
 #include "sim/simulator.h"
-
-namespace ge::obs {
-class MetricsRegistry;
-}
 
 namespace ge::server {
 
@@ -67,15 +62,6 @@ class MulticoreServer {
 
   // Number of cores still online.
   std::size_t online_cores() const;
-
-  // End-of-run telemetry: per-core and total energy / busy / idle time into
-  // `registry` (metric catalog: docs/OBSERVABILITY.md).  `elapsed` is the
-  // run horizon in simulated seconds (idle = elapsed - busy).  `prefix` is
-  // prepended to every metric name; the cluster layer uses "sK." so a
-  // multi-server run labels each server's metrics, while single-server runs
-  // keep the unprefixed schema.
-  void export_metrics(obs::MetricsRegistry& registry, double elapsed,
-                      const std::string& prefix = "") const;
 
  private:
   void build_cores(sim::Simulator& sim);

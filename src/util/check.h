@@ -25,4 +25,9 @@ namespace ge::util {
     }                                                                \
   } while (false)
 
+// Unconditional failure.  Unlike GE_CHECK(false, ...), the compiler sees
+// it as noreturn at every optimisation level, so it can end a
+// value-returning function.
+#define GE_FAIL(msg) ::ge::util::check_failed("false", __FILE__, __LINE__, (msg))
+
 #define GE_DCHECK(cond, msg) GE_CHECK(cond, msg)

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
+#include <utility>
 
 namespace ge::util {
 namespace {
@@ -21,28 +23,46 @@ std::optional<T> parse_number(std::string_view text) {
   return value;
 }
 
-// A malformed value: one line naming the flag on stderr, exit status 2.
-[[noreturn]] void reject(std::string_view name, const std::string& what,
-                         const std::string& value) {
-  std::fprintf(stderr, "error: --%.*s must be %s, got '%s'\n",
-               static_cast<int>(name.size()), name.data(), what.c_str(),
-               value.c_str());
-  std::exit(2);
+// `part` (all or one element of the flag's value `text`) as a T accepted
+// by `ok`; otherwise reject() naming `what`.
+template <typename T, typename Ok>
+T parse_checked(std::string_view part, const std::string& text,
+                std::string_view name, const std::string& what, Ok ok) {
+  const std::optional<T> value = parse_number<T>(part);
+  if (!value || !ok(*value)) {
+    Flags::reject(name, what, text);
+  }
+  return *value;
 }
 
 // The flag's value as a T accepted by `ok`; the default when the flag is
-// absent or empty; otherwise reject() naming `what`.
+// absent or empty.
 template <typename T, typename Ok>
 T checked(const std::optional<std::string>& text, std::string_view name,
           T default_value, const std::string& what, Ok ok) {
   if (!text || text->empty()) {
     return default_value;
   }
-  const std::optional<T> value = parse_number<T>(*text);
-  if (!value || !ok(*value)) {
-    reject(name, what, *text);
+  return parse_checked<T>(*text, *text, name, what, ok);
+}
+
+// The flag's comma-separated value as Ts each accepted by `ok`; the default
+// when the flag is absent or empty.
+template <typename T, typename Ok>
+std::vector<T> checked_list(const std::optional<std::string>& text,
+                            std::string_view name, std::vector<T> default_value,
+                            const std::string& what, Ok ok) {
+  if (!text || text->empty()) {
+    return default_value;
   }
-  return *value;
+  std::vector<T> out;
+  for (std::size_t pos = 0; pos < text->size();) {
+    const std::size_t comma = std::min(text->find(',', pos), text->size());
+    out.push_back(parse_checked<T>(std::string_view(*text).substr(pos, comma - pos),
+                                   *text, name, what, ok));
+    pos = comma + 1;
+  }
+  return out;
 }
 
 bool parse_bool(const std::string& text, bool fallback) {
@@ -130,29 +150,39 @@ bool Flags::get_bool(std::string_view name, bool default_value) const {
   return parse_bool(*v, default_value);
 }
 
+double Flags::get_fraction(std::string_view name, double default_value) const {
+  return checked(find(name), name, default_value, "a number in [0, 1]",
+                 [](double value) { return value >= 0.0 && value <= 1.0; });
+}
+
 std::vector<double> Flags::get_double_list(std::string_view name,
                                            std::vector<double> default_value) const {
-  auto v = find(name);
-  if (!v || v->empty()) {
-    return default_value;
-  }
-  std::vector<double> out;
-  const std::string& text = *v;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    const std::optional<double> value =
-        parse_number<double>(std::string_view(text).substr(pos, comma - pos));
-    if (!value) {
-      reject(name, "a comma-separated list of finite numbers", text);
-    }
-    out.push_back(*value);
-    pos = comma + 1;
-  }
-  return out;
+  return checked_list(find(name), name, std::move(default_value),
+                      "a comma-separated list of finite numbers",
+                      [](double) { return true; });
+}
+
+std::vector<double> Flags::get_positive_double_list(
+    std::string_view name, std::vector<double> default_value) const {
+  return checked_list(find(name), name, std::move(default_value),
+                      "a comma-separated list of numbers > 0",
+                      [](double value) { return value > 0.0; });
+}
+
+std::vector<std::int64_t> Flags::get_int_list_at_least(
+    std::string_view name, std::vector<std::int64_t> default_value,
+    std::int64_t min) const {
+  return checked_list(find(name), name, std::move(default_value),
+                      "a comma-separated list of integers >= " + std::to_string(min),
+                      [min](std::int64_t value) { return value >= min; });
+}
+
+void Flags::reject(std::string_view name, const std::string& what,
+                   const std::string& value) {
+  std::fprintf(stderr, "error: --%.*s must be %s, got '%s'\n",
+               static_cast<int>(name.size()), name.data(), what.c_str(),
+               value.c_str());
+  std::exit(2);
 }
 
 }  // namespace ge::util

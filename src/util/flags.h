@@ -33,9 +33,24 @@ class Flags {
                                 std::int64_t min) const;
   // A number > 0.
   double get_positive_double(std::string_view name, double default_value) const;
+  // A number in [0, 1].
+  double get_fraction(std::string_view name, double default_value) const;
   // A comma-separated list of numbers, e.g. --rates 100,150,200.
   std::vector<double> get_double_list(std::string_view name,
                                       std::vector<double> default_value) const;
+  // The same, every element > 0.
+  std::vector<double> get_positive_double_list(
+      std::string_view name, std::vector<double> default_value) const;
+  // A comma-separated list of integers, every element >= `min`.
+  std::vector<std::int64_t> get_int_list_at_least(
+      std::string_view name, std::vector<std::int64_t> default_value,
+      std::int64_t min) const;
+
+  // Rejects a flag value the accessors above cannot judge (an unknown enum
+  // name, say): prints "error: --<name> must be <what>, got '<value>'" to
+  // stderr and exits with status 2.
+  [[noreturn]] static void reject(std::string_view name, const std::string& what,
+                                  const std::string& value);
 
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const noexcept { return positional_; }

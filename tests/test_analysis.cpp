@@ -305,13 +305,28 @@ TEST(TraceReader, RejectsNumberTokensJsonDoesNotAllow) {
     EXPECT_DEATH(
         {
           std::istringstream in(
-              std::string("{\"schema\": \"goodenough-metrics-v1\", \"metrics\": "
+              std::string("{\"schema\": \"goodenough-metrics-v2\", \"metrics\": "
                           "[{\"name\": \"x\", \"type\": \"counter\", \"value\": ") +
               token + "}]}");
           (void)read_metrics_json(in);
         },
         "JSON");
   }
+}
+
+// Only the v2 layout is read; a v1 file stops with one line naming both.
+TEST(TraceReader, MetricsReaderRejectsTheV1Layout) {
+  const std::string body =
+      "\", \"metrics\": [{\"name\": \"energy.total_j\", \"type\": "
+      "\"counter\", \"value\": 2}]}";
+  std::istringstream v2("{\"schema\": \"goodenough-metrics-v2" + body);
+  EXPECT_EQ(read_metrics_json(v2).get("energy.total_j", -1.0), 2.0);
+  EXPECT_DEATH(
+      {
+        std::istringstream v1("{\"schema\": \"goodenough-metrics-v1" + body);
+        (void)read_metrics_json(v1);
+      },
+      "schema 'goodenough-metrics-v1' is not goodenough-metrics-v2");
 }
 
 TEST(Watchdog, CleanBufferRecordsNoViolations) {

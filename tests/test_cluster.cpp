@@ -6,17 +6,23 @@
 
 #include <cstdint>
 #include <memory>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
 #include "core/queue_policy.h"
 #include "exp/config.h"
+#include "exp/flags_config.h"
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/telemetry.h"
 #include "quality/quality_function.h"
+#include "util/flags.h"
 #include "util/quantiles.h"
 #include "util/rng.h"
 #include "workload/trace.h"
@@ -51,16 +57,24 @@ TEST(DispatchPolicy, NamesRoundTrip) {
        {DispatchPolicy::kSingle, DispatchPolicy::kRandom,
         DispatchPolicy::kRoundRobin, DispatchPolicy::kJsq,
         DispatchPolicy::kLeastEnergy}) {
-    EXPECT_EQ(parse_dispatch_policy(to_string(policy)), policy);
+    EXPECT_EQ(find_dispatch_policy(to_string(policy)), policy);
   }
-  EXPECT_EQ(parse_dispatch_policy("round-robin"), DispatchPolicy::kRoundRobin);
-  EXPECT_EQ(parse_dispatch_policy("power"), DispatchPolicy::kLeastEnergy);
-  EXPECT_EQ(parse_dispatch_policy("JSQ"), DispatchPolicy::kJsq);
-  EXPECT_EQ(parse_dispatch_policy("Least-Energy"), DispatchPolicy::kLeastEnergy);
+  EXPECT_EQ(find_dispatch_policy("round-robin"), DispatchPolicy::kRoundRobin);
+  EXPECT_EQ(find_dispatch_policy("power"), DispatchPolicy::kLeastEnergy);
+  EXPECT_EQ(find_dispatch_policy("JSQ"), DispatchPolicy::kJsq);
+  EXPECT_EQ(find_dispatch_policy("Least-Energy"), DispatchPolicy::kLeastEnergy);
 }
 
+// An unknown name is not a policy; on the command line it is a usage error
+// (exit 2 naming the flag), not an abort.
 TEST(DispatchPolicy, UnknownNameDies) {
-  EXPECT_DEATH((void)parse_dispatch_policy("fastest"), "unknown dispatch policy");
+  EXPECT_FALSE(find_dispatch_policy("fastest").has_value());
+  const char* argv[] = {"prog", "--dispatch", "fastest"};
+  const util::Flags flags(3, argv);
+  EXPECT_EXIT((void)exp::apply_cluster_flags(exp::ExperimentConfig::paper_defaults(),
+                                             flags),
+              ::testing::ExitedWithCode(2),
+              "--dispatch must be one of single, random, rr, jsq, least-energy");
 }
 
 TEST(DispatchPolicy, SingleAlwaysPicksServerZero) {
@@ -305,6 +319,75 @@ TEST(ClusterRun, AggregatesAcrossServers) {
   EXPECT_LT(r.server_load_cov, 0.01);
   EXPECT_GE(r.server_energy_cov, 0.0);
   EXPECT_LT(r.server_energy_cov, 0.5);
+}
+
+// Metric names a telemetry run emits, with the server, tenant and core
+// indices stripped ("s<K>.", "t<N>.", "core.<id>.").
+std::set<std::string> metric_families(const exp::ExperimentConfig& cfg,
+                                      const std::string& scheduler) {
+  obs::RunTelemetry telemetry;
+  const exp::SchedulerSpec spec = exp::SchedulerSpec::parse(scheduler);
+  if (cfg.stream) {
+    (void)exp::run_simulation_stream(cfg, spec, nullptr, &telemetry);
+  } else {
+    const workload::Trace trace =
+        workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+    (void)exp::run_simulation(cfg, spec, trace, nullptr, &telemetry);
+  }
+  std::ostringstream json;
+  telemetry.metrics.write_json(json);
+  const std::string text = json.str();
+  static const std::regex name_rx("\"name\": \"([^\"]+)\"");
+  static const std::regex group_rx("^([st])\\d+\\.");
+  static const std::regex core_rx("core\\.\\d+\\.");
+  std::set<std::string> names;
+  for (std::sregex_iterator it(text.begin(), text.end(), name_rx), end;
+       it != end; ++it) {
+    const std::string name = std::regex_replace((*it)[1].str(), group_rx, "$1<i>.");
+    names.insert(std::regex_replace(name, core_rx, "core.<i>."));
+  }
+  return names;
+}
+
+// goodenough-metrics-v2: every family is emitted on every run, so the name
+// set is the same for 1 or 3 servers, materialised or streamed jobs, an
+// always-on or churning fleet with admission, 1 or 2 tenants, GE or FCFS.
+TEST(ClusterRun, MetricNamesDoNotDependOnConfig) {
+  exp::ExperimentConfig base = exp::ExperimentConfig::paper_defaults();
+  base.duration = 0.5;
+  base.seed = 4;
+  const std::set<std::string> reference = metric_families(base, "GE");
+  for (const char* name : {"sim.peak_pending_events", "stream.arena_bytes",
+                           "jobs.rejected", "dispatch.pending_peak",
+                           "lifecycle.wakes", "workload.tenants",
+                           "cluster.servers", "ge.rounds"}) {
+    EXPECT_EQ(reference.count(name), 1u) << name;
+  }
+  for (std::size_t servers : {1u, 3u}) {
+    for (bool stream : {false, true}) {
+      for (bool churn : {false, true}) {
+        for (std::size_t tenants : {1u, 2u}) {
+          exp::ExperimentConfig cfg = base;
+          cfg.num_servers = servers;
+          cfg.arrival_rate = 150.0 * static_cast<double>(servers);
+          cfg.dispatch = DispatchPolicy::kRoundRobin;
+          cfg.stream = stream;
+          cfg.num_tenants = tenants;
+          if (churn) {
+            cfg.churn = 0.3;
+            cfg.churn_dwell = 0.2;
+            cfg.wake_latency = 0.05;
+            cfg.admission = 1.5;
+          }
+          SCOPED_TRACE(testing::Message()
+                       << servers << " servers, stream " << stream << ", churn "
+                       << churn << ", " << tenants << " tenants");
+          EXPECT_EQ(metric_families(cfg, "GE"), reference);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(metric_families(base, "FCFS"), reference);
 }
 
 TEST(ClusterRun, SingleServerReportsSingleShape) {

@@ -225,22 +225,22 @@ TEST(FuzzEndToEnd, ClusterTelemetryOnOffBitIdenticalAcross100Configs) {
     expect_sane(plain, what);
     expect_identical(plain, instrumented, what);
 
-    // Conservation across the dispatch tier: every released job lands on
-    // exactly one server, so the per-server dispatch counters sum to the
-    // released total (single-server runs keep the flat metric namespace
-    // and skip the per-server counters entirely).
+    // Conservation across the dispatch tier: every released job that is
+    // neither rejected nor expired in the dispatcher's queue lands on
+    // exactly one server, so the per-server dispatch counters (s0. on a
+    // single-server run too) sum to that total.
     SCOPED_TRACE(what);
     EXPECT_EQ(instrumented.num_servers, fc.cfg.num_servers);
-    if (fc.cfg.num_servers > 1) {
-      double dispatched = 0.0;
-      for (std::size_t s = 0; s < fc.cfg.num_servers; ++s) {
-        const std::string prefix = "s" + std::to_string(s) + ".";
-        dispatched +=
-            telemetry.metrics.counter(prefix + "dispatched_jobs", "jobs")
-                .value();
-      }
-      EXPECT_EQ(dispatched, static_cast<double>(instrumented.released));
-    } else {
+    double dispatched = 0.0;
+    for (std::size_t s = 0; s < fc.cfg.num_servers; ++s) {
+      const std::string prefix = "s" + std::to_string(s) + ".";
+      dispatched +=
+          telemetry.metrics.counter(prefix + "dispatched_jobs", "jobs").value();
+    }
+    EXPECT_EQ(dispatched,
+              static_cast<double>(instrumented.released - instrumented.rejected -
+                                  instrumented.expired_in_queue));
+    if (fc.cfg.num_servers == 1) {
       EXPECT_EQ(instrumented.dispatch, "single")
           << "one-node clusters must force the passthrough dispatcher";
     }

@@ -94,7 +94,7 @@ TEST(GoodEnough, BestEffortRunsJobsToCompletion) {
 
 TEST(GoodEnough, ModeIsAesInitially) {
   Harness h;
-  EXPECT_EQ(h.scheduler->mode(), GoodEnoughScheduler::Mode::kAes);
+  EXPECT_EQ(h.scheduler->stats(0.0).mode, 0);  // AES
 }
 
 TEST(GoodEnough, CompensationSwitchesToBqAfterQualityDrop) {
@@ -110,7 +110,7 @@ TEST(GoodEnough, CompensationSwitchesToBqAfterQualityDrop) {
   h.scheduler->finish();
   // BQ mode: the job must have run to FULL demand, not the 0.9 cut.
   EXPECT_NEAR(job->executed, 800.0, 1e-6);
-  EXPECT_GT(h.scheduler->bq_time(h.sim.now()), 0.0);
+  EXPECT_GT(h.scheduler->stats(h.sim.now()).bq_s, 0.0);
 }
 
 TEST(GoodEnough, NoCompensationStaysInAes) {
@@ -125,7 +125,7 @@ TEST(GoodEnough, NoCompensationStaysInAes) {
   h.scheduler->finish();
   const double expected = h.f.inverse(0.9 * h.f.value(800.0));
   EXPECT_NEAR(job->executed, expected, 1.0);
-  EXPECT_DOUBLE_EQ(h.scheduler->bq_time(h.sim.now()), 0.0);
+  EXPECT_DOUBLE_EQ(h.scheduler->stats(h.sim.now()).bq_s, 0.0);
 }
 
 TEST(GoodEnough, ExpiredWaitingJobIsDroppedWithZeroQuality) {
@@ -214,8 +214,9 @@ TEST(GoodEnough, AesTimeFractionTracksModes) {
   Harness h(2, 40.0, options);
   h.add_job(0.0, 0.3, 300.0);  // comfortably feasible under the cap
   h.sim.run_until(2.0);
-  const double aes = h.scheduler->aes_time(2.0);
-  const double bq = h.scheduler->bq_time(2.0);
+  const SchedulerStats stats = h.scheduler->stats(2.0);
+  const double aes = stats.aes_s;
+  const double bq = stats.bq_s;
   EXPECT_NEAR(aes + bq, 2.0, 1e-6);
   EXPECT_GT(aes, 1.9);  // nothing pushed quality below target
 }
@@ -224,7 +225,7 @@ TEST(GoodEnough, RoundsCounted) {
   Harness h;
   h.add_job(0.0, 0.15, 300.0);
   h.sim.run_until(2.0);
-  EXPECT_GT(h.scheduler->rounds(), 0u);
+  EXPECT_GT(h.scheduler->stats(2.0).rounds, 0u);
 }
 
 TEST(GoodEnough, HybridUsesEsUnderLightLoad) {
@@ -237,8 +238,8 @@ TEST(GoodEnough, HybridUsesEsUnderLightLoad) {
   }
   h.sim.run_until(2.0);
   h.scheduler->finish();
-  EXPECT_GT(h.scheduler->es_rounds(), 0u);
-  EXPECT_EQ(h.scheduler->wf_rounds(), 0u);
+  EXPECT_GT(h.scheduler->stats(h.sim.now()).es_rounds, 0u);
+  EXPECT_EQ(h.scheduler->stats(h.sim.now()).wf_rounds, 0u);
 }
 
 TEST(GoodEnough, ReCutExtendsRunningJobInBqMode) {

@@ -163,7 +163,7 @@ TEST(MetricsRegistry, JsonMatchesDocumentedSchema) {
   reg.gauge("quality.monitored", "ratio", Gauge::Merge::kMin).set(0.5);
   reg.histogram("lat", {1.0}, "ms").observe(0.5);
   const std::string json = to_json(reg);
-  EXPECT_NE(json.find("\"schema\": \"goodenough-metrics-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"goodenough-metrics-v2\""), std::string::npos);
   EXPECT_NE(json.find("{\"name\": \"jobs.settled\", \"type\": \"counter\", "
                       "\"unit\": \"jobs\", \"value\": 3}"),
             std::string::npos);

@@ -255,11 +255,13 @@ TEST(FlagsConfig, QualityFamilySelection) {
   EXPECT_DOUBLE_EQ(cfg.quality_c, 0.5);
 }
 
+// An unknown family is a usage error (exit 2 naming the flag), not an abort.
 TEST(FlagsConfig, UnknownFamilyDies) {
   const char* argv[] = {"prog", "--quality-family", "cubic"};
   const util::Flags flags(3, argv);
-  EXPECT_DEATH((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
-               "quality family");
+  EXPECT_EXIT((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
+              ::testing::ExitedWithCode(2),
+              "--quality-family must be one of exponential, linear, powerlaw");
 }
 
 TEST(FlagsConfig, FailureAndDiscreteFlags) {

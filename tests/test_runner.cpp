@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string>
+#include <vector>
 
 #include "exp/calibrate.h"
 #include "exp/config.h"
@@ -135,6 +137,32 @@ TEST(FlagsConfig, ShardsBelowOneIsAUsageError) {
   const char* argv[] = {"prog", "--servers", "4", "--shards", "2"};
   const util::Flags flags(5, argv);
   EXPECT_EQ(apply_flags(ExperimentConfig::paper_defaults(), flags).shards, 2u);
+}
+
+// A fractional or zero per-server core count or a non-positive power scale
+// exits 2 naming the flag (they used to be truncated or abort); valid
+// cluster-shape values still parse.
+TEST(FlagsConfig, ClusterFlagsAreRangeChecked) {
+  const auto expect_usage_error = [](const char* flag, const char* value,
+                                     const char* message) {
+    SCOPED_TRACE(std::string(flag) + " " + value);
+    const char* argv[] = {"prog", "--servers", "2", flag, value};
+    const util::Flags flags(5, argv);
+    EXPECT_EXIT((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
+                ::testing::ExitedWithCode(2), message);
+  };
+  expect_usage_error("--server-cores", "16,2.7",
+                     "--server-cores must be a comma-separated list of integers >= 1");
+  expect_usage_error("--server-cores", "16,0", "--server-cores must be");
+  expect_usage_error("--server-power-scale", "1,-1",
+                     "--server-power-scale must be a comma-separated list of numbers > 0");
+  const char* argv[] = {"prog", "--servers", "2", "--dispatch", "JSQ",
+                        "--server-cores", "16,8"};
+  const util::Flags flags(7, argv);
+  const ExperimentConfig cfg =
+      apply_flags(ExperimentConfig::paper_defaults(), flags);
+  EXPECT_EQ(cfg.dispatch, cluster::DispatchPolicy::kJsq);
+  EXPECT_EQ(cfg.server_cores, (std::vector<std::size_t>{16, 8}));
 }
 
 TEST(FlagsConfig, RemovedEventQueueFlagIsAUsageError) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "util/flags.h"
 #include "util/rng.h"
@@ -246,6 +248,30 @@ TEST(Flags, DoubleList) {
   ASSERT_EQ(rates.size(), 3u);
   EXPECT_DOUBLE_EQ(rates[0], 100.0);
   EXPECT_DOUBLE_EQ(rates[2], 200.0);
+}
+
+TEST(Flags, CheckedListsAndRanges) {
+  const char* argv[] = {"prog", "--rates", "100,150", "--cores", "16,8",
+                        "--q", "0.5"};
+  Flags flags(7, argv);
+  EXPECT_EQ(flags.get_positive_double_list("rates", {}),
+            (std::vector<double>{100.0, 150.0}));
+  EXPECT_EQ(flags.get_int_list_at_least("cores", {}, 1),
+            (std::vector<std::int64_t>{16, 8}));
+  EXPECT_EQ(flags.get_int_list_at_least("absent", {4}, 1),
+            (std::vector<std::int64_t>{4}));
+  EXPECT_EQ(flags.get_fraction("q", 0.9), 0.5);
+  const char* bad[] = {"prog", "--rates", "100,-5", "--cores", "2.7",
+                       "--q", "1.5"};
+  Flags bad_flags(7, bad);
+  EXPECT_EXIT((void)bad_flags.get_positive_double_list("rates", {}),
+              ::testing::ExitedWithCode(2),
+              "--rates must be a comma-separated list of numbers > 0");
+  EXPECT_EXIT((void)bad_flags.get_int_list_at_least("cores", {}, 1),
+              ::testing::ExitedWithCode(2),
+              "--cores must be a comma-separated list of integers >= 1");
+  EXPECT_EXIT((void)bad_flags.get_fraction("q", 0.9),
+              ::testing::ExitedWithCode(2), "--q must be a number in \\[0, 1\\]");
 }
 
 TEST(Flags, LastOccurrenceWins) {

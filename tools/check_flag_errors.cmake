@@ -1,10 +1,10 @@
-# Runs ge_report, ge_dashboard and ge_sweep on each malformed flag value
-# and requires a clean exit 2 with a one-line message naming the flag, not
-# an abort, a value wrapped through an unsigned cast or a silently
-# truncated number.
+# Runs ge_report, ge_dashboard, ge_sweep, a figure binary and the
+# quickstart example on each malformed flag value and requires a clean exit
+# 2 with a one-line message naming the flag, not an abort, a value wrapped
+# through an unsigned cast or a silently truncated number.
 #
-#   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DGE_SWEEP=path
-#         -DREPORT_DIR=dir -P check_flag_errors.cmake
+#   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DGE_SWEEP=path -DGE_FIG=path
+#         -DGE_QUICKSTART=path -DREPORT_DIR=dir -P check_flag_errors.cmake
 #
 # REPORT_DIR must be a valid report directory, so a failure to load it can
 # never stand in for the flag error.
@@ -40,7 +40,16 @@ set(cases
   "ge_sweep|seconds|abc"
   "ge_sweep|budget|-5"
   "ge_sweep|qge|2"
-  "ge_sweep|qge|0.9x")
+  "ge_sweep|qge|0.9x"
+  "ge_sweep|dispatch|bogus"
+  "ge_sweep|quality-family|bogus"
+  "ge_sweep|rates|100,-5"
+  "ge_sweep|server-cores|2.7"
+  "fig|rates|100,-5"
+  "fig|server-cores|2.7"
+  "quickstart|seed|-1"
+  "quickstart|seconds|-1"
+  "quickstart|qge|1.5")
 
 set(failures 0)
 foreach(entry IN LISTS cases)
@@ -52,6 +61,10 @@ foreach(entry IN LISTS cases)
     set(cmd "${GE_REPORT}" --report "${REPORT_DIR}" --out flag_errors_out)
   elseif(tool STREQUAL "ge_dashboard")
     set(cmd "${GE_DASHBOARD}" --report "${REPORT_DIR}" --out flag_errors.html)
+  elseif(tool STREQUAL "fig")
+    set(cmd "${GE_FIG}" --seconds 0.1 --progress false)
+  elseif(tool STREQUAL "quickstart")
+    set(cmd "${GE_QUICKSTART}" --seconds 0.1)
   else()
     set(cmd "${GE_SWEEP}" --schedulers GE --seconds 0.1 --progress false)
   endif()

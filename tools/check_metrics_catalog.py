@@ -6,7 +6,7 @@ Usage:
 
 Parses the "Metric catalog" tables of docs/OBSERVABILITY.md into name
 patterns and verifies that every metric name in the --metrics JSON file (a
-goodenough-metrics-v1 dump from a smoke run) matches one of them.  A metric
+goodenough-metrics-v2 dump from a smoke run) matches one of them.  A metric
 added to the code without a catalog row fails CI here, closing the loop the
 schema checker cannot: check_telemetry.py validates structure, this script
 validates that names and meanings stay documented.
@@ -17,14 +17,20 @@ Catalog conventions understood:
     the previous name's prefix, as in `core.<id>.energy_j` / `.busy_s`);
   * `<id>` / `<K>` match an integer; a trailing `.*` matches any suffix.
 
-Exits non-zero listing every undocumented metric; also prints (without
-failing) documented exact names the smoke run never emitted, so stale rows
-are visible in the CI log.
+Exits non-zero listing every undocumented metric, and every documented
+name (or pattern) of a family that v2 emits on every run (ALWAYS_EMITTED)
+that the smoke run lacks.  Other documented names the run never emitted
+(flag-gated families such as reclaim.* or watchdog.*) are printed without
+failing, so stale rows stay visible in the CI log.
 """
 import argparse
 import json
 import re
 import sys
+
+# Families every goodenough-metrics-v2 run emits, whatever its flags.
+ALWAYS_EMITTED = ("jobs.", "stream.", "dispatch.", "lifecycle.", "cluster.",
+                  "workload.", "s<K>.", "t<N>.")
 
 
 def row_name_cell(line):
@@ -83,6 +89,13 @@ def parse_catalog(docs_path):
     return patterns
 
 
+def fail(what, names):
+    print(f"check_metrics_catalog: {what}:", file=sys.stderr)
+    for name in names:
+        print(f"  {name}", file=sys.stderr)
+    sys.exit(1)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--metrics", required=True)
@@ -112,12 +125,13 @@ def main():
         else:
             matched.add(hit)
     if undocumented:
-        print("check_metrics_catalog: metrics missing from the "
-              f"{args.docs} catalog:", file=sys.stderr)
-        for name in undocumented:
-            print(f"  {name}", file=sys.stderr)
-        sys.exit(1)
+        fail(f"metrics missing from the {args.docs} catalog", undocumented)
 
+    missing = sorted(doc for doc, _ in patterns
+                     if doc not in matched and doc.startswith(ALWAYS_EMITTED))
+    if missing:
+        fail(f"documented metrics every run emits are missing from "
+             f"{args.metrics}", missing)
     unexercised = sorted(
         doc for doc, _ in patterns
         if doc not in matched and re.fullmatch(r"[\w.]+", doc))

@@ -9,14 +9,12 @@ Usage:
            must be a JSON object whose fields match its "ev" kind exactly.
 --chrome   Chrome trace_event JSON: must parse as one array of objects each
            carrying the required "ph"/"pid" keys.
---metrics  Metrics JSON ("goodenough-metrics-v1"): every metric entry must
-           carry the fields of its type.  Cluster runs namespace per-server
-           metrics under "sK." prefixes; when any are present the server
-           indices must be contiguous from 0, agree with the
-           "cluster.servers" gauge, and every server must export the same
-           metric suffixes.  Multi-tenant runs namespace per-tenant metrics
-           under "tN." prefixes, validated the same way against the
-           "workload.tenants" gauge.
+--metrics  Metrics JSON ("goodenough-metrics-v2"): every metric entry must
+           carry the fields of its type.  Every run namespaces per-server
+           metrics under "sK." and per-tenant metrics under "tN." (s0 and
+           t0 included): the indices must be contiguous from 0, agree with
+           the "cluster.servers" / "workload.tenants" gauge, and every
+           group must export the same suffixes (core ids stripped).
 --report   ge-report-v1 directory (--report flag / ge_report output):
            report.md plus the five CSVs, each with its exact documented
            header, a constant field count, and parseable numeric cells.
@@ -108,6 +106,9 @@ REPORT_CSVS = {
     ),
 }
 
+# Indexed namespaces: prefix letter -> the gauge holding the group count.
+PREFIX_GROUPS = {"s": "cluster.servers", "t": "workload.tenants"}
+
 METRIC_FIELDS = {
     "counter": {"value"},
     "gauge": {"value", "merge"},
@@ -186,21 +187,21 @@ def check_metrics(path):
             data = json.load(f)
         except json.JSONDecodeError as err:
             fail(f"{path}: not valid JSON ({err})")
-    if data.get("schema") != "goodenough-metrics-v1":
+    if data.get("schema") != "goodenough-metrics-v2":
         fail(f"{path}: schema is {data.get('schema')!r}, "
-             "expected 'goodenough-metrics-v1'")
+             "expected 'goodenough-metrics-v2'")
     metrics = data.get("metrics")
     if not isinstance(metrics, list) or not metrics:
         fail(f"{path}: 'metrics' must be a non-empty array")
-    names = set()
+    by_name = {}
     for m in metrics:
         where = f"{path}: metric {m.get('name')!r}"
         for key in ("name", "type", "unit"):
             if key not in m:
                 fail(f"{where}: missing {key!r}")
-        if m["name"] in names:
+        if m["name"] in by_name:
             fail(f"{where}: duplicate name")
-        names.add(m["name"])
+        by_name[m["name"]] = m
         kind = m["type"]
         if kind not in METRIC_FIELDS:
             fail(f"{where}: unknown type {kind!r}")
@@ -213,69 +214,30 @@ def check_metrics(path):
                 fail(f"{where}: last bucket must be the 'inf' overflow bucket")
             if sum(b["count"] for b in buckets) != m["count"]:
                 fail(f"{where}: bucket counts do not sum to 'count'")
-    check_server_prefixes(path, metrics)
-    check_tenant_prefixes(path, metrics)
+    for letter, gauge in PREFIX_GROUPS.items():
+        check_prefix_group(path, by_name, letter, gauge)
     print(f"{path}: OK ({len(metrics)} metrics)")
 
 
-def check_server_prefixes(path, metrics):
-    """Validates the per-server "sK." metric namespace of cluster runs."""
+def check_prefix_group(path, by_name, letter, gauge):
+    """Validates one indexed "<letter><i>." namespace against its gauge."""
     groups = {}
-    by_name = {}
-    for m in metrics:
-        by_name[m["name"]] = m
-        match = re.match(r"^s(\d+)\.(.+)$", m["name"])
+    for name in by_name:
+        match = re.match(rf"^{letter}(\d+)\.(.+)$", name)
         if match:
-            groups.setdefault(int(match.group(1)), set()).add(match.group(2))
-    if not groups:
-        return
-    servers = sorted(groups)
-    if servers != list(range(len(servers))):
-        fail(f"{path}: server prefixes are not contiguous from s0: "
-             f"{['s%d' % s for s in servers]}")
-    gauge = by_name.get("cluster.servers")
-    if gauge is None:
-        fail(f"{path}: per-server metrics without a 'cluster.servers' gauge")
-    if gauge.get("value") != len(servers):
-        fail(f"{path}: cluster.servers says {gauge.get('value')} servers "
-             f"but {len(servers)} 's<K>.' prefixes are present")
-    for s in servers[1:]:
-        if groups[s] != groups[0]:
-            diff = sorted(groups[s] ^ groups[0])
-            fail(f"{path}: server s{s} exports a different metric set "
-                 f"than s0 (difference: {diff})")
-    if "dispatched_jobs" not in groups[0]:
-        fail(f"{path}: per-server groups lack the 'dispatched_jobs' counter")
-
-
-def check_tenant_prefixes(path, metrics):
-    """Validates the per-tenant "tN." metric namespace of multi-tenant runs."""
-    groups = {}
-    by_name = {}
-    for m in metrics:
-        by_name[m["name"]] = m
-        match = re.match(r"^t(\d+)\.(.+)$", m["name"])
-        if match:
-            groups.setdefault(int(match.group(1)), set()).add(match.group(2))
-    if not groups:
-        return
-    tenants = sorted(groups)
-    if tenants != list(range(len(tenants))):
-        fail(f"{path}: tenant prefixes are not contiguous from t0: "
-             f"{['t%d' % t for t in tenants]}")
-    gauge = by_name.get("workload.tenants")
-    if gauge is None:
-        fail(f"{path}: per-tenant metrics without a 'workload.tenants' gauge")
-    if gauge.get("value") != len(tenants):
-        fail(f"{path}: workload.tenants says {gauge.get('value')} tenants "
-             f"but {len(tenants)} 't<N>.' prefixes are present")
-    for t in tenants[1:]:
-        if groups[t] != groups[0]:
-            diff = sorted(groups[t] ^ groups[0])
-            fail(f"{path}: tenant t{t} exports a different metric set "
-                 f"than t0 (difference: {diff})")
-    if "released" not in groups[0]:
-        fail(f"{path}: per-tenant groups lack the 'released' counter")
+            suffix = re.sub(r"^core\.\d+\.", "core.<id>.", match.group(2))
+            groups.setdefault(int(match.group(1)), set()).add(suffix)
+    if gauge not in by_name:
+        fail(f"{path}: missing the {gauge!r} gauge")
+    count = by_name[gauge].get("value")
+    if sorted(groups) != list(range(int(count))) or count < 1:
+        fail(f"{path}: {gauge} says {count} but the '{letter}<i>.' prefixes "
+             f"are {sorted(groups)} (must be contiguous from {letter}0)")
+    for i in sorted(groups):
+        if groups[i] != groups[0]:
+            diff = sorted(groups[i] ^ groups[0])
+            fail(f"{path}: {letter}{i} exports a different metric set than "
+                 f"{letter}0 (difference: {diff})")
 
 
 def check_identical(paths):

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     specs.push_back(exp::SchedulerSpec::parse(name));
   }
   const std::vector<double> rates =
-      flags.get_double_list("rates", {base.arrival_rate});
+      flags.get_positive_double_list("rates", {base.arrival_rate});
 
   const exp::ExecutionOptions exec = exp::parse_execution_options(flags);
   const auto points = exp::sweep_arrival_rates(base, specs, rates, exec);
