@@ -2,7 +2,8 @@
 // cutting, water-filling, the Energy-OPT planner, the Quality-OPT
 // allocator, YDS, the power model, the quality functions, plan
 // rectification, the event queue, a full GE scheduling round, and the
-// report pipeline's passes (reclaim advisor, JSONL writer and reader).
+// report pipeline's passes (reclaim advisor, JSONL writer and reader,
+// report-dir loader).
 //
 // Emitting the machine-readable trajectory (see docs/BENCHMARKS.md; one
 // command line, wrapped here):
@@ -13,8 +14,10 @@
 //
 // tools/bench_compare.py gates regressions between two such files.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -28,7 +31,9 @@
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/analysis/analysis.h"
+#include "obs/analysis/dashboard.h"
 #include "obs/analysis/reclaim.h"
+#include "obs/analysis/report.h"
 #include "obs/analysis/trace_reader.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -627,5 +632,28 @@ void BM_ReadTraceJsonl(benchmark::State& state) {
                           static_cast<std::int64_t>(task.jsonl.size()));
 }
 BENCHMARK(BM_ReadTraceJsonl)->Unit(benchmark::kMillisecond);
+
+// Loading a report directory of the captured task back into trace buffers
+// (trace.bin, decoded in bounded chunks): the --report path's replacement
+// for the JSONL re-parse above.  items/s is trace events per second.
+void BM_LoadReportDir(benchmark::State& state) {
+  const CapturedTask& task = captured_task();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ge_bench_report_" + std::to_string(::getpid()));
+  ge::obs::analysis::ReportWriter writer;
+  writer.add_task(task.input);
+  writer.write_directory(dir.string());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ge::obs::analysis::load_report_dir(dir.string()));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(task.telemetry.trace.size()));
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(std::filesystem::file_size(dir / "trace.bin")));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_LoadReportDir)->Unit(benchmark::kMillisecond);
 
 }  // namespace

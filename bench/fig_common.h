@@ -15,7 +15,7 @@
 //                  loads in Perfetto / about:tracing)
 //   --metrics F    write the merged metrics registry (JSON) to F
 //   --report DIR   write the derived-analysis report (report.md + CSVs,
-//                  schema ge-report-v1) to DIR
+//                  schema ge-report-v2) to DIR
 //   --watchdog     online invariant watchdog (default: on when --report is)
 //   --profile      wall-clock self-profiling spans (prof.* metrics; off by
 //                  default because wall clocks are nondeterministic)

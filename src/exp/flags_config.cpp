@@ -8,6 +8,21 @@
 #include <utility>
 
 namespace ge::exp {
+namespace {
+
+// A list flag must be empty or carry one entry per `unit`; anything else
+// exits 2 here instead of aborting in ExperimentConfig::validate.
+void require_one_per(const util::Flags& flags, const char* name, std::size_t size,
+                     std::size_t count, const char* unit) {
+  if (size != 0 && size != count) {
+    util::Flags::reject(name,
+                        "a list with one entry per " + std::string(unit) + " (" +
+                            std::to_string(count) + ")",
+                        flags.get_string(name, ""));
+  }
+}
+
+}  // namespace
 
 ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   // Range-checked (exit 2 on a bad value), not left to the validator's
@@ -86,7 +101,9 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.num_tenants = static_cast<std::size_t>(
       flags.get_int_at_least("tenants",
                              static_cast<std::int64_t>(cfg.num_tenants), 1));
-  cfg.tenant_qge = flags.get_double_list("tenant-qge", cfg.tenant_qge);
+  cfg.tenant_qge = flags.get_fraction_list("tenant-qge", cfg.tenant_qge);
+  require_one_per(flags, "tenant-qge", cfg.tenant_qge.size(), cfg.num_tenants,
+                  "tenant");
   cfg.admission = flags.get_double("admission", cfg.admission);
 
   // Streaming replay controls (docs/CLI.md, "Streaming replay").
@@ -129,6 +146,12 @@ ExperimentConfig apply_cluster_flags(ExperimentConfig cfg,
       flags.get_positive_double_list("server-power-scale", cfg.server_power_scale);
   cfg.server_max_ghz =
       flags.get_positive_double_list("server-max-ghz", cfg.server_max_ghz);
+  require_one_per(flags, "server-cores", cfg.server_cores.size(), cfg.num_servers,
+                  "server");
+  require_one_per(flags, "server-power-scale", cfg.server_power_scale.size(),
+                  cfg.num_servers, "server");
+  require_one_per(flags, "server-max-ghz", cfg.server_max_ghz.size(),
+                  cfg.num_servers, "server");
   // Parallel-DES shard count (docs/CLI.md; 1 = serial event loop).
   cfg.shards = static_cast<std::size_t>(flags.get_int_at_least(
       "shards", static_cast<std::int64_t>(cfg.shards), 1));
@@ -142,8 +165,12 @@ ExecutionOptions parse_execution_options(const util::Flags& flags) {
   // logs and `2> file` captures stay clean.
   exec.progress = flags.get_bool("progress", isatty(STDERR_FILENO) != 0);
   exec.telemetry.trace_path = flags.get_string("trace", "");
-  exec.telemetry.trace_format =
-      obs::parse_trace_format(flags.get_string("trace-format", "jsonl"));
+  const std::string format = flags.get_string("trace-format", "jsonl");
+  const std::optional<obs::TraceFormat> trace_format = obs::find_trace_format(format);
+  if (!trace_format) {
+    util::Flags::reject("trace-format", "'jsonl' or 'chrome'", format);
+  }
+  exec.telemetry.trace_format = *trace_format;
   exec.telemetry.metrics_path = flags.get_string("metrics", "");
   exec.telemetry.report_dir = flags.get_string("report", "");
   // A report without the watchdog would silently drop the invariant section;

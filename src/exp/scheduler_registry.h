@@ -59,9 +59,10 @@ struct SchedulerPlugin {
       factory;
 
   // Optional: validates and applies spec.params right after parse() stores
-  // them (set defaults, copy into dedicated spec fields, abort on domain
-  // errors).  Called with parse()'s result even when no bracket was given.
-  std::function<void(SchedulerSpec& spec)> apply_params;
+  // them (set defaults, copy into dedicated spec fields).  Returns "" or a
+  // one-line domain error.  Called with parse()'s result even when no
+  // bracket was given.
+  std::function<std::string(SchedulerSpec& spec)> apply_params;
 
   // Optional: canonical display of a spec; must round-trip through parse().
   // Default: the canonical name, plus "[p1,p2]" when params are present.

@@ -52,13 +52,16 @@ std::string SchedulerSpec::display_name() const {
   return p.name + format_params(params);
 }
 
-SchedulerSpec SchedulerSpec::parse(const std::string& name) {
+std::optional<SchedulerSpec> SchedulerSpec::try_parse(const std::string& name,
+                                                     std::string& error) {
   std::string base = name;
   std::vector<double> params;
   const std::size_t lb = name.find('[');
   if (lb != std::string::npos) {
-    GE_CHECK(!name.empty() && name.back() == ']',
-             "bad scheduler spec (expected trailing ']'): " + name);
+    if (name.back() != ']') {
+      error = "bad scheduler spec (expected trailing ']'): " + name;
+      return std::nullopt;
+    }
     base = name.substr(0, lb);
     const std::string inside = name.substr(lb + 1, name.size() - lb - 2);
     std::size_t pos = 0;
@@ -68,29 +71,73 @@ SchedulerSpec SchedulerSpec::parse(const std::string& name) {
       const std::string token = inside.substr(pos, comma - pos);
       char* end = nullptr;
       const double value = std::strtod(token.c_str(), &end);
-      GE_CHECK(!token.empty() && end == token.c_str() + token.size(),
-               "bad scheduler parameter '" + token + "' in: " + name);
+      if (token.empty() || end != token.c_str() + token.size()) {
+        error = "bad scheduler parameter '" + token + "' in: " + name;
+        return std::nullopt;
+      }
       params.push_back(value);
       pos = comma + 1;
     }
-    GE_CHECK(!params.empty(), "empty scheduler parameter list in: " + name);
+    if (params.empty()) {
+      error = "empty scheduler parameter list in: " + name;
+      return std::nullopt;
+    }
   }
 
   const SchedulerPlugin* p = SchedulerRegistry::instance().find(base);
-  GE_CHECK(p != nullptr, "unknown scheduler name: " + name);
-  GE_CHECK(params.size() >= p->min_params && params.size() <= p->max_params,
-           "scheduler " + p->name + " expects between " +
-               std::to_string(p->min_params) + " and " +
-               std::to_string(p->max_params) + " parameters, got " +
-               std::to_string(params.size()) + ": " + name);
+  if (p == nullptr) {
+    error = "unknown scheduler name: " + name;
+    return std::nullopt;
+  }
+  if (params.size() < p->min_params || params.size() > p->max_params) {
+    error = "scheduler " + p->name + " expects between " +
+            std::to_string(p->min_params) + " and " +
+            std::to_string(p->max_params) + " parameters, got " +
+            std::to_string(params.size()) + ": " + name;
+    return std::nullopt;
+  }
 
   SchedulerSpec spec;
   spec.plugin = p;
   spec.params = std::move(params);
   if (p->apply_params) {
-    p->apply_params(spec);
+    if (std::string domain = p->apply_params(spec); !domain.empty()) {
+      error = domain + ": " + name;
+      return std::nullopt;
+    }
   }
   return spec;
+}
+
+SchedulerSpec SchedulerSpec::parse(const std::string& name) {
+  std::string error;
+  std::optional<SchedulerSpec> spec = try_parse(name, error);
+  if (!spec) {
+    GE_FAIL(error);
+  }
+  return *spec;
+}
+
+std::optional<std::vector<SchedulerSpec>> parse_scheduler_list(
+    const std::string& text, std::string& error) {
+  std::vector<SchedulerSpec> specs;
+  std::size_t from = 0;
+  int depth = 0;
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    const char ch = i < text.size() ? text[i] : ',';
+    depth += ch == '[' ? 1 : ch == ']' ? -1 : 0;
+    if (ch != ',' || (depth > 0 && i < text.size())) {
+      continue;
+    }
+    std::optional<SchedulerSpec> spec = SchedulerSpec::try_parse(
+        text.substr(from, i - from), error);
+    if (!spec) {
+      return std::nullopt;
+    }
+    specs.push_back(std::move(*spec));
+    from = i + 1;
+  }
+  return specs;
 }
 
 double effective_budget(const SchedulerSpec& spec, const ExperimentConfig& cfg) {

@@ -10,6 +10,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,11 +46,23 @@ struct SchedulerSpec {
   // plugin (pinned by SchedulerSpecTest.ParseRoundTripEveryPlugin).
   std::string display_name() const;
 
-  // Parses "NAME" or "NAME[p1,...]" against the registry; aborts on an
-  // unknown scheduler name, malformed brackets, or a parameter-count /
-  // domain violation.
+  // Parses "NAME" or "NAME[p1,...]" against the registry; nullopt, with a
+  // one-line reason in `error`, on an unknown scheduler name, malformed
+  // brackets, or a parameter-count / domain violation.
+  static std::optional<SchedulerSpec> try_parse(const std::string& name,
+                                                std::string& error);
+
+  // try_parse for names the program itself spells; a bad one is a checked
+  // error (abort).
   static SchedulerSpec parse(const std::string& name);
 };
+
+// Parses a comma-separated list of specs ("GE,QOA[0.5],BE-P[0.8]").  Commas
+// inside brackets belong to the spec, so "GE[1,2],BE" is two entries.
+// nullopt, with a one-line reason in `error`, when the list is empty or any
+// entry fails try_parse.
+std::optional<std::vector<SchedulerSpec>> parse_scheduler_list(
+    const std::string& text, std::string& error);
 
 // Effective server power budget for a spec (BE-P scales it).
 double effective_budget(const SchedulerSpec& spec, const ExperimentConfig& cfg);

@@ -151,12 +151,12 @@ SchedulerPlugin make_be_p() {
                   "(default 1, i.e. plain BE)";
   p.min_params = 0;
   p.max_params = 1;
-  p.apply_params = [](SchedulerSpec& spec) {
-    if (!spec.params.empty()) {
-      GE_CHECK(spec.params[0] > 0.0,
-               "BE-P budget scale must be positive");
-      spec.budget_scale = spec.params[0];
+  p.apply_params = [](SchedulerSpec& spec) -> std::string {
+    if (spec.params.empty()) {
+      return "";
     }
+    spec.budget_scale = spec.params[0];
+    return spec.budget_scale > 0.0 ? "" : "BE-P budget scale must be positive";
   };
   p.display = [](const SchedulerSpec& spec) {
     if (spec.budget_scale == 1.0) {
@@ -189,11 +189,12 @@ SchedulerPlugin make_be_s() {
   p.params_help = "cap_ghz > 0: per-core speed cap in GHz (default: uncapped)";
   p.min_params = 0;
   p.max_params = 1;
-  p.apply_params = [](SchedulerSpec& spec) {
-    if (!spec.params.empty()) {
-      GE_CHECK(spec.params[0] > 0.0, "BE-S speed cap must be positive");
-      spec.speed_cap_ghz = spec.params[0];
+  p.apply_params = [](SchedulerSpec& spec) -> std::string {
+    if (spec.params.empty()) {
+      return "";
     }
+    spec.speed_cap_ghz = spec.params[0];
+    return spec.speed_cap_ghz > 0.0 ? "" : "BE-S speed cap must be positive";
   };
   p.display = [](const SchedulerSpec& spec) {
     if (!std::isfinite(spec.speed_cap_ghz)) {

@@ -61,11 +61,11 @@ SchedulerPlugin make_qoa() {
                   "2 - 1/beta optimum for beta = 2)";
   p.min_params = 0;
   p.max_params = 1;
-  p.apply_params = [](SchedulerSpec& spec) {
+  p.apply_params = [](SchedulerSpec& spec) -> std::string {
     if (spec.params.empty()) {
       spec.params.push_back(kDefaultQoaQ);
     }
-    GE_CHECK(spec.params[0] > 0.0, "QOA q must be positive");
+    return spec.params[0] > 0.0 ? "" : "QOA q must be positive";
   };
   p.factory = [](const SchedulerSpec& spec, const sched::SchedulerEnv& env,
                  const ExperimentConfig& cfg, const power::DiscreteSpeedTable* table) {

@@ -12,8 +12,8 @@
 //     exactly the (speed, duration) terms the cores accumulated energy
 //     from, and this module adds them per core in event order, so the
 //     integrated total reproduces the run's reported dynamic energy
-//     bit-for-bit when the analysis runs in-process (file round-trips
-//     through %.12g cost ~1e-12 relative per term; see
+//     bit-for-bit when the analysis runs in-process (a --trace JSONL
+//     file's %.12g round trip costs ~1e-12 relative per term; see
 //     docs/OBSERVABILITY.md "Analysis & reports");
 //   * queue-length / in-flight / power timelines, per server, on a fixed
 //     grid of bins;

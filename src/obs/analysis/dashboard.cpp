@@ -8,6 +8,7 @@
 #include <map>
 #include <utility>
 
+#include "obs/analysis/trace_bin.h"
 #include "obs/format.h"
 #include "util/check.h"
 
@@ -553,7 +554,7 @@ LoadedReport load_report_dir(const std::string& dir) {
     std::ifstream md(root / "report.md");
     if (!md.good()) {
       out.error = "missing report.md in " + dir +
-                  " (not a ge-report-v1 directory?)";
+                  " (not a ge-report-v2 directory?)";
       return out;
     }
     std::string line;
@@ -565,24 +566,27 @@ LoadedReport load_report_dir(const std::string& dir) {
         continue;
       }
       found = true;
-      mismatch = line.find("ge-report-v1", pos) == std::string::npos;
+      mismatch = line.find("ge-report-v2", pos) == std::string::npos;
       break;
     }
     if (!found || mismatch) {
       out.error = "report schema mismatch in " + dir +
-                  ": expected ge-report-v1 (regenerate the report dir with "
+                  ": expected ge-report-v2 (regenerate the report dir with "
                   "this build's --report)";
       return out;
     }
   }
-  std::ifstream trace(root / "trace.jsonl");
-  if (!trace.good()) {
-    out.error = "missing trace.jsonl in " + dir +
-                " (report dirs written before ge-dashboard carry no trace; "
-                "regenerate with this build's --report)";
+  const fs::path trace = root / "trace.bin";
+  if (!fs::is_regular_file(trace)) {
+    out.error = "missing trace.bin in " + dir +
+                " (regenerate the report dir with this build's --report)";
     return out;
   }
-  out.parsed = read_trace_jsonl(trace);
+  if (std::string error = read_trace_bin(trace.string(), out.parsed);
+      !error.empty()) {
+    out.error = std::move(error);
+    return out;
+  }
   out.inputs.reserve(out.parsed.size());
   for (const ParsedTask& task : out.parsed) {
     TaskInput input;

@@ -45,11 +45,12 @@ struct DashboardOptions : ReportOptions {
 void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
                      const DashboardOptions& options = {});
 
-// A ge-report-v1 directory loaded back into analyzable inputs (via the
-// trace.jsonl the report writer embeds).  `error` is non-empty when the
-// directory is missing, lacks trace.jsonl, or declares a different schema
-// version -- callers print it and exit non-zero instead of emitting an
-// empty report.
+// A ge-report-v2 directory loaded back into analyzable inputs (via the
+// trace.bin the report writer embeds; events come back exactly as the run
+// recorded them).  `error` is a one-line reason when the directory is
+// missing, declares a different schema version, or lacks a well-formed
+// trace.bin (missing, truncated, bad magic or version) -- callers print it
+// and exit non-zero instead of emitting an empty report.
 struct LoadedReport {
   std::string error;
   std::vector<ParsedTask> parsed;  // owns the buffers

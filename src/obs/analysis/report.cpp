@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 
+#include "obs/analysis/trace_bin.h"
 #include "obs/format.h"
 #include "util/check.h"
 
@@ -39,17 +40,12 @@ ReportWriter::ReportWriter(ReportOptions options) : options_(options) {}
 void ReportWriter::add_task(const TaskInput& input) {
   tasks_.push_back(analyze_task(input, options_));
   reclaims_.push_back(analyze_reclaim(input, tasks_.back()));
-  // Reserving a generous per-line estimate renders the task without
-  // regrowth copies; the untouched tail costs address space, not memory.
-  constexpr std::size_t kLineBytes = 160;
-  std::string& text = trace_jsonl_.emplace_back();
-  text.reserve((input.buffer->size() + 1) * kLineBytes);
-  append_trace_jsonl(text, input.info, *input.buffer);
+  events_.push_back(input.buffer->events());
 }
 
 void ReportWriter::write_markdown(std::ostream& out) const {
   out << "# goodenough run report\n\n";
-  out << "schema: ge-report-v1 | tasks: " << tasks_.size() << "\n";
+  out << "schema: ge-report-v2 | tasks: " << tasks_.size() << "\n";
 
   for (const TaskAnalysis& task : tasks_) {
     out << "\n## task " << task.info.task << " — " << task.info.scheduler
@@ -249,16 +245,21 @@ void ReportWriter::write_reclaim_csv(std::ostream& out) const {
   }
 }
 
-void ReportWriter::write_trace_jsonl(std::ostream& out) const {
-  for (const std::string& text : trace_jsonl_) {
-    out << text;
+void ReportWriter::write_trace_bin(std::ostream& out) const {
+  std::vector<TraceBinTask> tasks;
+  tasks.reserve(tasks_.size());
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    tasks.push_back({&tasks_[t].info,
+                     parse_power_model_json(tasks_[t].info.power_model_json),
+                     &events_[t]});
   }
+  analysis::write_trace_bin(out, tasks);
 }
 
 void ReportWriter::write_directory(const std::string& dir) const {
   std::filesystem::create_directories(dir);
   const auto write = [&](const char* name, auto&& render) {
-    std::ofstream out(std::filesystem::path(dir) / name);
+    std::ofstream out(std::filesystem::path(dir) / name, std::ios::binary);
     GE_CHECK(out.good(), "cannot open report output file");
     render(out);
   };
@@ -269,7 +270,7 @@ void ReportWriter::write_directory(const std::string& dir) const {
   write("timeline.csv", [&](std::ostream& o) { write_timeline_csv(o); });
   write("tenants.csv", [&](std::ostream& o) { write_tenants_csv(o); });
   write("reclaim.csv", [&](std::ostream& o) { write_reclaim_csv(o); });
-  write("trace.jsonl", [&](std::ostream& o) { write_trace_jsonl(o); });
+  write("trace.bin", [&](std::ostream& o) { write_trace_bin(o); });
 }
 
 }  // namespace ge::obs::analysis

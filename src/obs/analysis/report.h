@@ -15,15 +15,17 @@
 //                     single-tenant runs
 //   reclaim.csv    -- one row per (task, server, time bin): realised vs
 //                     clairvoyantly re-sped energy (reclaim advisor)
-//   trace.jsonl    -- the analysed trace itself, re-rendered, so a report
-//                     dir is self-contained input for ge_report/ge_dashboard
+//   trace.bin      -- the analysed trace itself as exact binary records
+//                     (trace_bin.h), so a report dir is self-contained
+//                     input for ge_report/ge_dashboard
 //
 // Output bytes are a pure function of the added (input, options) sequence:
-// no timestamps, no locale, %.12g number formatting (the trace writer's).
-// Reports therefore inherit the engine's determinism contract -- the same
-// plan produces byte-identical report directories for any --jobs value,
-// which CI enforces with a directory diff.  Schema: ge-report-v1, described
-// field-by-field in docs/OBSERVABILITY.md ("Analysis & reports").
+// no timestamps, no locale, %.12g number formatting in the text files,
+// field-by-field little-endian records in trace.bin.  Reports therefore
+// inherit the engine's determinism contract -- the same plan produces
+// byte-identical report directories for any --jobs value, which CI enforces
+// with a directory diff.  Schema: ge-report-v2, described field-by-field in
+// docs/OBSERVABILITY.md ("Analysis & reports").
 #pragma once
 
 #include <ostream>
@@ -37,8 +39,9 @@ namespace ge::obs::analysis {
 
 struct ReportOptions : AnalysisOptions {
   // Verdict threshold for the energy identity in report.md.  In-process
-  // analyses see the exact accrual terms (1e-9 holds); file-based analyses
-  // round-trip every term through %.12g, so ge_report relaxes this.
+  // analyses see the exact accrual terms (1e-9 holds); analyses of a --trace
+  // JSONL file see every term round-tripped through %.12g, so ge_report
+  // relaxes this (a report dir's trace.bin is exact).
   double energy_rel_tol = 1e-9;
 };
 
@@ -46,8 +49,8 @@ class ReportWriter {
  public:
   explicit ReportWriter(ReportOptions options = {});
 
-  // Analyzes one task (including the reclaim advisor) and appends it; tasks
-  // render in add order.
+  // Analyzes one task (including the reclaim advisor), keeps a copy of its
+  // events for trace.bin, and appends it; tasks render in add order.
   void add_task(const TaskInput& input);
 
   const std::vector<TaskAnalysis>& tasks() const noexcept { return tasks_; }
@@ -63,18 +66,18 @@ class ReportWriter {
   void write_timeline_csv(std::ostream& out) const;
   void write_tenants_csv(std::ostream& out) const;
   void write_reclaim_csv(std::ostream& out) const;
-  void write_trace_jsonl(std::ostream& out) const;
+  void write_trace_bin(std::ostream& out) const;
 
   // Creates `dir` (and parents) and writes report.md, the six CSVs, and
-  // trace.jsonl.
+  // trace.bin.
   void write_directory(const std::string& dir) const;
 
  private:
   ReportOptions options_;
   std::vector<TaskAnalysis> tasks_;
   std::vector<ReclaimAnalysis> reclaims_;
-  // Per added task, its TraceWriter JSONL rendering.
-  std::vector<std::string> trace_jsonl_;
+  // Per added task, a copy of its trace events.
+  std::vector<std::vector<TraceEvent>> events_;
 };
 
 }  // namespace ge::obs::analysis

@@ -253,7 +253,17 @@ std::int32_t parse_name(const std::string& name,
   }
 }
 
+power::PowerModel power_model_of(const JsonValue& pm) {
+  GE_CHECK(pm.kind == JsonValue::Kind::kObject,
+           "trace JSONL: power_model must be an object");
+  return power::PowerModel(pm.num("a"), pm.num("beta"), pm.num("units_per_ghz"));
+}
+
 }  // namespace
+
+power::PowerModel parse_power_model_json(const std::string& json) {
+  return power_model_of(JsonParser(json).parse());
+}
 
 std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
   std::vector<ParsedTask> tasks;
@@ -276,10 +286,8 @@ std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
       task.info.cores = static_cast<std::size_t>(record.num("cores"));
       task.info.power_budget = record.num("power_budget_w");
       const JsonValue* pm = record.find("power_model");
-      GE_CHECK(pm != nullptr && pm->kind == JsonValue::Kind::kObject,
-               "trace JSONL: meta record lacks a power_model object");
-      task.model = power::PowerModel(pm->num("a"), pm->num("beta"),
-                                     pm->num("units_per_ghz"));
+      GE_CHECK(pm != nullptr, "trace JSONL: meta record lacks a power_model object");
+      task.model = power_model_of(*pm);
       task.info.power_model_json = task.model.describe_json();
       // Optional for pre-ladder traces; empty = continuous speeds.
       if (const JsonValue* ladder = record.find("ladder"); ladder != nullptr) {

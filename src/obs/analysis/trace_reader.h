@@ -11,9 +11,12 @@
 //     expose count and sum as "<name>.count" / "<name>.sum").  Any other
 //     schema, v1 included, is a checked error.
 //
-// Numbers round-trip through the writer's %.12g formatting, which costs up
-// to ~1e-12 relative per value: file-based energy cross-checks therefore use
-// a looser tolerance than in-process ones (see docs/OBSERVABILITY.md).
+// Numbers in a --trace file round-trip through the writer's %.12g
+// formatting, which costs up to ~1e-12 relative per value: energy
+// cross-checks from such a file therefore use a looser tolerance than
+// in-process ones (see docs/OBSERVABILITY.md).  Report directories keep
+// their trace exactly, as trace.bin (trace_bin.h), so the caveat does not
+// apply to them.
 //
 // The parser is a ~hundred-line recursive-descent JSON subset (objects,
 // arrays, strings, numbers, bools, null; no \uXXXX escapes -- the writers
@@ -38,6 +41,10 @@ struct ParsedTask {
 
 // Parses a whole JSONL trace stream (checked error on malformed input).
 std::vector<ParsedTask> read_trace_jsonl(std::istream& in);
+
+// The model a PowerModel::describe_json() string describes (checked error
+// on anything else); TraceTaskInfo carries the model only in that form.
+power::PowerModel parse_power_model_json(const std::string& json);
 
 // Flat scalar view of a metrics JSON file.
 struct MetricsValues {

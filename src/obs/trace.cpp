@@ -176,12 +176,14 @@ const char* server_state_name(std::int32_t state) noexcept {
   }
 }
 
-TraceFormat parse_trace_format(const std::string& name) {
+std::optional<TraceFormat> find_trace_format(const std::string& name) {
   if (name == "jsonl") {
     return TraceFormat::kJsonl;
   }
-  GE_CHECK(name == "chrome", "trace format must be 'jsonl' or 'chrome'");
-  return TraceFormat::kChrome;
+  if (name == "chrome") {
+    return TraceFormat::kChrome;
+  }
+  return std::nullopt;
 }
 
 TraceWriter::TraceWriter(std::ostream& out, TraceFormat format)

@@ -19,8 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ge::obs {
@@ -120,6 +122,10 @@ class TraceBuffer {
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
 
+  // Replaces the stored events wholesale (the report-dir loader fills a
+  // buffer this way).  The observer sees none of them.
+  void assign(std::vector<TraceEvent> events) noexcept { events_ = std::move(events); }
+
   // At most one observer; nullptr detaches.  The observer must outlive every
   // push() (the runner detaches the watchdog before tearing it down).
   void set_observer(TraceObserver* observer) noexcept { observer_ = observer; }
@@ -132,8 +138,8 @@ class TraceBuffer {
 
 enum class TraceFormat { kJsonl, kChrome };
 
-// Parses "jsonl" / "chrome" (checked error otherwise).
-TraceFormat parse_trace_format(const std::string& name);
+// The format named "jsonl" / "chrome"; nullopt for any other name.
+std::optional<TraceFormat> find_trace_format(const std::string& name);
 
 // Static description of the run a buffer came from, rendered into the
 // per-task "meta" line (JSONL) / process metadata (Chrome).

@@ -169,6 +169,13 @@ std::vector<double> Flags::get_positive_double_list(
                       [](double value) { return value > 0.0; });
 }
 
+std::vector<double> Flags::get_fraction_list(std::string_view name,
+                                             std::vector<double> default_value) const {
+  return checked_list(find(name), name, std::move(default_value),
+                      "a comma-separated list of numbers in [0, 1]",
+                      [](double value) { return value >= 0.0 && value <= 1.0; });
+}
+
 std::vector<std::int64_t> Flags::get_int_list_at_least(
     std::string_view name, std::vector<std::int64_t> default_value,
     std::int64_t min) const {

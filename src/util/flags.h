@@ -41,6 +41,9 @@ class Flags {
   // The same, every element > 0.
   std::vector<double> get_positive_double_list(
       std::string_view name, std::vector<double> default_value) const;
+  // The same, every element in [0, 1].
+  std::vector<double> get_fraction_list(std::string_view name,
+                                        std::vector<double> default_value) const;
   // A comma-separated list of integers, every element >= `min`.
   std::vector<std::int64_t> get_int_list_at_least(
       std::string_view name, std::vector<std::int64_t> default_value,

@@ -22,6 +22,7 @@
 #include "exp/scheduler_spec.h"
 #include "obs/analysis/analysis.h"
 #include "obs/analysis/report.h"
+#include "obs/analysis/trace_bin.h"
 #include "obs/analysis/trace_reader.h"
 #include "obs/analysis/watchdog.h"
 #include "obs/profile.h"
@@ -124,7 +125,7 @@ TEST(Analysis, TinyTaskDerivesTheHandComputedSpans) {
   EXPECT_EQ(task.dispatched[0], 1u);
 }
 
-// The golden strings pin the ge-report-v1 CSV schema byte for byte; any
+// The golden strings pin the ge-report-v2 CSV schema byte for byte; any
 // change here is a schema change and must bump docs/OBSERVABILITY.md.
 TEST(Report, GoldenCsvsForTinyTask) {
   const TraceBuffer buf = tiny_buffer();
@@ -170,7 +171,7 @@ TEST(Report, GoldenCsvsForTinyTask) {
 
   std::ostringstream md;
   writer.write_markdown(md);
-  EXPECT_NE(md.str().find("schema: ge-report-v1 | tasks: 1"), std::string::npos);
+  EXPECT_NE(md.str().find("schema: ge-report-v2 | tasks: 1"), std::string::npos);
   EXPECT_NE(md.str().find("(rel err 0) — OK"), std::string::npos);
   EXPECT_NE(md.str().find("no violations recorded"), std::string::npos);
 }
@@ -255,6 +256,89 @@ TEST(TraceReader, RoundTripsEveryEventKind) {
     EXPECT_EQ(round_tripped[i].a, original[i].a);
     EXPECT_EQ(round_tripped[i].b, original[i].b);
     EXPECT_EQ(round_tripped[i].c, original[i].c);
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// trace.bin stores every field exactly: values %.12g text cannot carry
+// (-0.0, subnormals, the ends of the double range, 2^62 job ids) and
+// scheduler names JSON would have to escape come back bit for bit.
+TEST(TraceBin, RoundTripsEveryEventTypeBitForBit) {
+  const double specials[] = {-0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             2.2250738585072009e-308,  // largest subnormal
+                             1e308,
+                             -1e308,
+                             0.1,
+                             1.0 / 3.0};
+  std::vector<TraceEvent> events;
+  constexpr int kTypes = static_cast<int>(TraceEventType::kServerState) + 1;
+  for (int type = 0; type < kTypes; ++type) {
+    for (std::size_t k = 0; k < std::size(specials); ++k) {
+      TraceEvent ev;
+      ev.type = static_cast<TraceEventType>(type);
+      ev.t = specials[k];
+      ev.t2 = specials[(k + 1) % std::size(specials)];
+      ev.core = k % 2 == 0 ? std::numeric_limits<std::int32_t>::min() : type;
+      ev.job = (std::int64_t{1} << 62) + type - static_cast<std::int64_t>(k);
+      ev.mode = k % 2 == 0 ? -1 : std::numeric_limits<std::int32_t>::max();
+      ev.a = specials[(k + 2) % std::size(specials)];
+      ev.b = specials[(k + 3) % std::size(specials)];
+      ev.c = specials[(k + 4) % std::size(specials)];
+      events.push_back(ev);
+    }
+  }
+  TraceTaskInfo info = tiny_info();
+  info.scheduler = "QOA[\"1.5\"]\nsecond line\\";
+  info.arrival_rate = std::numeric_limits<double>::denorm_min();
+  info.cores = 48;
+  info.power_budget = -0.0;
+  info.ladder_units = {200.0, 400.0, 1e308};
+  TraceTaskInfo empty = tiny_info();
+  empty.task = 1;
+  empty.scheduler.clear();
+  const power::PowerModel model(4.25, 2.75, 999.5);
+  const std::vector<TraceEvent> none;
+
+  const std::string path = ::testing::TempDir() + "/trace_bin_round_trip.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    write_trace_bin(out, {{&info, model, &events}, {&empty, power::PowerModel(), &none}});
+  }
+  std::vector<ParsedTask> parsed;
+  ASSERT_EQ(read_trace_bin(path, parsed), "");
+  std::remove(path.c_str());
+  ASSERT_EQ(parsed.size(), 2u);
+  const TraceTaskInfo& got = parsed[0].info;
+  EXPECT_EQ(got.task, 0u);
+  EXPECT_EQ(got.scheduler, info.scheduler);
+  EXPECT_EQ(bits(got.arrival_rate), bits(info.arrival_rate));
+  EXPECT_EQ(got.cores, 48u);
+  EXPECT_EQ(bits(got.power_budget), bits(-0.0));
+  EXPECT_EQ(got.ladder_units, info.ladder_units);
+  EXPECT_EQ(got.power_model_json, model.describe_json());
+  EXPECT_EQ(parsed[0].model.a(), 4.25);
+  EXPECT_EQ(parsed[0].model.beta(), 2.75);
+  EXPECT_EQ(parsed[0].model.units_per_ghz(), 999.5);
+  EXPECT_EQ(parsed[1].info.task, 1u);
+  EXPECT_EQ(parsed[1].info.scheduler, "");
+  EXPECT_TRUE(parsed[1].info.ladder_units.empty());
+  EXPECT_EQ(parsed[1].buffer.size(), 0u);
+
+  const std::vector<TraceEvent>& back = parsed[0].buffer.events();
+  ASSERT_EQ(back.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(back[i].type, events[i].type);
+    EXPECT_EQ(bits(back[i].t), bits(events[i].t));
+    EXPECT_EQ(bits(back[i].t2), bits(events[i].t2));
+    EXPECT_EQ(back[i].core, events[i].core);
+    EXPECT_EQ(back[i].job, events[i].job);
+    EXPECT_EQ(back[i].mode, events[i].mode);
+    EXPECT_EQ(bits(back[i].a), bits(events[i].a));
+    EXPECT_EQ(bits(back[i].b), bits(events[i].b));
+    EXPECT_EQ(bits(back[i].c), bits(events[i].c));
   }
 }
 
@@ -549,7 +633,7 @@ TEST(EngineReport, DirectoryIsByteIdenticalForAnyWorkerCount) {
   run_with(4, "4");
   for (const char* name : {"report.md", "summary.csv", "jobs.csv",
                            "residency.csv", "timeline.csv", "reclaim.csv",
-                           "trace.jsonl"}) {
+                           "trace.bin"}) {
     const std::string a = dir + "/report1/" + name;
     const std::string b = dir + "/report4/" + name;
     EXPECT_EQ(slurp(a), slurp(b)) << name;

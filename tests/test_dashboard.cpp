@@ -1,7 +1,8 @@
 // Tests for the HTML fleet dashboard (src/obs/analysis/dashboard.h): the
 // panel-id contract, the self-containment pledge (no scripts, no external
 // fetches), byte determinism, the report-directory loader's round trip and
-// its clean error paths (missing dir / missing trace.jsonl / wrong schema).
+// its clean error paths (missing dir / missing or malformed trace.bin /
+// wrong schema).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,6 +16,8 @@
 #include "exp/experiment_engine.h"
 #include "exp/scheduler_spec.h"
 #include "obs/analysis/dashboard.h"
+#include "obs/analysis/trace_bin.h"
+#include "obs/trace.h"
 #include "power/power_model.h"
 
 namespace ge::obs::analysis {
@@ -41,6 +44,7 @@ class DashboardFromEngine : public ::testing::Test {
     }
     exp::ExecutionOptions exec;
     exec.telemetry.report_dir = *dir_;
+    exec.telemetry.trace_path = *dir_ + ".jsonl";
     (void)exp::run_plan(plan, exec);
   }
   static void TearDownTestSuite() {
@@ -106,6 +110,23 @@ TEST_F(DashboardFromEngine, GanttFallsBackAboveTheSliceCap) {
   EXPECT_EQ(full.find("exceed the drawing cap"), std::string::npos);
 }
 
+// trace.bin stores every value exactly, so the JSONL rendering of the
+// loaded tasks is the run's own --trace file, byte for byte.
+TEST_F(DashboardFromEngine, LoadedTasksRenderTheRunsTraceJsonl) {
+  const LoadedReport loaded = load_report_dir(*dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  std::string rendered;
+  for (const ParsedTask& task : loaded.parsed) {
+    append_trace_jsonl(rendered, task.info, task.buffer);
+  }
+  std::ifstream in(*dir_ + ".jsonl", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream trace;
+  trace << in.rdbuf();
+  EXPECT_GT(rendered.size(), 0u);
+  EXPECT_TRUE(rendered == trace.str());
+}
+
 TEST(LoadReportDir, MissingDirectoryIsACleanError) {
   const LoadedReport loaded = load_report_dir("definitely/not/a/report/dir");
   EXPECT_FALSE(loaded.ok());
@@ -129,13 +150,108 @@ TEST(LoadReportDir, SchemaMismatchIsACleanError) {
   EXPECT_NE(loaded.error.find("schema mismatch"), std::string::npos);
 }
 
-TEST(LoadReportDir, MissingTraceJsonlIsACleanError) {
+TEST(LoadReportDir, MissingTraceBinIsACleanError) {
   const std::string dir = ::testing::TempDir() + "/dash_notrace";
   std::filesystem::create_directories(dir);
-  std::ofstream(dir + "/report.md") << "# report\n\nschema: ge-report-v1\n";
+  std::ofstream(dir + "/report.md") << "# report\n\nschema: ge-report-v2\n";
   const LoadedReport loaded = load_report_dir(dir);
   EXPECT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error.find("trace.jsonl"), std::string::npos);
+  EXPECT_NE(loaded.error.find("trace.bin"), std::string::npos);
+}
+
+// A report dir written before trace.bin (schema v1, trace.jsonl) is refused
+// by its schema line, before any trace is read.
+TEST(LoadReportDir, V1DirectoryIsACleanError) {
+  const std::string dir = ::testing::TempDir() + "/dash_v1";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/report.md") << "# report\n\nschema: ge-report-v1 | tasks: 0\n";
+  std::ofstream(dir + "/trace.jsonl") << "";
+  const LoadedReport loaded = load_report_dir(dir);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error.find("expected ge-report-v2"), std::string::npos);
+}
+
+// A small two-task trace.bin: a ladder, a few events, one empty task.
+std::string small_trace_bin() {
+  TraceTaskInfo info0;
+  info0.task = 0;
+  info0.scheduler = "GE";
+  info0.arrival_rate = 100.0;
+  info0.cores = 2;
+  info0.power_budget = 20.0;
+  info0.ladder_units = {500.0, 1000.0};
+  TraceTaskInfo info1 = info0;
+  info1.task = 1;
+  info1.ladder_units.clear();
+  std::vector<TraceEvent> events(3);
+  events[1].type = TraceEventType::kExec;
+  events[1].t2 = 0.5;
+  events[2].type = TraceEventType::kServerState;
+  const std::vector<TraceEvent> none;
+  std::ostringstream out;
+  write_trace_bin(out, {{&info0, power::PowerModel(), &events},
+                        {&info1, power::PowerModel(), &none}});
+  return out.str();
+}
+
+// Writes a report.md (schema v2) and `bytes` as trace.bin into `dir`.
+void write_dir(const std::string& dir, const std::string& bytes) {
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/report.md") << "# report\n\nschema: ge-report-v2 | tasks: 2\n";
+  std::ofstream(dir + "/trace.bin", std::ios::binary) << bytes;
+}
+
+TEST(LoadReportDir, TraceBinTruncatedAtAnyByteIsACleanError) {
+  const std::string bytes = small_trace_bin();
+  const std::string dir = ::testing::TempDir() + "/dash_truncated_" +
+                          std::to_string(::getpid());
+  write_dir(dir, bytes);
+  const LoadedReport whole = load_report_dir(dir);
+  ASSERT_TRUE(whole.ok()) << whole.error;
+  ASSERT_EQ(whole.inputs.size(), 2u);
+  EXPECT_EQ(whole.parsed[0].buffer.size(), 3u);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write_dir(dir, bytes.substr(0, cut));
+    const LoadedReport loaded = load_report_dir(dir);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.parsed.empty());
+    EXPECT_EQ(loaded.error.find('\n'), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LoadReportDir, CorruptTraceBinIsACleanError) {
+  const std::string good = small_trace_bin();
+  const std::string dir = ::testing::TempDir() + "/dash_corrupt_" +
+                          std::to_string(::getpid());
+  struct Case {
+    const char* what;
+    std::size_t offset;
+    char byte;
+    const char* expect;
+  };
+  // Offsets: magic 0-7, version 8-11; task 0's power-model a sits after
+  // its index (8), name (4 + 2), rate (8), cores (8) and budget (8).
+  const std::size_t model_a = 20 + 8 + 6 + 8 + 8 + 8;
+  const std::size_t first_event = model_a + 24 + 8 + 16 + 8;
+  for (const Case& c :
+       {Case{"bad magic", 0, 'X', "bad magic"},
+        Case{"next version", 8, 2, "version 2"},
+        Case{"event type", first_event, 13, "event type 13"},
+        Case{"power model", model_a + 7, static_cast<char>(0x80),
+             "invalid power model"}}) {
+    SCOPED_TRACE(c.what);
+    std::string bytes = good;
+    bytes[c.offset] = c.byte;
+    write_dir(dir, bytes);
+    const LoadedReport loaded = load_report_dir(dir);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error.find(c.expect), std::string::npos) << loaded.error;
+  }
+  write_dir(dir, good + "x");
+  EXPECT_NE(load_report_dir(dir).error.find("trailing"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -174,9 +174,9 @@ TEST(MetricsRegistry, JsonMatchesDocumentedSchema) {
 }
 
 TEST(TraceFormat, Parse) {
-  EXPECT_EQ(parse_trace_format("jsonl"), TraceFormat::kJsonl);
-  EXPECT_EQ(parse_trace_format("chrome"), TraceFormat::kChrome);
-  EXPECT_DEATH((void)parse_trace_format("xml"), "trace format");
+  EXPECT_EQ(find_trace_format("jsonl"), TraceFormat::kJsonl);
+  EXPECT_EQ(find_trace_format("chrome"), TraceFormat::kChrome);
+  EXPECT_EQ(find_trace_format("xml"), std::nullopt);
 }
 
 // A hand-built miniature of a 3-job run; the golden strings below pin the

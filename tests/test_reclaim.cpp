@@ -654,8 +654,8 @@ TEST(ReclaimScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
 
 // A report dir carries one power model and a per-server core count; the
 // reloaded advisor must price the pooled fluid bound over the whole fleet
-// (cores x servers), matching the in-process value up to the %.12g trace
-// round trip, so offline <= continuous still holds.
+// (cores x servers), matching the in-process value, so offline <=
+// continuous still holds.
 TEST(ReclaimChain, ReloadedMultiServerReportKeepsTheFleetFloor) {
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
   cfg.duration = 2.0;

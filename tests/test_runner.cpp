@@ -124,6 +124,34 @@ TEST(SchedulerSpec, BadParametersDie) {
   EXPECT_DEATH((void)SchedulerSpec::parse("GE[1]"), "expects between");
 }
 
+// The list parser splits on commas outside brackets and reports a bad
+// entry instead of aborting; parse() keeps aborting for program-spelled
+// names (the death tests above).
+TEST(SchedulerSpec, ListParseIsBracketAwareAndNonAborting) {
+  std::string error;
+  const auto specs = parse_scheduler_list("GE,QOA[0.5],BE-P[0.8],ge-nc", error);
+  ASSERT_TRUE(specs.has_value()) << error;
+  ASSERT_EQ(specs->size(), 4u);
+  EXPECT_EQ((*specs)[1].params, (std::vector<double>{0.5}));
+  EXPECT_EQ((*specs)[2].budget_scale, 0.8);
+  EXPECT_TRUE((*specs)[3].is("GE-NoComp"));
+  for (const auto& [text, reason] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"QOA[0.5,0.6]", "expects between 0 and 1 parameters, got 2"},
+           {"GE,NOPE", "unknown scheduler name: NOPE"},
+           {"GE,,BE", "unknown scheduler name"},
+           {"", "unknown scheduler name"},
+           {"QOA[0.5", "expected trailing ']'"},
+           {"BE-S[-1]", "BE-S speed cap must be positive"},
+           {"QOA[x]", "bad scheduler parameter 'x'"}}) {
+    SCOPED_TRACE(text);
+    error.clear();
+    EXPECT_FALSE(parse_scheduler_list(text, error).has_value());
+    EXPECT_NE(error.find(reason), std::string::npos) << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos);
+  }
+}
+
 // --shards below 1 used to wrap through size_t (-1) or die in validate()
 // with exit 134 (0, "abc"); now it is a one-line usage error.
 TEST(FlagsConfig, ShardsBelowOneIsAUsageError) {
@@ -163,6 +191,39 @@ TEST(FlagsConfig, ClusterFlagsAreRangeChecked) {
       apply_flags(ExperimentConfig::paper_defaults(), flags);
   EXPECT_EQ(cfg.dispatch, cluster::DispatchPolicy::kJsq);
   EXPECT_EQ(cfg.server_cores, (std::vector<std::size_t>{16, 8}));
+}
+
+// Lists whose length or range only ExperimentConfig::validate checked used
+// to abort (134); they are usage errors now.
+TEST(FlagsConfig, ListLengthsAndTenantTargetsAreUsageErrors) {
+  const auto expect_usage_error = [](const char* count_flag, const char* count,
+                                     const char* flag, const char* value,
+                                     const char* message) {
+    SCOPED_TRACE(std::string(flag) + " " + value);
+    const char* argv[] = {"prog", count_flag, count, flag, value};
+    const util::Flags flags(5, argv);
+    EXPECT_EXIT((void)apply_flags(ExperimentConfig::paper_defaults(), flags),
+                ::testing::ExitedWithCode(2), message);
+  };
+  expect_usage_error("--servers", "2", "--server-cores", "16",
+                     "--server-cores must be a list with one entry per server");
+  expect_usage_error("--servers", "2", "--server-max-ghz", "1,2,3",
+                     "--server-max-ghz must be a list with one entry per server");
+  expect_usage_error("--tenants", "2", "--tenant-qge", "0.9,1.5",
+                     "--tenant-qge must be a comma-separated list of numbers in");
+  expect_usage_error("--tenants", "2", "--tenant-qge", "0.9",
+                     "--tenant-qge must be a list with one entry per tenant");
+  const char* argv[] = {"prog", "--tenants", "2", "--tenant-qge", "0.9,0.8"};
+  const util::Flags flags(5, argv);
+  EXPECT_EQ(apply_flags(ExperimentConfig::paper_defaults(), flags).tenant_qge,
+            (std::vector<double>{0.9, 0.8}));
+}
+
+TEST(FlagsConfig, TraceFormatIsAUsageError) {
+  const char* argv[] = {"prog", "--trace-format", "xml"};
+  const util::Flags flags(3, argv);
+  EXPECT_EXIT((void)parse_execution_options(flags), ::testing::ExitedWithCode(2),
+              "--trace-format must be 'jsonl' or 'chrome'");
 }
 
 TEST(FlagsConfig, RemovedEventQueueFlagIsAUsageError) {

@@ -7,7 +7,9 @@
 #         -DGE_QUICKSTART=path -DREPORT_DIR=dir -P check_flag_errors.cmake
 #
 # REPORT_DIR must be a valid report directory, so a failure to load it can
-# never stand in for the flag error.
+# never stand in for the flag error.  A case is "tool|flag|value", plus an
+# optional "|extra args" (space-separated) for values that are only wrong
+# next to another flag (a list one entry short of --servers).
 
 set(cases
   "ge_report|bins|0"
@@ -45,6 +47,18 @@ set(cases
   "ge_sweep|quality-family|bogus"
   "ge_sweep|rates|100,-5"
   "ge_sweep|server-cores|2.7"
+  "ge_sweep|server-cores|16|--servers 2"
+  "ge_sweep|server-power-scale|1,2,3|--servers 2"
+  "ge_sweep|tenant-qge|0.9,1.5|--tenants 2"
+  "ge_sweep|tenant-qge|0.9|--tenants 2"
+  "ge_sweep|schedulers|NOPE"
+  "ge_sweep|schedulers|QOA[0.5,0.6]"
+  "ge_sweep|schedulers|GE,,BE"
+  "ge_sweep|schedulers|QOA[-1]"
+  "ge_sweep|trace-format|xml|--trace flag_errors.jsonl"
+  "ge_sweep|metric|bogus"
+  "fig|server-cores|16|--servers 2"
+  "fig|trace-format|xml|--trace flag_errors.jsonl"
   "fig|rates|100,-5"
   "fig|server-cores|2.7"
   "quickstart|seed|-1"
@@ -57,6 +71,12 @@ foreach(entry IN LISTS cases)
   list(GET parts 0 tool)
   list(GET parts 1 flag)
   list(GET parts 2 value)
+  set(extra "")
+  list(LENGTH parts nparts)
+  if(nparts GREATER 3)
+    list(GET parts 3 extra_text)
+    separate_arguments(extra UNIX_COMMAND "${extra_text}")
+  endif()
   if(tool STREQUAL "ge_report")
     set(cmd "${GE_REPORT}" --report "${REPORT_DIR}" --out flag_errors_out)
   elseif(tool STREQUAL "ge_dashboard")
@@ -68,7 +88,7 @@ foreach(entry IN LISTS cases)
   else()
     set(cmd "${GE_SWEEP}" --schedulers GE --seconds 0.1 --progress false)
   endif()
-  execute_process(COMMAND ${cmd} --${flag} ${value}
+  execute_process(COMMAND ${cmd} ${extra} --${flag} ${value}
                   RESULT_VARIABLE status
                   OUTPUT_QUIET
                   ERROR_VARIABLE err)

@@ -15,9 +15,12 @@ Usage:
            t0 included): the indices must be contiguous from 0, agree with
            the "cluster.servers" / "workload.tenants" gauge, and every
            group must export the same suffixes (core ids stripped).
---report   ge-report-v1 directory (--report flag / ge_report output):
-           report.md plus the five CSVs, each with its exact documented
-           header, a constant field count, and parseable numeric cells.
+--report   ge-report-v2 directory (--report flag / ge_report output):
+           report.md (schema line ge-report-v2) plus the six CSVs, each with
+           its exact documented header, a constant field count, and
+           parseable numeric cells, and trace.bin's framing: magic and
+           version, per-task counts that account for every byte, and event
+           type bytes in range.
 --identical
            Two or more output files that must be byte-for-byte identical.
            CI uses this for the determinism contracts: the same run under
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import re
+import struct
 import sys
 
 # Required fields per JSONL event kind (beyond "ev" itself).  "number" means
@@ -70,7 +74,7 @@ EVENT_FIELDS = {
                      "state": str},
 }
 
-# ge-report-v1 CSV schemas: header -> columns that hold strings (every other
+# ge-report-v2 CSV schemas: header -> columns that hold strings (every other
 # column must parse as a number).
 REPORT_CSVS = {
     "summary.csv": (
@@ -260,11 +264,13 @@ def check_report(report_dir):
     md = os.path.join(report_dir, "report.md")
     try:
         with open(md) as f:
-            first = f.readline()
+            text = f.read()
     except OSError as err:
         fail(f"{md}: cannot read ({err})")
-    if not first.startswith("# "):
+    if not text.startswith("# "):
         fail(f"{md}: does not start with a Markdown title")
+    if "\nschema: ge-report-v2 " not in text:
+        fail(f"{md}: no 'schema: ge-report-v2' line")
     for name, (header, string_cols) in REPORT_CSVS.items():
         path = os.path.join(report_dir, name)
         columns = header.split(",")
@@ -293,10 +299,68 @@ def check_report(report_dir):
                              f"({fields[i]!r})")
                 rows += 1
         print(f"{path}: OK ({rows} rows)")
-    # The report embeds the trace it was derived from (the dashboard's
-    # input); it must obey the same JSONL schema as a --trace file.
-    check_trace(os.path.join(report_dir, "trace.jsonl"))
-    print(f"{report_dir}: OK (ge-report-v1)")
+    check_trace_bin(os.path.join(report_dir, "trace.bin"))
+    print(f"{report_dir}: OK (ge-report-v2)")
+
+
+# trace.bin framing (src/obs/analysis/trace_bin.h): header, then per task
+# its description, an event count and that many fixed-size records.
+TRACE_BIN_MAGIC = b"GETRACE\0"
+TRACE_BIN_VERSION = 1
+TRACE_BIN_RECORD_BYTES = 57
+TRACE_BIN_EVENT_TYPES = 13  # TraceEventType::kArrival .. kServerState
+
+
+def check_trace_bin(path):
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as err:
+        fail(f"{path}: cannot read ({err})")
+    pos = 0
+
+    def take(fmt, what):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(data):
+            fail(f"{path}: truncated at byte {pos} (reading {what})")
+        values = struct.unpack_from(fmt, data, pos)
+        pos += size
+        return values
+
+    if data[:8] != TRACE_BIN_MAGIC:
+        fail(f"{path}: bad magic {data[:8]!r}")
+    pos = 8
+    version, tasks = take("<IQ", "the header")
+    if version != TRACE_BIN_VERSION:
+        fail(f"{path}: version {version}, expected {TRACE_BIN_VERSION}")
+    events = 0
+    for task in range(tasks):
+        index, name_len = take("<QI", f"task {task}")
+        if index != task:
+            fail(f"{path}: task {task} stored as task {index}")
+        pos += name_len
+        take("<dQd", f"task {task}'s rate/cores/budget")
+        a, beta, units_per_ghz = take("<ddd", f"task {task}'s power model")
+        if not (a > 0 and beta > 1 and units_per_ghz > 0):
+            fail(f"{path}: task {task} has an invalid power model")
+        (levels,) = take("<Q", f"task {task}'s ladder length")
+        take(f"<{levels}d", f"task {task}'s ladder")
+        (count,) = take("<Q", f"task {task}'s event count")
+        end = pos + count * TRACE_BIN_RECORD_BYTES
+        if end > len(data):
+            fail(f"{path}: task {task} declares {count} events but the file "
+                 f"ends {end - len(data)} bytes short")
+        types = data[pos:end:TRACE_BIN_RECORD_BYTES]
+        if types and max(types) >= TRACE_BIN_EVENT_TYPES:
+            fail(f"{path}: task {task} has event type {max(types)} "
+                 f"(>= {TRACE_BIN_EVENT_TYPES})")
+        pos = end
+        events += count
+    if pos != len(data):
+        fail(f"{path}: {len(data)} bytes, but the header and counts account "
+             f"for {pos}")
+    print(f"{path}: OK ({tasks} tasks, {events} events)")
 
 
 def main():

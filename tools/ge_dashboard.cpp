@@ -1,11 +1,11 @@
-// ge_dashboard: render a ge-report-v1 directory as a self-contained HTML
+// ge_dashboard: render a ge-report-v2 directory as a self-contained HTML
 // fleet dashboard (schema ge-dashboard-v1).
 //
 //   ge_dashboard --report DIR --out FILE
 //                [--speed-bin GHZ] [--bins N] [--gantt-cap N]
 //
-//   --report DIR     ge-report-v1 directory written by --report / ge_report
-//                    (reads the trace.jsonl the report writer embeds)
+//   --report DIR     ge-report-v2 directory written by --report / ge_report
+//                    (reads the trace.bin the report writer embeds)
 //   --out FILE       HTML file to write (required)
 //   --speed-bin GHZ  residency histogram bin width (default 0.2)
 //   --bins N         timeline / heatmap bin count per task (default 60)
@@ -18,8 +18,9 @@
 // The output embeds every style and chart inline (no scripts, no external
 // fetches) and its bytes are a pure function of the report directory and
 // flags, so CI diffs dashboards across --jobs/--shards byte-for-byte.  A
-// directory without trace.jsonl or with a different schema version is a
-// clean error (exit 2): regenerate the report with this build's --report.
+// directory without a well-formed trace.bin or with a different schema
+// version is a clean error (exit 2): regenerate the report with this
+// build's --report.
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -10,11 +10,11 @@
 //   ge_report --report DIR [--out DIR] [--dashboard FILE] ...
 //
 //   --trace FILE     JSONL trace written by any figNN binary or ge_sweep
-//   --report DIR     ge-report-v1 directory to re-analyse (reads the
-//                    trace.jsonl the report writer embeds); exactly one of
-//                    --trace/--report is required.  A missing trace.jsonl or
-//                    a schema mismatch is a clean error (exit 2), not a
-//                    crash.
+//   --report DIR     ge-report-v2 directory to re-analyse (reads the
+//                    trace.bin the report writer embeds); exactly one of
+//                    --trace/--report is required.  A missing, truncated or
+//                    corrupt trace.bin or a schema mismatch is a clean error
+//                    (exit 2), not a crash.
 //   --out DIR        report directory to write (default: report; with
 //                    --dashboard the report directory is written only when
 //                    --out is given explicitly)
@@ -25,15 +25,16 @@
 //                    residency integration is checked against
 //   --speed-bin GHZ  residency histogram bin width (default 0.2)
 //   --bins N         timeline bin count per task (default 60)
-//   --energy-tol REL energy identity verdict threshold (default 1e-6: every
-//                    accrual term round-trips the writer's %.12g formatting,
-//                    so the in-process 1e-9 does not hold from files)
+//   --energy-tol REL energy identity verdict threshold (default 1e-6: from a
+//                    --trace file every accrual term round-trips the
+//                    writer's %.12g formatting, so the in-process 1e-9 does
+//                    not hold; a report dir's trace.bin is exact)
 //
 // --speed-bin and --energy-tol must be numbers > 0 and --bins an integer
 // >= 1; any other value exits 2 with a one-line message naming the flag.
 //
 // Output is deterministic: report and dashboard bytes are a pure function
-// of the input files and flags (schemas ge-report-v1 / ge-dashboard-v1,
+// of the input files and flags (schemas ge-report-v2 / ge-dashboard-v1,
 // docs/OBSERVABILITY.md).  CI runs this tool on the telemetry smoke trace
 // and diffs serial-vs-parallel report directories byte-for-byte.
 #include <cmath>

@@ -15,6 +15,7 @@
 // Full flag reference: docs/CLI.md; telemetry schema: docs/OBSERVABILITY.md.
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,39 +28,20 @@
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = text.size();
-    }
-    out.push_back(text.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
+using Metric = double (*)(const ge::exp::RunResult&);
 
-double metric_value(const ge::exp::RunResult& r, const std::string& metric) {
-  if (metric == "energy") {
-    return r.energy;
-  }
-  if (metric == "p99") {
-    return r.p99_response_ms;
-  }
-  if (metric == "aes") {
-    return r.aes_fraction;
-  }
-  if (metric == "power") {
-    return r.avg_power;
-  }
-  if (metric == "offline") {
-    // Clairvoyant YDS energy lower bound; -1 for online schedulers (add
-    // the "YDS" pseudo-scheduler to --schedulers to populate the column).
-    return r.offline_energy_j;
-  }
-  return r.quality;
+// The --metric column, or nullptr for a name that is not one.
+Metric find_metric(const std::string& name) {
+  using ge::exp::RunResult;
+  if (name == "quality") return [](const RunResult& r) { return r.quality; };
+  if (name == "energy") return [](const RunResult& r) { return r.energy; };
+  if (name == "p99") return [](const RunResult& r) { return r.p99_response_ms; };
+  if (name == "aes") return [](const RunResult& r) { return r.aes_fraction; };
+  if (name == "power") return [](const RunResult& r) { return r.avg_power; };
+  // Clairvoyant YDS energy lower bound; -1 for online schedulers (add the
+  // "YDS" pseudo-scheduler to --schedulers to populate the column).
+  if (name == "offline") return [](const RunResult& r) { return r.offline_energy_j; };
+  return nullptr;
 }
 
 }  // namespace
@@ -70,16 +52,28 @@ int main(int argc, char** argv) {
   const exp::ExperimentConfig base =
       exp::apply_flags(exp::ExperimentConfig::paper_defaults(), flags);
 
-  std::vector<exp::SchedulerSpec> specs;
-  for (const std::string& name :
-       split_list(flags.get_string("schedulers", "GE,BE"))) {
-    specs.push_back(exp::SchedulerSpec::parse(name));
+  // Names are checked before anything runs: a bad one exits 2 naming it.
+  const std::string scheduler_list = flags.get_string("schedulers", "GE,BE");
+  std::string error;
+  const std::optional<std::vector<exp::SchedulerSpec>> specs =
+      exp::parse_scheduler_list(scheduler_list, error);
+  if (!specs) {
+    util::Flags::reject("schedulers",
+                        "a comma-separated list of registered scheduler specs (" +
+                            error + ")",
+                        scheduler_list);
+  }
+  const std::string metric = flags.get_string("metric", "quality");
+  const Metric metric_value = find_metric(metric);
+  if (metric_value == nullptr) {
+    util::Flags::reject("metric", "one of quality, energy, p99, aes, power, offline",
+                        metric);
   }
   const std::vector<double> rates =
       flags.get_positive_double_list("rates", {base.arrival_rate});
 
   const exp::ExecutionOptions exec = exp::parse_execution_options(flags);
-  const auto points = exp::sweep_arrival_rates(base, specs, rates, exec);
+  const auto points = exp::sweep_arrival_rates(base, *specs, rates, exec);
 
   if (flags.get_bool("json", false)) {
     // One JSON record per (rate, scheduler) run; schedulers share traces.
@@ -91,11 +85,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string metric = flags.get_string("metric", "quality");
-  const util::Table table = exp::series_table(
-      points, "arrival_rate",
-      [&metric](const exp::RunResult& r) { return metric_value(r, metric); },
-      metric == "energy" ? 1 : 4);
+  const util::Table table = exp::series_table(points, "arrival_rate", metric_value,
+                                             metric == "energy" ? 1 : 4);
   std::printf("metric: %s  (m=%zu, H=%.0fW, Q_GE=%.2f, %gs/point, seed %llu)\n",
               metric.c_str(), base.cores, base.power_budget, base.q_ge,
               base.duration, static_cast<unsigned long long>(base.seed));
