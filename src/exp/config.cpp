@@ -23,66 +23,180 @@ const char* to_string(QualityFamily family) noexcept {
 
 ExperimentConfig ExperimentConfig::paper_defaults() { return ExperimentConfig{}; }
 
-void ExperimentConfig::validate() const {
-  GE_CHECK(cores > 0, "config: need at least one core");
-  GE_CHECK(power_budget > 0.0, "config: power budget must be positive");
-  GE_CHECK(power_a > 0.0 && power_beta > 1.0, "config: invalid power model");
-  GE_CHECK(units_per_ghz > 0.0, "config: units_per_ghz must be positive");
-  GE_CHECK(quality_c > 0.0, "config: quality parameter must be positive");
-  GE_CHECK(quality_family != QualityFamily::kPowerLaw || quality_c < 1.0,
-           "config: power-law exponent must be in (0,1)");
-  GE_CHECK(arrival_rate > 0.0, "config: arrival rate must be positive");
-  GE_CHECK(demand_alpha > 0.0 && demand_min > 0.0 && demand_max > demand_min,
-           "config: invalid demand distribution");
-  GE_CHECK(deadline_interval > 0.0 && deadline_interval_max >= deadline_interval,
-           "config: invalid deadline window");
-  GE_CHECK(burst_peak_to_mean >= 1.0, "config: burst ratio must be >= 1");
-  GE_CHECK(q_ge >= 0.0 && q_ge <= 1.0, "config: Q_GE must be in [0,1]");
-  GE_CHECK(quantum > 0.0 && counter_threshold > 0, "config: invalid triggers");
-  GE_CHECK(load_window > 0.0, "config: load window must be positive");
-  GE_CHECK(!discrete_speeds ||
-               (discrete_step_ghz > 0.0 && discrete_max_ghz >= discrete_step_ghz),
-           "config: invalid discrete speed ladder");
-  GE_CHECK(static_power_per_core >= 0.0, "config: negative static power");
-  GE_CHECK(hetero_spread >= 1.0, "config: hetero spread must be >= 1");
-  GE_CHECK(num_servers > 0, "config: need at least one server");
-  GE_CHECK(server_cores.empty() || server_cores.size() == num_servers,
-           "config: server_cores must be empty or have one entry per server");
+std::optional<ConfigError> ExperimentConfig::first_error() const {
+  auto error = [](const char* flag, const char* rule, const char* message) {
+    return std::optional<ConfigError>(ConfigError{flag, rule, message});
+  };
+  if (cores == 0) {
+    return error("cores", "an integer >= 1", "config: need at least one core");
+  }
+  if (!(power_budget > 0.0)) {
+    return error("budget", "positive", "config: power budget must be positive");
+  }
+  if (!(power_a > 0.0 && power_beta > 1.0)) {
+    return error("", "", "config: invalid power model");
+  }
+  if (!(units_per_ghz > 0.0)) {
+    return error("", "", "config: units_per_ghz must be positive");
+  }
+  if (!(quality_c > 0.0)) {
+    return error("quality-c", "positive", "config: quality parameter must be positive");
+  }
+  if (quality_family == QualityFamily::kPowerLaw && !(quality_c < 1.0)) {
+    return error("quality-c", "in (0, 1) for the power-law family",
+                 "config: power-law exponent must be in (0,1)");
+  }
+  if (!(arrival_rate > 0.0)) {
+    return error("rate", "positive", "config: arrival rate must be positive");
+  }
+  if (!(demand_alpha > 0.0)) {
+    return error("alpha", "positive", "config: invalid demand distribution");
+  }
+  if (!(demand_min > 0.0)) {
+    return error("xmin", "positive", "config: invalid demand distribution");
+  }
+  if (!(demand_max > demand_min)) {
+    return error("xmax", "greater than --xmin", "config: invalid demand distribution");
+  }
+  if (!(deadline_interval > 0.0)) {
+    return error("deadline", "positive (milliseconds)",
+                 "config: invalid deadline window");
+  }
+  if (!(deadline_interval_max >= deadline_interval)) {
+    return error("deadline-max", "at least --deadline",
+                 "config: invalid deadline window");
+  }
+  if (!(burst_peak_to_mean >= 1.0)) {
+    return error("burst", ">= 1", "config: burst ratio must be >= 1");
+  }
+  // The on/off arrival process of a bursty workload (workload::WorkloadSpec).
+  if (burst_peak_to_mean > 1.0) {
+    if (!(burst_fraction > 0.0 && burst_fraction < 1.0)) {
+      return error("burst-fraction", "in (0, 1)",
+                   "config: burst fraction must be in (0,1)");
+    }
+    if (!(burst_peak_to_mean * burst_fraction < 1.0)) {
+      return error("burst-fraction", "below 1 / --burst",
+                   "config: burst ratio times burst fraction must be < 1");
+    }
+    if (!(burst_dwell > 0.0)) {
+      return error("burst-dwell", "positive", "config: burst dwell must be positive");
+    }
+  }
+  if (!(q_ge >= 0.0 && q_ge <= 1.0)) {
+    return error("qge", "in [0, 1]", "config: Q_GE must be in [0,1]");
+  }
+  if (!(quantum > 0.0)) {
+    return error("quantum", "positive", "config: invalid triggers");
+  }
+  if (counter_threshold <= 0) {
+    return error("counter", "an integer >= 1", "config: invalid triggers");
+  }
+  if (!(load_window > 0.0)) {
+    return error("load-window", "positive", "config: load window must be positive");
+  }
+  if (discrete_speeds &&
+      !(discrete_step_ghz > 0.0 && discrete_max_ghz >= discrete_step_ghz)) {
+    return error("step-ghz", "positive and at most --max-ghz",
+                 "config: invalid discrete speed ladder");
+  }
+  if (!(static_power_per_core >= 0.0)) {
+    return error("static-power", "non-negative", "config: negative static power");
+  }
+  if (!(hetero_spread >= 1.0)) {
+    return error("hetero-spread", ">= 1", "config: hetero spread must be >= 1");
+  }
+  if (num_servers == 0) {
+    return error("servers", "an integer >= 1", "config: need at least one server");
+  }
+  if (!server_cores.empty() && server_cores.size() != num_servers) {
+    return error("server-cores", "a list with one entry per server",
+                 "config: server_cores must be empty or have one entry per server");
+  }
   for (std::size_t n : server_cores) {
-    GE_CHECK(n > 0, "config: every server needs at least one core");
+    if (n == 0) {
+      return error("server-cores", "a list of integers >= 1",
+                   "config: every server needs at least one core");
+    }
   }
-  GE_CHECK(server_power_scale.empty() || server_power_scale.size() == num_servers,
-           "config: server_power_scale must be empty or one entry per server");
+  if (!server_power_scale.empty() && server_power_scale.size() != num_servers) {
+    return error("server-power-scale", "a list with one entry per server",
+                 "config: server_power_scale must be empty or one entry per server");
+  }
   for (double s : server_power_scale) {
-    GE_CHECK(s > 0.0, "config: server power scale must be positive");
+    if (!(s > 0.0)) {
+      return error("server-power-scale", "a list of positive numbers",
+                   "config: server power scale must be positive");
+    }
   }
-  GE_CHECK(server_max_ghz.empty() || server_max_ghz.size() == num_servers,
-           "config: server_max_ghz must be empty or one entry per server");
+  if (!server_max_ghz.empty() && server_max_ghz.size() != num_servers) {
+    return error("server-max-ghz", "a list with one entry per server",
+                 "config: server_max_ghz must be empty or one entry per server");
+  }
   for (double g : server_max_ghz) {
-    GE_CHECK(!discrete_speeds || g >= discrete_step_ghz,
-             "config: per-server max GHz below the ladder step");
+    if (discrete_speeds && !(g >= discrete_step_ghz)) {
+      return error("server-max-ghz", "at least --step-ghz with --discrete",
+                   "config: per-server max GHz below the ladder step");
+    }
   }
   // Failures land on the last server; it must have that many cores.
-  GE_CHECK(failure_cores <= server_core_count(num_servers - 1),
-           "config: cannot fail more cores than exist");
-  GE_CHECK(duration > 0.0, "config: duration must be positive");
-  GE_CHECK(shards > 0, "config: need at least one shard");
-  GE_CHECK(churn >= 0.0 && churn < 1.0, "config: churn must be in [0,1)");
-  GE_CHECK(churn_dwell > 0.0, "config: churn dwell must be positive");
-  GE_CHECK((off_at < 0.0 && on_at < 0.0) || (off_at >= 0.0 && on_at > off_at),
-           "config: off_at/on_at must both be unset or form a window");
-  GE_CHECK(!(churn > 0.0 && off_at >= 0.0),
-           "config: churn and an explicit off_at/on_at window are exclusive");
-  GE_CHECK(setup_energy >= 0.0, "config: setup energy must be >= 0");
-  GE_CHECK(wake_latency >= 0.0, "config: wake latency must be >= 0");
-  GE_CHECK(drain_grace >= 0.0, "config: drain grace must be >= 0");
-  GE_CHECK(num_tenants >= 1, "config: need at least one tenant");
-  GE_CHECK(tenant_qge.empty() || tenant_qge.size() == num_tenants,
-           "config: tenant_qge must be empty or have one entry per tenant");
-  for (double q : tenant_qge) {
-    GE_CHECK(q >= 0.0 && q <= 1.0, "config: tenant Q_GE must be in [0,1]");
+  if (failure_cores > server_core_count(num_servers - 1)) {
+    return error("failure-cores", "at most the last server's core count",
+                 "config: cannot fail more cores than exist");
   }
-  GE_CHECK(admission >= 0.0, "config: admission threshold must be >= 0");
+  if (!(duration > 0.0)) {
+    return error("seconds", "positive", "config: duration must be positive");
+  }
+  if (shards == 0) {
+    return error("shards", "an integer >= 1", "config: need at least one shard");
+  }
+  if (!(churn >= 0.0 && churn < 1.0)) {
+    return error("churn", "in [0, 1)", "config: churn must be in [0,1)");
+  }
+  if (!(churn_dwell > 0.0)) {
+    return error("churn-dwell", "positive", "config: churn dwell must be positive");
+  }
+  if (!((off_at < 0.0 && on_at < 0.0) || (off_at >= 0.0 && on_at > off_at))) {
+    return error("on-at", "greater than --off-at, with both set or neither",
+                 "config: off_at/on_at must both be unset or form a window");
+  }
+  if (churn > 0.0 && off_at >= 0.0) {
+    return error("off-at", "unset when --churn is positive",
+                 "config: churn and an explicit off_at/on_at window are exclusive");
+  }
+  if (!(setup_energy >= 0.0)) {
+    return error("setup-energy", "non-negative", "config: setup energy must be >= 0");
+  }
+  if (!(wake_latency >= 0.0)) {
+    return error("wake-latency", "non-negative", "config: wake latency must be >= 0");
+  }
+  if (!(drain_grace >= 0.0)) {
+    return error("drain-grace", "non-negative", "config: drain grace must be >= 0");
+  }
+  if (num_tenants == 0) {
+    return error("tenants", "an integer >= 1", "config: need at least one tenant");
+  }
+  if (!tenant_qge.empty() && tenant_qge.size() != num_tenants) {
+    return error("tenant-qge", "a list with one entry per tenant",
+                 "config: tenant_qge must be empty or have one entry per tenant");
+  }
+  for (double q : tenant_qge) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return error("tenant-qge", "a list of values in [0, 1]",
+                   "config: tenant Q_GE must be in [0,1]");
+    }
+  }
+  if (!(admission >= 0.0)) {
+    return error("admission", "non-negative (0 disables admission)",
+                 "config: admission threshold must be >= 0");
+  }
+  return std::nullopt;
+}
+
+void ExperimentConfig::validate() const {
+  if (const std::optional<ConfigError> error = first_error()) {
+    GE_FAIL(error->message);
+  }
 }
 
 std::unique_ptr<quality::QualityFunction> ExperimentConfig::make_quality_function()

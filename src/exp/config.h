@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/dispatcher.h"
@@ -17,6 +19,16 @@ struct NodeSpec;
 }
 
 namespace ge::exp {
+
+// The first constraint an ExperimentConfig breaks.  `flag` names the
+// command-line flag that sets the offending field (empty for fields no flag
+// sets) and `rule` what that flag's value must be; `message` is the
+// config-level reason validate() aborts with.
+struct ConfigError {
+  std::string flag;
+  std::string rule;
+  std::string message;
+};
 
 // Which concave family Eq. (1)'s role is played by (Fig. 9 uses the
 // exponential; the others support sensitivity studies).
@@ -169,9 +181,12 @@ struct ExperimentConfig {
 
   static ExperimentConfig paper_defaults();
 
-  // Aborts (GE_CHECK) on out-of-domain values: non-positive cores/budget/
-  // rates, quality targets outside [0,1], inverted deadline bounds, etc.
-  // run_simulation() validates implicitly.
+  // The first out-of-domain value, or nullopt: non-positive cores/budget/
+  // rates, quality targets outside [0,1], inverted deadline bounds, a
+  // workload the generator would refuse, etc.  Never aborts.
+  std::optional<ConfigError> first_error() const;
+  // Aborts (GE_FAIL) with first_error()'s message.  run_simulation()
+  // validates implicitly.
   void validate() const;
 
   workload::WorkloadSpec workload_spec() const;

@@ -67,7 +67,11 @@ obs::TraceTaskInfo task_info(std::size_t index, const RunTask& task) {
   info.task = index;
   info.scheduler = task.spec.display_name();
   info.arrival_rate = task.config.arrival_rate;
-  info.cores = task.config.cores;
+  // Cores per server: the largest server's count, so every core index the
+  // trace names lies below it on heterogeneous --server-cores fleets too.
+  for (std::size_t s = 0; s < task.config.num_servers; ++s) {
+    info.cores = std::max(info.cores, task.config.server_core_count(s));
+  }
   info.power_budget = effective_budget(task.spec, task.config);
   info.power_model_json = task.config.power_model().describe_json();
   if (task.config.discrete_speeds) {

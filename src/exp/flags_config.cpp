@@ -119,6 +119,14 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
                  "event queue\n");
     std::exit(2);
   }
+  // Every range the run would abort on, checked before any trace exists.
+  if (const std::optional<ConfigError> error = cfg.first_error()) {
+    if (error->flag.empty()) {
+      std::fprintf(stderr, "error: %s\n", error->message.c_str());
+      std::exit(2);
+    }
+    util::Flags::reject(error->flag, error->rule, flags.get_string(error->flag, ""));
+  }
   return cfg;
 }
 

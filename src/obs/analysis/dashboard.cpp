@@ -542,6 +542,31 @@ void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
   out << "</body>\n</html>\n";
 }
 
+namespace {
+
+// Refuses the first event index its task cannot have (check_event_indices),
+// else fills `loaded.inputs` with views of the parsed tasks.
+LoadedReport with_inputs(LoadedReport loaded, const std::string& source) {
+  for (const ParsedTask& task : loaded.parsed) {
+    if (std::string error = check_event_indices(task); !error.empty()) {
+      loaded.error = source + ": " + error;
+      loaded.parsed.clear();
+      return loaded;
+    }
+  }
+  loaded.inputs.reserve(loaded.parsed.size());
+  for (const ParsedTask& task : loaded.parsed) {
+    TaskInput input;
+    input.info = task.info;
+    input.buffer = &task.buffer;
+    input.fallback_model = task.model;
+    loaded.inputs.push_back(std::move(input));
+  }
+  return loaded;
+}
+
+}  // namespace
+
 LoadedReport load_report_dir(const std::string& dir) {
   LoadedReport out;
   namespace fs = std::filesystem;
@@ -587,15 +612,18 @@ LoadedReport load_report_dir(const std::string& dir) {
     out.error = std::move(error);
     return out;
   }
-  out.inputs.reserve(out.parsed.size());
-  for (const ParsedTask& task : out.parsed) {
-    TaskInput input;
-    input.info = task.info;
-    input.buffer = &task.buffer;
-    input.fallback_model = task.model;
-    out.inputs.push_back(std::move(input));
+  return with_inputs(std::move(out), trace.string());
+}
+
+LoadedReport load_trace_file(const std::string& path) {
+  LoadedReport out;
+  std::ifstream in(path);
+  if (!in.good()) {
+    out.error = "cannot open --trace input file: " + path;
+    return out;
   }
-  return out;
+  out.parsed = read_trace_jsonl(in);
+  return with_inputs(std::move(out), path);
 }
 
 }  // namespace ge::obs::analysis

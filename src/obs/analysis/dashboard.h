@@ -49,7 +49,8 @@ void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
 // trace.bin the report writer embeds; events come back exactly as the run
 // recorded them).  `error` is a one-line reason when the directory is
 // missing, declares a different schema version, or lacks a well-formed
-// trace.bin (missing, truncated, bad magic or version) -- callers print it
+// trace.bin (missing, truncated, bad magic or version), or an event names
+// an index its task cannot have (check_event_indices) -- callers print it
 // and exit non-zero instead of emitting an empty report.
 struct LoadedReport {
   std::string error;
@@ -60,5 +61,11 @@ struct LoadedReport {
 };
 
 LoadedReport load_report_dir(const std::string& dir);
+
+// A --trace JSONL file loaded the same way (per-core models are not in the
+// file, so each task analyses with its meta record's model).  `error` is a
+// one-line reason when the file cannot be opened or an event names an index
+// its task cannot have (check_event_indices).
+LoadedReport load_trace_file(const std::string& path);
 
 }  // namespace ge::obs::analysis

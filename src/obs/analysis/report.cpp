@@ -256,8 +256,17 @@ void ReportWriter::write_trace_bin(std::ostream& out) const {
   analysis::write_trace_bin(out, tasks);
 }
 
+// Files an earlier report schema wrote that this one does not (ge-report-v1's
+// JSONL trace).  write_directory removes them, so a directory rewritten in
+// place holds one schema and no stale trace beside trace.bin.
+constexpr const char* kRetiredFiles[] = {"trace.jsonl"};
+
 void ReportWriter::write_directory(const std::string& dir) const {
   std::filesystem::create_directories(dir);
+  for (const char* name : kRetiredFiles) {
+    std::error_code ignored;  // absent is the usual case
+    std::filesystem::remove(std::filesystem::path(dir) / name, ignored);
+  }
   const auto write = [&](const char* name, auto&& render) {
     std::ofstream out(std::filesystem::path(dir) / name, std::ios::binary);
     GE_CHECK(out.good(), "cannot open report output file");

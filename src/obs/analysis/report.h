@@ -69,7 +69,8 @@ class ReportWriter {
   void write_trace_bin(std::ostream& out) const;
 
   // Creates `dir` (and parents) and writes report.md, the six CSVs, and
-  // trace.bin.
+  // trace.bin.  Report files an earlier schema wrote there (a v1
+  // trace.jsonl) are removed; files the report never owned are left alone.
   void write_directory(const std::string& dir) const;
 
  private:

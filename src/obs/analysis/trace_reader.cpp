@@ -265,6 +265,38 @@ power::PowerModel parse_power_model_json(const std::string& json) {
   return power_model_of(JsonParser(json).parse());
 }
 
+std::string check_event_indices(const ParsedTask& task) {
+  const std::vector<TraceEvent>& events = task.buffer.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
+    using T = TraceEventType;
+    const bool runs_on_core = ev.type == T::kExec || ev.type == T::kAssign;
+    const bool names_server = ev.type == T::kDispatch || ev.type == T::kServerState;
+    const bool names_job = runs_on_core || ev.type == T::kArrival ||
+                           ev.type == T::kDispatch || ev.type == T::kCompletion ||
+                           ev.type == T::kDeadlineMiss;
+    const char* what = nullptr;
+    if (names_job && ev.job < 0) {
+      what = "a negative job id";
+    } else if (runs_on_core &&
+               (ev.core < 0 || static_cast<std::size_t>(ev.core) >= task.info.cores)) {
+      what = "a core outside the task's cores per server";
+    } else if (names_server && ev.core < 0) {
+      what = "a negative server index";
+    } else if (ev.type == T::kArrival &&
+               !(ev.c >= 0.0 && ev.c < 2147483648.0 && ev.c == std::floor(ev.c))) {
+      what = "a tenant that is not an index";  // tenants are int32 indices
+    }
+    if (what != nullptr) {
+      return "task " + std::to_string(task.info.task) + ": event " + std::to_string(i) +
+             " (type " + std::to_string(static_cast<int>(ev.type)) + ", job " +
+             std::to_string(ev.job) + ", core " + std::to_string(ev.core) + ") names " +
+             what;
+    }
+  }
+  return "";
+}
+
 std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
   std::vector<ParsedTask> tasks;
   std::string line;

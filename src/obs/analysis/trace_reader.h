@@ -42,6 +42,16 @@ struct ParsedTask {
 // Parses a whole JSONL trace stream (checked error on malformed input).
 std::vector<ParsedTask> read_trace_jsonl(std::istream& in);
 
+// "" when every index an event of `task` carries is one a run described by
+// task.info can produce, else a one-line reason naming the first that is
+// not: a negative job id on a job's event, a negative server on a dispatch
+// or lifecycle event, an execution or assignment core outside
+// [0, info.cores), or an arrival tenant that is not an index.  The
+// analyses index their tables by these fields, so both trace loaders
+// (load_report_dir, load_trace_file) run this before any analysis sees the
+// events; read_trace_bin itself only checks the framing.
+std::string check_event_indices(const ParsedTask& task);
+
 // The model a PowerModel::describe_json() string describes (checked error
 // on anything else); TraceTaskInfo carries the model only in that form.
 power::PowerModel parse_power_model_json(const std::string& json);

@@ -31,13 +31,21 @@ struct AllocJob {
   double deadline = 0.0;   // absolute seconds
 };
 
+// A breakpoint of g(L) = sum_j clamp(L - e_j, 0, w_j): g's slope changes
+// by `step` (+1 at e_j, -1 at e_j + w_j) at level `level`.
+struct LevelBreakpoint {
+  double level = 0.0;
+  double step = 0.0;
+};
+
 // Reusable working memory for maximize_quality: a scheduler trims once per
 // over-capped core per round, so routing the calls through one scratch
-// keeps the prefix capacities and the result off the allocator.  The
-// result of the last call lives in `extra`.
+// keeps the prefix capacities, the water-fill breakpoints and the result
+// off the allocator.  The result of the last call lives in `extra`.
 struct QualityOptScratch {
-  std::vector<double> capacity;  // prefix capacity s * (d_k - now)
-  std::vector<double> extra;     // x_j, same order as the jobs
+  std::vector<double> capacity;              // prefix capacity s * (d_k - now)
+  std::vector<LevelBreakpoint> breakpoints;  // water-fill level, 2 per job
+  std::vector<double> extra;                 // x_j, same order as the jobs
 };
 
 // Returns the optimal extra allocation x_j (same order as `jobs`).  `jobs`

@@ -3,12 +3,15 @@
 // round-trip, the online invariant watchdog, the wall-clock profiler, and
 // the report determinism contract (byte-identical for any --jobs value).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -174,6 +177,35 @@ TEST(Report, GoldenCsvsForTinyTask) {
   EXPECT_NE(md.str().find("schema: ge-report-v2 | tasks: 1"), std::string::npos);
   EXPECT_NE(md.str().find("(rel err 0) — OK"), std::string::npos);
   EXPECT_NE(md.str().find("no violations recorded"), std::string::npos);
+}
+
+// Rewriting a ge-report-v1 directory in place leaves no stale trace.jsonl
+// beside the new trace.bin; files the report does not own survive.
+TEST(Report, WriteDirectoryRemovesTheRetiredJsonlTrace) {
+  const TraceBuffer buf = tiny_buffer();
+  TaskInput input;
+  input.info = tiny_info();
+  input.buffer = &buf;
+  input.models = {{power::PowerModel(5.0, 2.0, 1000.0)}};
+  ReportWriter writer;
+  writer.add_task(input);
+
+  const std::filesystem::path dir =
+      ::testing::TempDir() + "/report_rewrite_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "report.md") << "# report\n\nschema: ge-report-v1 | tasks: 1\n";
+  std::ofstream(dir / "trace.jsonl") << "{\"ev\": \"meta\"}\n";
+  std::ofstream(dir / "notes.txt") << "kept\n";
+  writer.write_directory(dir.string());
+
+  EXPECT_FALSE(std::filesystem::exists(dir / "trace.jsonl"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "trace.bin"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "notes.txt"));
+  std::ifstream md(dir / "report.md");
+  const std::string text((std::istreambuf_iterator<char>(md)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("ge-report-v2"), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TraceReader, RoundTripsEveryEventKind) {

@@ -184,9 +184,13 @@ std::string small_trace_bin() {
   info1.task = 1;
   info1.ladder_units.clear();
   std::vector<TraceEvent> events(3);
+  events[0].job = 0;
   events[1].type = TraceEventType::kExec;
   events[1].t2 = 0.5;
+  events[1].core = 1;
+  events[1].job = 0;
   events[2].type = TraceEventType::kServerState;
+  events[2].core = 0;
   const std::vector<TraceEvent> none;
   std::ostringstream out;
   write_trace_bin(out, {{&info0, power::PowerModel(), &events},
@@ -252,6 +256,99 @@ TEST(LoadReportDir, CorruptTraceBinIsACleanError) {
   write_dir(dir, good + "x");
   EXPECT_NE(load_report_dir(dir).error.find("trailing"), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+// A well-framed trace.bin whose events name an index the task cannot have is
+// refused by the loader, before any analysis indexes a table with it.
+TEST(LoadReportDir, OutOfRangeEventIndexIsACleanError) {
+  TraceTaskInfo info;
+  info.cores = 2;
+  const std::string dir = ::testing::TempDir() + "/dash_badindex_" +
+                          std::to_string(::getpid());
+  auto event = [](TraceEventType type, std::int32_t core, std::int64_t job,
+                  double c) {
+    TraceEvent ev;
+    ev.type = type;
+    ev.core = core;
+    ev.job = job;
+    ev.c = c;
+    ev.t2 = 0.5;
+    return ev;
+  };
+  struct Case {
+    const char* what;
+    TraceEvent ev;
+    const char* expect;
+  };
+  for (const Case& c :
+       {Case{"exec core", event(TraceEventType::kExec, 2, 0, 0.0), "core outside"},
+        Case{"exec core -1", event(TraceEventType::kExec, -1, 0, 0.0), "core outside"},
+        Case{"assign core", event(TraceEventType::kAssign, 7, 0, 0.0), "core outside"},
+        Case{"dispatch server", event(TraceEventType::kDispatch, -1, 0, 0.0),
+             "negative server"},
+        Case{"lifecycle server", event(TraceEventType::kServerState, -3, -1, 0.0),
+             "negative server"},
+        Case{"arrival job", event(TraceEventType::kArrival, -1, -5, 0.0),
+             "negative job"},
+        Case{"completion job", event(TraceEventType::kCompletion, 0, -2, 1.0),
+             "negative job"},
+        Case{"tenant -1", event(TraceEventType::kArrival, -1, 0, -1.0), "tenant"},
+        Case{"tenant 1.5", event(TraceEventType::kArrival, -1, 0, 1.5), "tenant"},
+        Case{"tenant 2^40", event(TraceEventType::kArrival, -1, 0, 0x1p40), "tenant"}}) {
+    SCOPED_TRACE(c.what);
+    const std::vector<TraceEvent> events = {event(TraceEventType::kArrival, -1, 0, 0.0),
+                                            c.ev};
+    std::ostringstream out;
+    write_trace_bin(out, {{&info, power::PowerModel(), &events}});
+    write_dir(dir, out.str());
+    const LoadedReport loaded = load_report_dir(dir);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.parsed.empty());
+    EXPECT_NE(loaded.error.find(c.expect), std::string::npos) << loaded.error;
+    EXPECT_NE(loaded.error.find("event 1"), std::string::npos) << loaded.error;
+    EXPECT_EQ(loaded.error.find('\n'), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The --trace JSONL loader runs the same check.
+TEST(LoadTraceFile, OutOfRangeEventIndexIsACleanError) {
+  TraceTaskInfo info;
+  info.cores = 2;
+  info.scheduler = "GE";
+  info.power_model_json = power::PowerModel().describe_json();
+  TraceBuffer buffer;
+  TraceEvent arrival;
+  arrival.job = 0;
+  buffer.push(arrival);
+  TraceEvent exec;
+  exec.type = TraceEventType::kExec;
+  exec.job = 0;
+  exec.core = 1;
+  exec.t2 = 0.5;
+  buffer.push(exec);
+  const std::string path = ::testing::TempDir() + "/trace_badindex_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::string text;
+  append_trace_jsonl(text, info, buffer);
+  std::ofstream(path) << text;
+  const LoadedReport good = load_trace_file(path);
+  ASSERT_TRUE(good.ok()) << good.error;
+  EXPECT_EQ(good.inputs.size(), 1u);
+
+  exec.core = 5;
+  buffer.push(exec);
+  text.clear();
+  append_trace_jsonl(text, info, buffer);
+  std::ofstream(path) << text;
+  const LoadedReport bad = load_trace_file(path);
+  EXPECT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.inputs.empty());
+  EXPECT_NE(bad.error.find("event 2"), std::string::npos) << bad.error;
+  EXPECT_NE(bad.error.find("core outside"), std::string::npos) << bad.error;
+  EXPECT_NE(load_trace_file(path + ".missing").error.find("cannot open"),
+            std::string::npos);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

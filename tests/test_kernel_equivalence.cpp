@@ -18,14 +18,20 @@
 //  4. GE hot-path memo: cached quality-function slopes against the uncached
 //     formula (the per-core cut memo is checked round by round in
 //     test_good_enough.cpp).
+//  5. Quality-OPT: the replayed water-fill bisection against a verbatim copy
+//     of the bisection that evaluates every midpoint, bitwise, on all three
+//     quality families.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <span>
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "opt/job_cutter.h"
+#include "opt/quality_opt.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
 #include "sim/event_queue.h"
@@ -42,10 +49,19 @@ namespace ge {
 namespace {
 
 // ---------------------------------------------------------------------------
-// 2a. PowerModel beta==2 fast path vs std::pow.  glibc's pow is correctly
-//     rounded for integer y=2, so a*(g*g) must agree bitwise; the sweep
-//     covers the full speed range the simulator uses plus random draws.
+// 2a. PowerModel beta==2 fast path.  The oracle is the IEEE product
+//     a*(g*g), which every Release build and golden has used (GCC folds
+//     pow(x, 2.0) to x*x there).  glibc's pow itself is not correctly
+//     rounded for y=2: unfolded (-O0), pow(2.759, 2.0) is one ulp off
+//     2.759 * 2.759.  So pow is only a <= 1 ulp cross-check.
 // ---------------------------------------------------------------------------
+
+// Steps between two non-negative doubles, counted in representable values.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ua = std::bit_cast<std::uint64_t>(a);
+  const auto ub = std::bit_cast<std::uint64_t>(b);
+  return ua > ub ? ua - ub : ub - ua;
+}
 
 TEST(KernelEquivalence, PowerModelBetaTwoBitIdenticalToPow) {
   const power::PowerModel fast(5.0, 2.0, 1000.0);
@@ -54,7 +70,8 @@ TEST(KernelEquivalence, PowerModelBetaTwoBitIdenticalToPow) {
   for (int i = 0; i < 200000; ++i) {
     const double s = i < 4001 ? static_cast<double>(i) : speed(rng);
     const double ghz = s / 1000.0;
-    EXPECT_EQ(fast.power(s), 5.0 * std::pow(ghz, 2.0)) << "speed=" << s;
+    EXPECT_EQ(fast.power(s), 5.0 * (ghz * ghz)) << "speed=" << s;
+    EXPECT_LE(ulp_distance(std::pow(ghz, 2.0), ghz * ghz), 1u) << "speed=" << s;
   }
 }
 
@@ -575,6 +592,277 @@ TEST(KernelEquivalence, ExponentialInverseDerivativeMatchesUncachedFormula) {
     }
     EXPECT_EQ(f.inverse_derivative(d0), 0.0);
     EXPECT_EQ(f.inverse_derivative(dmax), xmax);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 5. Quality-OPT water-fill: maximize_quality replays the threshold
+//    bisection and evaluates only the midpoints near its flip; the result
+//    must equal the bisection that evaluates every midpoint, bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace reference_qopt {
+
+constexpr double kTol = 1e-9;
+
+// Verbatim pre-replay waterfill (one inverse_derivative per midpoint).
+void waterfill(std::span<const opt::AllocJob> jobs, std::size_t l, std::size_t r,
+               double budget, const quality::QualityFunction& f,
+               std::vector<double>& x) {
+  double total_extra = 0.0;
+  for (std::size_t j = l; j <= r; ++j) {
+    total_extra += jobs[j].max_extra;
+  }
+  if (budget <= kTol) {
+    for (std::size_t j = l; j <= r; ++j) {
+      x[j] = 0.0;
+    }
+    return;
+  }
+  if (budget >= total_extra - kTol) {
+    for (std::size_t j = l; j <= r; ++j) {
+      x[j] = jobs[j].max_extra;
+    }
+    return;
+  }
+  double theta_hi = 0.0;
+  double theta_lo = std::numeric_limits<double>::infinity();
+  for (std::size_t j = l; j <= r; ++j) {
+    theta_hi = std::max(theta_hi, f.derivative(jobs[j].executed));
+    theta_lo = std::min(theta_lo, f.derivative(jobs[j].executed + jobs[j].max_extra));
+  }
+  auto allocated_at = [&](double theta) {
+    const double level = f.inverse_derivative(theta);
+    double sum = 0.0;
+    for (std::size_t j = l; j <= r; ++j) {
+      const double want = level - jobs[j].executed;
+      sum += std::clamp(want, 0.0, jobs[j].max_extra);
+    }
+    return sum;
+  };
+  double lo = theta_lo;
+  double hi = theta_hi;
+  for (int iter = 0; iter < 100; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    const bool converged = mid == lo || mid == hi;
+    if (allocated_at(mid) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (converged) {
+      break;
+    }
+  }
+  const double theta = hi;
+  const double level = f.inverse_derivative(theta);
+  double used = 0.0;
+  for (std::size_t j = l; j <= r; ++j) {
+    x[j] = std::clamp(level - jobs[j].executed, 0.0, jobs[j].max_extra);
+    used += x[j];
+  }
+  double residual = budget - used;
+  for (std::size_t j = l; j <= r && residual > kTol; ++j) {
+    const double slack = jobs[j].max_extra - x[j];
+    const double take = std::min(slack, residual);
+    x[j] += take;
+    residual -= take;
+  }
+}
+
+void solve(std::span<const opt::AllocJob> jobs, std::size_t l, std::size_t r,
+           double base, double budget, std::span<const double> capacity,
+           const quality::QualityFunction& f, std::vector<double>& x) {
+  budget = std::max(budget, 0.0);
+  waterfill(jobs, l, r, budget, f, x);
+  if (l == r) {
+    return;
+  }
+  double worst_violation = kTol;
+  std::size_t worst_k = r;
+  double prefix = 0.0;
+  for (std::size_t k = l; k < r; ++k) {
+    prefix += x[k];
+    const double allowed = std::max(capacity[k] - base, 0.0);
+    const double violation = prefix - allowed;
+    if (violation > worst_violation) {
+      worst_violation = violation;
+      worst_k = k;
+    }
+  }
+  if (worst_k == r) {
+    return;
+  }
+  const double left_budget = std::max(capacity[worst_k] - base, 0.0);
+  solve(jobs, l, worst_k, base, left_budget, capacity, f, x);
+  solve(jobs, worst_k + 1, r, base + left_budget, budget - left_budget, capacity, f,
+        x);
+}
+
+std::vector<double> maximize_quality(double now, std::span<const opt::AllocJob> jobs,
+                                     double speed_cap,
+                                     const quality::QualityFunction& f) {
+  const std::size_t n = jobs.size();
+  std::vector<double> x(n, 0.0);
+  if (n == 0 || speed_cap <= 0.0) {
+    return x;
+  }
+  std::vector<double> capacity(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    capacity[k] = speed_cap * std::max(jobs[k].deadline - now, 0.0);
+  }
+  solve(jobs, 0, n - 1, 0.0, capacity[n - 1], capacity, f, x);
+  return x;
+}
+
+}  // namespace reference_qopt
+
+// Runs both implementations on one instance; the first differing job is
+// reported with both values.
+void expect_qopt_bitwise(std::span<const opt::AllocJob> jobs, double cap,
+                         const quality::QualityFunction& f, const std::string& label) {
+  opt::QualityOptScratch scratch;
+  opt::maximize_quality(0.0, jobs, cap, f, scratch);
+  const std::vector<double> want = reference_qopt::maximize_quality(0.0, jobs, cap, f);
+  ASSERT_EQ(scratch.extra.size(), want.size()) << label;
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(scratch.extra[j]),
+              std::bit_cast<std::uint64_t>(want[j]))
+        << label << " f=" << f.name() << " cap=" << cap << " job " << j
+        << " got=" << scratch.extra[j] << " want=" << want[j];
+  }
+}
+
+struct QoptFamily {
+  std::string label;
+  std::unique_ptr<quality::QualityFunction> f;
+  int random_cases;  // the generic inverse_derivative is an 80-step bisection
+};
+
+std::vector<QoptFamily> qopt_families() {
+  std::vector<QoptFamily> out;
+  for (const double c : {5e-4, 3e-3, 5e-2}) {
+    out.push_back(
+        {"exp", std::make_unique<quality::ExponentialQuality>(c, 1000.0), 3000});
+  }
+  for (const double gamma : {0.3, 0.7}) {
+    out.push_back({"powerlaw", std::make_unique<quality::PowerLawQuality>(gamma, 1000.0),
+                   300});
+  }
+  out.push_back({"linear", std::make_unique<quality::LinearQuality>(1000.0), 1000});
+  return out;
+}
+
+TEST(KernelEquivalence, QualityOptReplayBitIdenticalOnRandomInstances) {
+  std::mt19937_64 rng(2411);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const QoptFamily& fam : qopt_families()) {
+    for (int i = 0; i < fam.random_cases; ++i) {
+      const std::size_t n = 1 + static_cast<std::size_t>(rng() % 8);
+      std::vector<opt::AllocJob> jobs(n);
+      double deadline = 0.0;
+      for (opt::AllocJob& aj : jobs) {
+        aj.executed = unit(rng) < 0.3 ? 0.0 : 600.0 * unit(rng);
+        aj.max_extra = unit(rng) < 0.05
+                           ? 0.0
+                           : std::min(400.0 * unit(rng), 1000.0 - aj.executed);
+        deadline += unit(rng) < 0.2 ? 0.0 : 0.05 * unit(rng);
+        aj.deadline = deadline;
+      }
+      double total = 0.0;
+      for (const opt::AllocJob& aj : jobs) {
+        total += aj.max_extra;
+      }
+      const double cap = (0.05 + 1.1 * unit(rng)) * total / std::max(deadline, 1e-3);
+      expect_qopt_bitwise(jobs, cap, *fam.f, fam.label + " random #" + std::to_string(i));
+    }
+  }
+}
+
+// All deadlines at t = 1 and now = 0: the budget of the single water-fill
+// equals the speed cap, so the cases below set it directly.
+std::vector<opt::AllocJob> at_one_deadline(
+    std::initializer_list<std::pair<double, double>> executed_and_extra) {
+  std::vector<opt::AllocJob> jobs;
+  for (const auto& [e, w] : executed_and_extra) {
+    jobs.push_back(opt::AllocJob{e, w, 1.0});
+  }
+  return jobs;
+}
+
+TEST(KernelEquivalence, QualityOptReplayBitIdenticalAtBudgetEdges) {
+  constexpr double kTol = 1e-9;
+  const std::vector<std::vector<opt::AllocJob>> instances = {
+      at_one_deadline({{0.0, 300.0}}),
+      at_one_deadline({{120.0, 80.0}, {0.0, 500.0}}),
+      at_one_deadline({{10.0, 200.0}, {400.0, 150.0}, {0.0, 50.0}}),
+  };
+  for (const QoptFamily& fam : qopt_families()) {
+    for (const std::vector<opt::AllocJob>& jobs : instances) {
+      double total = 0.0;
+      for (const opt::AllocJob& aj : jobs) {
+        total += aj.max_extra;
+      }
+      for (const double budget :
+           {0.5 * kTol, kTol, 2.0 * kTol, 1e-6, total - 2.0 * kTol, total - kTol,
+            total - 0.5 * kTol, total - 1e-6, std::nextafter(total - kTol, 0.0),
+            std::nextafter(total - kTol, total)}) {
+        expect_qopt_bitwise(jobs, budget, *fam.f,
+                            fam.label + " budget=" + std::to_string(budget));
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, QualityOptReplayBitIdenticalOnFlatSegments) {
+  // Gaps between [e_j, e_j + w_j] make g(L) flat there; a budget equal to a
+  // sum of w_j lands the target on such a flat.
+  const std::vector<std::vector<opt::AllocJob>> instances = {
+      at_one_deadline({{0.0, 100.0}, {300.0, 50.0}}),
+      at_one_deadline({{0.0, 100.0}, {300.0, 50.0}, {600.0, 200.0}}),
+      at_one_deadline({{500.0, 100.0}, {0.0, 60.0}, {200.0, 40.0}}),
+      at_one_deadline({{0.0, 0.0}, {100.0, 100.0}, {400.0, 25.0}}),
+  };
+  for (const QoptFamily& fam : qopt_families()) {
+    for (const std::vector<opt::AllocJob>& jobs : instances) {
+      // Every subset sum of the w_j that is not empty or the whole set.
+      const std::size_t n = jobs.size();
+      for (std::size_t mask = 1; mask + 1 < (std::size_t{1} << n); ++mask) {
+        double budget = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+          if ((mask >> j) & 1u) {
+            budget += jobs[j].max_extra;
+          }
+        }
+        for (const double b :
+             {budget, std::nextafter(budget, 0.0), std::nextafter(budget, 1e9)}) {
+          expect_qopt_bitwise(jobs, b, *fam.f,
+                              fam.label + " flat budget=" + std::to_string(b));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, QualityOptReplayBitIdenticalOnEqualExecuted) {
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const QoptFamily& fam : qopt_families()) {
+    for (const double e : {0.0, 1.0, 250.0, 700.0}) {
+      for (int i = 0; i < 40; ++i) {
+        const std::size_t n = 1 + static_cast<std::size_t>(rng() % 8);
+        std::vector<opt::AllocJob> jobs(n);
+        double total = 0.0;
+        for (opt::AllocJob& aj : jobs) {
+          aj.executed = e;
+          aj.max_extra = i % 4 == 0 ? 100.0 : (1000.0 - e) * unit(rng);
+          aj.deadline = 1.0;
+          total += aj.max_extra;
+        }
+        expect_qopt_bitwise(jobs, total * unit(rng), *fam.f,
+                            fam.label + " equal e=" + std::to_string(e));
+      }
+    }
   }
 }
 

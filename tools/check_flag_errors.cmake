@@ -57,6 +57,18 @@ set(cases
   "ge_sweep|schedulers|QOA[-1]"
   "ge_sweep|trace-format|xml|--trace flag_errors.jsonl"
   "ge_sweep|metric|bogus"
+  "ge_sweep|quantum|-1"
+  "ge_sweep|burst|-1"
+  "ge_sweep|burst-fraction|0.9|--burst 2"
+  "ge_sweep|load-window|0"
+  "ge_sweep|static-power|-1"
+  "ge_sweep|admission|-3"
+  "ge_sweep|quality-c|-1"
+  "ge_sweep|quality-c|1.5|--quality-family powerlaw"
+  "ge_sweep|on-at|2|--off-at 5"
+  "ge_sweep|deadline|-5"
+  "ge_sweep|xmax|100|--xmin 500"
+  "ge_sweep|alpha|-2"
   "fig|server-cores|16|--servers 2"
   "fig|trace-format|xml|--trace flag_errors.jsonl"
   "fig|rates|100,-5"

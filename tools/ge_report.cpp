@@ -71,28 +71,12 @@ int main(int argc, char** argv) {
 
   // Both input modes end in the same shape: `parsed` owns the buffers,
   // `inputs` views them.
-  obs::analysis::LoadedReport loaded;
-  if (!trace_path.empty()) {
-    std::ifstream trace_in(trace_path);
-    if (!trace_in.good()) {
-      std::fprintf(stderr, "ge_report: cannot open --trace input file: %s\n",
-                   trace_path.c_str());
-      return 2;
-    }
-    loaded.parsed = obs::analysis::read_trace_jsonl(trace_in);
-    for (const obs::analysis::ParsedTask& task : loaded.parsed) {
-      obs::analysis::TaskInput input;
-      input.info = task.info;
-      input.buffer = &task.buffer;
-      input.fallback_model = task.model;  // per-core models are not in the file
-      loaded.inputs.push_back(std::move(input));
-    }
-  } else {
-    loaded = obs::analysis::load_report_dir(report_dir_in);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "ge_report: %s\n", loaded.error.c_str());
-      return 2;
-    }
+  obs::analysis::LoadedReport loaded =
+      trace_path.empty() ? obs::analysis::load_report_dir(report_dir_in)
+                         : obs::analysis::load_trace_file(trace_path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "ge_report: %s\n", loaded.error.c_str());
+    return 2;
   }
   if (loaded.inputs.empty()) {
     std::fprintf(stderr, "ge_report: input contains no tasks\n");
