@@ -107,6 +107,137 @@ struct StreamState {
                                 : max_jobs) {}
 };
 
+// Just-in-time release of a materialised trace (docs/DESIGN.md §9).
+//
+// An eager set-up would push every job's arrival and then its deadline, in
+// trace order, before the run starts: the r-th job that needs events
+// would get the tie-break keys base + 2r (arrival) and base + 2r + 1
+// (deadline).  The release reserves exactly that block and pushes each key
+// late.  Every simulator that arrivals run on (an "arrival queue") holds
+// only its next arrival; when one fires it pushes the job's deadline onto
+// the job's owner, then the queue's next arrival, then runs the arrival's
+// action.  Both pushes lie above the executing key (a trace is sorted by
+// arrival and no deadline precedes its arrival), and every key still
+// unpushed lies above its chain's pending arrival, so each queue's
+// earliest event -- and hence the whole pop sequence -- is the eager one
+// while the heap holds only the events of jobs in flight.
+//
+// Three layouts share the chain: a serial run and a sharded run with a
+// state-reading dispatch put every job on `sim` and dispatch it at
+// arrival; a sharded run with planned dispatch (Cluster::plan_dispatch)
+// skips settled jobs, keeps held arrivals on `sim` and delivers every
+// other job on its owner's shard, one arrival queue per simulator.
+class TraceRelease {
+ public:
+  using Route = cluster::Cluster::Route;
+
+  // Reserves the keys on `sim` (in stamp mode, the serial context's block)
+  // and pushes each queue's first arrival.  `routes` is null, or
+  // plan_dispatch's per-job plan.  Everything referenced must outlive the
+  // run.
+  TraceRelease(std::vector<workload::Job>& jobs, cluster::Cluster& cluster,
+               sim::Simulator& sim, const std::vector<sim::Simulator*>& node_sims,
+               const std::vector<Route>* routes,
+               std::function<void(workload::Job*)> arrive)
+      : jobs_(jobs), cluster_(cluster), node_sims_(node_sims),
+        arrive_(std::move(arrive)), queues_{&sim} {
+    std::uint64_t released = jobs.size();
+    if (routes != nullptr) {
+      queue_of_.reserve(jobs.size());
+      released = 0;
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::uint32_t q = kNoEvents;
+        if ((*routes)[i] == Route::kHeld) {
+          q = 0;
+        } else if ((*routes)[i] == Route::kArrival) {
+          q = queue_index(node_sims[cluster.server_of(jobs[i])]);
+          GE_CHECK(q != 0, "a planned delivery must run on a shard simulator");
+        }
+        queue_of_.push_back(q);
+        released += q != kNoEvents ? 1 : 0;
+      }
+    }
+    base_ = sim.reserve_seqs(2 * released);
+    cursors_.resize(queues_.size());
+    for (std::uint32_t q = 0; q < queues_.size(); ++q) {
+      release_next(q);
+    }
+  }
+
+  TraceRelease(const TraceRelease&) = delete;
+  TraceRelease& operator=(const TraceRelease&) = delete;
+
+ private:
+  static constexpr std::uint32_t kNoEvents = std::numeric_limits<std::uint32_t>::max();
+
+  // One arrival queue's place in the trace.  Only the thread running that
+  // queue touches it; the padding keeps shards off each other's lines.
+  struct alignas(64) Cursor {
+    std::size_t scan = 0;      // next job index to look at
+    std::uint64_t passed = 0;  // jobs with events before `scan`
+    std::size_t job = 0;       // the job whose arrival is pending
+    std::uint64_t rank = 0;    // its position among jobs with events
+  };
+
+  std::uint32_t queue_index(sim::Simulator* queue) {
+    for (std::uint32_t q = 0; q < queues_.size(); ++q) {
+      if (queues_[q] == queue) {
+        return q;
+      }
+    }
+    queues_.push_back(queue);
+    return static_cast<std::uint32_t>(queues_.size() - 1);
+  }
+
+  // Pushes the arrival of queue q's next job, if any is left.
+  void release_next(std::uint32_t q) {
+    Cursor& c = cursors_[q];
+    while (c.scan < jobs_.size()) {
+      const std::size_t i = c.scan++;
+      const std::uint32_t owner = queue_of_.empty() ? 0 : queue_of_[i];
+      if (owner == kNoEvents) {
+        continue;
+      }
+      const std::uint64_t rank = c.passed++;
+      if (owner == q) {
+        c.job = i;
+        c.rank = rank;
+        queues_[q]->schedule_reserved(jobs_[i].arrival, base_ + 2 * rank,
+                                      [this, q] { fire(q); });
+        return;
+      }
+    }
+  }
+
+  void fire(std::uint32_t q) {
+    const Cursor& c = cursors_[q];
+    workload::Job& job = jobs_[c.job];
+    sim::Simulator* owner =
+        queue_of_.empty() ? queues_[0] : node_sims_[cluster_.server_of(job)];
+    owner->schedule_reserved(job.deadline, base_ + 2 * c.rank + 1,
+                             [&cluster = cluster_, &job] { cluster.on_deadline(&job); });
+    release_next(q);
+    if (queue_of_.empty()) {
+      arrive_(&job);
+    } else if (q == 0) {
+      cluster_.hold(&job);
+    } else {
+      cluster_.deliver(&job);
+    }
+  }
+
+  std::vector<workload::Job>& jobs_;
+  cluster::Cluster& cluster_;
+  const std::vector<sim::Simulator*>& node_sims_;
+  std::function<void(workload::Job*)> arrive_;
+  // Arrival queue of each job (kNoEvents: settled at set-up); empty when
+  // every job arrives on queues_[0].
+  std::vector<std::uint32_t> queue_of_;
+  std::vector<sim::Simulator*> queues_;  // [0] is `sim`
+  std::vector<Cursor> cursors_;          // one per queue
+  std::uint64_t base_ = 0;
+};
+
 // Installs the profitability screen (config.h `admission`): reject jobs
 // whose required speed demand/window exceeds admission * the nominal
 // per-core speed.  A pure function of the job, so the hook is deterministic
@@ -423,8 +554,10 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   acct.tenants.resize(cfg.num_tenants);
 
   // Materialised path: private, mutable copy of the trace; addresses are
-  // stable for the run.  Accounting happens after the run, in id order.
+  // stable for the run.  Jobs are released just in time; accounting
+  // happens after the run, in id order.
   std::vector<workload::Job> jobs;
+  std::unique_ptr<TraceRelease> release;
   // Streaming path: arena-backed pipeline; accounting happens online as the
   // reorder buffer drains in id order.
   std::unique_ptr<StreamState> st;
@@ -448,28 +581,12 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     // run always dispatches at arrival time, after its kArrival.
     const bool preroute = nshards > 1 && cluster::is_state_free(cfg.dispatch);
     jobs = trace->jobs();
+    std::vector<cluster::Cluster::Route> routes;
     if (preroute) {
-      using Route = cluster::Cluster::Route;
-      const std::vector<Route> routes = cluster.plan_dispatch(jobs);
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        workload::Job& job = jobs[i];
-        if (routes[i] == Route::kSettled) {
-          continue;
-        }
-        sim::Simulator* owner = node_sims[cluster.server_of(job)];
-        if (routes[i] == Route::kHeld) {
-          sim.schedule_at(job.arrival, [&cluster, &job] { cluster.hold(&job); });
-        } else {
-          owner->schedule_at(job.arrival, [&cluster, &job] { cluster.deliver(&job); });
-        }
-        owner->schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
-      }
-    } else {
-      for (workload::Job& job : jobs) {
-        sim.schedule_at(job.arrival, [&arrive, &job] { arrive(&job); });
-        sim.schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
-      }
+      routes = cluster.plan_dispatch(jobs);
     }
+    release = std::make_unique<TraceRelease>(jobs, cluster, sim, node_sims,
+                                             preroute ? &routes : nullptr, arrive);
   } else {
     // The quarantine must outlast every scheduler-side reference to a
     // settled job.  The GE engine purges settled pointers from its waiting

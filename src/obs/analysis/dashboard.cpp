@@ -622,7 +622,10 @@ LoadedReport load_trace_file(const std::string& path) {
     out.error = "cannot open --trace input file: " + path;
     return out;
   }
-  out.parsed = read_trace_jsonl(in);
+  if (std::string error = read_trace_jsonl(in, out.parsed); !error.empty()) {
+    out.error = path + ": " + error;
+    return out;
+  }
   return with_inputs(std::move(out), path);
 }
 

@@ -64,8 +64,10 @@ LoadedReport load_report_dir(const std::string& dir);
 
 // A --trace JSONL file loaded the same way (per-core models are not in the
 // file, so each task analyses with its meta record's model).  `error` is a
-// one-line reason when the file cannot be opened or an event names an index
-// its task cannot have (check_event_indices).
+// one-line reason when the file cannot be opened, a line is not a
+// well-formed trace record (malformed JSON, a missing field, an unknown
+// event kind), or an event names an index its task cannot have
+// (check_event_indices).
 LoadedReport load_trace_file(const std::string& path);
 
 }  // namespace ge::obs::analysis

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -11,6 +13,22 @@
 
 namespace ge::obs::analysis {
 namespace {
+
+// Malformed input.  The parser and the readers below throw it; each public
+// entry point turns it into a checked error, except the error-returning
+// overloads of read_trace_jsonl and read_metrics_json, which hand back its
+// one-line reason.
+struct ParseError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void fail(const std::string& what) { throw ParseError(what); }
+
+void require(bool ok, const char* what) {
+  if (!ok) {
+    fail(what);
+  }
+}
 
 // ---- minimal JSON subset parser ---------------------------------------------
 
@@ -31,17 +49,17 @@ struct JsonValue {
     }
     return nullptr;
   }
-  // Required typed accessors; checked errors keep schema drift loud.
+  // Required typed accessors; parse errors keep schema drift loud.
   double num(std::string_view key) const {
     const JsonValue* v = find(key);
-    GE_CHECK(v != nullptr && v->kind == Kind::kNumber,
-             "trace/metrics JSON: missing numeric field");
+    require(v != nullptr && v->kind == Kind::kNumber,
+            "trace/metrics JSON: missing numeric field");
     return v->number;
   }
   const std::string& str(std::string_view key) const {
     const JsonValue* v = find(key);
-    GE_CHECK(v != nullptr && v->kind == Kind::kString,
-             "trace/metrics JSON: missing string field");
+    require(v != nullptr && v->kind == Kind::kString,
+            "trace/metrics JSON: missing string field");
     return v->string;
   }
 };
@@ -53,7 +71,7 @@ class JsonParser {
   JsonValue parse() {
     JsonValue value = parse_value();
     skip_ws();
-    GE_CHECK(pos_ == text_.size(), "JSON: trailing characters");
+    require(pos_ == text_.size(), "JSON: trailing characters");
     return value;
   }
 
@@ -66,12 +84,12 @@ class JsonParser {
   }
 
   char peek() {
-    GE_CHECK(pos_ < text_.size(), "JSON: unexpected end of input");
+    require(pos_ < text_.size(), "JSON: unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char ch) {
-    GE_CHECK(peek() == ch, "JSON: unexpected character");
+    require(peek() == ch, "JSON: unexpected character");
     ++pos_;
   }
 
@@ -135,16 +153,16 @@ class JsonParser {
         value.string = parse_string();
         return value;
       case 't':
-        GE_CHECK(consume_literal("true"), "JSON: bad literal");
+        require(consume_literal("true"), "JSON: bad literal");
         value.kind = JsonValue::Kind::kBool;
         value.boolean = true;
         return value;
       case 'f':
-        GE_CHECK(consume_literal("false"), "JSON: bad literal");
+        require(consume_literal("false"), "JSON: bad literal");
         value.kind = JsonValue::Kind::kBool;
         return value;
       case 'n':
-        GE_CHECK(consume_literal("null"), "JSON: bad literal");
+        require(consume_literal("null"), "JSON: bad literal");
         return value;
       default:
         value.kind = JsonValue::Kind::kNumber;
@@ -157,13 +175,13 @@ class JsonParser {
     expect('"');
     std::string out;
     while (true) {
-      GE_CHECK(pos_ < text_.size(), "JSON: unterminated string");
+      require(pos_ < text_.size(), "JSON: unterminated string");
       const char ch = text_[pos_++];
       if (ch == '"') {
         return out;
       }
       if (ch == '\\') {
-        GE_CHECK(pos_ < text_.size(), "JSON: unterminated escape");
+        require(pos_ < text_.size(), "JSON: unterminated escape");
         const char esc = text_[pos_++];
         switch (esc) {
           case '"': out.push_back('"'); break;
@@ -173,7 +191,7 @@ class JsonParser {
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
           default:
-            GE_FAIL("JSON: unsupported escape sequence");
+            fail("JSON: unsupported escape sequence");
         }
         continue;
       }
@@ -201,7 +219,7 @@ class JsonParser {
   // Scans the JSON number grammar -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   // and converts it with from_chars, correctly rounded like strtod.  Tokens
   // JSON does not allow (inf, nan, hex floats, a leading '+' or '0', "1.",
-  // ".5") and values beyond double range are checked errors.
+  // ".5") and values beyond double range are parse errors.
   double parse_number() {
     const std::size_t begin = pos_;
     consume_any("-");
@@ -215,12 +233,12 @@ class JsonParser {
       consume_any("+-");
       ok = ok && consume_digits() > 0;
     }
-    GE_CHECK(ok, "JSON: expected a number");
+    require(ok, "JSON: expected a number");
     double value = 0.0;
     const char* end = text_.data() + pos_;
     const auto [ptr, ec] = std::from_chars(text_.data() + begin, end, value);
-    GE_CHECK(ec == std::errc() && ptr == end && std::isfinite(value),
-             "JSON: number out of double range");
+    require(ec == std::errc() && ptr == end && std::isfinite(value),
+            "JSON: number out of double range");
     return value;
   }
 
@@ -245,7 +263,7 @@ std::int32_t parse_name(const std::string& name,
   for (std::int32_t i = 0;; ++i) {
     const char* known = name_of(i);
     if (std::string_view(known) == "?") {
-      GE_FAIL(std::string("trace JSONL: unknown ") + what + " name");
+      fail(std::string("trace JSONL: unknown ") + what + " name");
     }
     if (name == known) {
       return i;
@@ -254,15 +272,24 @@ std::int32_t parse_name(const std::string& name,
 }
 
 power::PowerModel power_model_of(const JsonValue& pm) {
-  GE_CHECK(pm.kind == JsonValue::Kind::kObject,
-           "trace JSONL: power_model must be an object");
-  return power::PowerModel(pm.num("a"), pm.num("beta"), pm.num("units_per_ghz"));
+  require(pm.kind == JsonValue::Kind::kObject,
+          "trace JSONL: power_model must be an object");
+  const double a = pm.num("a");
+  const double beta = pm.num("beta");
+  const double units_per_ghz = pm.num("units_per_ghz");
+  require(a > 0.0 && beta > 1.0 && units_per_ghz > 0.0,
+          "trace JSONL: power_model needs a > 0, beta > 1 and units_per_ghz > 0");
+  return power::PowerModel(a, beta, units_per_ghz);
 }
 
 }  // namespace
 
 power::PowerModel parse_power_model_json(const std::string& json) {
-  return power_model_of(JsonParser(json).parse());
+  try {
+    return power_model_of(JsonParser(json).parse());
+  } catch (const ParseError& e) {
+    GE_FAIL(e.what());
+  }
 }
 
 std::string check_event_indices(const ParsedTask& task) {
@@ -297,18 +324,21 @@ std::string check_event_indices(const ParsedTask& task) {
   return "";
 }
 
-std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
-  std::vector<ParsedTask> tasks;
+namespace {
+
+// Appends the records of a JSONL trace stream to `tasks`, counting lines in
+// `line_no`; throws ParseError at the first malformed line.
+void read_records(std::istream& in, std::vector<ParsedTask>& tasks,
+                  std::size_t& line_no) {
   std::string line;
-  std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) {
       continue;
     }
     const JsonValue record = JsonParser(line).parse();
-    GE_CHECK(record.kind == JsonValue::Kind::kObject,
-             "trace JSONL: every line must be an object");
+    require(record.kind == JsonValue::Kind::kObject,
+            "trace JSONL: every line must be an object");
     const std::string& kind = record.str("ev");
     if (kind == "meta") {
       ParsedTask task;
@@ -318,27 +348,27 @@ std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
       task.info.cores = static_cast<std::size_t>(record.num("cores"));
       task.info.power_budget = record.num("power_budget_w");
       const JsonValue* pm = record.find("power_model");
-      GE_CHECK(pm != nullptr, "trace JSONL: meta record lacks a power_model object");
+      require(pm != nullptr, "trace JSONL: meta record lacks a power_model object");
       task.model = power_model_of(*pm);
       task.info.power_model_json = task.model.describe_json();
       // Optional for pre-ladder traces; empty = continuous speeds.
       if (const JsonValue* ladder = record.find("ladder"); ladder != nullptr) {
-        GE_CHECK(ladder->kind == JsonValue::Kind::kArray,
-                 "trace JSONL: meta ladder must be an array");
+        require(ladder->kind == JsonValue::Kind::kArray,
+                "trace JSONL: meta ladder must be an array");
         for (const JsonValue& level : ladder->array) {
-          GE_CHECK(level.kind == JsonValue::Kind::kNumber,
-                   "trace JSONL: meta ladder entries must be numbers");
+          require(level.kind == JsonValue::Kind::kNumber,
+                  "trace JSONL: meta ladder entries must be numbers");
           task.info.ladder_units.push_back(level.number);
         }
       }
-      GE_CHECK(task.info.task == tasks.size(),
-               "trace JSONL: meta records out of order");
+      require(task.info.task == tasks.size(),
+              "trace JSONL: meta records out of order");
       tasks.push_back(std::move(task));
       continue;
     }
-    GE_CHECK(!tasks.empty(), "trace JSONL: event before the first meta record");
-    GE_CHECK(static_cast<std::size_t>(record.num("task")) == tasks.size() - 1,
-             "trace JSONL: event names a task other than the current one");
+    require(!tasks.empty(), "trace JSONL: event before the first meta record");
+    require(static_cast<std::size_t>(record.num("task")) == tasks.size() - 1,
+            "trace JSONL: event names a task other than the current one");
     TraceEvent ev;
     ev.t = record.num("t");
     if (kind == "arrival") {
@@ -406,11 +436,32 @@ std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
       ev.mode = parse_name(record.str("state"), server_state_name,
                            "server lifecycle state");
     } else {
-      GE_FAIL("trace JSONL: unknown event kind");
+      fail("trace JSONL: unknown event kind");
     }
     tasks.back().buffer.push(ev);
   }
+}
+
+}  // namespace
+
+std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
+  std::vector<ParsedTask> tasks;
+  if (const std::string error = read_trace_jsonl(in, tasks); !error.empty()) {
+    GE_FAIL("trace JSONL " + error);
+  }
   return tasks;
+}
+
+std::string read_trace_jsonl(std::istream& in, std::vector<ParsedTask>& tasks) {
+  tasks.clear();
+  std::size_t line_no = 0;
+  try {
+    read_records(in, tasks, line_no);
+  } catch (const ParseError& e) {
+    tasks.clear();
+    return "line " + std::to_string(line_no) + ": " + e.what();
+  }
+  return "";
 }
 
 double MetricsValues::get(const std::string& name, double fallback) const {
@@ -431,18 +482,18 @@ bool MetricsValues::has(const std::string& name) const {
   return false;
 }
 
-MetricsValues read_metrics_json(std::istream& in) {
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const JsonValue root = JsonParser(text).parse();
+namespace {
+
+MetricsValues metrics_of(const JsonValue& root) {
   const std::string& schema = root.str("schema");  // checked, object or not
-  GE_CHECK(schema == "goodenough-metrics-v2",
-           "metrics JSON: schema '" + schema +
-               "' is not goodenough-metrics-v2 (v1 files are no longer read; "
-               "re-run to regenerate)");
+  if (schema != "goodenough-metrics-v2") {
+    fail("metrics JSON: schema '" + schema +
+         "' is not goodenough-metrics-v2 (v1 files are no longer read; "
+         "re-run to regenerate)");
+  }
   const JsonValue* metrics = root.find("metrics");
-  GE_CHECK(metrics != nullptr && metrics->kind == JsonValue::Kind::kArray,
-           "metrics JSON: missing metrics array");
+  require(metrics != nullptr && metrics->kind == JsonValue::Kind::kArray,
+          "metrics JSON: missing metrics array");
   MetricsValues out;
   for (const JsonValue& entry : metrics->array) {
     const std::string& name = entry.str("name");
@@ -455,6 +506,28 @@ MetricsValues read_metrics_json(std::istream& in) {
     }
   }
   return out;
+}
+
+}  // namespace
+
+MetricsValues read_metrics_json(std::istream& in) {
+  MetricsValues out;
+  if (const std::string error = read_metrics_json(in, out); !error.empty()) {
+    GE_FAIL(error);
+  }
+  return out;
+}
+
+std::string read_metrics_json(std::istream& in, MetricsValues& out) {
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  try {
+    out = metrics_of(JsonParser(text).parse());
+  } catch (const ParseError& e) {
+    out = {};
+    return e.what();
+  }
+  return "";
 }
 
 }  // namespace ge::obs::analysis

@@ -4,8 +4,9 @@
 //   * read_trace_jsonl(): parses a --trace file back into per-task
 //     (TraceTaskInfo, TraceBuffer) pairs -- the exact inverse of
 //     TraceWriter's JSONL rendering (schema: docs/OBSERVABILITY.md).
-//     Unknown "ev" kinds are a checked error, so schema drift between
-//     writer and reader fails loudly instead of silently skewing reports.
+//     Unknown "ev" kinds are an error (checked, or a returned reason --
+//     see the two overloads), so schema drift between writer and reader
+//     fails loudly instead of silently skewing reports.
 //   * read_metrics_json(): parses a goodenough-metrics-v2 --metrics file
 //     into a flat name -> scalar view (counters and gauges; histograms
 //     expose count and sum as "<name>.count" / "<name>.sum").  Any other
@@ -42,6 +43,11 @@ struct ParsedTask {
 // Parses a whole JSONL trace stream (checked error on malformed input).
 std::vector<ParsedTask> read_trace_jsonl(std::istream& in);
 
+// The same parse into `tasks`, returning "" on success or, on malformed
+// input, a one-line reason naming the line ("line 3: JSON: ...") with
+// `tasks` left empty.
+std::string read_trace_jsonl(std::istream& in, std::vector<ParsedTask>& tasks);
+
 // "" when every index an event of `task` carries is one a run described by
 // task.info can produce, else a one-line reason naming the first that is
 // not: a negative job id on a job's event, a negative server on a dispatch
@@ -65,6 +71,11 @@ struct MetricsValues {
   bool has(const std::string& name) const;
 };
 
+// Parses a metrics JSON stream (checked error on malformed input).
 MetricsValues read_metrics_json(std::istream& in);
+
+// The same parse into `out`, returning "" on success or a one-line reason
+// with `out` left empty.
+std::string read_metrics_json(std::istream& in, MetricsValues& out);
 
 }  // namespace ge::obs::analysis

@@ -90,7 +90,7 @@ void HeapEventQueue::next_key(double& time, std::uint64_t& seq) const {
 Event HeapEventQueue::pop() {
   GE_CHECK(!empty(), "pop() on empty queue");
   const Node top = heap_.front();
-  Event ev{top.time, encode(top.slot, slots_[top.slot].gen),
+  Event ev{top.time, top.seq, encode(top.slot, slots_[top.slot].gen),
            std::move(slots_[top.slot].action)};
   release_slot(top.slot);
   remove_at(0);

@@ -40,6 +40,7 @@ inline constexpr EventId kInvalidEventId = 0;
 
 struct Event {
   double time = 0.0;
+  std::uint64_t seq = 0;  // tie-break key (counter value or caller stamp)
   EventId id = kInvalidEventId;
   std::function<void()> action;
 };
@@ -53,13 +54,26 @@ class HeapEventQueue {
   }
 
   // Inserts an event whose tie-break seq is supplied by the caller instead
-  // of the internal counter.  Sharded runs (see shard_exec.h) stamp every
-  // push from a run-wide scheme so that each queue's (time, seq) order is
-  // the serial run's order projected onto that queue.  Seqs must be unique
-  // per queue; the internal counter is not advanced, so a queue should see
-  // either push() or push_with_seq() for its whole life, never both.
+  // of the internal counter.  Seqs must be unique per queue, and the
+  // internal counter is not advanced, so a queue that also sees push() may
+  // only be handed seqs it reserved (reserve_seqs) -- the just-in-time
+  // release of a materialised run (runner.cpp) pushes its set-up keys that
+  // way.  Any other caller stamps every push of the queue's life: sharded
+  // runs (see shard_exec.h) draw from a run-wide scheme so that each
+  // queue's (time, seq) order is the serial run's order projected onto it.
   EventId push_with_seq(double time, std::uint64_t seq,
                         std::function<void()> action);
+
+  // Takes `count` consecutive seqs off the internal counter, to be pushed
+  // later (in any order) with push_with_seq, and returns the first.  An
+  // event pushed with a reserved seq pops exactly where it would have had
+  // it been pushed when the seq was drawn, provided no event with a larger
+  // key has popped before the push.
+  std::uint64_t reserve_seqs(std::uint64_t count) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
 
   // Cancels a pending event.  Returns false (and does nothing) if the id is
   // unknown, stale, already executed, or already cancelled.
@@ -92,7 +106,8 @@ class HeapEventQueue {
   // Allocated slot-table entries: the peak of concurrently pending events.
   std::size_t slot_count() const noexcept { return slots_.size(); }
   std::size_t peak_live() const noexcept { return peak_live_; }
-  // Seqs drawn from the internal counter (pushes and reschedules).
+  // Seqs drawn from the internal counter (pushes, reschedules and
+  // reservations).
   std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
  private:

@@ -50,14 +50,16 @@ std::uint32_t await_change(const std::atomic<std::uint32_t>& flag,
 }
 }  // namespace
 
-std::uint64_t StampContext::next_stamp() {
+std::uint64_t StampContext::reserve(std::uint64_t count) {
   GE_CHECK(epoch != nullptr, "stamp context is not wired to a stamper");
   const std::uint64_t g = *epoch;
   GE_CHECK(g < (std::uint64_t{1} << (64 - kEpochShift)),
            "stamp epoch counter overflow");
-  GE_CHECK(n < (std::uint64_t{1} << kClassShift), "stamp counter overflow");
-  return (g << kEpochShift) |
-         (static_cast<std::uint64_t>(shard) << kClassShift) | n++;
+  GE_CHECK(count <= (std::uint64_t{1} << kClassShift) - n, "stamp counter overflow");
+  const std::uint64_t first = (g << kEpochShift) |
+                              (static_cast<std::uint64_t>(shard) << kClassShift) | n;
+  n += count;
+  return first;
 }
 
 StampContext*& current_stamp_context() noexcept {

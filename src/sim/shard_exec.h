@@ -52,7 +52,12 @@
 // of earlier epochs, exactly as the serial run interleaves them -- the epoch
 // field and the class bit encode precisely that; (c) a queue only ever
 // receives stamps from its own shard's context and the serial context, so
-// the class bit also keeps seqs unique per queue.  tests/test_shard_des.cpp
+// the class bit also keeps seqs unique per queue.  Set-up does not push the
+// trace's arrivals and deadlines: it reserves their stamps as one epoch-0
+// block of the serial context (StampContext::reserve) and the runner pushes
+// each just in time, from whichever thread runs the arrival before it (see
+// Simulator::schedule_reserved).  Those stamps are the ones an eager set-up
+// would have drawn, so (a)-(c) hold unchanged.  tests/test_shard_des.cpp
 // pins the invariants; tests/test_fuzz_e2e.cpp pins end-to-end bit-identity
 // against the serial path.
 #pragma once
@@ -74,7 +79,10 @@ struct StampContext {
   bool shard = false;                    // class bit: serial=0, shard=1
   std::uint64_t n = 0;                   // monotone per-context counter
 
-  std::uint64_t next_stamp();
+  std::uint64_t next_stamp() { return reserve(1); }
+  // Takes `count` consecutive stamps (one epoch, one class, a contiguous
+  // counter block: first, first + 1, ...) and returns the first.
+  std::uint64_t reserve(std::uint64_t count);
 };
 
 // The calling thread's current stamp context (nullptr outside a scope).

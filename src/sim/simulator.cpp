@@ -7,10 +7,10 @@ namespace ge::sim {
 
 namespace {
 
-std::uint64_t next_stamp() {
+StampContext& stamp_context() {
   StampContext* ctx = current_stamp_context();
   GE_CHECK(ctx != nullptr, "stamp-mode scheduling outside a ScopedStampContext");
-  return ctx->next_stamp();
+  return *ctx;
 }
 
 }  // namespace
@@ -19,7 +19,7 @@ EventId Simulator::schedule_at(double time, std::function<void()> action) {
   GE_CHECK(time >= now_ - 1e-9, "cannot schedule an event in the past");
   const double at = time < now_ ? now_ : time;
   if (stamp_mode_) {
-    return queue_.push_with_seq(at, next_stamp(), std::move(action));
+    return queue_.push_with_seq(at, stamp_context().next_stamp(), std::move(action));
   }
   return queue_.push(at, std::move(action));
 }
@@ -38,9 +38,25 @@ EventId Simulator::reschedule(EventId id, double time) {
     return kInvalidEventId;
   }
   if (stamp_mode_) {
-    return queue_.reschedule_with_seq(id, at, next_stamp());
+    return queue_.reschedule_with_seq(id, at, stamp_context().next_stamp());
   }
   return queue_.reschedule(id, at);
+}
+
+std::uint64_t Simulator::reserve_seqs(std::uint64_t count) {
+  if (stamp_mode_) {
+    return stamp_context().reserve(count);
+  }
+  return queue_.reserve_seqs(count);
+}
+
+EventId Simulator::schedule_reserved(double time, std::uint64_t seq,
+                                     std::function<void()> action) {
+  GE_CHECK(time >= now_, "cannot schedule a reserved-key event in the past");
+  GE_CHECK(executed_ == 0 || time > last_time_ ||
+               (time == last_time_ && seq > last_seq_),
+           "reserved key at or below the key of the event being executed");
+  return queue_.push_with_seq(time, seq, std::move(action));
 }
 
 bool Simulator::step() {
@@ -52,6 +68,8 @@ bool Simulator::step() {
   if (ev.time > now_) {
     now_ = ev.time;
   }
+  last_time_ = ev.time;
+  last_seq_ = ev.seq;
   ++executed_;
   ev.action();
   return true;

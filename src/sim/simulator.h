@@ -47,6 +47,25 @@ class Simulator {
 
   bool event_pending(EventId id) const { return queue_.is_pending(id); }
 
+  // --- reserved tie-break keys -------------------------------------------
+  // A materialised run knows every job's arrival and deadline at set-up
+  // but releases them just in time (exp/runner.cpp): it reserves the keys
+  // an eager set-up would have drawn and pushes each event only when the
+  // previous arrival of its chain fires.  The queue pops by (time, seq)
+  // alone, so such a push pops exactly where the eager one would have.
+  //
+  // Reserves `count` consecutive seqs and returns the first: off the
+  // queue's counter, or in stamp mode a block of the calling thread's
+  // current StampContext.
+  std::uint64_t reserve_seqs(std::uint64_t count);
+
+  // Schedules `action` at (time, seq), seq taken from reserve_seqs on this
+  // simulator or, in stamp mode, on any simulator of the run.  The key must
+  // lie above the key of the last event this simulator executed (checked):
+  // a key at or below it would pop out of the order its reservation fixed.
+  EventId schedule_reserved(double time, std::uint64_t seq,
+                            std::function<void()> action);
+
   // Executes the next event, if any.  Returns false when the queue is empty.
   bool step();
 
@@ -86,6 +105,9 @@ class Simulator {
   double now_ = 0.0;
   HeapEventQueue queue_;
   std::uint64_t executed_ = 0;
+  // Key of the last executed event (meaningful once executed_ > 0).
+  double last_time_ = 0.0;
+  std::uint64_t last_seq_ = 0;
   bool stamp_mode_ = false;
   obs::Telemetry* telemetry_ = nullptr;
 };

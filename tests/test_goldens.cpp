@@ -296,6 +296,53 @@ void add_cluster_cases(std::vector<Case>& cases) {
   }
 }
 
+// replay/: one tie-heavy CSV trace replayed on one server, on a 2-server
+// rr fleet and on a 2-server jsq fleet, serially and with --shards 2.
+// Every time sits on a 0.05 s grid that contains the 0.5 s quantum grid,
+// each step releases 3-6 jobs at the same instant, and every deadline is
+// the spelling of a later step's arrival time, so arrivals, deadlines and
+// round boundaries tie exactly and only the (time, seq) tie-break orders
+// them.  The records were first captured from the build that pushed every
+// arrival and deadline at set-up.
+std::string tie_heavy_csv() {
+  std::string csv = "id,arrival,deadline,demand\n";
+  char row[64];
+  std::uint64_t id = 1;
+  for (int k = 0; k < 40; ++k) {
+    for (int j = 0; j < 3 + k % 4; ++j) {
+      const int window = 1 + (j + k) % 3;  // 0.05, 0.10 or 0.15 s
+      const int demand = 130 + ((7 * k + 13 * j) % 9) * 40;
+      std::snprintf(row, sizeof(row), "%llu,%.2f,%.2f,%d\n",
+                    static_cast<unsigned long long>(id++), 0.05 * k,
+                    0.05 * (k + window), demand);
+      csv += row;
+    }
+  }
+  return csv;
+}
+
+Case replay_case(std::string key, std::size_t servers,
+                 cluster::DispatchPolicy dispatch) {
+  return {std::move(key), [servers, dispatch] {
+            const workload::Trace trace = workload::Trace::from_csv(tie_heavy_csv());
+            exp::ExperimentConfig cfg = testdata::small_fleet(servers, dispatch, 90.0, 41);
+            const exp::SchedulerSpec spec = exp::SchedulerSpec::parse("GE");
+            Runs runs = {{"serial", exp::to_json(exp::run_simulation(cfg, spec, trace))}};
+            if (servers > 1) {
+              cfg.shards = 2;
+              runs.emplace_back("shards 2",
+                                exp::to_json(exp::run_simulation(cfg, spec, trace)));
+            }
+            return runs;
+          }};
+}
+
+void add_replay_cases(std::vector<Case>& cases) {
+  cases.push_back(replay_case("replay/ties-single", 1, cluster::DispatchPolicy::kJsq));
+  cases.push_back(replay_case("replay/ties-rr2", 2, cluster::DispatchPolicy::kRoundRobin));
+  cases.push_back(replay_case("replay/ties-jsq2", 2, cluster::DispatchPolicy::kJsq));
+}
+
 // replicate/: replicate() statistics, first captured from the pre-engine
 // serial implementation.
 Case replicate_case() {
@@ -338,6 +385,7 @@ const std::vector<Case>& all_cases() {
                             {"GE-NoComp", 200, 17},
                             {"SJF", 150, 18, true}});
     add_cluster_cases(all);
+    add_replay_cases(all);
     all.push_back(replicate_case());
     return all;
   }();
@@ -367,6 +415,8 @@ TEST(ShardGoldens, SerialAndShardedReproducePreRefactorResults) {
 TEST(ReclaimScanExactness, GoldenClusterTotalsAndBinsAreBitwiseUnchanged) {
   expect_group("reclaim/");
 }
+
+TEST(ReplayGoldens, TieHeavyTraceMatchesEagerSetupRelease) { expect_group("replay/"); }
 
 TEST(Replicate, MatchesPreEngineSerialValues) { expect_group("replicate/"); }
 

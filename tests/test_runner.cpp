@@ -14,6 +14,8 @@
 #include "exp/scheduler_registry.h"
 #include "exp/scheduler_spec.h"
 #include "exp/sweep.h"
+#include "obs/telemetry.h"
+#include "workload/trace.h"
 
 namespace ge::exp {
 namespace {
@@ -269,6 +271,26 @@ TEST(Runner, AllJobsAccounted) {
   const RunResult r = run_simulation(small_config(), SchedulerSpec{});
   EXPECT_GT(r.released, 0u);
   EXPECT_EQ(r.released, r.completed + r.partial + r.dropped);
+}
+
+// A materialised run releases each job just in time, so its event heap
+// holds the events of jobs in flight (about rate x deadline window, plus
+// the schedulers' own), not every arrival and deadline of the trace.
+TEST(Runner, MaterialisedRunHoldsOnlyInFlightEvents) {
+  const ExperimentConfig cfg = small_config(150.0, 135.0);
+  const workload::Trace trace =
+      workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+  ASSERT_GE(trace.size(), 19000u);
+  obs::RunTelemetry telem;
+  telem.want_trace = false;
+  const RunResult r = run_simulation(cfg, SchedulerSpec{}, trace, nullptr, &telem);
+  EXPECT_EQ(r.released, trace.size());
+  const double peak = telem.metrics
+                          .gauge("sim.peak_pending_events", "events",
+                                 obs::Gauge::Merge::kMax)
+                          .value();
+  EXPECT_GT(peak, 0.0);
+  EXPECT_LT(peak, static_cast<double>(trace.size()) / 10.0);
 }
 
 TEST(Runner, PowerBudgetNeverExceeded) {

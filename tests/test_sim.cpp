@@ -1,13 +1,19 @@
 // Unit tests for the discrete-event engine.
 //
 // The EventQueue contract tests pin the (time, scheduling-order) dequeue
-// contract, eager cancellation and slot recycling of the indexed heap.
+// contract, eager cancellation and slot recycling of the indexed heap; the
+// ReservedKeys tests pin just-in-time pushes of keys reserved at set-up.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/shard_exec.h"
 #include "sim/simulator.h"
 
 namespace ge::sim {
@@ -290,6 +296,179 @@ TEST(Simulator, SchedulingInThePastDies) {
   sim.schedule_at(5.0, [] {});
   sim.run_until(5.0);
   EXPECT_DEATH(sim.schedule_at(1.0, [] {}), "past");
+}
+
+// ---------------------------------------------------------------------------
+// Reserved keys (Simulator::reserve_seqs / schedule_reserved).
+
+TEST(ReservedKeys, PopWhereTheirReservationPutThem) {
+  Simulator sim;
+  std::vector<char> order;
+  const auto log = [&order](char tag) { return [&order, tag] { order.push_back(tag); }; };
+  sim.schedule_at(1.0, log('A'));
+  const std::uint64_t base = sim.reserve_seqs(2);
+  sim.schedule_at(1.0, log('D'));
+  sim.schedule_reserved(1.0, base + 1, log('C'));
+  sim.schedule_reserved(1.0, base, log('B'));
+  sim.run_to_completion();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'D'}));
+}
+
+TEST(ReservedKeys, PushAtOrBelowTheExecutingKeyDies) {
+  const auto run = [](double at, std::uint64_t offset) {
+    Simulator sim;
+    const std::uint64_t base = sim.reserve_seqs(8);
+    sim.schedule_reserved(2.0, base + 4, [&sim, at, base, offset] {
+      sim.schedule_reserved(at, base + offset, [] {});
+    });
+    sim.run_to_completion();
+  };
+  EXPECT_DEATH(run(2.0, 3), "reserved key at or below");  // same time, lower seq
+  EXPECT_DEATH(run(2.0, 4), "reserved key at or below");  // the executing key
+  EXPECT_DEATH(run(1.5, 6), "past");                      // earlier time
+  run(2.0, 5);                                            // just above: fine
+}
+
+// A job chain on a 0.25 s grid -- arrivals sorted with frequent equal
+// times, each deadline 0-3 steps after its arrival, so deadlines tie with
+// other jobs' arrivals -- run once with every arrival and deadline pushed
+// at set-up and once released just in time on reserved keys.  Every event,
+// job or not, draws from an RNG seeded by its tag and may schedule a
+// child, reschedule a pending child or cancel one, so dynamic pushes
+// interleave with the chain.  The runs must pop the same (time, seq, tag)
+// sequence.
+struct Popped {
+  double time;
+  std::uint64_t seq;
+  int tag;
+  bool operator==(const Popped&) const = default;
+};
+
+class ChainRun {
+ public:
+  struct Job {
+    double arrival;
+    double deadline;
+  };
+
+  ChainRun(const std::vector<Job>& jobs, bool lazy, bool stamped)
+      : jobs_(jobs), stamper_(1) {
+    std::optional<ScopedStampContext> scope;
+    if (stamped) {
+      sim_.set_stamp_mode(true);
+      scope.emplace(stamper_.serial_context());
+    }
+    sim_.schedule_at(0.5, action(kSetupTag));  // a push before the block
+    if (lazy) {
+      base_ = sim_.reserve_seqs(2 * jobs_.size());
+      release(0);
+    } else {
+      for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        sim_.schedule_at(jobs_[i].arrival, action(job_tag(i, 0)));
+        sim_.schedule_at(jobs_[i].deadline, action(job_tag(i, 1)));
+      }
+    }
+    sim_.schedule_at(0.0, action(kSetupTag + 1));  // and one after it
+    double t = 0.0;
+    std::uint64_t seq = 0;
+    while (sim_.peek_key(t, seq)) {
+      if (stamped) {
+        stamper_.begin_global_event();  // every event opens a new epoch
+      }
+      log_.push_back({t, seq, -1});
+      sim_.step();
+    }
+    peak_ = sim_.peak_pending_events();
+  }
+
+  const std::vector<Popped>& log() const { return log_; }
+  std::size_t peak() const { return peak_; }
+
+ private:
+  static constexpr int kSetupTag = 1 << 20;
+  static constexpr int kChildTag = 1 << 21;
+
+  static int job_tag(std::size_t i, int deadline) {
+    return static_cast<int>(2 * i) + deadline;
+  }
+
+  // The lazy chain: pushes job i's arrival, which on firing pushes the
+  // job's deadline and the next arrival before running its own action.
+  void release(std::size_t i) {
+    if (i == jobs_.size()) {
+      return;
+    }
+    sim_.schedule_reserved(jobs_[i].arrival, base_ + 2 * i, [this, i] {
+      sim_.schedule_reserved(jobs_[i].deadline, base_ + 2 * i + 1,
+                             action(job_tag(i, 1)));
+      release(i + 1);
+      action(job_tag(i, 0))();
+    });
+  }
+
+  std::function<void()> action(int tag) {
+    return [this, tag] {
+      log_.back().tag = tag;
+      std::mt19937_64 rng(static_cast<std::uint64_t>(tag) * 7919u + 17u);
+      const auto grid = [&rng](int steps) {
+        return 0.25 * static_cast<double>(rng() % static_cast<std::uint64_t>(steps));
+      };
+      switch (rng() % 4) {
+        case 0:
+        case 1:
+          children_.push_back(
+              sim_.schedule_in(grid(4), action(kChildTag + next_child_++)));
+          break;
+        case 2:
+          if (!children_.empty()) {
+            EventId& id = children_[rng() % children_.size()];
+            if (sim_.event_pending(id)) {
+              id = sim_.reschedule(id, sim_.now() + grid(3));
+            }
+          }
+          break;
+        default:
+          if (!children_.empty()) {
+            sim_.cancel(children_[rng() % children_.size()]);
+          }
+          break;
+      }
+    };
+  }
+
+  std::vector<Job> jobs_;
+  Simulator sim_;
+  ShardStamper stamper_;
+  std::uint64_t base_ = 0;
+  std::vector<Popped> log_;
+  std::vector<EventId> children_;
+  int next_child_ = 0;
+  std::size_t peak_ = 0;
+};
+
+std::vector<ChainRun::Job> grid_chain(std::uint64_t seed, int n) {
+  std::mt19937_64 rng(seed);
+  std::vector<ChainRun::Job> jobs;
+  double t = 0.0;
+  for (int i = 0; i < n; ++i) {
+    t += 0.25 * static_cast<double>(rng() % 3 == 0 ? 1 : 0);  // 2/3 tie
+    jobs.push_back({t, t + 0.25 * static_cast<double>(rng() % 4)});
+  }
+  return jobs;
+}
+
+TEST(ReservedKeys, JustInTimeChainPopsLikeEagerSetup) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<ChainRun::Job> jobs = grid_chain(seed, 400);
+    for (const bool stamped : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (stamped ? " stamped" : ""));
+      const ChainRun eager(jobs, false, stamped);
+      const ChainRun lazy(jobs, true, stamped);
+      ASSERT_GT(eager.log().size(), 2 * jobs.size());
+      EXPECT_EQ(lazy.log(), eager.log());
+      EXPECT_LT(lazy.peak(), eager.peak() / 4);
+    }
+  }
 }
 
 }  // namespace

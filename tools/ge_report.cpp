@@ -9,7 +9,9 @@
 //             [--speed-bin GHZ] [--bins N] [--energy-tol REL]
 //   ge_report --report DIR [--out DIR] [--dashboard FILE] ...
 //
-//   --trace FILE     JSONL trace written by any figNN binary or ge_sweep
+//   --trace FILE     JSONL trace written by any figNN binary or ge_sweep;
+//                    a line that is not a well-formed trace record exits 2
+//                    naming the file and line
 //   --report DIR     ge-report-v2 directory to re-analyse (reads the
 //                    trace.bin the report writer embeds); exactly one of
 //                    --trace/--report is required.  A missing, truncated or
@@ -22,7 +24,8 @@
 //                    (schema ge-dashboard-v1, see docs/OBSERVABILITY.md)
 //   --metrics FILE   merged metrics JSON from the same run; its
 //                    energy.total_j supplies the reported total the
-//                    residency integration is checked against
+//                    residency integration is checked against (a missing
+//                    or malformed file exits 2)
 //   --speed-bin GHZ  residency histogram bin width (default 0.2)
 //   --bins N         timeline bin count per task (default 60)
 //   --energy-tol REL energy identity verdict threshold (default 1e-6: from a
@@ -46,7 +49,6 @@
 #include "obs/analysis/dashboard.h"
 #include "obs/analysis/report.h"
 #include "obs/analysis/trace_reader.h"
-#include "util/check.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -90,10 +92,14 @@ int main(int argc, char** argv) {
   const std::string metrics_path = flags.get_string("metrics", "");
   if (!metrics_path.empty()) {
     std::ifstream metrics_in(metrics_path);
-    GE_CHECK(metrics_in.good(),
-             "cannot open --metrics input file: " + metrics_path);
-    const obs::analysis::MetricsValues metrics =
-        obs::analysis::read_metrics_json(metrics_in);
+    obs::analysis::MetricsValues metrics;
+    const std::string error =
+        metrics_in.good() ? obs::analysis::read_metrics_json(metrics_in, metrics)
+                          : "cannot open --metrics input file";
+    if (!error.empty()) {
+      std::fprintf(stderr, "ge_report: %s: %s\n", metrics_path.c_str(), error.c_str());
+      return 2;
+    }
     metrics_energy_j = metrics.get("energy.total_j", -1.0);
   }
   if (loaded.inputs.size() == 1 && metrics_energy_j >= 0.0) {
