@@ -63,10 +63,11 @@ const char* state_color(std::int32_t state) {
 
 constexpr double kPlotW = 900.0;
 
+// One task's inputs and analyses; the panels only read them.
 struct TaskView {
-  const TaskInput* input = nullptr;
-  TaskAnalysis analysis;
-  ReclaimAnalysis reclaim;
+  const TaskInput& input;
+  const TaskAnalysis& analysis;
+  const ReclaimAnalysis& reclaim;
   double t_max = 1.0;  // plot end: the analysis bin grid's last edge
 };
 
@@ -165,7 +166,7 @@ void panel_gantt(std::ostream& out, const TaskView& tv,
   }
   double max_speed = 0.0;
   std::size_t slices = 0;
-  for (const TraceEvent& ev : tv.input->buffer->events()) {
+  for (const TraceEvent& ev : tv.input.buffer->events()) {
     if (ev.type != TraceEventType::kExec || ev.t2 <= ev.t) {
       continue;
     }
@@ -491,10 +492,7 @@ void panel_tenants(std::ostream& out, const TaskView& tv) {
   close_panel(out);
 }
 
-}  // namespace
-
-void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
-                     const DashboardOptions& options) {
+void write_head(std::ostream& out, std::size_t tasks) {
   out << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
          "<meta charset=\"utf-8\">\n"
          "<meta name=\"generator\" content=\"ge-dashboard-v1\">\n"
@@ -515,31 +513,55 @@ void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
          "</style>\n</head>\n<body>\n"
          "<h1>goodenough fleet dashboard</h1>\n"
          "<p>schema: ge-dashboard-v1 | tasks: "
-      << inputs.size() << "</p>\n";
+      << tasks << "</p>\n";
+}
 
-  for (const TaskInput& input : inputs) {
-    TaskView tv;
-    tv.input = &input;
-    tv.analysis = analyze_task(input, options);
-    tv.reclaim = analyze_reclaim(input, tv.analysis);
-    tv.t_max = tv.analysis.bin_end.empty() ? 1.0 : tv.analysis.bin_end.back();
-    if (tv.t_max <= 0.0) {
-      tv.t_max = 1.0;
-    }
-    out << "<h2 id=\"task-" << tv.analysis.info.task << "\">task "
-        << tv.analysis.info.task << " &mdash; "
-        << esc(tv.analysis.info.scheduler) << " @ "
-        << fmt_g12(tv.analysis.info.arrival_rate) << " req/s</h2>\n";
-    panel_summary(out, tv);
-    panel_gantt(out, tv, options);
-    panel_residency(out, tv, options);
-    panel_timelines(out, tv);
-    panel_lifecycle(out, tv);
-    panel_heatmap(out, tv);
-    panel_tenants(out, tv);
-    panel_reclaim(out, tv);
+void write_task(std::ostream& out, const TaskInput& input,
+                const TaskAnalysis& analysis, const ReclaimAnalysis& reclaim,
+                const DashboardOptions& options) {
+  TaskView tv{input, analysis, reclaim};
+  tv.t_max = analysis.bin_end.empty() ? 1.0 : analysis.bin_end.back();
+  if (tv.t_max <= 0.0) {
+    tv.t_max = 1.0;
   }
-  out << "</body>\n</html>\n";
+  out << "<h2 id=\"task-" << analysis.info.task << "\">task "
+      << analysis.info.task << " &mdash; " << esc(analysis.info.scheduler)
+      << " @ " << fmt_g12(analysis.info.arrival_rate) << " req/s</h2>\n";
+  panel_summary(out, tv);
+  panel_gantt(out, tv, options);
+  panel_residency(out, tv, options);
+  panel_timelines(out, tv);
+  panel_lifecycle(out, tv);
+  panel_heatmap(out, tv);
+  panel_tenants(out, tv);
+  panel_reclaim(out, tv);
+}
+
+void write_tail(std::ostream& out) { out << "</body>\n</html>\n"; }
+
+}  // namespace
+
+void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
+                     const DashboardOptions& options) {
+  write_head(out, inputs.size());
+  for (const TaskInput& input : inputs) {
+    const TaskAnalysis analysis = analyze_task(input, options);
+    write_task(out, input, analysis, analyze_reclaim(input, analysis), options);
+  }
+  write_tail(out);
+}
+
+void write_dashboard(std::ostream& out, const ReportWriter& writer,
+                     const DashboardOptions& options) {
+  GE_CHECK(options.speed_bin_ghz == writer.options().speed_bin_ghz &&
+               options.timeline_bins == writer.options().timeline_bins,
+           "dashboard options must bin as the ReportWriter's analyses did");
+  write_head(out, writer.inputs().size());
+  for (std::size_t t = 0; t < writer.inputs().size(); ++t) {
+    write_task(out, writer.inputs()[t], writer.tasks()[t], writer.reclaims()[t],
+               options);
+  }
+  write_tail(out);
 }
 
 namespace {

@@ -45,6 +45,13 @@ struct DashboardOptions : ReportOptions {
 void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
                      const DashboardOptions& options = {});
 
+// Renders the same bytes from the analyses `writer` already holds, so no task
+// is analysed twice.  `options` must bin as the writer's own options did
+// (speed_bin_ghz, timeline_bins; checked); the writer's inputs' buffers must
+// still be alive.
+void write_dashboard(std::ostream& out, const ReportWriter& writer,
+                     const DashboardOptions& options = {});
+
 // A ge-report-v2 directory loaded back into analyzable inputs (via the
 // trace.bin the report writer embeds; events come back exactly as the run
 // recorded them).  `error` is a one-line reason when the directory is

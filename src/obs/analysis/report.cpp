@@ -38,9 +38,9 @@ const char* outcome_name(const JobSpan& job) {
 ReportWriter::ReportWriter(ReportOptions options) : options_(options) {}
 
 void ReportWriter::add_task(const TaskInput& input) {
+  inputs_.push_back(input);
   tasks_.push_back(analyze_task(input, options_));
   reclaims_.push_back(analyze_reclaim(input, tasks_.back()));
-  events_.push_back(input.buffer->events());
 }
 
 void ReportWriter::write_markdown(std::ostream& out) const {
@@ -251,7 +251,7 @@ void ReportWriter::write_trace_bin(std::ostream& out) const {
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     tasks.push_back({&tasks_[t].info,
                      parse_power_model_json(tasks_[t].info.power_model_json),
-                     &events_[t]});
+                     &inputs_[t].buffer->events()});
   }
   analysis::write_trace_bin(out, tasks);
 }

@@ -49,10 +49,16 @@ class ReportWriter {
  public:
   explicit ReportWriter(ReportOptions options = {});
 
-  // Analyzes one task (including the reclaim advisor), keeps a copy of its
-  // events for trace.bin, and appends it; tasks render in add order.
+  // Analyzes one task (including the reclaim advisor) and appends it; tasks
+  // render in add order.  The writer keeps a view of the task's events for
+  // trace.bin, not a copy: `*input.buffer` must outlive every write_* call
+  // (write_directory included) and must not change after add_task.
   void add_task(const TaskInput& input);
 
+  const ReportOptions& options() const noexcept { return options_; }
+  // The added inputs, in add order (their buffers are the caller's).
+  const std::vector<TaskInput>& inputs() const noexcept { return inputs_; }
+  // One entry per added task, parallel to inputs().
   const std::vector<TaskAnalysis>& tasks() const noexcept { return tasks_; }
   // One entry per added task, parallel to tasks().
   const std::vector<ReclaimAnalysis>& reclaims() const noexcept {
@@ -75,10 +81,9 @@ class ReportWriter {
 
  private:
   ReportOptions options_;
+  std::vector<TaskInput> inputs_;
   std::vector<TaskAnalysis> tasks_;
   std::vector<ReclaimAnalysis> reclaims_;
-  // Per added task, a copy of its trace events.
-  std::vector<std::vector<TraceEvent>> events_;
 };
 
 }  // namespace ge::obs::analysis

@@ -68,15 +68,24 @@ class Encoder {
 };
 
 void encode_event(unsigned char* p, const TraceEvent& ev) {
-  store(p, static_cast<std::uint8_t>(ev.type));
-  store(p + 1, ev.t);
-  store(p + 9, ev.t2);
-  store(p + 17, ev.core);
-  store(p + 21, ev.job);
-  store(p + 29, ev.mode);
-  store(p + 33, ev.a);
-  store(p + 41, ev.b);
-  store(p + 49, ev.c);
+  // Binds every field of TraceEvent by name: a field added to (or dropped
+  // from) the struct stops this compiling until the record, decode_event and
+  // kTraceBinRecordBytes follow.  The record order is the file's own, not
+  // the struct's.
+  const auto& [t, t2, job, a, b, c, core, mode, type] = ev;
+  static_assert(sizeof(std::uint8_t) + sizeof(t) + sizeof(t2) + sizeof(core) +
+                    sizeof(job) + sizeof(mode) + sizeof(a) + sizeof(b) +
+                    sizeof(c) ==
+                kTraceBinRecordBytes);
+  store(p, static_cast<std::uint8_t>(type));
+  store(p + 1, t);
+  store(p + 9, t2);
+  store(p + 17, core);
+  store(p + 21, job);
+  store(p + 29, mode);
+  store(p + 33, a);
+  store(p + 41, b);
+  store(p + 49, c);
 }
 
 TraceEvent decode_event(const unsigned char* p) {
@@ -92,7 +101,6 @@ TraceEvent decode_event(const unsigned char* p) {
   ev.c = load<double>(p + 49);
   return ev;
 }
-static_assert(1 + 8 + 8 + 4 + 8 + 4 + 8 + 8 + 8 == kTraceBinRecordBytes);
 
 // Reads fields off a stream of known length; every read fails cleanly
 // (returns false) instead of running past the end.

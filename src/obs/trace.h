@@ -89,17 +89,25 @@ const char* violation_check_name(std::int32_t check) noexcept;
 inline constexpr int kModeAes = 0;
 inline constexpr int kModeBq = 1;
 
+// Fields run widest first so the record packs to 64 bytes with no interior
+// padding: six 8-byte fields, two 4-byte ones, the 1-byte type, then 7
+// bytes of tail padding.  Initialise by name, never positionally.  trace.bin
+// stores the fields one by one in its own order (trace_bin.h), so this
+// layout never reaches a file.
 struct TraceEvent {
-  TraceEventType type = TraceEventType::kArrival;
   double t = 0.0;   // simulated seconds
   double t2 = 0.0;  // slice end for kExec, else unused
-  std::int32_t core = -1;
   std::int64_t job = -1;
-  std::int32_t mode = -1;
   double a = 0.0;
   double b = 0.0;
   double c = 0.0;
+  std::int32_t core = -1;
+  std::int32_t mode = -1;
+  TraceEventType type = TraceEventType::kArrival;
 };
+static_assert(sizeof(TraceEvent) == 64,
+              "a TraceBuffer holds millions of events: keep TraceEvent at 64 "
+              "bytes, and add any new field to trace.bin's record too");
 
 // Live tap on a TraceBuffer: on_event fires synchronously inside push(),
 // after the event is stored.  An observer may push follow-up events into the

@@ -1,8 +1,10 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports --name value and --name=value forms plus typed accessors with
-// defaults.  Unknown flags are tolerated and reported through unknown()
-// (google-benchmark binaries share argv with their own flags).
+// defaults.  The parser keeps every --name it sees and judges only the
+// names a caller asks for, so a flag no accessor reads -- a misspelling
+// included -- is silently ignored (google-benchmark binaries share argv
+// with their own flags).
 #pragma once
 
 #include <cstdint>

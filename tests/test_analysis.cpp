@@ -94,6 +94,26 @@ TraceTaskInfo tiny_info() {
   return info;
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every field of every event, doubles compared by bit pattern.
+void expect_same_events(const std::vector<TraceEvent>& back,
+                        const std::vector<TraceEvent>& events) {
+  ASSERT_EQ(back.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(back[i].type, events[i].type);
+    EXPECT_EQ(bits(back[i].t), bits(events[i].t));
+    EXPECT_EQ(bits(back[i].t2), bits(events[i].t2));
+    EXPECT_EQ(back[i].core, events[i].core);
+    EXPECT_EQ(back[i].job, events[i].job);
+    EXPECT_EQ(back[i].mode, events[i].mode);
+    EXPECT_EQ(bits(back[i].a), bits(events[i].a));
+    EXPECT_EQ(bits(back[i].b), bits(events[i].b));
+    EXPECT_EQ(bits(back[i].c), bits(events[i].c));
+  }
+}
+
 TEST(Analysis, TinyTaskDerivesTheHandComputedSpans) {
   const TraceBuffer buf = tiny_buffer();
   TaskInput input;
@@ -208,6 +228,70 @@ TEST(Report, WriteDirectoryRemovesTheRetiredJsonlTrace) {
   std::filesystem::remove_all(dir);
 }
 
+// The writer keeps a view of each added task's events, not a copy: two
+// tasks added before write_directory come back from trace.bin in add order,
+// each equal to its own source buffer field for field.
+TEST(Report, TraceBinHoldsEachAddedTaskInOrder) {
+  const TraceBuffer first = tiny_buffer();
+  TraceBuffer second;
+  TraceEvent ev;
+  ev.type = TraceEventType::kArrival;
+  ev.t = 0.5;
+  ev.job = 7;
+  ev.a = 80.0;
+  ev.b = 0.75;
+  ev.c = 1.0;  // tenant
+  second.push(ev);
+  ev = TraceEvent{};
+  ev.type = TraceEventType::kExec;
+  ev.t = 0.5;
+  ev.t2 = 0.6;
+  ev.core = 0;
+  ev.job = 7;
+  ev.a = 800.0;
+  second.push(ev);
+  ev = TraceEvent{};
+  ev.type = TraceEventType::kCompletion;
+  ev.t = 0.6;
+  ev.core = 0;
+  ev.job = 7;
+  ev.a = 80.0;
+  ev.b = 80.0;
+  ev.c = 1.0;
+  second.push(ev);
+
+  TaskInput a;
+  a.info = tiny_info();
+  a.buffer = &first;
+  a.models = {{power::PowerModel(5.0, 2.0, 1000.0)}};
+  TaskInput b = a;
+  b.info.task = 1;
+  b.info.scheduler = "BE";
+  b.buffer = &second;
+
+  ReportWriter writer;
+  writer.add_task(a);
+  writer.add_task(b);
+  ASSERT_EQ(writer.inputs().size(), 2u);
+  EXPECT_EQ(writer.inputs()[0].buffer, &first);
+  EXPECT_EQ(writer.inputs()[1].buffer, &second);
+
+  const std::filesystem::path dir =
+      ::testing::TempDir() + "/report_two_tasks_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  writer.write_directory(dir.string());
+  std::vector<ParsedTask> parsed;
+  ASSERT_EQ(read_trace_bin((dir / "trace.bin").string(), parsed), "");
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].info.task, 0u);
+  EXPECT_EQ(parsed[0].info.scheduler, "GE");
+  expect_same_events(parsed[0].buffer.events(), first.events());
+  EXPECT_EQ(parsed[1].info.task, 1u);
+  EXPECT_EQ(parsed[1].info.scheduler, "BE");
+  expect_same_events(parsed[1].buffer.events(), second.events());
+}
+
 TEST(TraceReader, RoundTripsEveryEventKind) {
   TraceBuffer buf = tiny_buffer();
   TraceEvent ev;
@@ -291,8 +375,6 @@ TEST(TraceReader, RoundTripsEveryEventKind) {
   }
 }
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 // trace.bin stores every field exactly: values %.12g text cannot carry
 // (-0.0, subnormals, the ends of the double range, 2^62 job ids) and
 // scheduler names JSON would have to escape come back bit for bit.
@@ -358,20 +440,7 @@ TEST(TraceBin, RoundTripsEveryEventTypeBitForBit) {
   EXPECT_TRUE(parsed[1].info.ladder_units.empty());
   EXPECT_EQ(parsed[1].buffer.size(), 0u);
 
-  const std::vector<TraceEvent>& back = parsed[0].buffer.events();
-  ASSERT_EQ(back.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(back[i].type, events[i].type);
-    EXPECT_EQ(bits(back[i].t), bits(events[i].t));
-    EXPECT_EQ(bits(back[i].t2), bits(events[i].t2));
-    EXPECT_EQ(back[i].core, events[i].core);
-    EXPECT_EQ(back[i].job, events[i].job);
-    EXPECT_EQ(back[i].mode, events[i].mode);
-    EXPECT_EQ(bits(back[i].a), bits(events[i].a));
-    EXPECT_EQ(bits(back[i].b), bits(events[i].b));
-    EXPECT_EQ(bits(back[i].c), bits(events[i].c));
-  }
+  expect_same_events(parsed[0].buffer.events(), events);
 }
 
 // The reader accepts exactly JSON's number grammar, converted correctly

@@ -15,6 +15,7 @@
 #include "exp/config.h"
 #include "exp/experiment_engine.h"
 #include "exp/scheduler_spec.h"
+#include "golden_cases.h"
 #include "obs/analysis/dashboard.h"
 #include "obs/analysis/trace_bin.h"
 #include "obs/trace.h"
@@ -125,6 +126,46 @@ TEST_F(DashboardFromEngine, LoadedTasksRenderTheRunsTraceJsonl) {
   trace << in.rdbuf();
   EXPECT_GT(rendered.size(), 0u);
   EXPECT_TRUE(rendered == trace.str());
+}
+
+// The ReportWriter overload renders from the analyses add_task already ran,
+// and must give the bytes of the overload that analyses the inputs itself.
+TEST(DashboardFromWriter, MatchesTheInputsOverloadOnATwoServerTwoTenantRun) {
+  exp::ExperimentConfig cfg =
+      testdata::small_fleet(2, cluster::DispatchPolicy::kJsq, 260.0, 17);
+  cfg.discrete_speeds = true;
+  cfg.num_tenants = 2;
+  cfg.tenant_qge = {0.9, 0.7};
+  std::vector<testdata::RunReclaim> runs;
+  runs.push_back(testdata::run_and_reclaim(cfg, "GE"));
+  runs.push_back(testdata::run_and_reclaim(cfg, "BE"));
+  std::vector<TaskInput> inputs;
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    TaskInput input = runs[k].input;
+    input.info.task = k;
+    input.tenant_q_ge = cfg.tenant_qge;
+    inputs.push_back(std::move(input));
+  }
+
+  DashboardOptions options;
+  options.speed_bin_ghz = 0.25;  // off the defaults, so both paths must use them
+  options.timeline_bins = 40;
+  options.gantt_slice_cap = 500;
+  ReportWriter writer(options);
+  for (const TaskInput& input : inputs) {
+    writer.add_task(input);
+  }
+  std::ostringstream from_writer;
+  write_dashboard(from_writer, writer, options);
+  const std::string html = render(inputs, options);
+  EXPECT_NE(html.find("id=\"panel-tenants-1\""), std::string::npos);
+  EXPECT_TRUE(from_writer.str() == html);
+
+  // Binning the writer did not analyse with is a caller error.
+  DashboardOptions rebinned = options;
+  rebinned.timeline_bins = 41;
+  std::ostringstream sink;
+  EXPECT_DEATH(write_dashboard(sink, writer, rebinned), "bin as the ReportWriter");
 }
 
 TEST(LoadReportDir, MissingDirectoryIsACleanError) {

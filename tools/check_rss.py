@@ -4,7 +4,10 @@
 The bounded-memory contract of the streaming replay path (--stream) is a
 resource claim, not just a results claim, so CI enforces it directly: a
 10^6-job streaming run must fit under a ceiling that the materialised path
-would blow through (docs/DESIGN.md, "Streaming core").
+would blow through (docs/DESIGN.md, "Streaming core").  The same goes for
+the report pipeline: a --report run must hold each task's trace once, so
+CI runs its large report case under a ceiling that a second copy of the
+trace would exceed.
 
 Peak RSS is read from resource.getrusage(RUSAGE_CHILDREN).ru_maxrss after
 the child exits -- the kernel-maintained high-water mark, which needs no

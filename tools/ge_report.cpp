@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
                    dashboard_path.c_str());
       return 2;
     }
-    obs::analysis::write_dashboard(dash_out, loaded.inputs, options);
+    obs::analysis::write_dashboard(dash_out, writer, options);
     std::printf("ge_report: dashboard -> %s\n", dashboard_path.c_str());
   }
 
