@@ -123,6 +123,16 @@ void Cluster::start() {
 }
 
 void Cluster::on_job_arrival(workload::Job* job) {
+  if (obs::Telemetry* tel = sim_->telemetry(); tel != nullptr && tel->trace) {
+    obs::TraceEvent ev;
+    ev.type = obs::TraceEventType::kArrival;
+    ev.t = job->arrival;
+    ev.job = static_cast<std::int64_t>(job->id);
+    ev.a = job->demand;
+    ev.b = job->deadline;
+    ev.c = static_cast<double>(job->tenant);
+    tel->trace->push(ev);
+  }
   if (admission_ != nullptr && !admission_(*job)) {
     ++rejected_;
     settle_at_dispatcher(job, job->arrival);

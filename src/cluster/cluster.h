@@ -145,7 +145,7 @@ class Cluster final : public DispatchView {
 
   // -- event-facing entry points (the runner schedules these) --------------
   void start();                             // scheduler->start(), node order
-  void on_job_arrival(workload::Job* job);  // preroute + deliver
+  void on_job_arrival(workload::Job* job);  // kArrival, admission, dispatch
   void on_deadline(workload::Job* job);     // forward to the job's node
   void finish();                            // scheduler->finish(), node order
 

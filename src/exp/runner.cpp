@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -81,33 +81,74 @@ struct JobAccounting {
   }
 };
 
-// State of the streaming job pipeline (docs/DESIGN.md, "Streaming core").
-//
-// Jobs live in a JobStore arena from release to retirement; arrivals are
-// self-scheduling (each arrival event stages the next one), so at most one
-// generated-but-unreleased job exists at a time.  Retirement happens at the
-// deadline event -- the last event that can touch a job -- and retired jobs
-// pass through an id-ordered reorder buffer into JobAccounting, because
-// random deadline windows let a later job's deadline fire before an earlier
-// one's.  The buffer stays small: it holds at most the jobs whose deadline
-// windows overlap (bounded by arrival rate x widest window), not the run.
-struct StreamState {
+// The streamed job source (docs/DESIGN.md §9, "Streaming core").  Jobs live
+// in a JobStore arena from release to retirement; the generator runs one job
+// ahead of the release.  Retirement happens at the deadline event -- the
+// last event that can touch a job -- and retired jobs pass through an
+// id-ordered reorder buffer into JobAccounting, because random deadline
+// windows let a later job's deadline fire before an earlier one's.  The
+// buffer holds at most the jobs whose deadline windows overlap (bounded by
+// arrival rate x widest window), not the run.
+struct JobStream {
+  // Keys are reserved for max_jobs jobs, or for 2^33 when uncapped: 2^34
+  // keys fit one stamp context's 35-bit counter (src/sim/shard_exec.cpp).
+  static constexpr std::uint64_t kUncappedJobs = std::uint64_t{1} << 33;
+
   workload::JobStore store;
   workload::WorkloadGenerator gen;
+  double duration;
+  std::uint64_t max_jobs;  // 0: uncapped
+  JobAccounting& acct;
   std::optional<workload::Job> staged;  // generated, not yet released
-  std::uint64_t remaining;              // releases still allowed under max_jobs
   std::map<std::uint64_t, workload::Job> retired;  // id-ordered reorder buffer
   std::uint64_t next_account = 1;  // generator ids start at 1
 
-  StreamState(double quarantine_delay, const workload::WorkloadSpec& spec,
-              std::uint64_t max_jobs)
-      : store(quarantine_delay),
-        gen(spec),
-        remaining(max_jobs == 0 ? std::numeric_limits<std::uint64_t>::max()
-                                : max_jobs) {}
+  // The quarantine must outlast every scheduler-side reference to a settled
+  // job.  GE purges settled pointers at its next round, and the quantum
+  // chain bounds the round gap; two quanta leave generous slack.
+  JobStream(const ExperimentConfig& cfg, JobAccounting& accounting)
+      : store(2.0 * cfg.quantum + 1e-3), gen(cfg.workload_spec()),
+        duration(cfg.duration), max_jobs(cfg.max_jobs), acct(accounting) {}
+
+  std::uint64_t reserved_jobs() const { return max_jobs != 0 ? max_jobs : kUncappedJobs; }
+
+  // The job to release after `released` releases, or null once the stream
+  // ends.  The stop rules are the generator's: the cap first (no randomness
+  // is drawn past it), then arrival >= duration (generate_until).
+  const workload::Job* stage(std::uint64_t released) {
+    if (released == reserved_jobs()) {
+      GE_CHECK(max_jobs != 0, "an uncapped stream outgrew its reserved keys");
+      return nullptr;
+    }
+    staged = gen.next();
+    if (staged->arrival >= duration) {
+      staged.reset();
+    }
+    return staged ? &*staged : nullptr;
+  }
+
+  // Moves the staged job into the arena, reclaiming lapsed slots first.
+  workload::Job* acquire(double now) {
+    store.reclaim(now);
+    workload::Job* job = store.acquire(*staged);
+    staged.reset();
+    return job;
+  }
+
+  // Retires a job at its deadline; accounts jobs as the buffer allows.
+  void retire(workload::Job* job, double now) {
+    GE_CHECK(job->settled, "deadline event left the job unsettled");
+    retired.emplace(job->id, *job);
+    store.retire(job, now);
+    while (!retired.empty() && retired.begin()->first == next_account) {
+      acct.account(retired.begin()->second);
+      retired.erase(retired.begin());
+      ++next_account;
+    }
+  }
 };
 
-// Just-in-time release of a materialised trace (docs/DESIGN.md §9).
+// Just-in-time release of either job source (docs/DESIGN.md §9).
 //
 // An eager set-up would push every job's arrival and then its deadline, in
 // trace order, before the run starts: the r-th job that needs events
@@ -116,40 +157,43 @@ struct StreamState {
 // late.  Every simulator that arrivals run on (an "arrival queue") holds
 // only its next arrival; when one fires it pushes the job's deadline onto
 // the job's owner, then the queue's next arrival, then runs the arrival's
-// action.  Both pushes lie above the executing key (a trace is sorted by
-// arrival and no deadline precedes its arrival), and every key still
+// action.  Both pushes lie above the executing key (jobs come in arrival
+// order and no deadline precedes its arrival), and every key still
 // unpushed lies above its chain's pending arrival, so each queue's
 // earliest event -- and hence the whole pop sequence -- is the eager one
 // while the heap holds only the events of jobs in flight.
 //
-// Three layouts share the chain: a serial run and a sharded run with a
+// The source is a cursor over a trace or a JobStream, which reserves keys
+// for every job it may release: unused keys only shift later keys by a
+// constant, so a streamed run has the materialised key layout.  Three
+// layouts share the chain: a serial run and a sharded run with a
 // state-reading dispatch put every job on `sim` and dispatch it at
-// arrival; a sharded run with planned dispatch (Cluster::plan_dispatch)
-// skips settled jobs, keeps held arrivals on `sim` and delivers every
-// other job on its owner's shard, one arrival queue per simulator.
-class TraceRelease {
+// arrival; a sharded run with planned dispatch (Cluster::plan_dispatch,
+// materialised only) skips settled jobs, keeps held arrivals on `sim` and
+// delivers every other job on its owner's shard, one arrival queue per
+// simulator.
+class JobRelease {
  public:
   using Route = cluster::Cluster::Route;
 
   // Reserves the keys on `sim` (in stamp mode, the serial context's block)
-  // and pushes each queue's first arrival.  `routes` is null, or
-  // plan_dispatch's per-job plan.  Everything referenced must outlive the
-  // run.
-  TraceRelease(std::vector<workload::Job>& jobs, cluster::Cluster& cluster,
-               sim::Simulator& sim, const std::vector<sim::Simulator*>& node_sims,
-               const std::vector<Route>* routes,
-               std::function<void(workload::Job*)> arrive)
-      : jobs_(jobs), cluster_(cluster), node_sims_(node_sims),
-        arrive_(std::move(arrive)), queues_{&sim} {
-    std::uint64_t released = jobs.size();
-    if (routes != nullptr) {
+  // and pushes each queue's first arrival.  Jobs come from `stream`, or if
+  // it is null from `jobs`, with `routes` empty or plan_dispatch's plan for
+  // them.  Everything referenced must outlive the run.
+  JobRelease(std::vector<workload::Job>& jobs, JobStream* stream,
+             cluster::Cluster& cluster, sim::Simulator& sim,
+             const std::vector<sim::Simulator*>& node_sims, std::vector<Route> routes)
+      : jobs_(jobs), stream_(stream), cluster_(cluster), node_sims_(node_sims),
+        queues_{&sim} {
+    std::uint64_t released = stream != nullptr ? stream->reserved_jobs() : jobs.size();
+    if (!routes.empty()) {
       queue_of_.reserve(jobs.size());
       released = 0;
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         std::uint32_t q = kNoEvents;
-        if ((*routes)[i] == Route::kHeld) {
+        if (routes[i] == Route::kHeld) {
           q = 0;
-        } else if ((*routes)[i] == Route::kArrival) {
+        } else if (routes[i] == Route::kArrival) {
           q = queue_index(node_sims[cluster.server_of(jobs[i])]);
           GE_CHECK(q != 0, "a planned delivery must run on a shard simulator");
         }
@@ -164,13 +208,13 @@ class TraceRelease {
     }
   }
 
-  TraceRelease(const TraceRelease&) = delete;
-  TraceRelease& operator=(const TraceRelease&) = delete;
+  JobRelease(const JobRelease&) = delete;
+  JobRelease& operator=(const JobRelease&) = delete;
 
  private:
   static constexpr std::uint32_t kNoEvents = std::numeric_limits<std::uint32_t>::max();
 
-  // One arrival queue's place in the trace.  Only the thread running that
+  // One arrival queue's place in the source.  Only the thread running that
   // queue touches it; the padding keeps shards off each other's lines.
   struct alignas(64) Cursor {
     std::size_t scan = 0;      // next job index to look at
@@ -192,6 +236,13 @@ class TraceRelease {
   // Pushes the arrival of queue q's next job, if any is left.
   void release_next(std::uint32_t q) {
     Cursor& c = cursors_[q];
+    if (stream_ != nullptr) {
+      if (const workload::Job* job = stream_->stage(c.passed)) {
+        c.rank = c.passed++;
+        push_arrival(q, job->arrival);
+      }
+      return;
+    }
     while (c.scan < jobs_.size()) {
       const std::size_t i = c.scan++;
       const std::uint32_t owner = queue_of_.empty() ? 0 : queue_of_[i];
@@ -202,34 +253,43 @@ class TraceRelease {
       if (owner == q) {
         c.job = i;
         c.rank = rank;
-        queues_[q]->schedule_reserved(jobs_[i].arrival, base_ + 2 * rank,
-                                      [this, q] { fire(q); });
+        push_arrival(q, jobs_[i].arrival);
         return;
       }
     }
   }
 
+  void push_arrival(std::uint32_t q, double at) {
+    queues_[q]->schedule_reserved(at, base_ + 2 * cursors_[q].rank,
+                                  [this, q] { fire(q); });
+  }
+
   void fire(std::uint32_t q) {
     const Cursor& c = cursors_[q];
-    workload::Job& job = jobs_[c.job];
+    workload::Job* job =
+        stream_ != nullptr ? stream_->acquire(queues_[0]->now()) : &jobs_[c.job];
     sim::Simulator* owner =
-        queue_of_.empty() ? queues_[0] : node_sims_[cluster_.server_of(job)];
-    owner->schedule_reserved(job.deadline, base_ + 2 * c.rank + 1,
-                             [&cluster = cluster_, &job] { cluster.on_deadline(&job); });
+        queue_of_.empty() ? queues_[0] : node_sims_[cluster_.server_of(*job)];
+    owner->schedule_reserved(job->deadline, base_ + 2 * c.rank + 1, [this, job] {
+      cluster_.on_deadline(job);
+      if (stream_ != nullptr) {
+        stream_->retire(job, queues_[0]->now());
+      }
+    });
     release_next(q);
     if (queue_of_.empty()) {
-      arrive_(&job);
+      cluster_.on_job_arrival(job);
     } else if (q == 0) {
-      cluster_.hold(&job);
+      cluster_.hold(job);
     } else {
-      cluster_.deliver(&job);
+      cluster_.deliver(job);
     }
   }
 
   std::vector<workload::Job>& jobs_;
+  JobStream* stream_;
   cluster::Cluster& cluster_;
   const std::vector<sim::Simulator*>& node_sims_;
-  std::function<void(workload::Job*)> arrive_;
   // Arrival queue of each job (kNoEvents: settled at set-up); empty when
   // every job arrives on queues_[0].
   std::vector<std::uint32_t> queue_of_;
@@ -427,7 +487,8 @@ void export_run_metrics(const ExperimentConfig& cfg, const sim::Simulator& sim,
 }
 
 // Shards only when nothing requires the single serial event sequence: the
-// run must be materialised (streaming drives one global JobStore pipeline)
+// run must be materialised (planned dispatch routes at set-up over the whole
+// job vector, and a stream's arena and reorder buffer are single-threaded)
 // and telemetry-free (trace/metric emission order is the serial event
 // interleaving, which shards do not reconstruct).  A capped count of 1 --
 // including every single-server run -- takes the serial path unchanged.
@@ -442,10 +503,9 @@ std::size_t effective_shard_count(const ExperimentConfig& cfg,
 // One experiment end to end: setup -> execute -> finalize, for both job
 // sources and both executors.
 //
-// Job source: `trace == nullptr` selects the streaming pipeline, otherwise
-// a private copy of `trace` is scheduled up front.  Release order is
-// engineered so the event sequence matches the materialised path wherever
-// the (time, seq) tie order is observable -- see the streaming block.
+// Job source: `trace == nullptr` selects a JobStream, otherwise a private
+// copy of `trace`.  One JobRelease releases either on the same reserved
+// tie-break keys, so the event sequence does not depend on the source.
 //
 // Executor (docs/DESIGN.md §11): with nshards == 1 every event runs on
 // `sim`'s serial loop.  Otherwise each contiguous block of servers lives on
@@ -516,24 +576,6 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
       cfg.dispatch, cfg.seed, sim, node_sims);
   install_admission(cfg, cluster);
 
-  // The arrival event of either job source: records kArrival (when tracing),
-  // then hands the job to the dispatcher.  Events capture it by reference,
-  // which keeps each materialised arrival's closure inside std::function's
-  // inline buffer (two pointers) instead of a heap block per job.
-  const auto arrive = [&cluster, trace_buf](workload::Job* job) {
-    if (trace_buf != nullptr) {
-      obs::TraceEvent ev;
-      ev.type = obs::TraceEventType::kArrival;
-      ev.t = job->arrival;
-      ev.job = static_cast<std::int64_t>(job->id);
-      ev.a = job->demand;
-      ev.b = job->deadline;
-      ev.c = static_cast<double>(job->tenant);
-      trace_buf->push(ev);
-    }
-    cluster.on_job_arrival(job);
-  };
-
   // The watchdog observes the trace buffer live, re-deriving each invariant
   // from the same events the analysis layer consumes; violations land in the
   // buffer itself (as kViolation events) plus the watchdog.* counters.
@@ -553,86 +595,32 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   JobAccounting acct{&f, 0.0, 0.0, {}, {}};
   acct.tenants.resize(cfg.num_tenants);
 
-  // Materialised path: private, mutable copy of the trace; addresses are
-  // stable for the run.  Jobs are released just in time; accounting
-  // happens after the run, in id order.
+  // The job source: a private, mutable copy of the trace (addresses stable
+  // for the run), accounted after the run in id order, or a JobStream, which
+  // accounts each job as its reorder buffer drains in id order.
+  //
+  // A sharded run with a state-free dispatch policy takes every dispatch
+  // decision at setup: admission is a pure function of the job and the
+  // lifecycle windows are known up front, so Cluster::plan_dispatch replays
+  // the serial pick sequence exactly.  A rejected or in-queue-expired job
+  // then needs no event, a job dispatched at arrival lives on its server's
+  // shard, and only a job arriving to a dark fleet keeps its arrival on
+  // `sim`, queued for the wake that delivers it.  State-reading policies
+  // (JSQ, least-energy) must observe the fleet as the serial run would, so
+  // their arrivals and deadlines stay on `sim` as barrier events.
   std::vector<workload::Job> jobs;
-  std::unique_ptr<TraceRelease> release;
-  // Streaming path: arena-backed pipeline; accounting happens online as the
-  // reorder buffer drains in id order.
-  std::unique_ptr<StreamState> st;
-  std::function<void()> release_staged;
-  std::function<void()> stage_next;
-
+  std::optional<JobStream> stream;
+  std::vector<cluster::Cluster::Route> routes;
   if (trace != nullptr) {
-    // On a sharded run with a state-free dispatch policy, every dispatch
-    // decision is taken at setup: the admission screen is a pure function
-    // of the job and the lifecycle windows are known up front, so
-    // Cluster::plan_dispatch replays the serial pick sequence exactly (same
-    // jobs, same order, same private RNG stream, same availability).  A
-    // rejected or in-queue-expired job then needs no event at all, a job
-    // dispatched at arrival lives entirely on its server's shard, and only
-    // a job arriving to a fully dark fleet keeps its arrival on `sim`,
-    // where it queues for the wake (a global event) that delivers it.  A
-    // run without transitions or verify/failure/timeline events needs no
-    // barriers at all.  State-reading policies (JSQ, least-energy) must
-    // observe the fleet exactly as the serial run would, so their arrivals
-    // and deadlines stay on `sim` as cross-shard barrier events.  A serial
-    // run always dispatches at arrival time, after its kArrival.
-    const bool preroute = nshards > 1 && cluster::is_state_free(cfg.dispatch);
     jobs = trace->jobs();
-    std::vector<cluster::Cluster::Route> routes;
-    if (preroute) {
+    if (nshards > 1 && cluster::is_state_free(cfg.dispatch)) {
       routes = cluster.plan_dispatch(jobs);
     }
-    release = std::make_unique<TraceRelease>(jobs, cluster, sim, node_sims,
-                                             preroute ? &routes : nullptr, arrive);
   } else {
-    // The quarantine must outlast every scheduler-side reference to a
-    // settled job.  The GE engine purges settled pointers from its waiting
-    // queue and EDF caches at the next round, and the quantum chain bounds
-    // the round gap; two quanta leave generous slack.
-    st = std::make_unique<StreamState>(2.0 * cfg.quantum + 1e-3,
-                                       cfg.workload_spec(), cfg.max_jobs);
-    stage_next = [&cfg, &sim, &st, &release_staged] {
-      if (st->remaining == 0) {
-        return;  // max_jobs cap: stop without drawing more randomness
-      }
-      workload::Job job = st->gen.next();
-      if (job.arrival >= cfg.duration) {
-        return;  // same stop rule as WorkloadGenerator::generate_until
-      }
-      --st->remaining;
-      const double at = job.arrival;
-      st->staged = std::move(job);
-      sim.schedule_at(at, release_staged);
-    };
-    release_staged = [&cluster, &sim, &st, &stage_next, &acct, &arrive] {
-      st->store.reclaim(sim.now());
-      workload::Job* job = st->store.acquire(*st->staged);
-      st->staged.reset();
-      // Event-creation order mirrors the materialised path's (time, seq)
-      // tie order everywhere ties are possible: the deadline is scheduled
-      // before anything the arrival round may schedule (plan-boundary
-      // events often land exactly on a deadline), and the next arrival is
-      // staged before the round runs.
-      sim.schedule_at(job->deadline, [&cluster, &sim, &st, &acct, job] {
-        cluster.on_deadline(job);
-        GE_CHECK(job->settled, "deadline event left the job unsettled");
-        st->retired.emplace(job->id, *job);
-        st->store.retire(job, sim.now());
-        while (!st->retired.empty() &&
-               st->retired.begin()->first == st->next_account) {
-          acct.account(st->retired.begin()->second);
-          st->retired.erase(st->retired.begin());
-          ++st->next_account;
-        }
-      });
-      stage_next();
-      arrive(job);
-    };
-    stage_next();  // first arrival gets seq 1, like the materialised path
+    stream.emplace(cfg, acct);
   }
+  JobRelease release(jobs, stream ? &*stream : nullptr, cluster, sim, node_sims,
+                     std::move(routes));
 
   if (cfg.verify_power) {
     // Sample total power on a grid; no server may exceed its own budget.
@@ -699,17 +687,17 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     cluster.finish();
   }
 
-  if (trace != nullptr) {
+  if (stream) {
+    // Everything released must have retired (every deadline precedes the
+    // horizon) and drained through the reorder buffer in id order.
+    GE_CHECK(!stream->staged.has_value(), "staged arrival never released");
+    GE_CHECK(stream->retired.empty(), "retired jobs stuck in the reorder buffer");
+    GE_CHECK(stream->store.in_flight() == 0, "jobs still in flight after drain");
+  } else {
     acct.responses.reserve(jobs.size());
     for (const workload::Job& job : jobs) {
       acct.account(job);
     }
-  } else {
-    // Everything released must have retired (every deadline precedes the
-    // horizon) and drained through the reorder buffer in id order.
-    GE_CHECK(!st->staged.has_value(), "staged arrival never released");
-    GE_CHECK(st->retired.empty(), "retired jobs stuck in the reorder buffer");
-    GE_CHECK(st->store.in_flight() == 0, "jobs still in flight after drain");
   }
   finalize_results(cfg, pm, cluster, acct, horizon, result);
 
@@ -724,7 +712,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   }
 
   if (telemetry != nullptr) {
-    export_run_metrics(cfg, sim, cluster, acct, st != nullptr ? &st->store : nullptr,
+    export_run_metrics(cfg, sim, cluster, acct, stream ? &stream->store : nullptr,
                        horizon, result, telemetry->metrics);
   }
   return result;

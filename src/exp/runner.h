@@ -1,11 +1,13 @@
 // Simulation runner: wires workload -> scheduler -> server -> metrics and
 // executes one experiment end to end.
 //
-// Jobs come from one of two sources.  A materialised Trace is scheduled up
+// Jobs come from one of two sources.  A materialised Trace is generated up
 // front, so every scheduler compared at the same sweep point sees
 // byte-identical randomness; the streaming source (cfg.stream) generates
-// and releases jobs on the fly instead.  The events then run on one of two
-// executors: the serial event loop, or -- for a materialised, telemetry-free
+// jobs on the fly into an arena instead.  One release chain pushes either
+// source's arrivals and deadlines just in time on tie-break keys reserved
+// at set-up, so both run the same event sequence.  The events then run on
+// one of two executors: the serial event loop, or -- for a materialised, telemetry-free
 // run with cfg.shards > 1 -- a sharded loop that advances contiguous server
 // blocks on worker threads (docs/DESIGN.md §11).  Every combination gives
 // bit-identical results.  The run releases arrivals for `duration` seconds,
@@ -124,11 +126,13 @@ struct RunResult {
 // trace).
 RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec);
 
-// Streaming replay: generates and releases jobs on the fly from a JobStore
-// arena instead of materialising the trace, so resident memory tracks jobs
-// in flight rather than jobs ever released (10^6+-job runs in a flat RSS).
-// Results are bit-identical to the materialised path on the same cfg (the
-// fuzz suite pins this); cfg.max_jobs bounds the released-job count.
+// Streaming replay: generates jobs on the fly into a JobStore arena instead
+// of materialising the trace, so resident memory tracks jobs in flight
+// rather than jobs ever released (10^6+-job runs in a flat RSS).  The jobs
+// are released on the keys the materialised run reserves, so the run is
+// the same event sequence: results, trace and metrics (bar the stream.*
+// gauges) are bit-identical on the same cfg; cfg.max_jobs bounds the
+// released-job count.
 struct Timeline;
 RunResult run_simulation_stream(const ExperimentConfig& cfg,
                                 const SchedulerSpec& spec,

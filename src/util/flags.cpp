@@ -98,14 +98,16 @@ Flags::Flags(int argc, const char* const* argv) {
       values_.emplace_back(std::string(arg), std::string());  // boolean switch
     }
   }
+  read_.assign(values_.size(), false);
 }
 
 std::optional<std::string> Flags::find(std::string_view name) const {
   // Last occurrence wins so callers can override defaults on the command line.
   std::optional<std::string> result;
-  for (const auto& [key, value] : values_) {
-    if (key == name) {
-      result = value;
+  for (std::size_t i = 0; i < values_.size(); ++i) {
+    if (values_[i].first == name) {
+      result = values_[i].second;
+      read_[i] = true;
     }
   }
   return result;
@@ -182,6 +184,15 @@ std::vector<std::int64_t> Flags::get_int_list_at_least(
   return checked_list(find(name), name, std::move(default_value),
                       "a comma-separated list of integers >= " + std::to_string(min),
                       [min](std::int64_t value) { return value >= min; });
+}
+
+void Flags::reject_unread() const {
+  for (std::size_t i = 0; i < values_.size(); ++i) {
+    if (!read_[i]) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", values_[i].first.c_str());
+      std::exit(2);
+    }
+  }
 }
 
 void Flags::reject(std::string_view name, const std::string& what,

@@ -1,10 +1,11 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports --name value and --name=value forms plus typed accessors with
-// defaults.  The parser keeps every --name it sees and judges only the
-// names a caller asks for, so a flag no accessor reads -- a misspelling
-// included -- is silently ignored (google-benchmark binaries share argv
-// with their own flags).
+// defaults.  The parser keeps every --name it sees, judges only the names a
+// caller asks for and records which names were asked for.  A binary that
+// reads all of its flags through one Flags calls reject_unread() after its
+// last read, so a misspelled flag exits 2; a binary that does not (one
+// sharing argv with google-benchmark's own flags, say) ignores it.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +58,10 @@ class Flags {
   [[noreturn]] static void reject(std::string_view name, const std::string& what,
                                   const std::string& value);
 
+  // Exits with status 2 and "error: unknown flag --<name>" on stderr for the
+  // first flag on the command line that no accessor above has looked up.
+  void reject_unread() const;
+
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 
@@ -64,6 +69,7 @@ class Flags {
   std::optional<std::string> find(std::string_view name) const;
 
   std::vector<std::pair<std::string, std::string>> values_;
+  mutable std::vector<bool> read_;  // per values_ entry: looked up yet
   std::vector<std::string> positional_;
 };
 

@@ -273,24 +273,35 @@ TEST(Runner, AllJobsAccounted) {
   EXPECT_EQ(r.released, r.completed + r.partial + r.dropped);
 }
 
-// A materialised run releases each job just in time, so its event heap
-// holds the events of jobs in flight (about rate x deadline window, plus
-// the schedulers' own), not every arrival and deadline of the trace.
+// Either job source is released just in time, so the event heap holds the
+// events of jobs in flight (about rate x deadline window, plus the
+// schedulers' own), not every arrival and deadline of the trace; the
+// streamed run, on the same keys, peaks at the same count.
 TEST(Runner, MaterialisedRunHoldsOnlyInFlightEvents) {
   const ExperimentConfig cfg = small_config(150.0, 135.0);
   const workload::Trace trace =
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);
   ASSERT_GE(trace.size(), 19000u);
-  obs::RunTelemetry telem;
-  telem.want_trace = false;
-  const RunResult r = run_simulation(cfg, SchedulerSpec{}, trace, nullptr, &telem);
-  EXPECT_EQ(r.released, trace.size());
-  const double peak = telem.metrics
-                          .gauge("sim.peak_pending_events", "events",
-                                 obs::Gauge::Merge::kMax)
-                          .value();
-  EXPECT_GT(peak, 0.0);
-  EXPECT_LT(peak, static_cast<double>(trace.size()) / 10.0);
+  ExperimentConfig streamed_cfg = cfg;
+  streamed_cfg.stream = true;
+  double peaks[2] = {0.0, 0.0};
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "streamed" : "materialised");
+    obs::RunTelemetry telem;
+    telem.want_trace = false;
+    const RunResult r =
+        streamed ? run_simulation_stream(streamed_cfg, SchedulerSpec{}, nullptr, &telem)
+                 : run_simulation(cfg, SchedulerSpec{}, trace, nullptr, &telem);
+    EXPECT_EQ(r.released, trace.size());
+    const double peak = telem.metrics
+                            .gauge("sim.peak_pending_events", "events",
+                                   obs::Gauge::Merge::kMax)
+                            .value();
+    EXPECT_GT(peak, 0.0);
+    EXPECT_LT(peak, static_cast<double>(trace.size()) / 10.0);
+    peaks[streamed ? 1 : 0] = peak;
+  }
+  EXPECT_EQ(peaks[0], peaks[1]);
 }
 
 TEST(Runner, PowerBudgetNeverExceeded) {

@@ -335,6 +335,28 @@ TEST(Flags, NumbersMustBeWhollyFinite) {
               "--ys must be a comma-separated list");
 }
 
+TEST(Flags, RejectUnreadNamesTheFirstFlagNothingRead) {
+  const char* argv[] = {"prog", "--qge", "0.5", "--x=1", "--qeg", "0.7", "--y"};
+  const Flags flags(7, argv);
+  EXPECT_EQ(flags.get_fraction("qge", 0.9), 0.5);
+  EXPECT_EQ(flags.get_int("x", 0), 1);
+  // A lookup that finds nothing counts as a read of nothing.
+  EXPECT_FALSE(flags.has("absent"));
+  EXPECT_EXIT(flags.reject_unread(), ::testing::ExitedWithCode(2),
+              "^error: unknown flag --qeg\n$");
+  (void)flags.get_string("qeg", "");
+  EXPECT_EXIT(flags.reject_unread(), ::testing::ExitedWithCode(2),
+              "^error: unknown flag --y\n$");
+  (void)flags.get_bool("y", false);
+  flags.reject_unread();  // every flag read: returns
+
+  // Every occurrence of a repeated flag is read by one lookup.
+  const char* twice[] = {"prog", "--x", "1", "--x", "2"};
+  const Flags repeated(5, twice);
+  EXPECT_EQ(repeated.get_int("x", 0), 2);
+  repeated.reject_unread();
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);

@@ -13,7 +13,8 @@
 //                    before falling back to binned busy blocks (default 4000)
 //
 // --speed-bin must be a number > 0, --bins and --gantt-cap integers >= 1;
-// any other value exits 2 with a one-line message naming the flag.
+// any other value exits 2 with a one-line message naming the flag, and so
+// does any other flag, a misspelling included.
 //
 // The output embeds every style and chart inline (no scripts, no external
 // fetches) and its bytes are a pure function of the report directory and
@@ -39,7 +40,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A malformed value exits 2 naming the flag, before any input is read.
+  // A malformed value or an unknown flag exits 2 naming the flag, before
+  // any input is read.
   obs::analysis::DashboardOptions options;
   options.speed_bin_ghz =
       flags.get_positive_double("speed-bin", options.speed_bin_ghz);
@@ -47,6 +49,7 @@ int main(int argc, char** argv) {
       "bins", static_cast<std::int64_t>(options.timeline_bins), 1));
   options.gantt_slice_cap = static_cast<std::size_t>(flags.get_int_at_least(
       "gantt-cap", static_cast<std::int64_t>(options.gantt_slice_cap), 1));
+  flags.reject_unread();
 
   obs::analysis::LoadedReport loaded = obs::analysis::load_report_dir(report_dir);
   if (!loaded.ok()) {

@@ -34,7 +34,8 @@
 //                    not hold; a report dir's trace.bin is exact)
 //
 // --speed-bin and --energy-tol must be numbers > 0 and --bins an integer
-// >= 1; any other value exits 2 with a one-line message naming the flag.
+// >= 1; any other value exits 2 with a one-line message naming the flag,
+// and so does any other flag, a misspelling included.
 //
 // Output is deterministic: report and dashboard bytes are a pure function
 // of the input files and flags (schemas ge-report-v2 / ge-dashboard-v1,
@@ -63,13 +64,19 @@ int main(int argc, char** argv) {
                  "[--dashboard FILE] [--metrics FILE]\n");
     return 2;
   }
-  // A malformed value exits 2 naming the flag, before any input is read.
+  // A malformed value or an unknown flag exits 2 naming the flag, before
+  // any input is read.
   obs::analysis::DashboardOptions options;
   options.speed_bin_ghz =
       flags.get_positive_double("speed-bin", options.speed_bin_ghz);
   options.timeline_bins = static_cast<std::size_t>(flags.get_int_at_least(
       "bins", static_cast<std::int64_t>(options.timeline_bins), 1));
   options.energy_rel_tol = flags.get_positive_double("energy-tol", 1e-6);
+  const std::string metrics_path = flags.get_string("metrics", "");
+  const std::string dashboard_path = flags.get_string("dashboard", "");
+  const std::string out_dir = flags.get_string("out", "report");
+  const bool want_report = flags.has("out") || dashboard_path.empty();
+  flags.reject_unread();
 
   // Both input modes end in the same shape: `parsed` owns the buffers,
   // `inputs` views them.
@@ -89,7 +96,6 @@ int main(int argc, char** argv) {
   // single task's reported energy only when the trace holds a single task;
   // for multi-task traces the summed cross-check is printed below instead.
   double metrics_energy_j = -1.0;
-  const std::string metrics_path = flags.get_string("metrics", "");
   if (!metrics_path.empty()) {
     std::ifstream metrics_in(metrics_path);
     obs::analysis::MetricsValues metrics;
@@ -105,10 +111,6 @@ int main(int argc, char** argv) {
   if (loaded.inputs.size() == 1 && metrics_energy_j >= 0.0) {
     loaded.inputs[0].reported_energy_j = metrics_energy_j;
   }
-
-  const std::string dashboard_path = flags.get_string("dashboard", "");
-  const std::string out_dir = flags.get_string("out", "report");
-  const bool want_report = flags.has("out") || dashboard_path.empty();
 
   obs::analysis::ReportWriter writer(options);
   for (const obs::analysis::TaskInput& input : loaded.inputs) {

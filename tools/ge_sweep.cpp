@@ -12,6 +12,7 @@
 //            [--servers N --dispatch random|rr|jsq|least-energy]
 //            [any ExperimentConfig flag, see exp/flags_config.h]
 //
+// Any other flag, a misspelling included, exits 2 naming it.
 // Full flag reference: docs/CLI.md; telemetry schema: docs/OBSERVABILITY.md.
 #include <cstdio>
 #include <iostream>
@@ -73,9 +74,12 @@ int main(int argc, char** argv) {
       flags.get_positive_double_list("rates", {base.arrival_rate});
 
   const exp::ExecutionOptions exec = exp::parse_execution_options(flags);
+  const bool json = flags.get_bool("json", false);
+  const bool csv = flags.get_bool("csv", false);
+  flags.reject_unread();  // a misspelled flag exits 2 before anything runs
   const auto points = exp::sweep_arrival_rates(base, *specs, rates, exec);
 
-  if (flags.get_bool("json", false)) {
+  if (json) {
     // One JSON record per (rate, scheduler) run; schedulers share traces.
     for (const auto& point : points) {
       for (const auto& result : point.results) {
@@ -90,7 +94,7 @@ int main(int argc, char** argv) {
   std::printf("metric: %s  (m=%zu, H=%.0fW, Q_GE=%.2f, %gs/point, seed %llu)\n",
               metric.c_str(), base.cores, base.power_budget, base.q_ge,
               base.duration, static_cast<unsigned long long>(base.seed));
-  if (flags.get_bool("csv", false)) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
