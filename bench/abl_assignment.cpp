@@ -4,7 +4,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv);
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags);
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation", "C-RR vs plain RR job assignment");
 
   const std::vector<exp::SchedulerSpec> specs{exp::SchedulerSpec::parse("GE"),

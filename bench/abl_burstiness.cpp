@@ -6,7 +6,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv, {130.0});
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags, {130.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation",
                       "burstiness (on-off arrivals, fixed 130 req/s mean)");
 

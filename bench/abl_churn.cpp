@@ -17,8 +17,10 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
+  const util::Flags flags(argc, argv);
   const bench::FigureContext ctx =
-      bench::parse_figure_args(argc, argv, {100.0, 150.0, 200.0});
+      bench::parse_figure_args(flags, {100.0, 150.0, 200.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation",
                       "availability churn x wake latency x load");
 

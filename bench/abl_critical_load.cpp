@@ -6,7 +6,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv);
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags);
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation", "critical-load threshold sensitivity");
 
   const std::vector<double> thresholds{0.0, 100.0, 154.0, 200.0, 1e12};

@@ -10,12 +10,13 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  bench::FigureContext ctx =
-      bench::parse_figure_args(argc, argv, {100.0, 150.0, 200.0});
   const util::Flags flags(argc, argv);
+  bench::FigureContext ctx =
+      bench::parse_figure_args(flags, {100.0, 150.0, 200.0});
   // Figure-default 60 s is too long for the quadratic reference; use a few
   // seconds unless the caller insists.
   ctx.base.duration = flags.get_positive_double("seconds", 4.0);
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation",
                       "GE vs clairvoyant fluid-YDS reference (offline, "
                       "preemptive, unpartitioned, no budget)");

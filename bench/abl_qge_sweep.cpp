@@ -5,7 +5,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv, {150.0});
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags, {150.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation", "energy as a function of the promised Q_GE");
 
   const std::vector<double> targets{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99};

@@ -8,10 +8,11 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx =
-      bench::parse_figure_args(argc, argv, {100.0, 150.0, 200.0});
   const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx =
+      bench::parse_figure_args(flags, {100.0, 150.0, 200.0});
   const int replicas = static_cast<int>(flags.get_int("replicas", 5));
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation",
                       "seed replication (" + std::to_string(replicas) +
                           " seeds per point, mean +/- stddev)");

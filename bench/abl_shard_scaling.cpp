@@ -108,8 +108,10 @@ void run_panel(const ge::bench::FigureContext& ctx,
 
 int main(int argc, char** argv) {
   using namespace ge;
+  const util::Flags flags(argc, argv);
   bench::FigureContext ctx =
-      bench::parse_figure_args(argc, argv, {150.0, 220.0});
+      bench::parse_figure_args(flags, {150.0, 220.0});
+  flags.reject_unread();
   // The ablation is about the fleet's event loop; default to the 8-server
   // heavy-load shape unless --servers overrides it.
   if (ctx.base.num_servers == 1) {

@@ -8,7 +8,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  bench::FigureContext ctx = bench::parse_figure_args(argc, argv);
+  const util::Flags flags(argc, argv);
+  bench::FigureContext ctx = bench::parse_figure_args(flags);
+  flags.reject_unread();
   // Deadline feasibility, not the power cap, is the binding constraint in
   // the ABP experiments; keep Equal-Sharing slack unless the user overrides.
   ctx.base.power_budget = std::max(ctx.base.power_budget, 1e6);

@@ -4,7 +4,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv, {175.0});
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags, {175.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Ablation",
                       "quantum / counter trigger sensitivity (175 req/s)");
 

@@ -4,7 +4,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  bench::FigureContext ctx = bench::parse_figure_args(argc, argv);
+  const util::Flags flags(argc, argv);
+  bench::FigureContext ctx = bench::parse_figure_args(flags);
+  flags.reject_unread();
   ctx.base.deadline_interval_max = 0.500;  // random windows (Sec. IV-C)
   bench::print_banner(ctx, "Fig. 4",
                       "seven algorithms with random deadline windows [150,500] ms");

@@ -4,8 +4,10 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
+  const util::Flags flags(argc, argv);
   const bench::FigureContext ctx = bench::parse_figure_args(
-      argc, argv, {125.0, 150.0, 175.0, 200.0, 225.0, 250.0});
+      flags, {125.0, 150.0, 175.0, 200.0, 225.0, 250.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Fig. 7", "quality and energy: WF vs ES");
 
   const std::vector<exp::SchedulerSpec> specs{

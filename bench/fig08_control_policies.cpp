@@ -9,7 +9,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv);
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags);
+  flags.reject_unread();
   bench::print_banner(ctx, "Fig. 8", "quality vs power vs speed control policies");
 
   // Calibrate at the server's design point (the critical load): the least

@@ -6,8 +6,10 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
+  const util::Flags flags(argc, argv);
   const bench::FigureContext ctx = bench::parse_figure_args(
-      argc, argv, {180.0, 200.0, 220.0, 240.0});
+      flags, {180.0, 200.0, 220.0, 240.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Fig. 9", "effect of the quality-function concavity c");
 
   const std::vector<double> cs{0.0005, 0.001, 0.002, 0.003, 0.005, 0.009};

@@ -4,7 +4,9 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  const bench::FigureContext ctx = bench::parse_figure_args(argc, argv, {150.0});
+  const util::Flags flags(argc, argv);
+  const bench::FigureContext ctx = bench::parse_figure_args(flags, {150.0});
+  flags.reject_unread();
   bench::print_banner(ctx, "Fig. 11",
                       "effect of the core count (fixed 320 W total budget)");
 

@@ -7,9 +7,8 @@
 
 namespace ge::bench {
 
-FigureContext parse_figure_args(int argc, const char* const* argv,
+FigureContext parse_figure_args(const util::Flags& flags,
                                 std::vector<double> default_rates) {
-  util::Flags flags(argc, argv);
   FigureContext ctx;
   ctx.base = exp::ExperimentConfig::paper_defaults();
   ctx.base.duration = flags.get_positive_double("seconds", 60.0);

@@ -55,8 +55,10 @@ struct FigureContext {
   exp::ExecutionOptions exec;
 };
 
-// Parses the common flags and applies them to the paper-default config.
-FigureContext parse_figure_args(int argc, const char* const* argv,
+// Reads the common flags and applies them to the paper-default config.  The
+// caller owns `flags`: it reads any flag of its own through the same object
+// and then calls flags.reject_unread(), so a misspelled flag exits 2.
+FigureContext parse_figure_args(const util::Flags& flags,
                                 std::vector<double> default_rates =
                                     exp::paper_arrival_rates());
 

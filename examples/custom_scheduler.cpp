@@ -177,6 +177,7 @@ int main(int argc, char** argv) {
   cfg.arrival_rate = flags.get_positive_double("rate", 150.0);
   cfg.duration = flags.get_positive_double("seconds", 10.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 1, 0));
+  flags.reject_unread();
 
   // The new scheduler is a first-class citizen: parse by name (registry
   // lookup, case-insensitive) and compare against a built-in cousin.

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   cfg.arrival_rate = flags.get_positive_double("rate", 150.0);
   cfg.duration = flags.get_positive_double("seconds", 20.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 9, 0));
+  flags.reject_unread();
 
   const workload::Trace trace =
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);

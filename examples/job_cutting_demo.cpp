@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const double q_ge = flags.get_fraction("qge", 0.9);
   const double c = flags.get_double("c", 0.003);
+  flags.reject_unread();
 
   const quality::ExponentialQuality f(c, 1000.0);
   const std::vector<double> demands{950.0, 700.0, 450.0, 200.0};

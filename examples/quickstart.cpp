@@ -27,12 +27,14 @@ int main(int argc, char** argv) {
   //    "FCFS", "SJF", ... for the baselines.
   const exp::SchedulerSpec spec =
       exp::SchedulerSpec::parse(flags.get_string("scheduler", "GE"));
+  const bool json = flags.get_bool("json", false);
+  flags.reject_unread();
 
   // 3. Run the simulation.
   const exp::RunResult r = exp::run_simulation(cfg, spec);
 
   // 4. Report: human-readable by default, one JSON record with --json.
-  if (flags.get_bool("json", false)) {
+  if (json) {
     std::printf("%s\n", exp::to_json(r).c_str());
   } else {
     std::printf("%s", exp::summarize(r, cfg).c_str());

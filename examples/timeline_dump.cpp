@@ -23,11 +23,12 @@ int main(int argc, char** argv) {
   cfg.burst_peak_to_mean = flags.get_double("burst", 1.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 2, 0));
   const std::string path = flags.get_string("file", "/tmp/ge_timeline.csv");
+  exp::Timeline timeline;
+  timeline.interval = flags.get_positive_double("interval", 0.05);
+  flags.reject_unread();
 
   const workload::Trace trace =
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);
-  exp::Timeline timeline;
-  timeline.interval = flags.get_positive_double("interval", 0.05);
   const exp::RunResult r = exp::run_simulation(cfg, exp::SchedulerSpec::parse("GE"),
                                                trace, &timeline);
   timeline.save_csv(path);

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   cfg.duration = flags.get_positive_double("seconds", 10.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 11, 0));
   const std::string path = flags.get_string("file", "/tmp/ge_trace.csv");
+  flags.reject_unread();
 
   // Record.
   const workload::Trace original =

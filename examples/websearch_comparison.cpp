@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
   cfg.duration = flags.get_positive_double("seconds", 20.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int_at_least("seed", 3, 0));
+  flags.reject_unread();
 
   struct Profile {
     const char* name;

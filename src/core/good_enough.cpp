@@ -257,10 +257,11 @@ void GoodEnoughScheduler::set_targets(server::Core& core, Mode mode) {
   }
 }
 
-double GoodEnoughScheduler::core_power_demand(server::Core& core) {
-  const double t = env_.sim->now();
-  // The cache is already EDF-sorted; filtering it preserves sortedness, so
-  // the per-call sort the old code needed is gone.
+void GoodEnoughScheduler::collect_plan_jobs(const server::Core& core, double t) {
+  // The cache is already EDF-sorted; filtering it preserves sortedness.
+  // Jobs settled since the cache was built (expired jobs settle during
+  // cleanup, the target-completion sweep settles others) carry the settled
+  // flag; skipping them yields the sequence a fresh sort would produce.
   plan_jobs_.clear();
   for (workload::Job* job : edf_cache_[static_cast<std::size_t>(core.id())]) {
     if (job->settled || job->deadline <= t + kTimeEps) {
@@ -272,6 +273,11 @@ double GoodEnoughScheduler::core_power_demand(server::Core& core) {
     }
     plan_jobs_.push_back(opt::PlanJob{job, rem, job->deadline});
   }
+}
+
+double GoodEnoughScheduler::core_power_demand(server::Core& core) {
+  const double t = now();
+  collect_plan_jobs(core, t);
   const double speed = opt::required_speed(t, plan_jobs_);
   return core.power_model().power(speed);
 }
@@ -314,20 +320,7 @@ void GoodEnoughScheduler::plan_core(server::Core& core, double cap_watts,
                                     double* budget_slack) {
   const double t = now();
   const power::PowerModel& pm = core.power_model();
-  // Jobs settled since the cache was built (target-completion sweep) carry
-  // the settled flag; skipping them here yields the same filtered EDF
-  // sequence the old fresh-sort produced.
-  plan_jobs_.clear();
-  for (workload::Job* job : edf_cache_[static_cast<std::size_t>(core.id())]) {
-    if (job->settled || job->deadline <= t + kTimeEps) {
-      continue;  // expired jobs were settled during cleanup
-    }
-    const double rem = job->remaining_target();
-    if (rem <= kWorkEps) {
-      continue;
-    }
-    plan_jobs_.push_back(opt::PlanJob{job, rem, job->deadline});
-  }
+  collect_plan_jobs(core, t);
   const double s_cap = std::min(pm.speed_for_power(cap_watts), options_.core_speed_cap);
   if (plan_jobs_.empty() || s_cap <= 0.0) {
     plan_.segments.clear();

@@ -122,6 +122,10 @@ class GoodEnoughScheduler : public Scheduler {
   void settle_tracked(workload::Job* job);
   // Sets job->target for every open job on the core according to the mode.
   void set_targets(server::Core& core, Mode mode);
+  // Fills plan_jobs_ with the core's open jobs at time `t`, in EDF-cache
+  // order: not settled, deadline past t + kTimeEps, remaining target above
+  // kWorkEps.
+  void collect_plan_jobs(const server::Core& core, double t);
   // Per-core power demand (W) to finish its remaining targets by deadline.
   double core_power_demand(server::Core& core);
   // Splits the power budget into per-core caps, written to caps_.

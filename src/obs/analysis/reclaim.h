@@ -32,14 +32,13 @@
 //   * agreeable instances -- sorted by release, the deadlines never
 //     decrease, as with the paper's deadline = arrival + 150 ms -- take
 //     opt::agreeable_profile, the taut string between the cumulative
-//     release and deadline curves, in one linear pass.  Its real-time
-//     segments are what the totals and bins are priced and spread from;
-//   * any other instance (e.g. random deadline windows) falls back to
-//     critical-interval YDS: per core, detail::yds_place with real-time
-//     placement (opt::yds_schedule collapses the timeline, which is enough
-//     for energies but not for per-interval attribution); for the pooled
-//     floor, opt::yds_min_energy.
-// The fallback is also the test oracle: on agreeable instances both paths
+//     release and deadline curves, in one linear pass;
+//   * any other instance (e.g. random deadline windows) takes the
+//     critical-interval kernel in opt/yds.h: per core opt::yds_place, whose
+//     real-time slices are priced and spread like the profile's segments,
+//     and for the pooled floor opt::yds_min_energy, the same kernel's
+//     blocks.
+// The kernel is also the test oracle: on agreeable instances both paths
 // agree within 1e-9 relative, totals and bins.
 //
 // Everything is a pure function of (TaskInput, TaskAnalysis): byte-stable
@@ -78,35 +77,6 @@ struct ReclaimAnalysis {
 };
 
 namespace detail {
-
-// One re-speedable unit of realised work: a (core, job) pair's executed
-// units, to be completed within [release, deadline].
-struct RJob {
-  double release = 0.0;
-  double deadline = 0.0;
-  double work = 0.0;
-  std::size_t idx = 0;  // index into the core's job list
-};
-
-// A placed re-speed slice: run job `idx` at `speed` over [t0, t1].
-struct RSlice {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  double speed = 0.0;
-  std::size_t idx = 0;
-};
-
-struct Placement {
-  std::vector<double> speed;   // per input job: its critical-block speed
-  std::vector<RSlice> slices;  // in placement order
-};
-
-// Critical-interval YDS with real-time placement, the advisor's per-core
-// re-speed when the core's jobs are not agreeable.  Returns per-job block
-// speeds and the placed slices; the continuous energy of the result equals
-// opt::yds_min_energy on the same instance.  Exposed so tests can pin it
-// against a reference scan.
-Placement yds_place(std::vector<RJob> jobs);
 
 // How many of a task's instances (one per core, plus the pooled floor) the
 // advisor priced, and how many of them took the linear agreeable path.

@@ -1,6 +1,8 @@
 #include "opt/yds.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "power/power_model.h"
 #include "util/check.h"
@@ -8,79 +10,265 @@
 namespace ge::opt {
 namespace {
 
-constexpr double kTimeTol = 1e-12;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct Critical {
-  double t1 = 0.0;
-  double t2 = 0.0;
-  double intensity = -1.0;
-};
+using Segments = std::vector<std::pair<double, double>>;
 
-// Finds the maximum-intensity interval.  t1 ranges over release points and
-// t2 over deadline points (a classic property of the YDS optimum).  One
-// deadline-sort per round into arrays, then a linear sweep per distinct
-// release: O(n^2) per round overall.  A sweep starts at the first deadline
-// past t1 - kTimeTol: every job passed in has deadline > release + kTimeTol,
-// so an earlier job neither counts as released by t1 nor closes a candidate.
-// The arrays are reused across rounds.
-class CriticalScan {
+// Disjoint sorted intervals with measure queries.  The cumulative measure
+// M(t) (total availability at or before t) makes measure(avail cap [t1,t2])
+// = M(t2) - M(t1), each an O(log n) lookup.
+class Availability {
  public:
-  Critical find(const std::vector<YdsJob>& jobs) {
-    releases_.clear();
-    by_deadline_.clear();
-    for (const YdsJob& job : jobs) {
-      releases_.push_back(job.release);
-      by_deadline_.push_back(&job);
+  Availability(double lo, double hi) {
+    if (hi > lo) {
+      ivs_.emplace_back(lo, hi);
     }
-    std::sort(releases_.begin(), releases_.end());
-    releases_.erase(std::unique(releases_.begin(), releases_.end()), releases_.end());
-    std::sort(by_deadline_.begin(), by_deadline_.end(),
-              [](const YdsJob* a, const YdsJob* b) { return a->deadline < b->deadline; });
-    // Deadline-ordered arrays; closes_[i]: job i is the last sharing its
-    // deadline, so a candidate interval ends there.
-    const std::size_t n = by_deadline_.size();
-    dl_.resize(n);
-    rl_.resize(n);
-    wk_.resize(n);
-    closes_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dl_[i] = by_deadline_[i]->deadline;
-      rl_[i] = by_deadline_[i]->release;
-      wk_[i] = by_deadline_[i]->work;
-      closes_[i] = i + 1 == n || by_deadline_[i + 1]->deadline > dl_[i] + kTimeTol;
-    }
+    rebuild();
+  }
 
-    Critical best;
-    std::size_t first = 0;  // first deadline past lo; lo only grows
-    for (double t1 : releases_) {
-      const double lo = t1 - kTimeTol;
-      const double hi = t1 + kTimeTol;
-      while (first < n && dl_[first] <= lo) {
-        ++first;
-      }
-      double cumulative = 0.0;
-      for (std::size_t i = first; i < n; ++i) {
-        if (rl_[i] >= lo) {
-          cumulative += wk_[i];
-        }
-        if (!closes_[i] || dl_[i] <= hi || cumulative <= 0.0) {
-          continue;
-        }
-        const double intensity = cumulative / (dl_[i] - t1);
-        if (intensity > best.intensity + 1e-12) {
-          best = Critical{t1, dl_[i], intensity};
-        }
+  bool empty() const { return ivs_.empty(); }
+
+  // Total availability measure in (-inf, t].
+  double cum_at(double t) const {
+    const auto it = std::partition_point(
+        ivs_.begin(), ivs_.end(), [t](const auto& iv) { return iv.second <= t; });
+    const auto i = static_cast<std::size_t>(it - ivs_.begin());
+    const double extra =
+        i < ivs_.size() && ivs_[i].first < t ? t - ivs_[i].first : 0.0;
+    return cum_[i] + extra;
+  }
+
+  // avail cap [t1, t2], as intervals.
+  Segments intersect(double t1, double t2) const {
+    Segments out;
+    for (const auto& [a, b] : ivs_) {
+      const double lo = std::max(a, t1);
+      const double hi = std::min(b, t2);
+      if (hi > lo) {
+        out.emplace_back(lo, hi);
       }
     }
-    return best;
+    return out;
+  }
+
+  void excise(double t1, double t2) {
+    next_.clear();
+    for (const auto& [a, b] : ivs_) {
+      if (b <= t1 || a >= t2) {
+        next_.emplace_back(a, b);
+        continue;
+      }
+      if (a < t1) {
+        next_.emplace_back(a, t1);
+      }
+      if (b > t2) {
+        next_.emplace_back(t2, b);
+      }
+    }
+    ivs_.swap(next_);
+    rebuild();
   }
 
  private:
-  std::vector<double> releases_;
-  std::vector<const YdsJob*> by_deadline_;
-  std::vector<double> dl_, rl_, wk_;
-  std::vector<char> closes_;
+  void rebuild() {
+    cum_.assign(ivs_.size() + 1, 0.0);
+    for (std::size_t i = 0; i < ivs_.size(); ++i) {
+      cum_[i + 1] = cum_[i] + (ivs_[i].second - ivs_[i].first);
+    }
+  }
+
+  Segments ivs_;
+  Segments next_;  // excise's scratch, swapped with ivs_
+  std::vector<double> cum_;
 };
+
+// The critical-interval kernel.  Each round hands `on_block` the block, its
+// interval [t1, t2], the jobs it contains (input indices, in input order)
+// and the availability before [t1, t2] is excised.
+template <typename OnBlock>
+void critical_blocks(std::span<const YdsJob> jobs, OnBlock&& on_block) {
+  std::vector<std::size_t> active;
+  active.reserve(jobs.size());
+  double lo = kInf;
+  double hi = -kInf;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const YdsJob& j = jobs[i];
+    if (j.work <= 0.0) {
+      continue;
+    }
+    GE_CHECK(j.deadline > j.release, "YDS job needs a positive execution window");
+    active.push_back(i);
+    lo = std::min(lo, j.release);
+    hi = std::max(hi, j.deadline);
+  }
+  if (active.empty()) {
+    return;
+  }
+  Availability avail(lo, hi);
+  // Per-round scan arrays, reused across rounds.
+  std::vector<double> releases;
+  std::vector<std::size_t> by_deadline;
+  std::vector<double> dl, rl, wk, cd;
+  std::vector<char> closes;
+  std::vector<std::size_t> crit;
+  std::vector<std::size_t> rest;
+  releases.reserve(active.size());
+  by_deadline.reserve(active.size());
+  rest.reserve(active.size());
+
+  while (!active.empty()) {
+    GE_CHECK(!avail.empty(), "YDS: ran out of availability");
+    // Candidate intervals: [release, deadline] pairs.  The scan reads the
+    // round's jobs as arrays in deadline order, with the availability
+    // measure up to each deadline precomputed.  For a fixed t1 the contained
+    // work is accumulated over deadlines in ascending order, starting at the
+    // first deadline past t1: earlier jobs have release < deadline <= t1, so
+    // they add no work and close no candidate.
+    const std::size_t n = active.size();
+    releases.clear();
+    by_deadline.clear();
+    for (const std::size_t i : active) {
+      releases.push_back(jobs[i].release);
+      by_deadline.push_back(i);
+    }
+    std::sort(releases.begin(), releases.end());
+    releases.erase(std::unique(releases.begin(), releases.end()),
+                   releases.end());
+    std::sort(by_deadline.begin(), by_deadline.end(),
+              [&](std::size_t a, std::size_t b) {
+                return jobs[a].deadline < jobs[b].deadline;
+              });
+    // closes[p]: no later job shares this deadline, so the candidate is
+    // evaluated only once all of them are folded in.
+    dl.resize(n);
+    rl.resize(n);
+    wk.resize(n);
+    cd.resize(n);
+    closes.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const YdsJob& j = jobs[by_deadline[p]];
+      dl[p] = j.deadline;
+      rl[p] = j.release;
+      wk[p] = j.work;
+      cd[p] = avail.cum_at(j.deadline);
+      closes[p] = p + 1 == n || jobs[by_deadline[p + 1]].deadline > j.deadline;
+    }
+
+    YdsBlock block;
+    block.speed = -1.0;
+    double best_t1 = 0.0;
+    double best_t2 = 0.0;
+    std::size_t first = 0;  // first deadline past t1; t1 only grows
+    for (const double t1 : releases) {
+      const double c1 = avail.cum_at(t1);
+      while (first < n && dl[first] <= t1) {
+        ++first;
+      }
+      double work = 0.0;
+      for (std::size_t p = first; p < n; ++p) {
+        if (rl[p] >= t1) {
+          work += wk[p];
+        }
+        const double span = cd[p] - c1;
+        if (!closes[p] || work <= 0.0 || span <= 0.0) {
+          continue;
+        }
+        const double g = work / span;
+        if (g > block.speed) {
+          block.speed = g;
+          block.duration = span;
+          best_t1 = t1;
+          best_t2 = dl[p];
+        }
+      }
+    }
+    GE_CHECK(block.speed > 0.0, "YDS: no feasible critical interval");
+
+    // Critical set: active jobs with window inside [t1, t2].
+    crit.clear();
+    rest.clear();
+    for (const std::size_t i : active) {
+      const YdsJob& j = jobs[i];
+      if (j.release >= best_t1 && j.deadline <= best_t2) {
+        crit.push_back(i);
+        block.work += j.work;
+      } else {
+        rest.push_back(i);
+      }
+    }
+    block.jobs = crit.size();
+    on_block(block, best_t1, best_t2, crit, avail);
+    avail.excise(best_t1, best_t2);
+    active.swap(rest);
+  }
+}
+
+// Preemptive EDF of the critical jobs `crit` (input indices sorted by
+// (deadline, index), windows inside the block) at constant speed over the
+// availability segments; appends the produced slices.  YDS guarantees the
+// critical work exactly fills the segments, so any floating-point residue
+// below `work_eps` is dropped.
+void edf_place(std::span<const YdsJob> jobs, const std::vector<std::size_t>& crit,
+               double speed, const Segments& segments, double work_eps,
+               std::vector<YdsSlice>* slices) {
+  const auto job = [&](std::size_t i) -> const YdsJob& { return jobs[crit[i]]; };
+  // Injection order by release; run order by (deadline, index).
+  std::vector<std::size_t> by_release(crit.size());
+  for (std::size_t i = 0; i < crit.size(); ++i) {
+    by_release[i] = i;
+  }
+  std::sort(by_release.begin(), by_release.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (job(a).release != job(b).release) {
+                return job(a).release < job(b).release;
+              }
+              return crit[a] < crit[b];
+            });
+  std::vector<double> rem(crit.size());
+  for (std::size_t i = 0; i < crit.size(); ++i) {
+    rem[i] = job(i).work;
+  }
+  // `ready` kept sorted by (deadline, index): crit is already in that order,
+  // so a sorted-insert of positions keeps ties deterministic.
+  std::vector<std::size_t> ready;
+  std::size_t next_rel = 0;
+  for (const auto& [seg_lo, seg_hi] : segments) {
+    double t = seg_lo;
+    while (t < seg_hi) {
+      while (next_rel < by_release.size() &&
+             job(by_release[next_rel]).release <= t) {
+        const std::size_t j = by_release[next_rel++];
+        ready.insert(std::lower_bound(ready.begin(), ready.end(), j), j);
+      }
+      if (ready.empty()) {
+        if (next_rel >= by_release.size()) {
+          return;  // everything placed; trailing segment time unused (FP)
+        }
+        // Idle until the next release (it lands in this segment or later).
+        t = std::max(t, job(by_release[next_rel]).release);
+        continue;
+      }
+      const std::size_t j = ready.front();
+      double run_until = std::min(seg_hi, t + rem[j] / speed);
+      if (next_rel < by_release.size()) {
+        run_until = std::min(run_until, job(by_release[next_rel]).release);
+      }
+      if (run_until <= t) {
+        // No representable progress: the residue is below FP resolution.
+        rem[j] = 0.0;
+        ready.erase(ready.begin());
+        continue;
+      }
+      slices->push_back({t, run_until, speed, crit[j]});
+      rem[j] -= speed * (run_until - t);
+      t = run_until;
+      if (rem[j] <= work_eps) {
+        rem[j] = 0.0;
+        ready.erase(ready.begin());
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -108,67 +296,45 @@ double YdsSchedule::energy(const power::PowerModel& pm) const {
   return total;
 }
 
-YdsSchedule yds_schedule(std::span<const YdsJob> input) {
-  std::vector<YdsJob> jobs;
-  jobs.reserve(input.size());
-  for (const YdsJob& job : input) {
-    if (job.work <= 0.0) {
-      continue;
-    }
-    GE_CHECK(job.deadline > job.release + kTimeTol,
-             "YDS job needs a positive execution window");
-    jobs.push_back(job);
-  }
-
+YdsSchedule yds_schedule(std::span<const YdsJob> jobs) {
   YdsSchedule schedule;
-  CriticalScan scan;
-  while (!jobs.empty()) {
-    const Critical crit = scan.find(jobs);
-    GE_CHECK(crit.intensity > 0.0, "no critical interval found");
-    const double t1 = crit.t1;
-    const double t2 = crit.t2;
-
-    YdsBlock block;
-    block.duration = t2 - t1;
-    block.speed = crit.intensity;
-
-    // Remove the jobs contained in [t1, t2] and excise the interval from
-    // the timeline for the survivors.
-    auto collapse = [t1, t2](double t) {
-      if (t <= t1 + kTimeTol) {
-        return t;
-      }
-      if (t < t2) {
-        return t1;
-      }
-      return t - (t2 - t1);
-    };
-    std::vector<YdsJob> remaining;
-    remaining.reserve(jobs.size());
-    for (const YdsJob& job : jobs) {
-      const bool contained =
-          job.release >= t1 - kTimeTol && job.deadline <= t2 + kTimeTol;
-      if (contained) {
-        block.work += job.work;
-        ++block.jobs;
-        continue;
-      }
-      YdsJob shrunk = job;
-      shrunk.release = collapse(job.release);
-      shrunk.deadline = collapse(job.deadline);
-      GE_CHECK(shrunk.deadline > shrunk.release + kTimeTol,
-               "collapse produced an empty window");
-      remaining.push_back(shrunk);
-    }
-    GE_CHECK(block.jobs > 0, "critical interval contained no job");
+  critical_blocks(jobs, [&](const YdsBlock& block, double, double,
+                            std::vector<std::size_t>&, const Availability&) {
     schedule.blocks.push_back(block);
-    jobs = std::move(remaining);
-  }
+  });
   return schedule;
 }
 
 double yds_min_energy(std::span<const YdsJob> jobs, const power::PowerModel& pm) {
   return yds_schedule(jobs).energy(pm);
+}
+
+YdsPlacement yds_place(std::span<const YdsJob> jobs) {
+  YdsPlacement out;
+  out.speed.assign(jobs.size(), 0.0);
+  double total_work = 0.0;
+  for (const YdsJob& j : jobs) {
+    if (j.work > 0.0) {
+      total_work += j.work;
+    }
+  }
+  const double work_eps = 1e-9 * std::max(1.0, total_work);
+  critical_blocks(jobs, [&](const YdsBlock& block, double t1, double t2,
+                            std::vector<std::size_t>& crit,
+                            const Availability& avail) {
+    std::sort(crit.begin(), crit.end(), [&](std::size_t a, std::size_t b) {
+      if (jobs[a].deadline != jobs[b].deadline) {
+        return jobs[a].deadline < jobs[b].deadline;
+      }
+      return a < b;
+    });
+    for (const std::size_t i : crit) {
+      out.speed[i] = block.speed;
+    }
+    edf_place(jobs, crit, block.speed, avail.intersect(t1, t2), work_eps,
+              &out.slices);
+  });
+  return out;
 }
 
 namespace {

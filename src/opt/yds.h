@@ -2,24 +2,30 @@
 // preemptive jobs with arbitrary release times and deadlines.
 //
 // The GE scheduler itself only needs the restricted all-released case
-// (energy_opt.h); the full algorithm serves two purposes here:
+// (energy_opt.h); the full algorithm serves three purposes here:
 //   * it cross-checks the restricted planner (with every job released at
 //     plan time and agreeable deadlines the two must produce the same
-//     energy), and
-//   * it powers the idealised offline reference of abl_optimality_gap: a
-//     clairvoyant fluid relaxation of the whole trace that GE's online,
-//     non-preemptive, partitioned schedule can be compared against.
+//     energy);
+//   * it powers the idealised offline reference of abl_optimality_gap and
+//     the YDS pseudo-scheduler: a clairvoyant fluid relaxation of the whole
+//     trace that GE's online, non-preemptive, partitioned schedule can be
+//     compared against;
+//   * it is the reclaim advisor's re-speed (obs/analysis/reclaim.h) on
+//     instances that are not agreeable, per core and for the pooled floor.
 //
-// Classic critical-interval construction: repeatedly find the interval
-// [t1, t2] maximising the intensity
+// One critical-interval kernel serves every entry point.  It works in real
+// time over an availability measure: the timeline starts as [first release,
+// last deadline], and each round finds the interval [t1, t2] maximising the
+// intensity
 //
 //     g(t1, t2) = (sum of work of jobs with [r_j, d_j] subseteq [t1, t2])
-//                 / (t2 - t1),
+//                 / (measure of the availability inside [t1, t2]),
 //
-// schedule those jobs at speed g over the interval, excise the interval
-// from the timeline, and recurse on the remaining jobs.  Candidate t1/t2
-// are release/deadline points, so each round costs O(n^2) with the
-// per-release sweep used below.
+// runs those jobs at speed g over that availability, and excises [t1, t2]
+// from it.  Candidate t1/t2 are release/deadline points; a per-release sweep
+// over deadline-ordered arrays costs O(n^2) per round.  yds_schedule keeps
+// the rounds' blocks; yds_place also places every job, by preemptive EDF,
+// on the real times the availability leaves it.
 //
 // agreeable_profile() is the linear-time special case: when the deadlines
 // are agreeable (a later release never has an earlier deadline) the YDS
@@ -43,8 +49,9 @@ struct YdsJob {
   double work = 0.0;      // units; jobs with zero work are ignored
 };
 
+// One critical interval [t1, t2] of the schedule.
 struct YdsBlock {
-  double duration = 0.0;  // seconds of (collapsed) timeline
+  double duration = 0.0;  // seconds: the availability measure of [t1, t2]
   double speed = 0.0;     // units/second
   double work = 0.0;      // speed * duration
   std::size_t jobs = 0;   // number of jobs completed in this block
@@ -65,6 +72,27 @@ YdsSchedule yds_schedule(std::span<const YdsJob> jobs);
 
 // Minimal energy of the instance under the power model (convenience).
 double yds_min_energy(std::span<const YdsJob> jobs, const power::PowerModel& pm);
+
+// A placed piece of the schedule: run input job `job` at `speed` over the
+// real time [t0, t1].
+struct YdsSlice {
+  double t0 = 0.0;
+  double t1 = 0.0;
+  double speed = 0.0;
+  std::size_t job = 0;  // index into the input span
+};
+
+struct YdsPlacement {
+  std::vector<double> speed;     // per input job: its critical block's speed
+                                 // (0 for a job without work)
+  std::vector<YdsSlice> slices;  // in placement order
+};
+
+// The YDS schedule in real time: the same critical blocks as yds_schedule,
+// each block's jobs placed by preemptive EDF (ties by input index) on the
+// availability inside its interval.  Its continuous energy is
+// yds_min_energy's up to rounding.
+YdsPlacement yds_place(std::span<const YdsJob> jobs);
 
 // One piece of a speed profile: run at `speed` over the real time [t0, t1].
 struct SpeedSegment {

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -19,7 +18,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "agreeable_instances.h"
@@ -322,336 +320,6 @@ TEST(ReclaimChain, OfflineReferenceStaysBelowTheAdvisor) {
                 1e-9 * std::max(1.0, online.reclaim.cont_j));
 }
 
-// ---- exactness of the per-core candidate scan ------------------------------
-//
-// Reference oracle: the plain per-core placement -- every (release,
-// deadline) pair evaluated, each through two linear availability lookups.
-// detail::yds_place must place every slice bit for bit.
-
-using obs::analysis::detail::Placement;
-using obs::analysis::detail::RJob;
-using obs::analysis::detail::RSlice;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Availability as the reference scan saw it: linear cum_at lookups.
-class RefAvailability {
- public:
-  RefAvailability(double lo, double hi) {
-    if (hi > lo) {
-      ivs_.emplace_back(lo, hi);
-    }
-    rebuild();
-  }
-
-  bool empty() const { return ivs_.empty(); }
-
-  double measure_between(double t1, double t2) const {
-    if (t2 <= t1) {
-      return 0.0;
-    }
-    return cum_at(t2) - cum_at(t1);
-  }
-
-  // avail cap [t1, t2], as intervals.
-  std::vector<std::pair<double, double>> intersect(double t1, double t2) const {
-    std::vector<std::pair<double, double>> out;
-    for (const auto& [a, b] : ivs_) {
-      const double lo = std::max(a, t1);
-      const double hi = std::min(b, t2);
-      if (hi > lo) {
-        out.emplace_back(lo, hi);
-      }
-    }
-    return out;
-  }
-
-  void excise(double t1, double t2) {
-    std::vector<std::pair<double, double>> next;
-    for (const auto& [a, b] : ivs_) {
-      if (b <= t1 || a >= t2) {
-        next.emplace_back(a, b);
-        continue;
-      }
-      if (a < t1) {
-        next.emplace_back(a, t1);
-      }
-      if (b > t2) {
-        next.emplace_back(t2, b);
-      }
-    }
-    ivs_ = std::move(next);
-    rebuild();
-  }
-
- private:
-  void rebuild() {
-    cum_.assign(ivs_.size() + 1, 0.0);
-    for (std::size_t i = 0; i < ivs_.size(); ++i) {
-      cum_[i + 1] = cum_[i] + (ivs_[i].second - ivs_[i].first);
-    }
-  }
-
-  // Total availability measure in (-inf, t].
-  double cum_at(double t) const {
-    std::size_t i = 0;
-    double extra = 0.0;
-    while (i < ivs_.size() && ivs_[i].second <= t) {
-      ++i;
-    }
-    if (i < ivs_.size() && ivs_[i].first < t) {
-      extra = t - ivs_[i].first;
-    }
-    return cum_[i] + extra;
-  }
-
-  std::vector<std::pair<double, double>> ivs_;
-  std::vector<double> cum_;
-};
-
-// Preemptive EDF of `crit` (window subseteq [t1,t2], sorted by (deadline,
-// idx)) at constant speed over the availability segments; appends the
-// produced slices.  YDS guarantees the critical work exactly fills the
-// segments, so any floating-point residue below `work_eps` is dropped.
-void reference_edf_place(const std::vector<RJob>& crit, double speed,
-               const std::vector<std::pair<double, double>>& segments,
-               double work_eps, std::vector<RSlice>* slices) {
-  // Injection order by release; run order by (deadline, idx).
-  std::vector<std::size_t> by_release(crit.size());
-  for (std::size_t i = 0; i < crit.size(); ++i) {
-    by_release[i] = i;
-  }
-  std::sort(by_release.begin(), by_release.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (crit[a].release != crit[b].release) {
-                return crit[a].release < crit[b].release;
-              }
-              return crit[a].idx < crit[b].idx;
-            });
-  std::vector<double> rem(crit.size());
-  for (std::size_t i = 0; i < crit.size(); ++i) {
-    rem[i] = crit[i].work;
-  }
-  // `ready` kept sorted by (deadline, idx): crit is already in that order,
-  // so a sorted-insert of positions keeps ties deterministic.
-  std::vector<std::size_t> ready;
-  std::size_t next_rel = 0;
-  for (std::size_t si = 0; si < segments.size(); ++si) {
-    double t = segments[si].first;
-    while (t < segments[si].second) {
-      while (next_rel < by_release.size() &&
-             crit[by_release[next_rel]].release <= t) {
-        const std::size_t j = by_release[next_rel++];
-        ready.insert(std::lower_bound(ready.begin(), ready.end(), j), j);
-      }
-      if (ready.empty()) {
-        if (next_rel >= by_release.size()) {
-          return;  // everything placed; trailing segment time unused (FP)
-        }
-        // Idle until the next release (it lands in this segment or later).
-        t = std::max(t, crit[by_release[next_rel]].release);
-        continue;
-      }
-      const std::size_t j = ready.front();
-      double run_until = std::min(segments[si].second, t + rem[j] / speed);
-      if (next_rel < by_release.size()) {
-        run_until = std::min(run_until, crit[by_release[next_rel]].release);
-      }
-      if (run_until <= t) {
-        // No representable progress: the residue is below FP resolution.
-        rem[j] = 0.0;
-        ready.erase(ready.begin());
-        continue;
-      }
-      slices->push_back({t, run_until, speed, crit[j].idx});
-      rem[j] -= speed * (run_until - t);
-      t = run_until;
-      if (rem[j] <= work_eps) {
-        rem[j] = 0.0;
-        ready.erase(ready.begin());
-      }
-    }
-  }
-}
-
-// Critical-interval YDS with real-time placement.  Returns per-job block
-// speeds and the placed slices; the continuous energy of the result equals
-// opt::yds_min_energy on the same instance (differentially tested).
-Placement reference_yds_place(std::vector<RJob> jobs) {
-  Placement out;
-  out.speed.assign(jobs.size(), 0.0);
-  std::vector<RJob> active;
-  double lo = kInf;
-  double hi = -kInf;
-  double total_work = 0.0;
-  for (const RJob& j : jobs) {
-    if (j.work <= 0.0) {
-      continue;
-    }
-    GE_CHECK(j.deadline > j.release, "reclaim: job window must be non-empty");
-    active.push_back(j);
-    lo = std::min(lo, j.release);
-    hi = std::max(hi, j.deadline);
-    total_work += j.work;
-  }
-  if (active.empty()) {
-    return out;
-  }
-  const double work_eps = 1e-9 * std::max(1.0, total_work);
-  RefAvailability avail(lo, hi);
-
-  while (!active.empty()) {
-    GE_CHECK(!avail.empty(), "reclaim: ran out of availability");
-    // Candidate intervals: [release, deadline] pairs.  For a fixed t1 the
-    // contained work is accumulated over deadlines in ascending order.
-    std::vector<double> releases;
-    releases.reserve(active.size());
-    for (const RJob& j : active) {
-      releases.push_back(j.release);
-    }
-    std::sort(releases.begin(), releases.end());
-    releases.erase(std::unique(releases.begin(), releases.end()),
-                   releases.end());
-    std::vector<std::size_t> by_deadline(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      by_deadline[i] = i;
-    }
-    std::sort(by_deadline.begin(), by_deadline.end(),
-              [&](std::size_t a, std::size_t b) {
-                return active[a].deadline < active[b].deadline;
-              });
-
-    double best_g = -1.0;
-    double best_t1 = 0.0;
-    double best_t2 = 0.0;
-    for (const double t1 : releases) {
-      double work = 0.0;
-      for (std::size_t p = 0; p < by_deadline.size(); ++p) {
-        const RJob& j = active[by_deadline[p]];
-        if (j.release >= t1) {
-          work += j.work;
-        }
-        const double t2 = j.deadline;
-        // Later jobs may share this deadline; only evaluate the candidate
-        // once all of them are folded in.
-        if (p + 1 < by_deadline.size() &&
-            active[by_deadline[p + 1]].deadline <= t2) {
-          continue;
-        }
-        if (work <= 0.0) {
-          continue;
-        }
-        const double span = avail.measure_between(t1, t2);
-        if (span <= 0.0) {
-          continue;
-        }
-        const double g = work / span;
-        if (g > best_g) {
-          best_g = g;
-          best_t1 = t1;
-          best_t2 = t2;
-        }
-      }
-    }
-    GE_CHECK(best_g > 0.0, "reclaim: no feasible critical interval");
-
-    // Critical set: active jobs with window inside [t1, t2], EDF order.
-    std::vector<RJob> crit;
-    std::vector<RJob> rest;
-    for (const RJob& j : active) {
-      if (j.release >= best_t1 && j.deadline <= best_t2) {
-        crit.push_back(j);
-      } else {
-        rest.push_back(j);
-      }
-    }
-    std::sort(crit.begin(), crit.end(), [](const RJob& a, const RJob& b) {
-      if (a.deadline != b.deadline) {
-        return a.deadline < b.deadline;
-      }
-      return a.idx < b.idx;
-    });
-    for (const RJob& j : crit) {
-      out.speed[j.idx] = best_g;
-    }
-    reference_edf_place(crit, best_g, avail.intersect(best_t1, best_t2),
-                        work_eps, &out.slices);
-    avail.excise(best_t1, best_t2);
-    active = std::move(rest);
-  }
-  return out;
-}
-
-void expect_placement_bitwise_equal(const std::vector<RJob>& jobs,
-                                    const std::string& label) {
-  const Placement expected = reference_yds_place(jobs);
-  const Placement actual = obs::analysis::detail::yds_place(jobs);
-  ASSERT_EQ(actual.speed.size(), expected.speed.size()) << label;
-  for (std::size_t i = 0; i < expected.speed.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.speed[i]),
-              std::bit_cast<std::uint64_t>(expected.speed[i]))
-        << label << " job " << i;
-  }
-  ASSERT_EQ(actual.slices.size(), expected.slices.size()) << label;
-  for (std::size_t i = 0; i < expected.slices.size(); ++i) {
-    const RSlice& a = actual.slices[i];
-    const RSlice& e = expected.slices[i];
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.t0), std::bit_cast<std::uint64_t>(e.t0))
-        << label << " slice " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.t1), std::bit_cast<std::uint64_t>(e.t1))
-        << label << " slice " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.speed),
-              std::bit_cast<std::uint64_t>(e.speed))
-        << label << " slice " << i;
-    EXPECT_EQ(a.idx, e.idx) << label << " slice " << i;
-  }
-}
-
-std::vector<RJob> indexed(std::vector<RJob> jobs) {
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].idx = i;
-  }
-  return jobs;
-}
-
-TEST(ReclaimScanExactness, RandomCoresMatchTheReferenceBitwise) {
-  util::Rng rng(2024);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = 1 + static_cast<int>(rng.uniform(0.0, 150.0));
-    std::vector<RJob> jobs;
-    for (int i = 0; i < n; ++i) {
-      RJob j;
-      j.release = rng.uniform(0.0, 5.0);
-      j.deadline = j.release + rng.uniform(0.005, 0.6);
-      j.work = i % 9 == 8 ? 0.0 : rng.uniform(1.0, 300.0);
-      jobs.push_back(j);
-    }
-    expect_placement_bitwise_equal(indexed(jobs),
-                                   "random trial " + std::to_string(trial));
-  }
-}
-
-// Integer grids force exact intensity ties (the first maximum in (t1, t2)
-// order must win), shared deadlines and shared releases, and excisions that
-// leave many availability segments behind.
-TEST(ReclaimScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
-  util::Rng rng(99);
-  for (int trial = 0; trial < 80; ++trial) {
-    const int n = 2 + static_cast<int>(rng.uniform(0.0, 50.0));
-    const double grid = trial % 2 == 0 ? 1.0 : 0.125;
-    std::vector<RJob> jobs;
-    for (int i = 0; i < n; ++i) {
-      RJob j;
-      j.release = grid * std::floor(rng.uniform(0.0, 10.0));
-      j.deadline = j.release + grid * (1.0 + std::floor(rng.uniform(0.0, 4.0)));
-      j.work = std::floor(rng.uniform(1.0, 5.0));
-      jobs.push_back(j);
-    }
-    expect_placement_bitwise_equal(indexed(jobs),
-                                   "grid trial " + std::to_string(trial));
-  }
-}
-
 // A report dir carries one power model and a per-server core count; the
 // reloaded advisor must price the pooled fluid bound over the whole fleet
 // (cores x servers), matching the in-process value, so offline <=
@@ -748,7 +416,7 @@ void add_binned(std::vector<double>& bins, double lo, double hi, double t0,
   }
 }
 
-// Per-core view: the profile and detail::yds_place's real-time slices put
+// Per-core view: the profile and opt::yds_place's real-time slices put
 // the same energy in every bin, on every agreeable shape.
 TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
   util::Rng rng(16);
@@ -758,10 +426,8 @@ TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
     const std::vector<opt::YdsJob> jobs =
         testdata::agreeable_instance(rng, testdata::kAgreeableShapes[trial % 5], n);
     const std::string label = "trial " + std::to_string(trial);
-    std::vector<RJob> rjobs;
-    double lo = kInf, hi = -kInf;
+    double lo = std::numeric_limits<double>::infinity(), hi = -lo;
     for (const opt::YdsJob& j : jobs) {
-      rjobs.push_back({j.release, j.deadline, j.work, rjobs.size()});
       lo = std::min(lo, j.release);
       hi = std::max(hi, j.deadline);
     }
@@ -770,7 +436,7 @@ TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
     ASSERT_TRUE(profile.has_value()) << label;
     std::vector<double> expected(40, 0.0), actual(40, 0.0);
     double total = 0.0;
-    for (const RSlice& slice : obs::analysis::detail::yds_place(rjobs).slices) {
+    for (const opt::YdsSlice& slice : opt::yds_place(jobs).slices) {
       add_binned(expected, lo, hi, slice.t0, slice.t1, pm.power(slice.speed));
       total += pm.power(slice.speed) * (slice.t1 - slice.t0);
     }

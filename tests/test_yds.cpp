@@ -5,8 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agreeable_instances.h"
@@ -17,6 +19,7 @@
 #include "opt/energy_opt.h"
 #include "opt/yds.h"
 #include "power/power_model.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "workload/job.h"
 
@@ -139,13 +142,16 @@ TEST(Yds, RejectsEmptyWindow) {
   EXPECT_DEATH((void)yds_schedule(jobs), "window");
 }
 
-// ---- exactness of the candidate scan ---------------------------------------
+// ---- exactness of the critical-interval kernel -----------------------------
 //
-// Reference oracle: the plain scan -- every row walks all jobs through
-// deadline-sorted pointers -- and the round loop around it.  yds_schedule
-// must reproduce every block bit for bit: same rows, same per-row summation
-// order, same (t1 ascending, t2 ascending) argmax with its "> best + 1e-12"
-// rule.
+// Two oracles, on the same instance families:
+//   * reference_yds_blocks, the textbook round loop that collapses the
+//     timeline (times within 1e-12 count as equal).  yds_schedule must give
+//     its energy under quadratic and cubic curves, its total work and its
+//     max speed within 1e-9 relative.
+//   * reference_yds_place, the plain real-time placement: every (release,
+//     deadline) pair evaluated through two linear availability lookups.
+//     yds_place must place every slice bit for bit.
 
 constexpr double kRefTimeTol = 1e-12;
 
@@ -243,22 +249,314 @@ std::vector<YdsBlock> reference_yds_blocks(const std::vector<YdsJob>& input) {
   return blocks;
 }
 
-void expect_blocks_bitwise_equal(const std::vector<YdsJob>& jobs,
-                                 const std::string& label) {
-  const std::vector<YdsBlock> expected = reference_yds_blocks(jobs);
-  const std::vector<YdsBlock> actual = yds_schedule(jobs).blocks;
-  ASSERT_EQ(actual.size(), expected.size()) << label;
-  for (std::size_t b = 0; b < expected.size(); ++b) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[b].duration),
-              std::bit_cast<std::uint64_t>(expected[b].duration))
-        << label << " block " << b;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[b].speed),
-              std::bit_cast<std::uint64_t>(expected[b].speed))
-        << label << " block " << b;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[b].work),
-              std::bit_cast<std::uint64_t>(expected[b].work))
-        << label << " block " << b;
-    EXPECT_EQ(actual[b].jobs, expected[b].jobs) << label << " block " << b;
+// Reference placement: jobs carry their input index.
+struct RefJob {
+  double release = 0.0;
+  double deadline = 0.0;
+  double work = 0.0;
+  std::size_t idx = 0;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Availability as the reference scan saw it: linear cum_at lookups.
+class RefAvailability {
+ public:
+  RefAvailability(double lo, double hi) {
+    if (hi > lo) {
+      ivs_.emplace_back(lo, hi);
+    }
+    rebuild();
+  }
+
+  bool empty() const { return ivs_.empty(); }
+
+  double measure_between(double t1, double t2) const {
+    if (t2 <= t1) {
+      return 0.0;
+    }
+    return cum_at(t2) - cum_at(t1);
+  }
+
+  // avail cap [t1, t2], as intervals.
+  std::vector<std::pair<double, double>> intersect(double t1, double t2) const {
+    std::vector<std::pair<double, double>> out;
+    for (const auto& [a, b] : ivs_) {
+      const double lo = std::max(a, t1);
+      const double hi = std::min(b, t2);
+      if (hi > lo) {
+        out.emplace_back(lo, hi);
+      }
+    }
+    return out;
+  }
+
+  void excise(double t1, double t2) {
+    std::vector<std::pair<double, double>> next;
+    for (const auto& [a, b] : ivs_) {
+      if (b <= t1 || a >= t2) {
+        next.emplace_back(a, b);
+        continue;
+      }
+      if (a < t1) {
+        next.emplace_back(a, t1);
+      }
+      if (b > t2) {
+        next.emplace_back(t2, b);
+      }
+    }
+    ivs_ = std::move(next);
+    rebuild();
+  }
+
+ private:
+  void rebuild() {
+    cum_.assign(ivs_.size() + 1, 0.0);
+    for (std::size_t i = 0; i < ivs_.size(); ++i) {
+      cum_[i + 1] = cum_[i] + (ivs_[i].second - ivs_[i].first);
+    }
+  }
+
+  // Total availability measure in (-inf, t].
+  double cum_at(double t) const {
+    std::size_t i = 0;
+    double extra = 0.0;
+    while (i < ivs_.size() && ivs_[i].second <= t) {
+      ++i;
+    }
+    if (i < ivs_.size() && ivs_[i].first < t) {
+      extra = t - ivs_[i].first;
+    }
+    return cum_[i] + extra;
+  }
+
+  std::vector<std::pair<double, double>> ivs_;
+  std::vector<double> cum_;
+};
+
+// Preemptive EDF of `crit` (window subseteq [t1,t2], sorted by (deadline,
+// idx)) at constant speed over the availability segments; appends the
+// produced slices.  YDS guarantees the critical work exactly fills the
+// segments, so any floating-point residue below `work_eps` is dropped.
+void reference_edf_place(const std::vector<RefJob>& crit, double speed,
+               const std::vector<std::pair<double, double>>& segments,
+               double work_eps, std::vector<YdsSlice>* slices) {
+  // Injection order by release; run order by (deadline, idx).
+  std::vector<std::size_t> by_release(crit.size());
+  for (std::size_t i = 0; i < crit.size(); ++i) {
+    by_release[i] = i;
+  }
+  std::sort(by_release.begin(), by_release.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (crit[a].release != crit[b].release) {
+                return crit[a].release < crit[b].release;
+              }
+              return crit[a].idx < crit[b].idx;
+            });
+  std::vector<double> rem(crit.size());
+  for (std::size_t i = 0; i < crit.size(); ++i) {
+    rem[i] = crit[i].work;
+  }
+  // `ready` kept sorted by (deadline, idx): crit is already in that order,
+  // so a sorted-insert of positions keeps ties deterministic.
+  std::vector<std::size_t> ready;
+  std::size_t next_rel = 0;
+  for (std::size_t si = 0; si < segments.size(); ++si) {
+    double t = segments[si].first;
+    while (t < segments[si].second) {
+      while (next_rel < by_release.size() &&
+             crit[by_release[next_rel]].release <= t) {
+        const std::size_t j = by_release[next_rel++];
+        ready.insert(std::lower_bound(ready.begin(), ready.end(), j), j);
+      }
+      if (ready.empty()) {
+        if (next_rel >= by_release.size()) {
+          return;  // everything placed; trailing segment time unused (FP)
+        }
+        // Idle until the next release (it lands in this segment or later).
+        t = std::max(t, crit[by_release[next_rel]].release);
+        continue;
+      }
+      const std::size_t j = ready.front();
+      double run_until = std::min(segments[si].second, t + rem[j] / speed);
+      if (next_rel < by_release.size()) {
+        run_until = std::min(run_until, crit[by_release[next_rel]].release);
+      }
+      if (run_until <= t) {
+        // No representable progress: the residue is below FP resolution.
+        rem[j] = 0.0;
+        ready.erase(ready.begin());
+        continue;
+      }
+      slices->push_back({t, run_until, speed, crit[j].idx});
+      rem[j] -= speed * (run_until - t);
+      t = run_until;
+      if (rem[j] <= work_eps) {
+        rem[j] = 0.0;
+        ready.erase(ready.begin());
+      }
+    }
+  }
+}
+
+// Critical-interval YDS with real-time placement.  Returns per-job block
+// speeds and the placed slices.
+YdsPlacement reference_yds_place(const std::vector<YdsJob>& input) {
+  YdsPlacement out;
+  std::vector<RefJob> jobs;
+  for (const YdsJob& j : input) {
+    jobs.push_back({j.release, j.deadline, j.work, jobs.size()});
+  }
+  out.speed.assign(jobs.size(), 0.0);
+  std::vector<RefJob> active;
+  double lo = kInf;
+  double hi = -kInf;
+  double total_work = 0.0;
+  for (const RefJob& j : jobs) {
+    if (j.work <= 0.0) {
+      continue;
+    }
+    GE_CHECK(j.deadline > j.release, "reclaim: job window must be non-empty");
+    active.push_back(j);
+    lo = std::min(lo, j.release);
+    hi = std::max(hi, j.deadline);
+    total_work += j.work;
+  }
+  if (active.empty()) {
+    return out;
+  }
+  const double work_eps = 1e-9 * std::max(1.0, total_work);
+  RefAvailability avail(lo, hi);
+
+  while (!active.empty()) {
+    GE_CHECK(!avail.empty(), "reclaim: ran out of availability");
+    // Candidate intervals: [release, deadline] pairs.  For a fixed t1 the
+    // contained work is accumulated over deadlines in ascending order.
+    std::vector<double> releases;
+    releases.reserve(active.size());
+    for (const RefJob& j : active) {
+      releases.push_back(j.release);
+    }
+    std::sort(releases.begin(), releases.end());
+    releases.erase(std::unique(releases.begin(), releases.end()),
+                   releases.end());
+    std::vector<std::size_t> by_deadline(active.size());
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      by_deadline[i] = i;
+    }
+    std::sort(by_deadline.begin(), by_deadline.end(),
+              [&](std::size_t a, std::size_t b) {
+                return active[a].deadline < active[b].deadline;
+              });
+
+    double best_g = -1.0;
+    double best_t1 = 0.0;
+    double best_t2 = 0.0;
+    for (const double t1 : releases) {
+      double work = 0.0;
+      for (std::size_t p = 0; p < by_deadline.size(); ++p) {
+        const RefJob& j = active[by_deadline[p]];
+        if (j.release >= t1) {
+          work += j.work;
+        }
+        const double t2 = j.deadline;
+        // Later jobs may share this deadline; only evaluate the candidate
+        // once all of them are folded in.
+        if (p + 1 < by_deadline.size() &&
+            active[by_deadline[p + 1]].deadline <= t2) {
+          continue;
+        }
+        if (work <= 0.0) {
+          continue;
+        }
+        const double span = avail.measure_between(t1, t2);
+        if (span <= 0.0) {
+          continue;
+        }
+        const double g = work / span;
+        if (g > best_g) {
+          best_g = g;
+          best_t1 = t1;
+          best_t2 = t2;
+        }
+      }
+    }
+    GE_CHECK(best_g > 0.0, "reclaim: no feasible critical interval");
+
+    // Critical set: active jobs with window inside [t1, t2], EDF order.
+    std::vector<RefJob> crit;
+    std::vector<RefJob> rest;
+    for (const RefJob& j : active) {
+      if (j.release >= best_t1 && j.deadline <= best_t2) {
+        crit.push_back(j);
+      } else {
+        rest.push_back(j);
+      }
+    }
+    std::sort(crit.begin(), crit.end(), [](const RefJob& a, const RefJob& b) {
+      if (a.deadline != b.deadline) {
+        return a.deadline < b.deadline;
+      }
+      return a.idx < b.idx;
+    });
+    for (const RefJob& j : crit) {
+      out.speed[j.idx] = best_g;
+    }
+    reference_edf_place(crit, best_g, avail.intersect(best_t1, best_t2),
+                        work_eps, &out.slices);
+    avail.excise(best_t1, best_t2);
+    active = std::move(rest);
+  }
+  return out;
+}
+
+void expect_kernel_matches_references(const std::vector<YdsJob>& jobs,
+                                      const std::string& label,
+                                      bool tiny_windows = false) {
+  const YdsSchedule expected{reference_yds_blocks(jobs)};
+  const YdsSchedule actual = yds_schedule(jobs);
+  const power::PowerModel cubic(2.0, 3.0, 1000.0);
+  for (const power::PowerModel* model : {&pm(), &cubic}) {
+    const double energy = expected.energy(*model);
+    EXPECT_NEAR(actual.energy(*model), energy, 1e-9 * std::max(1.0, energy))
+        << label << " beta " << model->beta();
+  }
+  const double work = expected.total_work();
+  EXPECT_NEAR(actual.total_work(), work, 1e-9 * std::max(1.0, work)) << label;
+  if (!tiny_windows) {
+    EXPECT_NEAR(actual.max_speed(), expected.max_speed(),
+                1e-9 * std::max(1.0, expected.max_speed()))
+        << label;
+  } else {
+    // The reference's 1e-12 tolerance merges the tiny windows with their
+    // neighbours and under-reports the max speed; the kernel must run at
+    // least as fast as any single job needs.
+    for (const YdsJob& job : jobs) {
+      EXPECT_GE(actual.max_speed(), job.work / (job.deadline - job.release))
+          << label;
+    }
+  }
+
+  const YdsPlacement placed = reference_yds_place(jobs);
+  const YdsPlacement actual_placed = yds_place(jobs);
+  ASSERT_EQ(actual_placed.speed.size(), placed.speed.size()) << label;
+  for (std::size_t i = 0; i < placed.speed.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual_placed.speed[i]),
+              std::bit_cast<std::uint64_t>(placed.speed[i]))
+        << label << " job " << i;
+  }
+  ASSERT_EQ(actual_placed.slices.size(), placed.slices.size()) << label;
+  for (std::size_t i = 0; i < placed.slices.size(); ++i) {
+    const YdsSlice& a = actual_placed.slices[i];
+    const YdsSlice& e = placed.slices[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.t0), std::bit_cast<std::uint64_t>(e.t0))
+        << label << " slice " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.t1), std::bit_cast<std::uint64_t>(e.t1))
+        << label << " slice " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.speed),
+              std::bit_cast<std::uint64_t>(e.speed))
+        << label << " slice " << i;
+    EXPECT_EQ(a.job, e.job) << label << " slice " << i;
   }
 }
 
@@ -273,13 +571,13 @@ TEST(YdsScanExactness, RandomInstancesMatchTheReferenceBitwise) {
       const double w = i % 10 == 9 ? 0.0 : rng.uniform(1.0, 100.0);
       jobs.push_back({r, r + rng.uniform(0.01, 2.0), w});
     }
-    expect_blocks_bitwise_equal(jobs, "random trial " + std::to_string(trial));
+    expect_kernel_matches_references(jobs, "random trial " + std::to_string(trial));
   }
 }
 
-// Integer grids force exact intensity ties (the 1e-12 rule decides them),
-// shared deadlines (only the last of a group closes a candidate) and shared
-// releases (one row per distinct release).
+// Integer grids force exact intensity ties (the first maximum in (t1, t2)
+// order wins), shared deadlines (only the last of a group closes a
+// candidate) and shared releases (one row per distinct release).
 TEST(YdsScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
   util::Rng rng(777);
   for (int trial = 0; trial < 80; ++trial) {
@@ -291,13 +589,12 @@ TEST(YdsScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
       const double d = r + grid * (1.0 + std::floor(rng.uniform(0.0, 5.0)));
       jobs.push_back({r, d, std::floor(rng.uniform(1.0, 6.0))});
     }
-    expect_blocks_bitwise_equal(jobs, "grid trial " + std::to_string(trial));
+    expect_kernel_matches_references(jobs, "grid trial " + std::to_string(trial));
   }
 }
 
-// Windows barely wider than the 1e-12 time tolerance, released just before
-// another job's release: they count towards that release's row although
-// their deadline lies within the tolerance of it.
+// Windows barely wider than the reference's 1e-12 time tolerance, released
+// just before another job's release.
 TEST(YdsScanExactness, WindowsNearTheTimeToleranceMatchTheReferenceBitwise) {
   util::Rng rng(31337);
   for (int trial = 0; trial < 40; ++trial) {
@@ -310,7 +607,8 @@ TEST(YdsScanExactness, WindowsNearTheTimeToleranceMatchTheReferenceBitwise) {
       jobs.push_back({near, near + rng.uniform(1.1, 1.9) * 1e-12,
                       rng.uniform(1e-12, 4e-12)});
     }
-    expect_blocks_bitwise_equal(jobs, "tolerance trial " + std::to_string(trial));
+    expect_kernel_matches_references(
+        jobs, "tolerance trial " + std::to_string(trial), /*tiny_windows=*/true);
   }
 }
 
@@ -322,7 +620,39 @@ TEST(YdsScanExactness, LargePooledInstanceMatchesTheReferenceBitwise) {
     t += rng.exponential(300.0);
     jobs.push_back({t, t + rng.uniform(0.05, 0.5), rng.uniform(5.0, 400.0)});
   }
-  expect_blocks_bitwise_equal(jobs, "pooled");
+  expect_kernel_matches_references(jobs, "pooled");
+}
+
+TEST(ReclaimScanExactness, RandomCoresMatchTheReferenceBitwise) {
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 1 + static_cast<int>(rng.uniform(0.0, 150.0));
+    std::vector<YdsJob> jobs;
+    for (int i = 0; i < n; ++i) {
+      const double r = rng.uniform(0.0, 5.0);
+      jobs.push_back({r, r + rng.uniform(0.005, 0.6),
+                      i % 9 == 8 ? 0.0 : rng.uniform(1.0, 300.0)});
+    }
+    expect_kernel_matches_references(jobs, "random core " + std::to_string(trial));
+  }
+}
+
+// Integer grids force exact intensity ties (the first maximum in (t1, t2)
+// order must win), shared deadlines and shared releases, and excisions that
+// leave many availability segments behind.
+TEST(ReclaimScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
+  util::Rng rng(99);
+  for (int trial = 0; trial < 80; ++trial) {
+    const int n = 2 + static_cast<int>(rng.uniform(0.0, 50.0));
+    const double grid = trial % 2 == 0 ? 1.0 : 0.125;
+    std::vector<YdsJob> jobs;
+    for (int i = 0; i < n; ++i) {
+      const double r = grid * std::floor(rng.uniform(0.0, 10.0));
+      jobs.push_back({r, r + grid * (1.0 + std::floor(rng.uniform(0.0, 4.0))),
+                      std::floor(rng.uniform(1.0, 5.0))});
+    }
+    expect_kernel_matches_references(jobs, "core grid " + std::to_string(trial));
+  }
 }
 
 // ---- the agreeable (taut-string) profile -----------------------------------

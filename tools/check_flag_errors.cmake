@@ -11,8 +11,8 @@
 # optional "|extra args" (space-separated) for values that are only wrong
 # next to another flag (a list one entry short of --servers).
 #
-# ge_sweep, ge_report and ge_dashboard also exit 2 naming a flag they do
-# not know (a misspelling); `unknown_cases` lists those, same format.
+# Every tool above also exits 2 naming a flag it does not know (a
+# misspelling); `unknown_cases` lists those, same format.
 
 set(cases
   "ge_report|bins|0"
@@ -86,7 +86,9 @@ set(unknown_cases
   "ge_sweep|qeg|0.5|--qge 0.5"
   "ge_report|bin|10"
   "ge_report|dashbaord|x.html"
-  "ge_dashboard|gant-cap|5")
+  "ge_dashboard|gant-cap|5"
+  "fig|qeg|0.5"
+  "quickstart|qeg|0.5")
 
 set(failures 0)
 foreach(entry IN LISTS cases unknown_cases)
