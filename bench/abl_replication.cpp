@@ -1,7 +1,10 @@
 // Ablation: seed sensitivity.  Re-runs the headline comparison over several
 // independent workload seeds and reports mean +/- stddev, demonstrating the
 // single-seed figures are not flukes.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include "exp/replicate.h"
 #include "fig_common.h"
@@ -11,7 +14,12 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const bench::FigureContext ctx =
       bench::parse_figure_args(flags, {100.0, 150.0, 200.0});
-  const int replicas = static_cast<int>(flags.get_int("replicas", 5));
+  const std::int64_t replicas_flag = flags.get_int_at_least("replicas", 5, 1);
+  if (replicas_flag > std::numeric_limits<int>::max()) {
+    util::Flags::reject("replicas", "an integer in [1, 2147483647]",
+                        std::to_string(replicas_flag));
+  }
+  const int replicas = static_cast<int>(replicas_flag);
   flags.reject_unread();
   bench::print_banner(ctx, "Ablation",
                       "seed replication (" + std::to_string(replicas) +

@@ -342,12 +342,15 @@ void BM_FullYdsSchedule(benchmark::State& state) {
 BENCHMARK(BM_FullYdsSchedule)->Range(16, 512);
 
 // The linear taut-string profile on the agreeable variant of the same jobs
-// (what the reclaim advisor runs per core and for the pooled floor).
+// (what the reclaim advisor runs per core and for the pooled floor), on one
+// scratch reused across calls as its callers do.
 void BM_AgreeableProfile(benchmark::State& state) {
   const std::vector<ge::opt::YdsJob> jobs =
       random_yds_jobs(static_cast<std::size_t>(state.range(0)), true);
+  ge::opt::ProfileScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ge::opt::agreeable_profile(jobs));
+    benchmark::DoNotOptimize(ge::opt::agreeable_profile(jobs, scratch));
+    benchmark::DoNotOptimize(scratch.profile.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

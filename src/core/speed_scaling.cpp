@@ -42,38 +42,6 @@ const char* to_string(SpeedScalingPolicy policy) noexcept {
   return "unknown";
 }
 
-std::vector<SuffixBlock> oa_suffix_schedule(double now, std::vector<SuffixJob> jobs) {
-  std::erase_if(jobs, [now](const SuffixJob& j) {
-    return j.remaining <= 0.0 || j.deadline <= now + kTimeEps;
-  });
-  std::sort(jobs.begin(), jobs.end(), [](const SuffixJob& a, const SuffixJob& b) {
-    return a.deadline < b.deadline;
-  });
-  std::vector<SuffixBlock> blocks;
-  std::size_t i = 0;
-  double t0 = now;
-  while (i < jobs.size()) {
-    // Critical prefix: the deadline prefix maximising sum(remaining) over
-    // the time to that deadline.  Strict '>' keeps the earliest maximiser,
-    // which makes the staircase deterministic and the speeds non-increasing.
-    double work = 0.0;
-    double best_intensity = -1.0;
-    std::size_t best = i;
-    for (std::size_t j = i; j < jobs.size(); ++j) {
-      work += jobs[j].remaining;
-      const double intensity = work / (jobs[j].deadline - t0);
-      if (intensity > best_intensity) {
-        best_intensity = intensity;
-        best = j;
-      }
-    }
-    blocks.push_back(SuffixBlock{jobs[best].deadline, best_intensity});
-    t0 = jobs[best].deadline;
-    i = best + 1;
-  }
-  return blocks;
-}
-
 SpeedScalingScheduler::SpeedScalingScheduler(SchedulerEnv env,
                                              SpeedScalingOptions options,
                                              std::string name)
@@ -134,7 +102,7 @@ void SpeedScalingScheduler::on_job_arrival(workload::Job* job) {
   CoreState& state = cores_[static_cast<std::size_t>(core_id)];
   env_.server->core(static_cast<std::size_t>(core_id)).queue().push_back(job);
   state.active.push_back(job);
-  if (options_.policy == SpeedScalingPolicy::kAvr) {
+  if (options_.policy == SpeedScalingPolicy::kAvr && job->demand > 0.0) {
     const double window = std::max(job->window(), kTimeEps);
     state.densities.push_back(AvrEntry{job->deadline, job->demand / window});
   } else if (options_.policy == SpeedScalingPolicy::kBkp) {
@@ -212,57 +180,60 @@ double SpeedScalingScheduler::bkp_speed(double t0, const CoreState& state) const
   return best;
 }
 
-std::vector<SuffixBlock> SpeedScalingScheduler::speed_profile(
-    double t0, const CoreState& state) const {
-  std::vector<SuffixBlock> blocks;
+const std::vector<opt::SpeedSegment>& SpeedScalingScheduler::speed_profile(
+    double t0, const CoreState& state) {
+  std::vector<opt::SpeedSegment>& segments = profile_.profile;
   if (options_.policy == SpeedScalingPolicy::kAvr) {
-    // Suffix sums of the densities still in their windows, one block per
-    // distinct deadline.
-    std::vector<AvrEntry> entries = state.densities;
-    std::erase_if(entries, [t0](const AvrEntry& e) {
-      return e.deadline <= t0 + kTimeEps || e.density <= 0.0;
-    });
-    std::sort(entries.begin(), entries.end(),
+    // Suffix sums of the densities still in their windows (rebuild pruned
+    // the rest), one segment per distinct deadline.
+    live_ = state.densities;
+    std::sort(live_.begin(), live_.end(),
               [](const AvrEntry& a, const AvrEntry& b) {
                 return a.deadline < b.deadline;
               });
     double running = 0.0;
-    for (const AvrEntry& e : entries) {
+    for (const AvrEntry& e : live_) {
       running += e.density;
     }
+    segments.clear();
     std::size_t i = 0;
-    while (i < entries.size()) {
-      const double deadline = entries[i].deadline;
-      blocks.push_back(SuffixBlock{deadline, running});
-      while (i < entries.size() && entries[i].deadline == deadline) {
-        running -= entries[i].density;
+    while (i < live_.size()) {
+      const double deadline = live_[i].deadline;
+      segments.push_back({segments.empty() ? t0 : segments.back().t1, deadline,
+                          running});
+      while (i < live_.size() && live_[i].deadline == deadline) {
+        running -= live_[i].density;
         ++i;
       }
     }
   } else {
-    std::vector<SuffixJob> pending;
-    pending.reserve(state.active.size());
+    // Everything on hand is released at t0, so the YDS re-solve is the
+    // agreeable taut string.
+    pending_.clear();
     for (const workload::Job* job : state.active) {
-      pending.push_back(SuffixJob{job->deadline, job->remaining_target()});
+      if (job->deadline > t0 + kTimeEps) {
+        pending_.push_back(opt::YdsJob{t0, job->deadline, job->remaining_target()});
+      }
     }
-    blocks = oa_suffix_schedule(t0, std::move(pending));
+    const bool agreeable = opt::agreeable_profile(pending_, profile_);
+    GE_CHECK(agreeable, "OA: jobs released together must be agreeable");
     if (options_.policy == SpeedScalingPolicy::kQoa && options_.q != 1.0) {
-      for (SuffixBlock& b : blocks) {
-        b.speed *= options_.q;
+      for (opt::SpeedSegment& seg : segments) {
+        seg.speed *= options_.q;
       }
     } else if (options_.policy == SpeedScalingPolicy::kBkp) {
       // The OA staircase is the feasibility floor; the BKP estimate rides
       // on top until the next refresh re-samples it.
       const double estimate = bkp_speed(t0, state);
-      for (SuffixBlock& b : blocks) {
-        b.speed = std::max(b.speed, estimate);
+      for (opt::SpeedSegment& seg : segments) {
+        seg.speed = std::max(seg.speed, estimate);
       }
     }
   }
-  for (SuffixBlock& b : blocks) {
-    b.speed = std::min(b.speed, state.cap_speed);
+  for (opt::SpeedSegment& seg : segments) {
+    seg.speed = std::min(seg.speed, state.cap_speed);
   }
-  return blocks;
+  return segments;
 }
 
 void SpeedScalingScheduler::arm_refresh(std::size_t core_id) {
@@ -319,7 +290,6 @@ void SpeedScalingScheduler::rebuild(std::size_t core_id) {
     });
   }
 
-  const std::vector<SuffixBlock> blocks = speed_profile(t, state);
   std::sort(state.active.begin(), state.active.end(),
             [](const workload::Job* a, const workload::Job* b) {
               if (a->deadline != b->deadline) {
@@ -327,9 +297,10 @@ void SpeedScalingScheduler::rebuild(std::size_t core_id) {
               }
               return a->id < b->id;
             });
+  const std::vector<opt::SpeedSegment>& segments = speed_profile(t, state);
 
   opt::ExecutionPlan plan;
-  std::size_t bi = 0;  // profile block the cursor sits in
+  std::size_t bi = 0;  // profile segment the cursor sits in
   double cursor = t;
   for (workload::Job* job : state.active) {
     const double remaining = job->remaining_target();
@@ -345,31 +316,31 @@ void SpeedScalingScheduler::rebuild(std::size_t core_id) {
     double piece_cursor = cursor;
     double left = remaining;
     bool fits = false;
-    while (walk < blocks.size()) {
-      const SuffixBlock& block = blocks[walk];
-      if (block.end <= piece_cursor + kTimeEps) {
+    while (walk < segments.size()) {
+      const opt::SpeedSegment& seg = segments[walk];
+      if (seg.t1 <= piece_cursor + kTimeEps) {
         ++walk;
         continue;
       }
-      if (block.speed <= 0.0) {
+      if (seg.speed <= 0.0) {
         break;
       }
-      const double span = block.end - piece_cursor;
-      const double capacity = block.speed * span;
+      const double span = seg.t1 - piece_cursor;
+      const double capacity = seg.speed * span;
       if (capacity >= left - kSliverEps) {
-        const double duration = left / block.speed;
+        const double duration = left / seg.speed;
         pieces.push_back(opt::PlanSegment{job, piece_cursor,
-                                          piece_cursor + duration, block.speed,
+                                          piece_cursor + duration, seg.speed,
                                           left});
         piece_cursor += duration;
         left = 0.0;
         fits = true;
         break;
       }
-      pieces.push_back(opt::PlanSegment{job, piece_cursor, block.end,
-                                        block.speed, capacity});
+      pieces.push_back(
+          opt::PlanSegment{job, piece_cursor, seg.t1, seg.speed, capacity});
       left -= capacity;
-      piece_cursor = block.end;
+      piece_cursor = seg.t1;
       ++walk;
     }
     if (fits && piece_cursor <= job->deadline + kSnapEps) {
@@ -406,7 +377,7 @@ void SpeedScalingScheduler::rebuild(std::size_t core_id) {
             opt::PlanSegment{job, cursor, job->deadline, speed, units});
       }
       cursor = job->deadline;
-      while (bi < blocks.size() && blocks[bi].end <= cursor + kTimeEps) {
+      while (bi < segments.size() && segments[bi].t1 <= cursor + kTimeEps) {
         ++bi;
       }
     }

@@ -8,9 +8,11 @@
 //
 //   OA   (Optimal Available, Yao-Demers-Shenker '95): at every arrival,
 //        re-solve YDS on the remaining work of the jobs on hand.  Because
-//        everything on hand is already released, the optimum is a
-//        "staircase": repeatedly take the pending-deadline prefix that
-//        maximises sum(remaining) / (deadline - now).  2^beta-competitive.
+//        everything on hand is already released, the instance is agreeable
+//        and its optimum is opt::agreeable_profile's taut string: a
+//        staircase of non-increasing speeds, each step the pending-deadline
+//        prefix maximising sum(remaining) / (deadline - step start).
+//        2^beta-competitive.
 //   qOA  (Bansal-Chan-Lam-Lee): run at q times the OA speed.  Theory picks
 //        q = 2 - 1/beta (= 1.5 for beta = 2); the ABP experiments show
 //        q < 1 wins at low load.  For q < 1 the profile may be too slow,
@@ -46,29 +48,11 @@
 #include <vector>
 
 #include "core/scheduler.h"
+#include "opt/yds.h"
 #include "power/discrete_speed.h"
 #include "sim/event_queue.h"
 
 namespace ge::sched {
-
-// One pending job for the all-released YDS suffix: remaining work due by an
-// absolute deadline.
-struct SuffixJob {
-  double deadline = 0.0;   // absolute seconds, > now
-  double remaining = 0.0;  // units still to execute
-};
-
-// A piecewise-constant speed block; blocks are contiguous from `now`.
-struct SuffixBlock {
-  double end = 0.0;    // absolute seconds the block ends
-  double speed = 0.0;  // units/second over [block start, end)
-};
-
-// YDS on an all-released instance: the staircase of critical intervals
-// starting at `now`.  Blocks come back in time order with non-increasing
-// speeds; their total capacity equals the total remaining work.  Jobs with
-// no remaining work or deadlines at/before `now` are ignored.
-std::vector<SuffixBlock> oa_suffix_schedule(double now, std::vector<SuffixJob> jobs);
 
 enum class SpeedScalingPolicy { kOa, kQoa, kAvr, kBkp };
 const char* to_string(SpeedScalingPolicy policy) noexcept;
@@ -125,13 +109,19 @@ class SpeedScalingScheduler : public Scheduler {
   // the speed profile, lays the active jobs EDF along it, installs the
   // plan, re-arms the refresh grid.
   void rebuild(std::size_t core_id);
-  std::vector<SuffixBlock> speed_profile(double t0, const CoreState& state) const;
+  // The core's capped speed profile, contiguous from t0; valid until the next call.
+  const std::vector<opt::SpeedSegment>& speed_profile(double t0, const CoreState& state);
   double bkp_speed(double t0, const CoreState& state) const;
   void arm_refresh(std::size_t core_id);
 
   SpeedScalingOptions options_;
   double core_cap_watts_ = 0.0;
   std::vector<CoreState> cores_;
+  // Re-plan working memory shared by every core: the profile's input jobs
+  // (or AVR's live densities) and the taut string's scratch.
+  std::vector<opt::YdsJob> pending_;
+  std::vector<AvrEntry> live_;
+  opt::ProfileScratch profile_;
 };
 
 }  // namespace ge::sched

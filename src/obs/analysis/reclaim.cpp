@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -143,22 +142,17 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
            model_of(server, ev.core).power(ev.a));
   }
 
-  // Each instance takes the taut-string profile when it is agreeable, and
-  // critical-interval YDS otherwise (or always, under `yds_only`).
-  auto agreeable = [&](const std::vector<opt::YdsJob>& jobs)
-      -> std::optional<std::vector<opt::SpeedSegment>> {
+  // Each instance takes the taut-string profile, left in `profile.profile`,
+  // when it is agreeable, and critical-interval YDS otherwise (or always,
+  // under `yds_only`).
+  opt::ProfileScratch profile;
+  auto agreeable = [&](const std::vector<opt::YdsJob>& jobs) {
+    const bool linear = !yds_only && opt::agreeable_profile(jobs, profile);
     if (paths != nullptr) {
       ++paths->instances;
+      paths->linear += linear ? 1 : 0;
     }
-    if (yds_only) {
-      return std::nullopt;
-    }
-    std::optional<std::vector<opt::SpeedSegment>> profile =
-        opt::agreeable_profile(jobs);
-    if (profile && paths != nullptr) {
-      ++paths->linear;
-    }
-    return profile;
+    return linear;
   };
 
   // --- per-core clairvoyant re-speed -----------------------------------------
@@ -193,8 +187,8 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
       spread(sr.cont_bin_j, t0, t1, cont_w);
       spread(sr.disc_bin_j, t0, t1, disc_w);
     };
-    if (const auto profile = agreeable(instance)) {
-      for (const opt::SpeedSegment& seg : *profile) {
+    if (agreeable(instance)) {
+      for (const opt::SpeedSegment& seg : profile.profile) {
         price(seg.t0, seg.t1, seg.speed);
       }
       continue;
@@ -232,8 +226,8 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
     const power::PowerModel fluid(
         a_min * std::pow(static_cast<double>(total_cores), 1.0 - beta), beta,
         upg);
-    if (const auto profile = agreeable(pooled)) {
-      for (const opt::SpeedSegment& seg : *profile) {
+    if (agreeable(pooled)) {
+      for (const opt::SpeedSegment& seg : profile.profile) {
         out.offline_j += fluid.power(seg.speed) * (seg.t1 - seg.t0);
       }
     } else {

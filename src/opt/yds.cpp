@@ -341,10 +341,7 @@ namespace {
 
 // A corner of the corridor the taut string runs through: cumulative work
 // `w` at time `t`.
-struct Corner {
-  double t = 0.0;
-  double w = 0.0;
-};
+using Corner = ProfileScratch::Corner;
 
 double slope(const Corner& a, const Corner& b) { return (b.w - a.w) / (b.t - a.t); }
 
@@ -355,10 +352,18 @@ double slope(const Corner& a, const Corner& b) { return (b.w - a.w) / (b.t - a.t
 // along the chain), and the lower ones, concave.  A corner that falls
 // outside the funnel's cone pulls the apex along the opposite chain, which
 // fixes those segments of the path for good.  Every corner enters a chain
-// once and leaves it once, so the pass is linear.
+// once and leaves it once, so the pass is linear.  The chains and the path
+// live in the caller's scratch.
 class Funnel {
  public:
-  Funnel(Corner start, std::vector<SpeedSegment>* out) : apex_(start), out_(out) {}
+  Funnel(Corner start, ProfileScratch& scratch)
+      : apex_(start),
+        upper_{scratch.upper},
+        lower_{scratch.lower},
+        out_(scratch.profile) {
+    upper_.v.clear();
+    lower_.v.clear();
+  }
 
   void add_upper(Corner c) { add(c, upper_, lower_, /*upper=*/true); }
   void add_lower(Corner c) { add(c, lower_, upper_, /*upper=*/false); }
@@ -374,13 +379,12 @@ class Funnel {
  private:
   // A chain is a vector consumed from `head`.
   struct Chain {
-    std::vector<Corner> v;
+    std::vector<Corner>& v;
     std::size_t head = 0;
     bool empty() const { return head == v.size(); }
     void reset(Corner c) {
-      v.clear();
+      v.assign(1, c);
       head = 0;
-      v.push_back(c);
     }
   };
 
@@ -436,7 +440,7 @@ class Funnel {
   void emit(const Corner& to) {
     const double speed = slope(apex_, to);
     if (speed > 0.0) {
-      out_->push_back({apex_.t, to.t, speed});
+      out_.push_back({apex_.t, to.t, speed});
     }
     apex_ = to;
   }
@@ -444,15 +448,16 @@ class Funnel {
   Corner apex_;
   Chain upper_;
   Chain lower_;
-  std::vector<SpeedSegment>* out_;
+  std::vector<SpeedSegment>& out_;
 };
 
 }  // namespace
 
-std::optional<std::vector<SpeedSegment>> agreeable_profile(
-    std::span<const YdsJob> input) {
-  std::vector<YdsJob> jobs;
+bool agreeable_profile(std::span<const YdsJob> input, ProfileScratch& scratch) {
+  std::vector<YdsJob>& jobs = scratch.jobs;
+  jobs.clear();
   jobs.reserve(input.size());
+  scratch.profile.clear();
   for (const YdsJob& job : input) {
     if (job.work <= 0.0) {
       continue;
@@ -460,9 +465,8 @@ std::optional<std::vector<SpeedSegment>> agreeable_profile(
     GE_CHECK(job.deadline > job.release, "YDS job needs a positive execution window");
     jobs.push_back(job);
   }
-  std::vector<SpeedSegment> profile;
   if (jobs.empty()) {
-    return profile;
+    return true;
   }
   const auto earlier = [](const YdsJob& a, const YdsJob& b) {
     return a.release != b.release ? a.release < b.release : a.deadline < b.deadline;
@@ -473,12 +477,13 @@ std::optional<std::vector<SpeedSegment>> agreeable_profile(
   const std::size_t n = jobs.size();
   for (std::size_t i = 1; i < n; ++i) {
     if (jobs[i].deadline < jobs[i - 1].deadline) {
-      return std::nullopt;
+      return false;
     }
   }
   // One order serves both curves, so both read the same prefix sums:
   // cum[k] is the work of the first k jobs.
-  std::vector<double> cum(n + 1, 0.0);
+  std::vector<double>& cum = scratch.cum;
+  cum.assign(n + 1, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     cum[i + 1] = cum[i] + jobs[i].work;
   }
@@ -486,7 +491,7 @@ std::optional<std::vector<SpeedSegment>> agreeable_profile(
   // Merge the corners in time order; where a release and a deadline share a
   // time, the upper corner goes first.  The start is the first release's
   // upper corner; the end is the last deadline's lower corner.
-  Funnel funnel({jobs[0].release, 0.0}, &profile);
+  Funnel funnel({jobs[0].release, 0.0}, scratch);
   std::size_t r = 1;  // next job whose release may open an upper corner
   std::size_t d = 0;  // next job whose deadline may close a lower corner
   while (r < n && jobs[r].release == jobs[0].release) {
@@ -513,7 +518,7 @@ std::optional<std::vector<SpeedSegment>> agreeable_profile(
     }
     funnel.add_lower({t, cum[d]});
   }
-  return profile;
+  return true;
 }
 
 }  // namespace ge::opt

@@ -30,10 +30,11 @@
 // agreeable_profile() is the linear-time special case: when the deadlines
 // are agreeable (a later release never has an earlier deadline) the YDS
 // speed profile is the taut string between the cumulative-release and
-// cumulative-deadline work curves, computed in one pass.
+// cumulative-deadline work curves, computed in one pass.  It re-speeds the
+// reclaim advisor's agreeable instances and re-plans the online zoo's
+// OA/qOA/BKP (core/speed_scaling.h), whose jobs are all released already.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -101,17 +102,32 @@ struct SpeedSegment {
   double speed = 0.0;
 };
 
+// agreeable_profile's working memory, owned by the caller so that repeated
+// calls stay off the allocator: the sorted positive-work jobs, their prefix
+// sums, the funnel's two chains and the last call's result, `profile`.
+struct ProfileScratch {
+  struct Corner {
+    double t = 0.0, w = 0.0;  // cumulative work w by time t
+  };
+  std::vector<YdsJob> jobs;
+  std::vector<double> cum;
+  std::vector<Corner> upper;
+  std::vector<Corner> lower;
+  std::vector<SpeedSegment> profile;
+};
+
 // Minimum-energy speed profile for agreeable jobs: sorted by (release,
-// deadline), the deadlines never decrease.  Returns the positive-speed
-// segments in time order (idle gaps are left out), or nullopt when the
+// deadline), the deadlines never decrease.  Leaves the positive-speed
+// segments in time order (idle gaps are left out) in scratch.profile and
+// returns true, or returns false, with an empty profile, when the
 // positive-work jobs are not agreeable.  The profile is the YDS one
 // (Gaujal, Navet and Walsh, ACM TECS 2005): the taut string from
 // (first release, 0) to (last deadline, total work) that passes below every
 // upper corner (r, work released before r) and above every lower corner
 // (d, work due by d).  A two-chain funnel builds it in one forward pass,
 // O(n) after the sort.  Being the YDS profile, it minimises the energy of
-// every convex power curve at once.
-std::optional<std::vector<SpeedSegment>> agreeable_profile(
-    std::span<const YdsJob> jobs);
+// every convex power curve at once.  Jobs all released at one time are
+// always agreeable.
+bool agreeable_profile(std::span<const YdsJob> jobs, ProfileScratch& scratch);
 
 }  // namespace ge::opt

@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -421,6 +420,7 @@ void add_binned(std::vector<double>& bins, double lo, double hi, double t0,
 TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
   util::Rng rng(16);
   const power::PowerModel pm(5.0, 2.0, 1000.0);
+  opt::ProfileScratch profile;
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t n = trial < 5 ? 1 : 2 + rng.uniform_index(150);
     const std::vector<opt::YdsJob> jobs =
@@ -431,16 +431,14 @@ TEST(ReclaimAgreeable, ProfileBinsMatchYdsPlacementOnRandomInstances) {
       lo = std::min(lo, j.release);
       hi = std::max(hi, j.deadline);
     }
-    const std::optional<std::vector<opt::SpeedSegment>> profile =
-        opt::agreeable_profile(jobs);
-    ASSERT_TRUE(profile.has_value()) << label;
+    ASSERT_TRUE(opt::agreeable_profile(jobs, profile)) << label;
     std::vector<double> expected(40, 0.0), actual(40, 0.0);
     double total = 0.0;
     for (const opt::YdsSlice& slice : opt::yds_place(jobs).slices) {
       add_binned(expected, lo, hi, slice.t0, slice.t1, pm.power(slice.speed));
       total += pm.power(slice.speed) * (slice.t1 - slice.t0);
     }
-    for (const opt::SpeedSegment& seg : *profile) {
+    for (const opt::SpeedSegment& seg : profile.profile) {
       add_binned(actual, lo, hi, seg.t0, seg.t1, pm.power(seg.speed));
     }
     for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -658,7 +658,9 @@ TEST(ReclaimScanExactness, IntegerGridTiesMatchTheReferenceBitwise) {
 // ---- the agreeable (taut-string) profile -----------------------------------
 //
 // Oracle: yds_schedule.  On agreeable instances agreeable_profile must give
-// the YDS energy under every convex power curve, within 1e-9 relative.
+// the YDS energy under every convex power curve, within 1e-9 relative.  The
+// random suites run every trial on one scratch, as a scheduler does, so a
+// stale chain or prefix sum from a larger instance would show.
 
 double profile_energy(const std::vector<SpeedSegment>& profile,
                       const power::PowerModel& model) {
@@ -678,50 +680,53 @@ double profile_work(const std::vector<SpeedSegment>& profile) {
 }
 
 void expect_profile_matches_yds(const std::vector<YdsJob>& jobs,
-                                const std::string& label) {
-  const std::optional<std::vector<SpeedSegment>> profile = agreeable_profile(jobs);
-  ASSERT_TRUE(profile.has_value()) << label;
+                                const std::string& label, ProfileScratch& scratch) {
+  ASSERT_TRUE(agreeable_profile(jobs, scratch)) << label;
+  const std::vector<SpeedSegment>& profile = scratch.profile;
   double work = 0.0;
   for (const YdsJob& job : jobs) {
     work += job.work;
   }
-  EXPECT_NEAR(profile_work(*profile), work, 1e-9 * std::max(1.0, work)) << label;
-  for (std::size_t i = 0; i < profile->size(); ++i) {
-    const SpeedSegment& seg = (*profile)[i];
+  EXPECT_NEAR(profile_work(profile), work, 1e-9 * std::max(1.0, work)) << label;
+  for (std::size_t i = 0; i < profile.size(); ++i) {
+    const SpeedSegment& seg = profile[i];
     EXPECT_LT(seg.t0, seg.t1) << label << " segment " << i;
     EXPECT_GT(seg.speed, 0.0) << label << " segment " << i;
     if (i > 0) {
-      EXPECT_LE((*profile)[i - 1].t1, seg.t0) << label << " segment " << i;
+      EXPECT_LE(profile[i - 1].t1, seg.t0) << label << " segment " << i;
     }
   }
   // Quadratic and cubic power curves: the taut string minimises both.
   const power::PowerModel cubic(2.0, 3.0, 1000.0);
   for (const power::PowerModel* model : {&pm(), &cubic}) {
     const double expected = yds_min_energy(jobs, *model);
-    EXPECT_NEAR(profile_energy(*profile, *model), expected,
+    EXPECT_NEAR(profile_energy(profile, *model), expected,
                 1e-9 * std::max(1.0, expected))
         << label << " beta " << model->beta();
   }
 }
 
 TEST(AgreeableProfile, EmptyAndZeroWorkInstancesGiveAnEmptyProfile) {
-  const std::optional<std::vector<SpeedSegment>> none = agreeable_profile({});
-  ASSERT_TRUE(none.has_value());
-  EXPECT_TRUE(none->empty());
+  ProfileScratch scratch;
+  const std::vector<YdsJob> busy{{0.0, 1.0, 5.0}};
+  ASSERT_TRUE(agreeable_profile(busy, scratch));
+  ASSERT_TRUE(agreeable_profile({}, scratch));
+  EXPECT_TRUE(scratch.profile.empty());
   const std::vector<YdsJob> idle{{0.0, 1.0, 0.0}, {0.5, 0.6, 0.0}};
-  const std::optional<std::vector<SpeedSegment>> zero = agreeable_profile(idle);
-  ASSERT_TRUE(zero.has_value());
-  EXPECT_TRUE(zero->empty());
+  ASSERT_TRUE(agreeable_profile(busy, scratch));
+  ASSERT_TRUE(agreeable_profile(idle, scratch));
+  EXPECT_TRUE(scratch.profile.empty());
 }
 
 TEST(AgreeableProfile, SingleJobRunsAtItsIntensity) {
   const std::vector<YdsJob> jobs{{0.25, 0.75, 1000.0}};
-  const std::optional<std::vector<SpeedSegment>> profile = agreeable_profile(jobs);
-  ASSERT_TRUE(profile.has_value());
-  ASSERT_EQ(profile->size(), 1u);
-  EXPECT_EQ((*profile)[0].t0, 0.25);
-  EXPECT_EQ((*profile)[0].t1, 0.75);
-  EXPECT_EQ((*profile)[0].speed, 2000.0);
+  ProfileScratch scratch;
+  ASSERT_TRUE(agreeable_profile(jobs, scratch));
+  const std::vector<SpeedSegment>& profile = scratch.profile;
+  ASSERT_EQ(profile.size(), 1u);
+  EXPECT_EQ(profile[0].t0, 0.25);
+  EXPECT_EQ(profile[0].t1, 0.75);
+  EXPECT_EQ(profile[0].speed, 2000.0);
 }
 
 // A burst released mid-window of a long job: the string climbs to the
@@ -729,38 +734,46 @@ TEST(AgreeableProfile, SingleJobRunsAtItsIntensity) {
 // instance as LateReleaseForcesFasterBlock, in real time.
 TEST(AgreeableProfile, LateReleaseForcesFasterSegment) {
   const std::vector<YdsJob> jobs{{0.0, 2.0, 100.0}, {1.5, 2.0, 200.0}};
-  const std::optional<std::vector<SpeedSegment>> profile = agreeable_profile(jobs);
-  ASSERT_TRUE(profile.has_value());
-  ASSERT_EQ(profile->size(), 2u);
-  EXPECT_NEAR((*profile)[0].speed, 100.0 / 1.5, 1e-9);
-  EXPECT_EQ((*profile)[0].t1, 1.5);
-  EXPECT_NEAR((*profile)[1].speed, 400.0, 1e-9);
+  ProfileScratch scratch;
+  ASSERT_TRUE(agreeable_profile(jobs, scratch));
+  const std::vector<SpeedSegment>& profile = scratch.profile;
+  ASSERT_EQ(profile.size(), 2u);
+  EXPECT_NEAR(profile[0].speed, 100.0 / 1.5, 1e-9);
+  EXPECT_EQ(profile[0].t1, 1.5);
+  EXPECT_NEAR(profile[1].speed, 400.0, 1e-9);
 }
 
-// A later release with an earlier deadline is not agreeable.  Zero-work
-// jobs do not count: they are dropped before the check.
+// A later release with an earlier deadline is not agreeable, and leaves no
+// profile of an earlier call behind.  Zero-work jobs do not count: they are
+// dropped before the check.
 TEST(AgreeableProfile, NotAgreeableReturnsNothing) {
+  ProfileScratch scratch;
   const std::vector<YdsJob> nested{{0.0, 10.0, 1.0}, {5.0, 6.0, 5.0}};
-  EXPECT_FALSE(agreeable_profile(nested).has_value());
+  ASSERT_TRUE(agreeable_profile(std::span(nested).first(1), scratch));
+  EXPECT_FALSE(agreeable_profile(nested, scratch));
+  EXPECT_TRUE(scratch.profile.empty());
   const std::vector<YdsJob> idle_nested{{0.0, 10.0, 1.0}, {5.0, 6.0, 0.0}};
-  EXPECT_TRUE(agreeable_profile(idle_nested).has_value());
+  EXPECT_TRUE(agreeable_profile(idle_nested, scratch));
 }
 
 TEST(AgreeableProfile, RejectsEmptyWindow) {
   const std::vector<YdsJob> jobs{{1.0, 1.0, 10.0}};
-  EXPECT_DEATH((void)agreeable_profile(jobs), "window");
+  ProfileScratch scratch;
+  EXPECT_DEATH((void)agreeable_profile(jobs, scratch), "window");
 }
 
 // Shared releases, shared deadlines, idle gaps, bursts; the first five
 // trials are single jobs, and every seventh job carries no work.
 TEST(AgreeableProfile, MatchesYdsOnRandomAgreeableInstances) {
   util::Rng rng(1605);
+  ProfileScratch scratch;
   for (int trial = 0; trial < 100; ++trial) {
     const auto shape = testdata::kAgreeableShapes[trial % 5];
     const std::size_t n = trial < 5 ? 1 : 2 + rng.uniform_index(200);
     expect_profile_matches_yds(testdata::agreeable_instance(rng, shape, n),
                                "trial " + std::to_string(trial) + " shape " +
-                                   std::to_string(trial % 5));
+                                   std::to_string(trial % 5),
+                               scratch);
   }
 }
 
@@ -768,6 +781,7 @@ TEST(AgreeableProfile, MatchesYdsOnRandomAgreeableInstances) {
 // and cumulative sums tie exactly.
 TEST(AgreeableProfile, MatchesYdsOnIntegerGrids) {
   util::Rng rng(88);
+  ProfileScratch scratch;
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t n = 2 + rng.uniform_index(40);
     std::vector<double> releases, deadlines;
@@ -782,7 +796,7 @@ TEST(AgreeableProfile, MatchesYdsOnIntegerGrids) {
     for (std::size_t i = 0; i < n; ++i) {
       jobs.push_back({releases[i], deadlines[i], std::floor(rng.uniform(1.0, 5.0))});
     }
-    expect_profile_matches_yds(jobs, "grid trial " + std::to_string(trial));
+    expect_profile_matches_yds(jobs, "grid trial " + std::to_string(trial), scratch);
   }
 }
 

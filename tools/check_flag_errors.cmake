@@ -1,10 +1,11 @@
-# Runs ge_report, ge_dashboard, ge_sweep, a figure binary and the
-# quickstart example on each malformed flag value and requires a clean exit
+# Runs ge_report, ge_dashboard, ge_sweep, a figure binary, abl_replication
+# and the quickstart example on each malformed flag value and requires a clean exit
 # 2 with a one-line message naming the flag, not an abort, a value wrapped
 # through an unsigned cast or a silently truncated number.
 #
 #   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DGE_SWEEP=path -DGE_FIG=path
-#         -DGE_QUICKSTART=path -DREPORT_DIR=dir -P check_flag_errors.cmake
+#         -DGE_REPLICATION=path -DGE_QUICKSTART=path -DREPORT_DIR=dir
+#         -P check_flag_errors.cmake
 #
 # REPORT_DIR must be a valid report directory, so a failure to load it can
 # never stand in for the flag error.  A case is "tool|flag|value", plus an
@@ -76,6 +77,9 @@ set(cases
   "fig|trace-format|xml|--trace flag_errors.jsonl"
   "fig|rates|100,-5"
   "fig|server-cores|2.7"
+  "replication|replicas|0"
+  "replication|replicas|-2"
+  "replication|replicas|4294967297"
   "quickstart|seed|-1"
   "quickstart|seconds|-1"
   "quickstart|qge|1.5")
@@ -108,6 +112,8 @@ foreach(entry IN LISTS cases unknown_cases)
     set(cmd "${GE_DASHBOARD}" --report "${REPORT_DIR}" --out flag_errors.html)
   elseif(tool STREQUAL "fig")
     set(cmd "${GE_FIG}" --seconds 0.1 --progress false)
+  elseif(tool STREQUAL "replication")
+    set(cmd "${GE_REPLICATION}" --seconds 0.1 --rates 100 --progress false)
   elseif(tool STREQUAL "quickstart")
     set(cmd "${GE_QUICKSTART}" --seconds 0.1)
   else()
