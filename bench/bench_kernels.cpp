@@ -1,9 +1,9 @@
 // Microbenchmarks of the algorithmic kernels (google-benchmark): LF job
 // cutting, water-filling, the Energy-OPT planner, the Quality-OPT
 // allocator, YDS, the power model, the quality functions, plan
-// rectification, the event queue, a full GE scheduling round, and the
-// report pipeline's passes (reclaim advisor, JSONL writer and reader,
-// report-dir loader).
+// rectification, the response-time quantile collector, the event queue, a
+// full GE scheduling round, and the report pipeline's passes (reclaim
+// advisor, JSONL writer and reader, report-dir loader).
 //
 // Emitting the machine-readable trajectory (see docs/BENCHMARKS.md; one
 // command line, wrapped here):
@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -49,6 +50,7 @@
 #include "server/multicore_server.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/quantiles.h"
 #include "util/rng.h"
 #include "workload/job.h"
 #include "workload/trace.h"
@@ -369,6 +371,30 @@ void BM_PlanRectifier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PlanRectifier)->Range(4, 256);
+
+// --- Response-time quantiles ----------------------------------------------
+
+// A run's accounting: add one response sample per job (lognormal-ish, so
+// the tail is long), then read p50/p95/p99 by selection over the blocks.
+void BM_QuantileCollector(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  ge::util::Rng rng(8);
+  std::vector<double> samples(n);
+  for (double& x : samples) {
+    x = 100.0 * std::exp(rng.uniform(-2.0, 2.0));
+  }
+  for (auto _ : state) {
+    ge::util::QuantileCollector q;
+    for (double x : samples) {
+      q.add(x);
+    }
+    benchmark::DoNotOptimize(q.quantile(0.50));
+    benchmark::DoNotOptimize(q.quantile(0.95));
+    benchmark::DoNotOptimize(q.quantile(0.99));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_QuantileCollector)->Arg(10000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 // --- Event queue ------------------------------------------------------------
 

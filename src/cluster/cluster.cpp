@@ -88,9 +88,9 @@ void Cluster::start() {
   for (auto& node : nodes_) {
     node->scheduler_->start();
   }
-  // Lifecycle transitions are plain events on the control sim; registering
-  // them here -- inside the sharded runner's serial stamp context -- makes
-  // every transition a deterministic cross-shard barrier event.
+  // Lifecycle transitions are plain events on the control sim; reserving
+  // their keys here -- inside the sharded runner's serial stamp context --
+  // makes every transition a deterministic cross-shard barrier event.
   static_assert(static_cast<std::int32_t>(ServerState::kOnline) ==
                     obs::kServerStateOnline &&
                 static_cast<std::int32_t>(ServerState::kDraining) ==

@@ -69,11 +69,26 @@ void ServerLifecycle::schedule(sim::Simulator& sim,
     // from t=0 without special-casing the first window.
     transition_observer_(0.0, state_);
   }
-  // Capturing the index keeps each closure inside std::function's inline
-  // buffer.
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
-    sim.schedule_at(transitions_[i].at, [this, i] { apply(transitions_[i]); });
+  if (transitions_.empty()) {
+    return;
   }
+  // Reserve the keys an eager loop would have drawn and hold only the next
+  // transition: transitions are in time order, so each one's key lies above
+  // the running one's and pops where the eager push would have.
+  sim_ = &sim;
+  seq_base_ = sim.reserve_seqs(transitions_.size());
+  release(0);
+}
+
+void ServerLifecycle::release(std::size_t i) {
+  // Capturing the index keeps the closure inside std::function's inline
+  // buffer.
+  sim_->schedule_reserved(transitions_[i].at, seq_base_ + i, [this, i] {
+    if (i + 1 < transitions_.size()) {
+      release(i + 1);
+    }
+    apply(transitions_[i]);
+  });
 }
 
 void ServerLifecycle::enter(double now, ServerState next) {

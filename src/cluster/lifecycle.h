@@ -17,8 +17,14 @@
 // holding bit-exactly.
 //
 // Determinism: every transition is computed up front from the spec
-// (transitions()) -- schedule() registers them as plain simulator events,
-// so lifecycle runs inherit the engine's bit-identity contract.  Because
+// (transitions()).  schedule() reserves one simulator tie-break key per
+// transition, as an eager loop of schedule_at calls would have drawn them,
+// but holds only the next transition in the event queue: each transition
+// pushes its successor on its reserved key just in time, so the queue
+// carries one lifecycle event per server however long the horizon, and
+// pops exactly where the eager pushes would have (the same argument as the
+// runner's just-in-time job release).  Lifecycle runs thus inherit the
+// engine's bit-identity contract.  Because
 // the list is known at setup, so is every server's dispatchability at any
 // instant: a sharded run with a state-free dispatch policy replays the
 // serial pick sequence against it before the run starts
@@ -106,12 +112,13 @@ class ServerLifecycle {
   const LifecycleSpec& spec() const noexcept { return spec_; }
 
   // Every transition of every window, in time order -- which is also the
-  // order schedule() registers them in.
+  // order of their reserved keys.
   const std::vector<LifecycleTransition>& transitions() const noexcept {
     return transitions_;
   }
 
-  // Registers every transition as a simulator event.
+  // Reserves a key for every transition and pushes the first; each
+  // transition pushes the next one when it runs, then applies itself.
   // `on_online` fires after each completed wake (the cluster re-dispatches
   // its pending queue there); it may be null.  Call exactly once, before
   // the run starts.
@@ -127,6 +134,8 @@ class ServerLifecycle {
 
  private:
   void enter(double now, ServerState next);  // state_ = next; notify observer
+  // Pushes transition i on its reserved key; it pushes i + 1 when it runs.
+  void release(std::size_t i);
   void apply(const LifecycleTransition& transition);
   void leave_service(double now);
   void power_off(double now);
@@ -135,6 +144,8 @@ class ServerLifecycle {
 
   LifecycleSpec spec_;
   std::vector<LifecycleTransition> transitions_;
+  sim::Simulator* sim_ = nullptr;  // set by schedule()
+  std::uint64_t seq_base_ = 0;     // transition i pops on key (at, seq_base_ + i)
   ServerState state_ = ServerState::kOnline;
   std::uint64_t wakes_ = 0;
   double setup_energy_accum_j_ = 0.0;

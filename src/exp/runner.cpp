@@ -694,7 +694,6 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     GE_CHECK(stream->retired.empty(), "retired jobs stuck in the reorder buffer");
     GE_CHECK(stream->store.in_flight() == 0, "jobs still in flight after drain");
   } else {
-    acct.responses.reserve(jobs.size());
     for (const workload::Job& job : jobs) {
       acct.account(job);
     }

@@ -128,7 +128,9 @@ RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec)
 
 // Streaming replay: generates jobs on the fly into a JobStore arena instead
 // of materialising the trace, so resident memory tracks jobs in flight
-// rather than jobs ever released (10^6+-job runs in a flat RSS).  The jobs
+// rather than jobs ever released, plus the exact response-time quantiles'
+// 8 bytes per settled job (util::QuantileCollector's blocks: 8 MB for a
+// 10^6-job run; p50/p95/p99 are pinned to the bit, so no sketch).  The jobs
 // are released on the keys the materialised run reserves, so the run is
 // the same event sequence: results, trace and metrics (bar the stream.*
 // gauges) are bit-identical on the same cfg; cfg.max_jobs bounds the

@@ -209,7 +209,10 @@ void panel_gantt(std::ostream& out, const TaskView& tv,
       std::vector<double> busy(bins, 0.0);
       std::vector<double> work(bins, 0.0);
       for (const GanttSlice& s : row_slices) {
-        for (std::size_t i = 0; i < bins; ++i) {
+        // Only bins ending after t0 and starting before t1 overlap the slice.
+        const auto first = std::upper_bound(a.bin_end.begin(), a.bin_end.end(), s.t0);
+        for (auto i = static_cast<std::size_t>(first - a.bin_end.begin());
+             i < bins && a.bin_end[i] - a.bin_width < s.t1; ++i) {
           const double lo = std::max(s.t0, a.bin_end[i] - a.bin_width);
           const double hi = std::min(s.t1, a.bin_end[i]);
           if (hi > lo) {

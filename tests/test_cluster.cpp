@@ -148,27 +148,31 @@ TEST(DispatchPolicy, RandomIsSeededAndInRange) {
 // QuantileCollector::merge -- per-server collectors must pool exactly.
 
 TEST(QuantileMerge, MergedCollectorsMatchPooledSamples) {
-  util::Rng rng(7);
-  util::QuantileCollector pooled;
-  util::QuantileCollector parts[3];
-  for (int i = 0; i < 999; ++i) {
-    const double sample = rng.uniform(0.0, 250.0);
-    pooled.add(sample);
-    parts[i % 3].add(sample);
+  // 999 fits one block; the larger sizes merge onto part-filled blocks.
+  constexpr std::size_t kBlock = util::QuantileCollector::kBlockSize;
+  for (std::size_t n : {std::size_t{999}, kBlock + 2, 3 * kBlock + 5}) {
+    util::Rng rng(7);
+    util::QuantileCollector pooled;
+    util::QuantileCollector parts[3];
+    for (std::size_t i = 0; i < n; ++i) {
+      const double sample = rng.uniform(0.0, 250.0);
+      pooled.add(sample);
+      parts[i % 3].add(sample);
+    }
+    util::QuantileCollector merged;
+    for (const auto& part : parts) {
+      merged.merge(part);
+    }
+    ASSERT_EQ(merged.count(), pooled.count());
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+      // Same multiset of samples, so the order statistics are identical bit
+      // for bit.
+      EXPECT_EQ(merged.quantile(q), pooled.quantile(q)) << n << " " << q;
+    }
+    EXPECT_NEAR(merged.mean(), pooled.mean(), 1e-9);
+    EXPECT_EQ(merged.min(), pooled.min());
+    EXPECT_EQ(merged.max(), pooled.max());
   }
-  util::QuantileCollector merged;
-  for (const auto& part : parts) {
-    merged.merge(part);
-  }
-  ASSERT_EQ(merged.count(), pooled.count());
-  for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-    // Same multiset of samples, so the sorted order statistics are
-    // identical bit for bit.
-    EXPECT_EQ(merged.quantile(q), pooled.quantile(q)) << q;
-  }
-  EXPECT_NEAR(merged.mean(), pooled.mean(), 1e-9);
-  EXPECT_EQ(merged.min(), pooled.min());
-  EXPECT_EQ(merged.max(), pooled.max());
 }
 
 // ---------------------------------------------------------------------------

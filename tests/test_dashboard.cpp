@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -99,6 +101,19 @@ TEST_F(DashboardFromEngine, BytesAreDeterministic) {
   EXPECT_EQ(render(a.inputs), render(b.inputs));
 }
 
+// FNV-1a over the gantt panels of a rendered dashboard.
+std::uint64_t gantt_digest(const std::string& html) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t at = html.find("id=\"panel-gantt-"); at != std::string::npos;
+       at = html.find("id=\"panel-gantt-", at + 1)) {
+    const std::size_t end = html.find("id=\"panel-", at + 1);
+    for (std::size_t i = at; i < std::min(end, html.size()); ++i) {
+      h = (h ^ static_cast<unsigned char>(html[i])) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
 TEST_F(DashboardFromEngine, GanttFallsBackAboveTheSliceCap) {
   LoadedReport loaded = load_report_dir(*dir_);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
@@ -106,6 +121,10 @@ TEST_F(DashboardFromEngine, GanttFallsBackAboveTheSliceCap) {
   capped.gantt_slice_cap = 1;  // force the binned fallback
   const std::string html = render(loaded.inputs, capped);
   EXPECT_NE(html.find("exceed the drawing cap"), std::string::npos);
+  // Every row is drawn from per-bin sums.  The digest is the one the all-bins
+  // loop (every slice against every bin) rendered, so visiting only the bins
+  // a slice overlaps keeps the panels byte-identical.
+  EXPECT_EQ(gantt_digest(html), 0x3a565bb7aaf9b9d5ull);
   // The default cap draws individual slices and says nothing about binning.
   const std::string full = render(loaded.inputs);
   EXPECT_EQ(full.find("exceed the drawing cap"), std::string::npos);

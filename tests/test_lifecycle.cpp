@@ -436,6 +436,36 @@ TEST(ChurnDeterminism, StreamingMatchesMaterialisedBitForBit) {
   expect_identical(a, b);
 }
 
+// Lifecycle transitions are released just in time, one pending per server,
+// so a streamed run's event heap does not grow with the horizon: with the
+// job cap reached long before either horizon, a 10x longer churned run
+// peaks at the same pending-event count (an eager set-up would push every
+// transition of every window).
+TEST(Lifecycle, StreamedChurnHoldsOnlyDueTransitions) {
+  double peaks[2] = {0.0, 0.0};
+  std::uint64_t wakes[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    exp::ExperimentConfig cfg = churn_config();
+    cfg.stream = true;
+    cfg.max_jobs = 150;
+    cfg.duration = i == 0 ? 4.0 : 40.0;
+    SCOPED_TRACE(cfg.duration);
+    obs::RunTelemetry telem;
+    telem.want_trace = false;
+    const exp::RunResult r = exp::run_simulation_stream(
+        cfg, exp::SchedulerSpec::parse("GE"), nullptr, &telem);
+    EXPECT_EQ(r.released, cfg.max_jobs);
+    peaks[i] = telem.metrics
+                   .gauge("sim.peak_pending_events", "events",
+                          obs::Gauge::Merge::kMax)
+                   .value();
+    wakes[i] = r.wakes;
+  }
+  EXPECT_GT(wakes[1], 5 * wakes[0]);  // the long run cycles many more windows
+  EXPECT_GT(peaks[0], 0.0);
+  EXPECT_EQ(peaks[0], peaks[1]);
+}
+
 // ---------------------------------------------------------------------------
 // Setup-time routing: a sharded run with state-free dispatch takes every
 // decision in Cluster::plan_dispatch, which must replay the serial

@@ -1,6 +1,8 @@
 // Unit tests for ge::util (RNG, statistics, tables, flags).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -420,6 +422,71 @@ TEST(QuantileCollector, UniformSampleQuantiles) {
 TEST(QuantileCollector, EmptyDies) {
   QuantileCollector q;
   EXPECT_DEATH((void)q.quantile(0.5), "empty");
+}
+
+// The collector selects in place over its blocks; a sorted copy indexed with
+// the same interpolation is the reference, compared bit for bit.
+constexpr std::size_t kBlock = QuantileCollector::kBlockSize;
+constexpr double kQs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+
+double sorted_quantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Half the draws come from a 40-value grid, so order statistics tie often.
+double draw(Rng& rng) {
+  return rng.next() % 2 == 0 ? 0.25 * static_cast<double>(rng.uniform_index(40))
+                             : rng.uniform(0.0, 10.0);
+}
+
+void expect_matches_reference(const QuantileCollector& q,
+                              const std::vector<double>& samples) {
+  ASSERT_EQ(q.count(), samples.size());
+  for (double p : kQs) {
+    EXPECT_EQ(bits(q.quantile(p)), bits(sorted_quantile(samples, p)))
+        << "n=" << samples.size() << " q=" << p;
+  }
+  EXPECT_EQ(bits(q.min()), bits(sorted_quantile(samples, 0.0)));
+  EXPECT_EQ(bits(q.max()), bits(sorted_quantile(samples, 1.0)));
+}
+
+TEST(QuantileCollector, MatchesSortedReferenceAcrossBlockBoundaries) {
+  for (std::size_t n : {std::size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                        3 * kBlock + 5}) {
+    Rng rng(1000 + n);
+    QuantileCollector q;
+    std::vector<double> samples;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.push_back(draw(rng));
+      q.add(samples.back());
+      sum += samples.back();
+    }
+    expect_matches_reference(q, samples);
+    EXPECT_EQ(bits(q.mean()), bits(sum / static_cast<double>(n)));
+  }
+}
+
+TEST(QuantileCollector, AddsInterleavedWithQueriesMatchReference) {
+  Rng rng(5);
+  QuantileCollector q;
+  std::vector<double> samples;
+  // Query at sizes on and around each block boundary, and between them.
+  for (std::size_t n = 1; n <= 2 * kBlock + 3; ++n) {
+    samples.push_back(draw(rng));
+    q.add(samples.back());
+    const std::size_t r = n % kBlock;
+    if (r <= 1 || r == kBlock - 1 || n % 1531 == 0) {
+      expect_matches_reference(q, samples);
+    }
+  }
 }
 
 }  // namespace
