@@ -6,7 +6,7 @@
 
 #include "exp/offline_reference.h"
 #include "fig_common.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 int main(int argc, char** argv) {
   using namespace ge;
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                       "preemptive, unpartitioned, no budget)");
 
   // The offline YDS reference is not a run_simulation task, so this bench
-  // fans out over the engine's substrate directly: one ThreadPool iteration
+  // fans out over the engine's substrate directly: one parallel_for iteration
   // per rate computes the shared trace, the GE run and the reference, and
   // the rows are rendered in rate order afterwards.
   struct Row {
@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     exp::OfflineReference ref;
   };
   std::vector<Row> rows(ctx.rates.size());
-  util::ThreadPool pool(ctx.exec.jobs == 0 ? util::ThreadPool::default_concurrency()
-                                           : ctx.exec.jobs);
-  pool.parallel_for(ctx.rates.size(), [&](std::size_t i) {
+  const std::size_t jobs =
+      ctx.exec.jobs == 0 ? util::default_concurrency() : ctx.exec.jobs;
+  util::parallel_for(jobs, ctx.rates.size(), [&](std::size_t i) {
     exp::ExperimentConfig cfg = ctx.base;
     cfg.arrival_rate = ctx.rates[i];
     const workload::Trace trace =

@@ -279,8 +279,10 @@ void BM_EnergyOptPlanner(benchmark::State& state) {
   std::vector<ge::workload::Job> jobs;
   const auto plan_jobs =
       random_plan_jobs(jobs, static_cast<std::size_t>(state.range(0)), 4);
+  ge::opt::ExecutionPlan plan;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ge::opt::plan_min_energy(0.0, plan_jobs, 1e9));
+    ge::opt::plan_min_energy(0.0, plan_jobs, 1e9, plan);
+    benchmark::DoNotOptimize(plan.segments.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -296,8 +298,10 @@ void BM_QualityOptAllocator(benchmark::State& state) {
     jobs.push_back(ge::opt::AllocJob{rng.uniform(0.0, 100.0),
                                      rng.uniform(50.0, 500.0), deadline});
   }
+  ge::opt::QualityOptScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ge::opt::maximize_quality(0.0, jobs, 1500.0, paper_f()));
+    ge::opt::maximize_quality(0.0, jobs, 1500.0, paper_f(), scratch);
+    benchmark::DoNotOptimize(scratch.extra.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -362,7 +366,8 @@ void BM_PlanRectifier(benchmark::State& state) {
   std::vector<ge::workload::Job> jobs;
   const auto plan_jobs =
       random_plan_jobs(jobs, static_cast<std::size_t>(state.range(0)), 31);
-  const ge::opt::ExecutionPlan plan = ge::opt::plan_min_energy(0.0, plan_jobs, 1e9);
+  ge::opt::ExecutionPlan plan;
+  ge::opt::plan_min_energy(0.0, plan_jobs, 1e9, plan);
   const ge::power::DiscreteSpeedTable table =
       ge::power::DiscreteSpeedTable::uniform_ghz(0.2, 3.2, 1000.0);
   for (auto _ : state) {

@@ -11,7 +11,7 @@
 #include "obs/analysis/report.h"
 #include "power/discrete_speed.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "workload/trace.h"
 
 namespace ge::exp {
@@ -177,7 +177,7 @@ ExperimentEngine::ExperimentEngine(ExecutionOptions options)
 
 std::size_t ExperimentEngine::effective_jobs(std::size_t tasks) const noexcept {
   const std::size_t requested =
-      options_.jobs == 0 ? util::ThreadPool::default_concurrency() : options_.jobs;
+      options_.jobs == 0 ? util::default_concurrency() : options_.jobs;
   return std::max<std::size_t>(1, std::min(requested, tasks));
 }
 
@@ -248,21 +248,10 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentPlan& plan) const {
   };
 
   ProgressMeter meter(tasks.size(), options_.progress);
-  const std::size_t jobs = effective_jobs(tasks.size());
-  if (jobs == 1) {
-    // Inline serial path: no pool, easier debugging, and the reference
-    // ordering the determinism tests compare the parallel path against.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      run_task(i);
-      meter.task_done(tasks[i].config.duration);
-    }
-  } else {
-    util::ThreadPool pool(jobs);
-    pool.parallel_for(tasks.size(), [&](std::size_t i) {
-      run_task(i);
-      meter.task_done(tasks[i].config.duration);
-    });
-  }
+  util::parallel_for(effective_jobs(tasks.size()), tasks.size(), [&](std::size_t i) {
+    run_task(i);
+    meter.task_done(tasks[i].config.duration);
+  });
 
   if (want_telemetry) {
     // Reports first: the reclaim advisor backfills results and injects its

@@ -1,7 +1,7 @@
 // Unified experiment execution: every harness (figure sweeps, ablations,
 // replications, ge_sweep) describes its runs as a flat ExperimentPlan of
-// RunTasks and hands it to an ExperimentEngine, which executes the tasks on
-// a fixed-size util::ThreadPool.
+// RunTasks and hands it to an ExperimentEngine, which executes the tasks
+// through util::parallel_for.
 //
 // Determinism contract: a RunResult depends only on its task's (config,
 // spec) and the trace of its point -- run_simulation shares no mutable
@@ -59,8 +59,8 @@ class ExperimentPlan {
 };
 
 struct ExecutionOptions {
-  // Worker count; 0 means util::ThreadPool::default_concurrency().  1 runs
-  // inline on the calling thread (no pool).
+  // Worker count; 0 means util::default_concurrency().  1 runs every task in
+  // order on the calling thread.
   std::size_t jobs = 0;
   // When true the engine prints a live "tasks done | sim-seconds/sec" line
   // to stderr while the plan runs (tables go to stdout, so progress never

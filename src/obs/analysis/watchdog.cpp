@@ -71,7 +71,6 @@ void Watchdog::on_event(const TraceEvent& ev) {
   if (ev.type == TraceEventType::kViolation) {
     return;  // our own records (or a test's); never re-checked
   }
-  ++events_checked_;
   if (m_checks_ != nullptr) {
     m_checks_->increment();
   }

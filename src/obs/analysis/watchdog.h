@@ -71,7 +71,6 @@ class Watchdog final : public TraceObserver {
   // Runs the conservation checks; violations are recorded at time `now`.
   void finish(double now, const Totals& totals);
 
-  std::uint64_t events_checked() const noexcept { return events_checked_; }
   std::uint64_t violations() const noexcept { return violations_; }
 
  private:
@@ -80,7 +79,6 @@ class Watchdog final : public TraceObserver {
 
   TraceBuffer& buffer_;
   WatchdogOptions options_;
-  std::uint64_t events_checked_ = 0;
   std::uint64_t violations_ = 0;
 
   double last_instant_t_ = 0.0;

@@ -37,13 +37,6 @@ double required_speed(double now, std::span<const PlanJob> jobs) {
   return best;
 }
 
-ExecutionPlan plan_min_energy(double now, std::span<const PlanJob> jobs,
-                              double speed_cap) {
-  ExecutionPlan plan;
-  plan_min_energy(now, jobs, speed_cap, plan);
-  return plan;
-}
-
 void plan_min_energy(double now, std::span<const PlanJob> jobs, double speed_cap,
                      ExecutionPlan& plan) {
   check_sorted(now, jobs);

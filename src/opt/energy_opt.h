@@ -36,14 +36,10 @@ struct PlanJob {
 // deadline with deadlines strictly after `now`.  Returns 0 for an empty set.
 double required_speed(double now, std::span<const PlanJob> jobs);
 
-// Builds the minimal-energy plan.  Segments never extend past their job's
-// deadline; with speed_cap >= required_speed the plan completes every job.
-// speed_cap <= 0 yields an empty plan.
-ExecutionPlan plan_min_energy(double now, std::span<const PlanJob> jobs,
-                              double speed_cap);
-
-// Same plan, written into `plan` (its previous segments are discarded and
-// their capacity reused).
+// Builds the minimal-energy plan into `plan` (its previous segments are
+// discarded and their capacity reused).  Segments never extend past their
+// job's deadline; with speed_cap >= required_speed the plan completes every
+// job.  speed_cap <= 0 yields an empty plan.
 void plan_min_energy(double now, std::span<const PlanJob> jobs, double speed_cap,
                      ExecutionPlan& plan);
 

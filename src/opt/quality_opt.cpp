@@ -291,14 +291,6 @@ void solve(std::span<const AllocJob> jobs, std::size_t l, std::size_t r, double 
 
 }  // namespace
 
-std::vector<double> maximize_quality(double now, std::span<const AllocJob> jobs,
-                                     double speed_cap,
-                                     const quality::QualityFunction& f) {
-  QualityOptScratch scratch;
-  maximize_quality(now, jobs, speed_cap, f, scratch);
-  return std::move(scratch.extra);
-}
-
 void maximize_quality(double now, std::span<const AllocJob> jobs, double speed_cap,
                       const quality::QualityFunction& f, QualityOptScratch& scratch) {
   const std::size_t n = jobs.size();

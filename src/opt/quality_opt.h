@@ -48,15 +48,10 @@ struct QualityOptScratch {
   std::vector<double> extra;                 // x_j, same order as the jobs
 };
 
-// Returns the optimal extra allocation x_j (same order as `jobs`).  `jobs`
-// must be EDF-sorted.  Deadlines at or before `now` force x_j contributions
-// of the corresponding prefix towards zero.  speed_cap <= 0 returns all
-// zeros.
-std::vector<double> maximize_quality(double now, std::span<const AllocJob> jobs,
-                                     double speed_cap,
-                                     const quality::QualityFunction& f);
-
-// Allocation-free variant: identical outputs, delivered in scratch.extra.
+// Writes the optimal extra allocation x_j (same order as `jobs`) into
+// scratch.extra.  `jobs` must be EDF-sorted.  Deadlines at or before `now`
+// force x_j contributions of the corresponding prefix towards zero.
+// speed_cap <= 0 yields all zeros.
 void maximize_quality(double now, std::span<const AllocJob> jobs, double speed_cap,
                       const quality::QualityFunction& f, QualityOptScratch& scratch);
 

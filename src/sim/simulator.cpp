@@ -83,11 +83,6 @@ void Simulator::run_until(double horizon) {
   now_ = horizon;
 }
 
-void Simulator::run_to_completion() {
-  while (step()) {
-  }
-}
-
 bool Simulator::peek_key(double& time, std::uint64_t& seq) const {
   if (queue_.empty()) {
     return false;

@@ -92,9 +92,6 @@ class Simulator {
   // cross-shard event runs, so state read during that event is at-time.
   void advance_clock_to(double time);
 
-  // Runs until the event queue is empty.
-  void run_to_completion();
-
   std::uint64_t executed_events() const noexcept { return executed_; }
   std::size_t pending_events() const noexcept { return queue_.size(); }
 

@@ -65,14 +65,14 @@ std::vector<T> checked_list(const std::optional<std::string>& text,
   return out;
 }
 
-bool parse_bool(const std::string& text, bool fallback) {
+std::optional<bool> parse_bool(const std::string& text) {
   if (text == "true" || text == "1" || text == "yes" || text == "on" || text.empty()) {
     return true;
   }
   if (text == "false" || text == "0" || text == "no" || text == "off") {
     return false;
   }
-  return fallback;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -81,7 +81,9 @@ Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg.size() < 3 || arg.substr(0, 2) != "--") {
-      positional_.emplace_back(arg);
+      if (!stray_) {
+        stray_ = std::string(arg);
+      }
       continue;
     }
     arg.remove_prefix(2);
@@ -125,11 +127,6 @@ double Flags::get_double(std::string_view name, double default_value) const {
                  [](double) { return true; });
 }
 
-std::int64_t Flags::get_int(std::string_view name, std::int64_t default_value) const {
-  return checked(find(name), name, default_value, "an integer",
-                 [](std::int64_t) { return true; });
-}
-
 std::int64_t Flags::get_int_at_least(std::string_view name,
                                      std::int64_t default_value,
                                      std::int64_t min) const {
@@ -149,19 +146,16 @@ bool Flags::get_bool(std::string_view name, bool default_value) const {
   if (!v) {
     return default_value;
   }
-  return parse_bool(*v, default_value);
+  const std::optional<bool> value = parse_bool(*v);
+  if (!value) {
+    reject(name, "true, false, 1, 0, yes, no, on or off", *v);
+  }
+  return *value;
 }
 
 double Flags::get_fraction(std::string_view name, double default_value) const {
   return checked(find(name), name, default_value, "a number in [0, 1]",
                  [](double value) { return value >= 0.0 && value <= 1.0; });
-}
-
-std::vector<double> Flags::get_double_list(std::string_view name,
-                                           std::vector<double> default_value) const {
-  return checked_list(find(name), name, std::move(default_value),
-                      "a comma-separated list of finite numbers",
-                      [](double) { return true; });
 }
 
 std::vector<double> Flags::get_positive_double_list(
@@ -187,6 +181,10 @@ std::vector<std::int64_t> Flags::get_int_list_at_least(
 }
 
 void Flags::reject_unread() const {
+  if (stray_) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n", stray_->c_str());
+    std::exit(2);
+  }
   for (std::size_t i = 0; i < values_.size(); ++i) {
     if (!read_[i]) {
       std::fprintf(stderr, "error: unknown flag --%s\n", values_[i].first.c_str());

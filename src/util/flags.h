@@ -22,6 +22,9 @@ class Flags {
 
   bool has(std::string_view name) const;
   std::string get_string(std::string_view name, std::string default_value) const;
+  // A bare --name reads true.  Any value other than true/false, 1/0, yes/no
+  // or on/off -- a stray token after the switch, say -- exits 2 like the
+  // numeric accessors below.
   bool get_bool(std::string_view name, bool default_value) const;
 
   // Numeric accessors return the default when the flag is absent or empty.
@@ -30,7 +33,6 @@ class Flags {
   // prints a one-line reason naming the flag to stderr and exits with
   // status 2.
   double get_double(std::string_view name, double default_value) const;
-  std::int64_t get_int(std::string_view name, std::int64_t default_value) const;
   // An integer >= `min`.
   std::int64_t get_int_at_least(std::string_view name, std::int64_t default_value,
                                 std::int64_t min) const;
@@ -38,10 +40,7 @@ class Flags {
   double get_positive_double(std::string_view name, double default_value) const;
   // A number in [0, 1].
   double get_fraction(std::string_view name, double default_value) const;
-  // A comma-separated list of numbers, e.g. --rates 100,150,200.
-  std::vector<double> get_double_list(std::string_view name,
-                                      std::vector<double> default_value) const;
-  // The same, every element > 0.
+  // A comma-separated list of numbers > 0, e.g. --rates 100,150,200.
   std::vector<double> get_positive_double_list(
       std::string_view name, std::vector<double> default_value) const;
   // The same, every element in [0, 1].
@@ -58,19 +57,18 @@ class Flags {
   [[noreturn]] static void reject(std::string_view name, const std::string& what,
                                   const std::string& value);
 
-  // Exits with status 2 and "error: unknown flag --<name>" on stderr for the
-  // first flag on the command line that no accessor above has looked up.
+  // Exits with status 2 and one line on stderr for the first bare token on
+  // the command line ("error: unexpected argument '<tok>'": no binary takes
+  // positional arguments), else for the first flag that no accessor above
+  // has looked up ("error: unknown flag --<name>").
   void reject_unread() const;
-
-  // Positional (non-flag) arguments in order of appearance.
-  const std::vector<std::string>& positional() const noexcept { return positional_; }
 
  private:
   std::optional<std::string> find(std::string_view name) const;
 
   std::vector<std::pair<std::string, std::string>> values_;
   mutable std::vector<bool> read_;  // per values_ entry: looked up yet
-  std::vector<std::string> positional_;
+  std::optional<std::string> stray_;  // first bare token, if any
 };
 
 }  // namespace ge::util

@@ -52,14 +52,6 @@ class BlockIter {
 
 }  // namespace
 
-void QuantileCollector::merge(const QuantileCollector& other) {
-  GE_CHECK(&other != this, "a collector cannot merge itself");
-  for (std::size_t i = 0; i < other.count_; ++i) {
-    append(other.blocks_[i >> kBlockShift][i & kBlockMask]);
-  }
-  sum_ += other.sum_;
-}
-
 double QuantileCollector::mean() const noexcept {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }

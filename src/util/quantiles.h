@@ -33,14 +33,13 @@ class QuantileCollector {
   static constexpr std::size_t kBlockMask = kBlockSize - 1;
 
   void add(double sample) {
-    append(sample);
+    if ((count_ & kBlockMask) == 0) {
+      blocks_.push_back(std::make_unique_for_overwrite<double[]>(kBlockSize));
+    }
+    blocks_.back()[count_ & kBlockMask] = sample;
+    ++count_;
     sum_ += sample;
   }
-  // Pools another collector's samples into this one; equivalent to adding
-  // its samples individually (quantiles are computed over the pooled set,
-  // so merged per-server collectors match one cluster-wide collector).
-  // `other` must be a different collector.
-  void merge(const QuantileCollector& other);
 
   std::size_t count() const noexcept { return count_; }
   double mean() const noexcept;
@@ -53,14 +52,6 @@ class QuantileCollector {
   double quantile(double q) const;
 
  private:
-  void append(double sample) {
-    if ((count_ & kBlockMask) == 0) {
-      blocks_.push_back(std::make_unique_for_overwrite<double[]>(kBlockSize));
-    }
-    blocks_.back()[count_ & kBlockMask] = sample;
-    ++count_;
-  }
-
   // Blocks are filled in order; only the last may be partial.  The samples
   // are a multiset, so quantile() may reorder them through the pointers.
   std::vector<std::unique_ptr<double[]>> blocks_;

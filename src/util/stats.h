@@ -47,8 +47,6 @@ class TimeWeightedStats {
   double mean() const noexcept;
   // Time-weighted population variance: E[x^2] - E[x]^2.
   double variance() const noexcept;
-  double weighted_sum() const noexcept { return sum_; }
-  double weighted_sum_squares() const noexcept { return sum_sq_; }
 
  private:
   double total_time_ = 0.0;

@@ -50,7 +50,6 @@ class OnOffPoissonProcess {
 
   double burst_rate() const noexcept { return burst_rate_; }
   double calm_rate() const noexcept { return calm_rate_; }
-  bool in_burst() const noexcept { return in_burst_; }
 
  private:
   double burst_rate_;
@@ -72,7 +71,6 @@ class PoissonProcess {
   double next();
 
   double rate() const noexcept { return rate_; }
-  double last_arrival() const noexcept { return time_; }
 
  private:
   double rate_;

@@ -134,8 +134,8 @@ TEST(Differential, EnergyOptMatchesBruteForcePartitions) {
     std::vector<workload::Job> storage;
     const std::vector<PlanJob> jobs = make_instance(storage, work, deadlines);
 
-    const ExecutionPlan plan =
-        plan_min_energy(0.0, jobs, std::numeric_limits<double>::infinity());
+    ExecutionPlan plan;
+    plan_min_energy(0.0, jobs, std::numeric_limits<double>::infinity(), plan);
     plan.validate(0.0);
     double total_work = 0.0;
     for (const PlanJob& j : jobs) {
@@ -180,8 +180,8 @@ TEST(Differential, EnergyOptAgreesWithFullYds) {
     }
     std::vector<workload::Job> storage;
     const std::vector<PlanJob> jobs = make_instance(storage, work, deadlines);
-    const ExecutionPlan plan =
-        plan_min_energy(0.0, jobs, std::numeric_limits<double>::infinity());
+    ExecutionPlan plan;
+    plan_min_energy(0.0, jobs, std::numeric_limits<double>::infinity(), plan);
     const double planned = plan.total_energy(pm);
     const double reference = yds_min_energy(yds, pm);
     EXPECT_NEAR(planned, reference, 1e-9 * std::max(planned, 1.0))
@@ -225,7 +225,9 @@ TEST(Differential, QualityOptBeatsEveryGridAllocation) {
     }
     const double cap = cap_dist(rng);
 
-    const std::vector<double> extra = maximize_quality(0.0, jobs, cap, f);
+    QualityOptScratch scratch;
+    maximize_quality(0.0, jobs, cap, f, scratch);
+    const std::vector<double>& extra = scratch.extra;
     ASSERT_EQ(extra.size(), jobs.size());
     EXPECT_TRUE(allocation_feasible(0.0, jobs, extra, cap)) << "trial " << trial;
     const double analytic = allocation_quality(jobs, extra, f);
@@ -266,7 +268,9 @@ TEST(Differential, QualityOptUncappedTakesEverything) {
       AllocJob{0.0, 700.0, 2.0},
       AllocJob{250.0, 300.0, 3.0},
   };
-  const std::vector<double> extra = maximize_quality(0.0, jobs, 1e7, f);
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 1e7, f, scratch);
+  const std::vector<double>& extra = scratch.extra;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_NEAR(extra[i], jobs[i].max_extra, 1e-6) << "job " << i;
   }
@@ -276,7 +280,9 @@ TEST(Differential, QualityOptZeroCapAllocatesNothing) {
   const quality::ExponentialQuality f(0.003, 1000.0);
   std::vector<AllocJob> jobs = {AllocJob{0.0, 500.0, 1.0}};
   for (double cap : {0.0, -5.0}) {
-    const std::vector<double> extra = maximize_quality(0.0, jobs, cap, f);
+    QualityOptScratch scratch;
+    maximize_quality(0.0, jobs, cap, f, scratch);
+    const std::vector<double>& extra = scratch.extra;
     ASSERT_EQ(extra.size(), 1u);
     EXPECT_EQ(extra[0], 0.0);
   }

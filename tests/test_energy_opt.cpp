@@ -55,14 +55,16 @@ TEST(RequiredSpeed, MaxPrefixIntensity) {
 }
 
 TEST(EnergyOpt, EmptyPlanForNoJobs) {
-  const ExecutionPlan plan = plan_min_energy(0.0, {}, 2000.0);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, {}, 2000.0, plan);
   EXPECT_TRUE(plan.empty());
 }
 
 TEST(EnergyOpt, SingleJobRunsAtExactIntensity) {
   Fixture fx;
   fx.add(300.0, 0.15);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   ASSERT_EQ(plan.segments.size(), 1u);
   EXPECT_NEAR(plan.segments[0].speed, 2000.0, 1e-9);
   EXPECT_NEAR(plan.segments[0].end, 0.15, 1e-12);
@@ -74,7 +76,8 @@ TEST(EnergyOpt, CompletesAllWorkWhenUncapped) {
   fx.add(100.0, 0.10);
   fx.add(400.0, 0.20);
   fx.add(250.0, 0.50);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   EXPECT_NEAR(plan.total_units(), 750.0, 1e-6);
   plan.validate(0.0);
 }
@@ -84,7 +87,8 @@ TEST(EnergyOpt, MeetsEveryDeadlineWhenUncapped) {
   fx.add(100.0, 0.10);
   fx.add(400.0, 0.20);
   fx.add(250.0, 0.50);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   double done0 = 0.0;
   for (const PlanSegment& seg : plan.segments) {
     EXPECT_LE(seg.end, seg.job->deadline + 1e-9);
@@ -98,7 +102,8 @@ TEST(EnergyOpt, BlockSpeedsNonIncreasing) {
   fx.add(300.0, 0.10);  // intense head
   fx.add(100.0, 0.50);
   fx.add(100.0, 1.00);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   for (std::size_t i = 1; i < plan.segments.size(); ++i) {
     EXPECT_LE(plan.segments[i].speed, plan.segments[i - 1].speed + 1e-9);
   }
@@ -109,7 +114,8 @@ TEST(EnergyOpt, EdfOrderPreserved) {
   fx.add(100.0, 0.10);
   fx.add(100.0, 0.20);
   fx.add(100.0, 0.30);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   ASSERT_EQ(plan.segments.size(), 3u);
   EXPECT_EQ(plan.segments[0].job->id, 1u);
   EXPECT_EQ(plan.segments[1].job->id, 2u);
@@ -119,7 +125,8 @@ TEST(EnergyOpt, EdfOrderPreserved) {
 TEST(EnergyOpt, CapTruncatesAtDeadline) {
   Fixture fx;
   fx.add(1000.0, 0.25);  // needs 4000 u/s, cap is 2000
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), 2000.0);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), 2000.0, plan);
   ASSERT_EQ(plan.segments.size(), 1u);
   EXPECT_NEAR(plan.segments[0].speed, 2000.0, 1e-9);
   EXPECT_NEAR(plan.segments[0].end, 0.25, 1e-12);
@@ -129,14 +136,17 @@ TEST(EnergyOpt, CapTruncatesAtDeadline) {
 TEST(EnergyOpt, ZeroCapYieldsEmptyPlan) {
   Fixture fx;
   fx.add(100.0, 0.5);
-  EXPECT_TRUE(plan_min_energy(0.0, fx.span(), 0.0).empty());
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), 0.0, plan);
+  EXPECT_TRUE(plan.empty());
 }
 
 TEST(EnergyOpt, SkipsZeroRemainingJobs) {
   Fixture fx;
   fx.add(0.0, 0.10);
   fx.add(100.0, 0.20);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   ASSERT_EQ(plan.segments.size(), 1u);
   EXPECT_EQ(plan.segments[0].job->id, 2u);
 }
@@ -144,7 +154,8 @@ TEST(EnergyOpt, SkipsZeroRemainingJobs) {
 TEST(EnergyOpt, StartsFromNow) {
   Fixture fx;
   fx.add(100.0, 2.0);
-  const ExecutionPlan plan = plan_min_energy(1.5, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(1.5, fx.span(), kInf, plan);
   ASSERT_EQ(plan.segments.size(), 1u);
   EXPECT_NEAR(plan.segments[0].start, 1.5, 1e-12);
   EXPECT_NEAR(plan.segments[0].speed, 200.0, 1e-9);
@@ -164,7 +175,8 @@ TEST(EnergyOpt, MatchesBruteForceTwoJobs) {
     const double d2 = d1 + rng.uniform(0.01, 0.3);
     fx.add(w1, d1);
     fx.add(w2, d2);
-    const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+    ExecutionPlan plan;
+    plan_min_energy(0.0, fx.span(), kInf, plan);
     const double plan_energy = plan.total_energy(pm);
 
     // Brute force: job 1 finishes at time t1 in (w1/huge, d1]; job 1 runs at
@@ -197,7 +209,8 @@ TEST_P(EnergyOptRandom, FeasibleAndCapRespected) {
     fx.add(rng.uniform(10.0, 800.0), deadline);
   }
   const double cap = rng.uniform(500.0, 6000.0);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), cap);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), cap, plan);
   plan.validate(0.0);
   double total_remaining = 0.0;
   for (const auto& pj : fx.plan_jobs) {
@@ -220,7 +233,8 @@ TEST(ExecutionPlan, MaxPowerAndEnergy) {
   const power::PowerModel pm(5.0, 2.0, 1000.0);
   Fixture fx;
   fx.add(200.0, 0.1);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   EXPECT_NEAR(plan.max_power(pm), 20.0, 1e-9);  // 2 GHz -> 20 W
   EXPECT_NEAR(plan.total_energy(pm), 2.0, 1e-9);  // 20 W for 0.1 s
 }
@@ -266,7 +280,9 @@ TEST(EnergyOpt, MatchesBruteForceThreeJobs) {
     fx.add(w1, d1);
     fx.add(w2, d2);
     fx.add(w3, d3);
-    const double plan_energy = plan_min_energy(0.0, fx.span(), kInf).total_energy(pm);
+    ExecutionPlan plan;
+    plan_min_energy(0.0, fx.span(), kInf, plan);
+    const double plan_energy = plan.total_energy(pm);
 
     // Brute force over the two free finish times t1 in (0, d1], t2 in
     // (t1, d2] on a grid; job 3 then runs at w3/(d3-t2).
@@ -294,7 +310,8 @@ TEST(EnergyOpt, CapExactlyAtRequiredSpeedCompletesEverything) {
   fx.add(200.0, 0.1);
   fx.add(100.0, 0.2);
   const double required = required_speed(0.0, fx.span());
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), required);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), required, plan);
   EXPECT_NEAR(plan.total_units(), 300.0, 1e-6);
   plan.validate(0.0);
 }
@@ -303,7 +320,8 @@ TEST(EnergyOpt, EqualDeadlinesMergeIntoOneBlock) {
   Fixture fx;
   fx.add(100.0, 0.2);
   fx.add(300.0, 0.2);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   ASSERT_EQ(plan.segments.size(), 2u);
   EXPECT_NEAR(plan.segments[0].speed, 2000.0, 1e-9);
   EXPECT_NEAR(plan.segments[1].speed, 2000.0, 1e-9);
@@ -314,7 +332,8 @@ TEST(EnergyOpt, TinyRemainingWorkIsStable) {
   Fixture fx;
   fx.add(1e-7, 0.1);
   fx.add(100.0, 0.2);
-  const ExecutionPlan plan = plan_min_energy(0.0, fx.span(), kInf);
+  ExecutionPlan plan;
+  plan_min_energy(0.0, fx.span(), kInf, plan);
   plan.validate(0.0);
   EXPECT_NEAR(plan.total_units(), 100.0 + 1e-7, 1e-6);
 }

@@ -186,8 +186,8 @@ TEST(PlanRectifierProperties, RectifiedPlansKeepCapacityAndDeadlines) {
       storage[k].demand = storage[k].target = work_dist(rng);
       jobs[k] = opt::PlanJob{&storage[k], storage[k].demand, d};
     }
-    const opt::ExecutionPlan plan =
-        opt::plan_min_energy(0.0, jobs, std::numeric_limits<double>::infinity());
+    opt::ExecutionPlan plan;
+    opt::plan_min_energy(0.0, jobs, std::numeric_limits<double>::infinity(), plan);
     // Alternate between an unconstrained ceil and a binding limit.
     const double limit = trial % 2 == 0
                              ? std::numeric_limits<double>::infinity()

@@ -52,25 +52,33 @@ double brute_force_quality(double now, const std::vector<AllocJob>& jobs, double
 }
 
 TEST(QualityOpt, EmptyInput) {
-  EXPECT_TRUE(maximize_quality(0.0, {}, 1000.0, paper_f()).empty());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, {}, 1000.0, paper_f(), scratch);
+  EXPECT_TRUE(scratch.extra.empty());
 }
 
 TEST(QualityOpt, ZeroCapAllocatesNothing) {
   std::vector<AllocJob> jobs{{0.0, 300.0, 0.15}};
-  const auto x = maximize_quality(0.0, jobs, 0.0, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 0.0, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_DOUBLE_EQ(x[0], 0.0);
 }
 
 TEST(QualityOpt, AmpleCapacityGivesEverything) {
   std::vector<AllocJob> jobs{{0.0, 300.0, 0.5}, {100.0, 200.0, 0.8}};
-  const auto x = maximize_quality(0.0, jobs, 1e6, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 1e6, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_NEAR(x[0], 300.0, 1e-6);
   EXPECT_NEAR(x[1], 200.0, 1e-6);
 }
 
 TEST(QualityOpt, SingleJobCappedByWindow) {
   std::vector<AllocJob> jobs{{0.0, 500.0, 0.1}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 2000.0, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_NEAR(x[0], 200.0, 1e-6);  // 2000 u/s * 0.1 s
 }
 
@@ -78,7 +86,9 @@ TEST(QualityOpt, EqualJobsGetEqualShares) {
   // Two identical jobs sharing one deadline window: concavity says split
   // evenly rather than finishing one and starving the other.
   std::vector<AllocJob> jobs{{0.0, 400.0, 0.2}, {0.0, 400.0, 0.2}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 2000.0, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_NEAR(x[0] + x[1], 400.0, 1e-6);
   EXPECT_NEAR(x[0], x[1], 1e-5);
 }
@@ -87,13 +97,17 @@ TEST(QualityOpt, FavoursLessExecutedJob) {
   // Same remaining capacity; the job with less work done has the higher
   // marginal quality and must receive more.
   std::vector<AllocJob> jobs{{300.0, 400.0, 0.2}, {0.0, 400.0, 0.2}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 2000.0, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_GT(x[1], x[0]);
 }
 
 TEST(QualityOpt, ExpiredPrefixGetsNothing) {
   std::vector<AllocJob> jobs{{0.0, 300.0, -0.1}, {0.0, 300.0, 0.5}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 2000.0, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_NEAR(x[0], 0.0, 1e-9);
   EXPECT_NEAR(x[1], 300.0, 1e-6);
 }
@@ -102,7 +116,9 @@ TEST(QualityOpt, TightFirstDeadlineLimitsFirstJob) {
   // Job 1 has a very short window; job 2 has plenty.  The prefix constraint
   // on job 1 must bind while job 2 still completes.
   std::vector<AllocJob> jobs{{0.0, 500.0, 0.05}, {0.0, 100.0, 1.0}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, 2000.0, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   EXPECT_NEAR(x[0], 100.0, 1e-6);  // 2000 * 0.05
   EXPECT_NEAR(x[1], 100.0, 1e-6);
 }
@@ -119,7 +135,9 @@ TEST(QualityOpt, MatchesBruteForceOnSmallInstances) {
                               deadline});
     }
     const double cap = rng.uniform(500.0, 3000.0);
-    const auto x = maximize_quality(0.0, jobs, cap, paper_f());
+    QualityOptScratch scratch;
+    maximize_quality(0.0, jobs, cap, paper_f(), scratch);
+    const std::vector<double>& x = scratch.extra;
     ASSERT_TRUE(prefix_feasible(0.0, jobs, x, cap));
     const double got = allocation_quality(jobs, x, paper_f());
     const double best = brute_force_quality(0.0, jobs, cap);
@@ -145,7 +163,9 @@ TEST_P(QualityOptRandom, FeasibleAndSaturates) {
     total_extra += jobs.back().max_extra;
   }
   const double cap = rng.uniform(200.0, 4000.0);
-  const auto x = maximize_quality(0.0, jobs, cap, paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, cap, paper_f(), scratch);
+  const std::vector<double>& x = scratch.extra;
   ASSERT_EQ(x.size(), n);
   ASSERT_TRUE(prefix_feasible(0.0, jobs, x, cap));
   double used = 0.0;
@@ -173,10 +193,11 @@ TEST_P(QualityOptRandom, MonotoneInCap) {
   }
   const double cap1 = rng.uniform(100.0, 2000.0);
   const double cap2 = cap1 + rng.uniform(10.0, 2000.0);
-  const double q1 =
-      allocation_quality(jobs, maximize_quality(0.0, jobs, cap1, paper_f()), paper_f());
-  const double q2 =
-      allocation_quality(jobs, maximize_quality(0.0, jobs, cap2, paper_f()), paper_f());
+  QualityOptScratch scratch;
+  maximize_quality(0.0, jobs, cap1, paper_f(), scratch);
+  const double q1 = allocation_quality(jobs, scratch.extra, paper_f());
+  maximize_quality(0.0, jobs, cap2, paper_f(), scratch);
+  const double q2 = allocation_quality(jobs, scratch.extra, paper_f());
   EXPECT_GE(q2, q1 - 1e-6);
 }
 

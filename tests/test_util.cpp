@@ -225,7 +225,7 @@ TEST(Flags, SpaceAndEqualsForms) {
   const char* argv[] = {"prog", "--rate", "150", "--seed=7"};
   Flags flags(4, argv);
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 150.0);
-  EXPECT_EQ(flags.get_int("seed", 0), 7);
+  EXPECT_EQ(flags.get_int_at_least("seed", 0, 0), 7);
 }
 
 TEST(Flags, DefaultsWhenAbsent) {
@@ -241,12 +241,17 @@ TEST(Flags, BooleanSwitch) {
   Flags flags(3, argv);
   EXPECT_TRUE(flags.get_bool("verbose", false));
   EXPECT_FALSE(flags.get_bool("quiet", true));
+  // "--csv stray" hands the stray token to the switch; it must not read as
+  // the default.
+  const char* bad[] = {"prog", "--csv", "stray"};
+  EXPECT_EXIT((void)Flags(3, bad).get_bool("csv", false), ::testing::ExitedWithCode(2),
+              "^error: --csv must be true, false, 1, 0, yes, no, on or off, got 'stray'\n$");
 }
 
 TEST(Flags, DoubleList) {
   const char* argv[] = {"prog", "--rates", "100,150,200"};
   Flags flags(3, argv);
-  const auto rates = flags.get_double_list("rates", {});
+  const auto rates = flags.get_positive_double_list("rates", {});
   ASSERT_EQ(rates.size(), 3u);
   EXPECT_DOUBLE_EQ(rates[0], 100.0);
   EXPECT_DOUBLE_EQ(rates[2], 200.0);
@@ -279,7 +284,7 @@ TEST(Flags, CheckedListsAndRanges) {
 TEST(Flags, LastOccurrenceWins) {
   const char* argv[] = {"prog", "--x", "1", "--x", "2"};
   Flags flags(5, argv);
-  EXPECT_EQ(flags.get_int("x", 0), 2);
+  EXPECT_EQ(flags.get_int_at_least("x", 0, 0), 2);
 }
 
 TEST(Flags, IntAtLeastAcceptsWholeIntegersFromTheMinimum) {
@@ -326,22 +331,23 @@ TEST(Flags, NumbersMustBeWhollyFinite) {
     Flags flags(3, argv);
     EXPECT_EXIT((void)flags.get_double("x", 0.0), ::testing::ExitedWithCode(2),
                 "--x must be a finite number");
-    EXPECT_EXIT((void)flags.get_int("x", 0), ::testing::ExitedWithCode(2),
-                "--x must be an integer");
+    EXPECT_EXIT((void)flags.get_int_at_least("x", 0, 0),
+                ::testing::ExitedWithCode(2), "--x must be an integer");
   }
   const char* argv[] = {"prog", "--xs", "100,abc", "--ys", "1,,2"};
   Flags flags(5, argv);
-  EXPECT_EXIT((void)flags.get_double_list("xs", {}), ::testing::ExitedWithCode(2),
-              "--xs must be a comma-separated list of finite numbers");
-  EXPECT_EXIT((void)flags.get_double_list("ys", {}), ::testing::ExitedWithCode(2),
-              "--ys must be a comma-separated list");
+  EXPECT_EXIT((void)flags.get_positive_double_list("xs", {}),
+              ::testing::ExitedWithCode(2),
+              "--xs must be a comma-separated list of numbers > 0");
+  EXPECT_EXIT((void)flags.get_positive_double_list("ys", {}),
+              ::testing::ExitedWithCode(2), "--ys must be a comma-separated list");
 }
 
 TEST(Flags, RejectUnreadNamesTheFirstFlagNothingRead) {
   const char* argv[] = {"prog", "--qge", "0.5", "--x=1", "--qeg", "0.7", "--y"};
   const Flags flags(7, argv);
   EXPECT_EQ(flags.get_fraction("qge", 0.9), 0.5);
-  EXPECT_EQ(flags.get_int("x", 0), 1);
+  EXPECT_EQ(flags.get_int_at_least("x", 0, 0), 1);
   // A lookup that finds nothing counts as a read of nothing.
   EXPECT_FALSE(flags.has("absent"));
   EXPECT_EXIT(flags.reject_unread(), ::testing::ExitedWithCode(2),
@@ -355,16 +361,29 @@ TEST(Flags, RejectUnreadNamesTheFirstFlagNothingRead) {
   // Every occurrence of a repeated flag is read by one lookup.
   const char* twice[] = {"prog", "--x", "1", "--x", "2"};
   const Flags repeated(5, twice);
-  EXPECT_EQ(repeated.get_int("x", 0), 2);
+  EXPECT_EQ(repeated.get_int_at_least("x", 0, 0), 2);
   repeated.reject_unread();
 }
 
-TEST(Flags, PositionalArguments) {
-  const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
-  Flags flags(4, argv);
-  ASSERT_EQ(flags.positional().size(), 2u);
-  EXPECT_EQ(flags.positional()[0], "file.csv");
-  EXPECT_EQ(flags.positional()[1], "other");
+TEST(Flags, RejectUnreadNamesTheFirstStrayArgument) {
+  // "--rates 100 150" hands 100 to --rates and leaves 150 bare; a bare token
+  // is reported before any unread flag, and reading every flag does not
+  // excuse it.
+  const char* argv[] = {"prog", "--rates", "100", "150", "--qeg", "0.7", "other"};
+  const Flags flags(7, argv);
+  EXPECT_EQ(flags.get_positive_double_list("rates", {}), (std::vector<double>{100.0}));
+  EXPECT_EXIT(flags.reject_unread(), ::testing::ExitedWithCode(2),
+              "^error: unexpected argument '150'\n$");
+  (void)flags.get_fraction("qeg", 0.9);
+  EXPECT_EXIT(flags.reject_unread(), ::testing::ExitedWithCode(2),
+              "^error: unexpected argument '150'\n$");
+  // A lone "-" or "--" is a bare token too.
+  for (const char* bare : {"-", "--"}) {
+    SCOPED_TRACE(bare);
+    const char* one[] = {"prog", bare};
+    EXPECT_EXIT(Flags(2, one).reject_unread(), ::testing::ExitedWithCode(2),
+                "unexpected argument");
+  }
 }
 
 }  // namespace

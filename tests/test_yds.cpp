@@ -118,7 +118,8 @@ TEST(Yds, MatchesRestrictedPlannerWhenAllReleased) {
       plan_jobs.push_back(PlanJob{&jobs[i], work, deadline});
       yds_jobs.push_back(YdsJob{0.0, deadline, work});
     }
-    const ExecutionPlan plan = plan_min_energy(0.0, plan_jobs, 1e12);
+    ExecutionPlan plan;
+    plan_min_energy(0.0, plan_jobs, 1e12, plan);
     const YdsSchedule yds = yds_schedule(yds_jobs);
     ASSERT_NEAR(plan.total_energy(pm()), yds.energy(pm()),
                 1e-6 * (1.0 + yds.energy(pm())))

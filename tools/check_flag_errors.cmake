@@ -1,11 +1,12 @@
-# Runs ge_report, ge_dashboard, ge_sweep, a figure binary, abl_replication
-# and the quickstart example on each malformed flag value and requires a clean exit
-# 2 with a one-line message naming the flag, not an abort, a value wrapped
-# through an unsigned cast or a silently truncated number.
+# Runs ge_report, ge_dashboard, ge_sweep, a figure binary, abl_replication,
+# ge_list_schedulers and the quickstart example on each malformed flag value
+# and requires a clean exit 2 with a one-line message naming the flag, not
+# an abort, a value wrapped through an unsigned cast or a silently truncated
+# number.
 #
 #   cmake -DGE_REPORT=path -DGE_DASHBOARD=path -DGE_SWEEP=path -DGE_FIG=path
-#         -DGE_REPLICATION=path -DGE_QUICKSTART=path -DREPORT_DIR=dir
-#         -P check_flag_errors.cmake
+#         -DGE_REPLICATION=path -DGE_QUICKSTART=path -DGE_LIST=path
+#         -DREPORT_DIR=dir -P check_flag_errors.cmake
 #
 # REPORT_DIR must be a valid report directory, so a failure to load it can
 # never stand in for the flag error.  A case is "tool|flag|value", plus an
@@ -13,7 +14,10 @@
 # next to another flag (a list one entry short of --servers).
 #
 # Every tool above also exits 2 naming a flag it does not know (a
-# misspelling); `unknown_cases` lists those, same format.
+# misspelling); `unknown_cases` lists those, same format.  No tool takes a
+# bare argument: `stray_cases` are "tool|args|token", and the tool must exit
+# 2 naming `token`, the first bare one in `args` ("--rates 100 150" gives
+# 100 to --rates and leaves 150 bare).
 
 set(cases
   "ge_report|bins|0"
@@ -61,6 +65,7 @@ set(cases
   "ge_sweep|schedulers|QOA[-1]"
   "ge_sweep|trace-format|xml|--trace flag_errors.jsonl"
   "ge_sweep|metric|bogus"
+  "ge_sweep|csv|150"
   "ge_sweep|quantum|-1"
   "ge_sweep|burst|-1"
   "ge_sweep|burst-fraction|0.9|--burst 2"
@@ -82,7 +87,8 @@ set(cases
   "replication|replicas|4294967297"
   "quickstart|seed|-1"
   "quickstart|seconds|-1"
-  "quickstart|qge|1.5")
+  "quickstart|qge|1.5"
+  "list|json|stray")
 
 set(unknown_cases
   "ge_sweep|qeg|0.5"
@@ -92,7 +98,37 @@ set(unknown_cases
   "ge_report|dashbaord|x.html"
   "ge_dashboard|gant-cap|5"
   "fig|qeg|0.5"
-  "quickstart|qeg|0.5")
+  "quickstart|qeg|0.5"
+  "list|jsn|true")
+
+set(stray_cases
+  "ge_sweep|--rates 100 150|150"
+  "ge_sweep|--seconds 0.1 stray|stray"
+  "fig|--rates 100 150|150"
+  "fig|stray --qeg 0.5|stray"
+  "quickstart|--rate 150 200|200"
+  "quickstart|stray|stray"
+  "list|stray --out x.json|stray")
+
+# The command line every case of `tool` starts from, in `out`.
+function(tool_command tool out)
+  if(tool STREQUAL "ge_report")
+    set(cmd "${GE_REPORT}" --report "${REPORT_DIR}" --out flag_errors_out)
+  elseif(tool STREQUAL "ge_dashboard")
+    set(cmd "${GE_DASHBOARD}" --report "${REPORT_DIR}" --out flag_errors.html)
+  elseif(tool STREQUAL "fig")
+    set(cmd "${GE_FIG}" --seconds 0.1 --progress false)
+  elseif(tool STREQUAL "replication")
+    set(cmd "${GE_REPLICATION}" --seconds 0.1 --rates 100 --progress false)
+  elseif(tool STREQUAL "quickstart")
+    set(cmd "${GE_QUICKSTART}" --seconds 0.1)
+  elseif(tool STREQUAL "list")
+    set(cmd "${GE_LIST}" --json true)
+  else()
+    set(cmd "${GE_SWEEP}" --schedulers GE --seconds 0.1 --progress false)
+  endif()
+  set(${out} ${cmd} PARENT_SCOPE)
+endfunction()
 
 set(failures 0)
 foreach(entry IN LISTS cases unknown_cases)
@@ -106,19 +142,7 @@ foreach(entry IN LISTS cases unknown_cases)
     list(GET parts 3 extra_text)
     separate_arguments(extra UNIX_COMMAND "${extra_text}")
   endif()
-  if(tool STREQUAL "ge_report")
-    set(cmd "${GE_REPORT}" --report "${REPORT_DIR}" --out flag_errors_out)
-  elseif(tool STREQUAL "ge_dashboard")
-    set(cmd "${GE_DASHBOARD}" --report "${REPORT_DIR}" --out flag_errors.html)
-  elseif(tool STREQUAL "fig")
-    set(cmd "${GE_FIG}" --seconds 0.1 --progress false)
-  elseif(tool STREQUAL "replication")
-    set(cmd "${GE_REPLICATION}" --seconds 0.1 --rates 100 --progress false)
-  elseif(tool STREQUAL "quickstart")
-    set(cmd "${GE_QUICKSTART}" --seconds 0.1)
-  else()
-    set(cmd "${GE_SWEEP}" --schedulers GE --seconds 0.1 --progress false)
-  endif()
+  tool_command("${tool}" cmd)
   execute_process(COMMAND ${cmd} ${extra} --${flag} ${value}
                   RESULT_VARIABLE status
                   OUTPUT_QUIET
@@ -134,6 +158,33 @@ foreach(entry IN LISTS cases unknown_cases)
     math(EXPR failures "${failures} + 1")
   endif()
 endforeach()
+foreach(entry IN LISTS stray_cases)
+  string(REPLACE "|" ";" parts "${entry}")
+  list(GET parts 0 tool)
+  list(GET parts 1 args_text)
+  list(GET parts 2 token)
+  separate_arguments(args UNIX_COMMAND "${args_text}")
+  tool_command("${tool}" cmd)
+  execute_process(COMMAND ${cmd} ${args}
+                  RESULT_VARIABLE status
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT status STREQUAL "2" OR
+     NOT err STREQUAL "error: unexpected argument '${token}'\n")
+    message(SEND_ERROR "${tool} ${args_text}: exit '${status}', stderr '${err}'")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+# --out as the last token names no file; it must not fall back to stdout.
+tool_command(list cmd)
+execute_process(COMMAND ${cmd} --out
+                RESULT_VARIABLE status
+                OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT status STREQUAL "2" OR NOT err MATCHES "--out must be")
+  message(SEND_ERROR "list --out: exit '${status}', stderr '${err}'")
+  math(EXPR failures "${failures} + 1")
+endif()
 if(failures GREATER 0)
-  message(FATAL_ERROR "${failures} malformed flag value(s) not rejected cleanly")
+  message(FATAL_ERROR "${failures} malformed argument(s) not rejected cleanly")
 endif()

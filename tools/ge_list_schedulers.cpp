@@ -8,12 +8,14 @@
 //                               docs/SCHEDULERS.md cannot drift from the
 //                               registry (see docs/SCHEDULERS.md)
 //   ge_list_schedulers --json --out FILE   write to FILE instead of stdout
-#include <cstring>
+//
+// A misspelled flag, a stray argument or --out without a file exits 2.
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "exp/scheduler_registry.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace {
@@ -90,18 +92,13 @@ void print_table(std::ostream& os) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: ge_list_schedulers [--json] [--out FILE]\n";
-      return 2;
-    }
+  const ge::util::Flags flags(argc, argv);
+  const bool json = flags.get_bool("json", false);
+  const std::string out_path = flags.get_string("out", "");
+  if (flags.has("out") && out_path.empty()) {
+    ge::util::Flags::reject("out", "a file path", out_path);
   }
+  flags.reject_unread();
   std::ofstream file;
   if (!out_path.empty()) {
     file.open(out_path);
