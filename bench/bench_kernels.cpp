@@ -660,7 +660,12 @@ void BM_ReadTraceJsonl(benchmark::State& state) {
   const CapturedTask& task = captured_task();
   for (auto _ : state) {
     std::istringstream in(task.jsonl);
-    benchmark::DoNotOptimize(ge::obs::analysis::read_trace_jsonl(in));
+    std::vector<ge::obs::analysis::ParsedTask> parsed;
+    if (!ge::obs::analysis::read_trace_jsonl(in, parsed).empty()) {
+      state.SkipWithError("captured JSONL did not parse");
+      break;
+    }
+    benchmark::DoNotOptimize(parsed.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(task.telemetry.trace.size()));

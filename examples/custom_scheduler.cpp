@@ -1,14 +1,15 @@
 // Tutorial: add your own scheduler in ONE file -- no core/ or exp/ edits.
 //
-// This example implements Least-Laxity-First (LLF), registers it with the
-// scheduler plugin registry from this translation unit's static init, and
-// then drives it through the stock simulator by name, exactly as if it were
-// a built-in ("--scheduler LLF" works because parse() is a registry
-// lookup).  The three pieces every scheduler needs:
+// This example implements Least-Laxity-First (LLF), adds it to the
+// scheduler plugin registry at the top of main(), and then drives it
+// through the stock simulator by name, exactly as if it were a built-in
+// ("--scheduler LLF" works because parse() is a registry lookup).  The
+// three pieces every scheduler needs:
 //
 //   1. a sched::Scheduler subclass (the policy itself);
 //   2. a SchedulerPlugin describing its CLI contract;
-//   3. GE_REGISTER_SCHEDULER(...) to hand 2 to the registry.
+//   3. SchedulerRegistry::instance().add(...) to hand 2 to the registry,
+//      before anything looks a scheduler up.
 //
 // docs/SCHEDULERS.md walks through this file section by section.
 //
@@ -162,16 +163,16 @@ ge::exp::SchedulerPlugin make_llf() {
   return p;
 }
 
-// ---------------------------------------------------------------------------
-// 3. Registration.  Runs during static init, before main(); from here on
-// "LLF" parses anywhere a scheduler name is accepted in this binary.
-// ---------------------------------------------------------------------------
-GE_REGISTER_SCHEDULER(make_llf);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ge;
+  // -------------------------------------------------------------------------
+  // 3. Registration.  First thing in main(), before any engine thread starts;
+  // from here on "LLF" parses anywhere a scheduler name is accepted in this
+  // binary.
+  // -------------------------------------------------------------------------
+  exp::SchedulerRegistry::instance().add(make_llf());
   const util::Flags flags(argc, argv);
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
   cfg.arrival_rate = flags.get_positive_double("rate", 150.0);

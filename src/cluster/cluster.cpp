@@ -17,13 +17,6 @@ namespace ge::cluster {
 Cluster::Cluster(const std::vector<NodeSpec>& nodes,
                  const quality::QualityFunction& quality_function,
                  const SchedulerFactory& factory, DispatchPolicy policy,
-                 std::uint64_t dispatch_seed, sim::Simulator& sim)
-    : Cluster(nodes, quality_function, factory, policy, dispatch_seed, sim,
-              std::vector<sim::Simulator*>(nodes.size(), &sim)) {}
-
-Cluster::Cluster(const std::vector<NodeSpec>& nodes,
-                 const quality::QualityFunction& quality_function,
-                 const SchedulerFactory& factory, DispatchPolicy policy,
                  std::uint64_t dispatch_seed, sim::Simulator& control_sim,
                  const std::vector<sim::Simulator*>& node_sims)
     : sim_(&control_sim) {

@@ -112,16 +112,10 @@ class Cluster final : public DispatchView {
   // random policy's private stream.  A one-node cluster always uses the
   // passthrough policy regardless of `policy` (there is nothing to decide,
   // and forcing it keeps single-server runs free of dispatcher state).
-  Cluster(const std::vector<NodeSpec>& nodes,
-          const quality::QualityFunction& quality_function,
-          const SchedulerFactory& factory, DispatchPolicy policy,
-          std::uint64_t dispatch_seed, sim::Simulator& sim);
-
-  // Sharded-run overload (docs/DESIGN.md §11): node i's server, monitor and
-  // scheduler are built on node_sims[i] -- several nodes may share a shard
-  // simulator.  `control_sim` carries the telemetry view and the cross-shard
-  // events; with node_sims all equal to &control_sim this is exactly the
-  // serial constructor.
+  // Node i's server, monitor and scheduler are built on node_sims[i]
+  // (docs/DESIGN.md §11); several nodes may share a shard simulator, and a
+  // serial run passes &control_sim for every node.  `control_sim` carries
+  // the telemetry view and the cross-shard events.
   Cluster(const std::vector<NodeSpec>& nodes,
           const quality::QualityFunction& quality_function,
           const SchedulerFactory& factory, DispatchPolicy policy,

@@ -5,7 +5,6 @@
 #include "cluster/cluster.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "workload/distributions.h"
 
 namespace ge::exp {
 
@@ -24,8 +23,11 @@ const char* to_string(QualityFamily family) noexcept {
 ExperimentConfig ExperimentConfig::paper_defaults() { return ExperimentConfig{}; }
 
 std::optional<ConfigError> ExperimentConfig::first_error() const {
-  auto error = [](const char* flag, const char* rule, const char* message) {
-    return std::optional<ConfigError>(ConfigError{flag, rule, message});
+  // `value` rides along on the ranges that depend on another flag, the
+  // ones a user can break without passing the flag they name.
+  auto error = [](const char* flag, const char* rule, const char* message,
+                  std::optional<double> value = std::nullopt) {
+    return std::optional<ConfigError>(ConfigError{flag, rule, message, value});
   };
   if (cores == 0) {
     return error("cores", "an integer >= 1", "config: need at least one core");
@@ -44,7 +46,7 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
   }
   if (quality_family == QualityFamily::kPowerLaw && !(quality_c < 1.0)) {
     return error("quality-c", "in (0, 1) for the power-law family",
-                 "config: power-law exponent must be in (0,1)");
+                 "config: power-law exponent must be in (0,1)", quality_c);
   }
   if (!(arrival_rate > 0.0)) {
     return error("rate", "positive", "config: arrival rate must be positive");
@@ -56,7 +58,8 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
     return error("xmin", "positive", "config: invalid demand distribution");
   }
   if (!(demand_max > demand_min)) {
-    return error("xmax", "greater than --xmin", "config: invalid demand distribution");
+    return error("xmax", "greater than --xmin", "config: invalid demand distribution",
+                 demand_max);
   }
   if (!(deadline_interval > 0.0)) {
     return error("deadline", "positive (milliseconds)",
@@ -64,7 +67,7 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
   }
   if (!(deadline_interval_max >= deadline_interval)) {
     return error("deadline-max", "at least --deadline",
-                 "config: invalid deadline window");
+                 "config: invalid deadline window", deadline_interval_max * 1000.0);
   }
   if (!(burst_peak_to_mean >= 1.0)) {
     return error("burst", ">= 1", "config: burst ratio must be >= 1");
@@ -77,7 +80,8 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
     }
     if (!(burst_peak_to_mean * burst_fraction < 1.0)) {
       return error("burst-fraction", "below 1 / --burst",
-                   "config: burst ratio times burst fraction must be < 1");
+                   "config: burst ratio times burst fraction must be < 1",
+                   burst_fraction);
     }
     if (!(burst_dwell > 0.0)) {
       return error("burst-dwell", "positive", "config: burst dwell must be positive");
@@ -98,7 +102,7 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
   if (discrete_speeds &&
       !(discrete_step_ghz > 0.0 && discrete_max_ghz >= discrete_step_ghz)) {
     return error("step-ghz", "positive and at most --max-ghz",
-                 "config: invalid discrete speed ladder");
+                 "config: invalid discrete speed ladder", discrete_step_ghz);
   }
   if (!(static_power_per_core >= 0.0)) {
     return error("static-power", "non-negative", "config: negative static power");
@@ -142,7 +146,8 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
   // Failures land on the last server; it must have that many cores.
   if (failure_cores > server_core_count(num_servers - 1)) {
     return error("failure-cores", "at most the last server's core count",
-                 "config: cannot fail more cores than exist");
+                 "config: cannot fail more cores than exist",
+                 static_cast<double>(failure_cores));
   }
   if (!(duration > 0.0)) {
     return error("seconds", "positive", "config: duration must be positive");
@@ -158,11 +163,12 @@ std::optional<ConfigError> ExperimentConfig::first_error() const {
   }
   if (!((off_at < 0.0 && on_at < 0.0) || (off_at >= 0.0 && on_at > off_at))) {
     return error("on-at", "greater than --off-at, with both set or neither",
-                 "config: off_at/on_at must both be unset or form a window");
+                 "config: off_at/on_at must both be unset or form a window", on_at);
   }
   if (churn > 0.0 && off_at >= 0.0) {
     return error("off-at", "unset when --churn is positive",
-                 "config: churn and an explicit off_at/on_at window are exclusive");
+                 "config: churn and an explicit off_at/on_at window are exclusive",
+                 off_at);
   }
   if (!(setup_energy >= 0.0)) {
     return error("setup-energy", "non-negative", "config: setup energy must be >= 0");
@@ -289,21 +295,9 @@ std::vector<cluster::AvailabilityWindow> churn_windows(double churn,
 
 }  // namespace
 
-std::vector<power::PowerModel> ExperimentConfig::core_power_models() const {
-  return models_for(cores, power_a, hetero_spread, power_beta, units_per_ghz);
-}
-
 std::size_t ExperimentConfig::server_core_count(std::size_t s) const {
   GE_CHECK(s < num_servers, "config: server index out of range");
   return server_cores.empty() ? cores : server_cores[s];
-}
-
-std::size_t ExperimentConfig::total_cores() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < num_servers; ++s) {
-    total += server_core_count(s);
-  }
-  return total;
 }
 
 std::vector<cluster::NodeSpec> ExperimentConfig::cluster_node_specs(
@@ -347,21 +341,6 @@ std::vector<cluster::NodeSpec> ExperimentConfig::cluster_node_specs(
     specs.push_back(std::move(spec));
   }
   return specs;
-}
-
-double ExperimentConfig::mean_demand() const {
-  return workload::BoundedParetoDistribution(demand_alpha, demand_min, demand_max)
-      .mean();
-}
-
-double ExperimentConfig::nominal_capacity() const {
-  const power::PowerModel pm = power_model();
-  const double per_core_watts = power_budget / static_cast<double>(cores);
-  return static_cast<double>(cores) * pm.speed_for_power(per_core_watts);
-}
-
-double ExperimentConfig::saturation_rate() const {
-  return nominal_capacity() / mean_demand();
 }
 
 }  // namespace ge::exp

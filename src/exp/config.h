@@ -23,11 +23,13 @@ namespace ge::exp {
 // The first constraint an ExperimentConfig breaks.  `flag` names the
 // command-line flag that sets the offending field (empty for fields no flag
 // sets) and `rule` what that flag's value must be; `message` is the
-// config-level reason validate() aborts with.
+// config-level reason validate() aborts with.  A range that depends on
+// another flag also carries the field's `value` in the flag's units.
 struct ConfigError {
   std::string flag;
   std::string rule;
   std::string message;
+  std::optional<double> value;
 };
 
 // Which concave family Eq. (1)'s role is played by (Fig. 9 uses the
@@ -191,12 +193,8 @@ struct ExperimentConfig {
 
   workload::WorkloadSpec workload_spec() const;
   power::PowerModel power_model() const;
-  // One model per core; varies only when hetero_spread > 1.
-  std::vector<power::PowerModel> core_power_models() const;
   // Core count of server `s` (server_cores override, else `cores`).
   std::size_t server_core_count(std::size_t s) const;
-  // Sum of core counts across all servers.
-  std::size_t total_cores() const;
   // One NodeSpec per server, ready for cluster::Cluster.  `budget` is the
   // per-server budget for a default-sized server (the runner passes the
   // scheduler's effective budget); servers with a different core count get
@@ -211,13 +209,6 @@ struct ExperimentConfig {
   }
   // Q_GE target for `tenant` (tenant_qge override, else q_ge).
   double tenant_q_target(std::size_t tenant) const;
-
-  // Mean demand of the bounded-Pareto distribution (~192.1 units).
-  double mean_demand() const;
-  // Nominal capacity in units/s with every core at the ES speed (H/m).
-  double nominal_capacity() const;
-  // Arrival rate that saturates the nominal capacity with uncut work.
-  double saturation_rate() const;
 };
 
 }  // namespace ge::exp

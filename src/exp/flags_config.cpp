@@ -53,12 +53,17 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.demand_min = flags.get_double("xmin", cfg.demand_min);
   cfg.demand_max = flags.get_double("xmax", cfg.demand_max);
 
-  // Deadlines are given in milliseconds on the command line.
+  // Deadlines are given in milliseconds on the command line.  Only the
+  // default --deadline-max follows --deadline; a value given below it is
+  // refused by first_error() below.
   cfg.deadline_interval =
       flags.get_double("deadline", cfg.deadline_interval * 1000.0) / 1000.0;
-  cfg.deadline_interval_max = std::max(
-      cfg.deadline_interval,
-      flags.get_double("deadline-max", cfg.deadline_interval_max * 1000.0) / 1000.0);
+  cfg.deadline_interval_max =
+      flags.get_double("deadline-max", cfg.deadline_interval_max * 1000.0) / 1000.0;
+  if (flags.get_string("deadline-max", "").empty()) {
+    cfg.deadline_interval_max =
+        std::max(cfg.deadline_interval, cfg.deadline_interval_max);
+  }
 
   cfg.burst_peak_to_mean = flags.get_double("burst", cfg.burst_peak_to_mean);
   cfg.burst_fraction = flags.get_double("burst-fraction", cfg.burst_fraction);
@@ -119,13 +124,21 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
                  "event queue\n");
     std::exit(2);
   }
-  // Every range the run would abort on, checked before any trace exists.
+  // Every range the run would abort on, checked before any trace exists.  A
+  // flag the user did not pass is blamed with the value in force.
   if (const std::optional<ConfigError> error = cfg.first_error()) {
-    if (error->flag.empty()) {
-      std::fprintf(stderr, "error: %s\n", error->message.c_str());
-      std::exit(2);
+    const std::string given =
+        error->flag.empty() ? "" : flags.get_string(error->flag, "");
+    if (!given.empty()) {
+      util::Flags::reject(error->flag, error->rule, given);
     }
-    util::Flags::reject(error->flag, error->rule, flags.get_string(error->flag, ""));
+    if (!error->value) {
+      std::fprintf(stderr, "error: %s\n", error->message.c_str());
+    } else {
+      std::fprintf(stderr, "error: --%s must be %s, got '%.12g' (default)\n",
+                   error->flag.c_str(), error->rule.c_str(), *error->value);
+    }
+    std::exit(2);
   }
   return cfg;
 }

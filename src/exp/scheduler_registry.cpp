@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 
 #include "util/check.h"
 
@@ -17,15 +16,16 @@ std::string upper(std::string_view s) {
   return out;
 }
 
-// Case-folded key -> plugin.  Lives beside the plugin vector inside the
-// singleton's translation unit; a function-local map keeps the index and
-// the Meyers singleton construction-ordered under static init.
-std::map<std::string, const SchedulerPlugin*>& index_map() {
-  static std::map<std::string, const SchedulerPlugin*> index;
-  return index;
-}
-
 }  // namespace
+
+SchedulerRegistry::SchedulerRegistry() {
+  for (auto family : {ge_family_plugins, queue_family_plugins,
+                      speed_scaling_family_plugins, yds_offline_plugins}) {
+    for (SchedulerPlugin& plugin : family()) {
+      add(std::move(plugin));
+    }
+  }
+}
 
 SchedulerRegistry& SchedulerRegistry::instance() {
   static SchedulerRegistry registry;
@@ -40,10 +40,9 @@ void SchedulerRegistry::add(SchedulerPlugin plugin) {
            "scheduler plugin min_params > max_params: " + plugin.name);
   plugins_.push_back(std::make_unique<SchedulerPlugin>(std::move(plugin)));
   const SchedulerPlugin* stored = plugins_.back().get();
-  auto& index = index_map();
   const auto claim = [&](const std::string& key) {
     GE_CHECK(!key.empty(), "scheduler plugin has an empty alias: " + stored->name);
-    const bool inserted = index.emplace(upper(key), stored).second;
+    const bool inserted = index_.emplace(upper(key), stored).second;
     GE_CHECK(inserted, "duplicate scheduler name/alias: " + key);
   };
   claim(stored->name);
@@ -53,9 +52,8 @@ void SchedulerRegistry::add(SchedulerPlugin plugin) {
 }
 
 const SchedulerPlugin* SchedulerRegistry::find(std::string_view key) const {
-  const auto& index = index_map();
-  const auto it = index.find(upper(key));
-  return it == index.end() ? nullptr : it->second;
+  const auto it = index_.find(upper(key));
+  return it == index_.end() ? nullptr : it->second;
 }
 
 std::vector<const SchedulerPlugin*> SchedulerRegistry::plugins() const {
@@ -69,10 +67,6 @@ std::vector<const SchedulerPlugin*> SchedulerRegistry::plugins() const {
               return upper(a->name) < upper(b->name);
             });
   return out;
-}
-
-SchedulerRegistrar::SchedulerRegistrar(SchedulerPlugin plugin) {
-  SchedulerRegistry::instance().add(std::move(plugin));
 }
 
 }  // namespace ge::exp

@@ -1,22 +1,22 @@
-// Self-registering scheduler plugin registry.
+// Scheduler plugin registry.
 //
-// A scheduler is one translation unit: it defines a SchedulerPlugin --
-// canonical name, aliases, parameter contract, factory -- and hands it to
-// the registry at static-initialisation time through a SchedulerRegistrar
-// (or the GE_REGISTER_SCHEDULER convenience macro).  SchedulerSpec::parse,
-// display_name and make_scheduler are thin lookups over this table, so
-// adding an algorithm touches no central switch: drop a file next to the
-// built-ins (src/exp/schedulers/), or register from your own binary's
-// translation unit (examples/custom_scheduler.cpp is the worked tutorial;
-// docs/SCHEDULERS.md is the handbook).
+// A scheduler is a SchedulerPlugin -- canonical name, aliases, parameter
+// contract, factory.  SchedulerSpec::parse, display_name and make_scheduler
+// are thin lookups over this table.  The built-in families
+// (src/exp/schedulers/) each export a function returning their plugins, and
+// the registry adds them, in one fixed list, when it is first used.  A
+// binary of your own adds its plugins with add() at the top of main()
+// (examples/custom_scheduler.cpp is the worked tutorial; docs/SCHEDULERS.md
+// is the handbook).
 //
-// Registration happens during static init, strictly before main(); lookups
-// happen after.  The registry is therefore read-only at run time and safe
-// to consult from the experiment engine's worker threads without locking.
+// add() is not synchronised: call it before any thread looks a scheduler
+// up.  After that the registry is read-only and safe to consult from the
+// experiment engine's worker threads without locking.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -76,7 +76,7 @@ struct SchedulerPlugin {
 
 class SchedulerRegistry {
  public:
-  // Meyers singleton: safe to use from any translation unit's static init.
+  // The process-wide registry; the first call adds the built-ins.
   static SchedulerRegistry& instance();
 
   // Registers a plugin.  Checked errors: missing name/factory, duplicate
@@ -93,20 +93,17 @@ class SchedulerRegistry {
   std::size_t size() const noexcept { return plugins_.size(); }
 
  private:
-  SchedulerRegistry() = default;
+  SchedulerRegistry();
 
   // unique_ptr keeps plugin addresses stable: SchedulerSpec holds one.
   std::vector<std::unique_ptr<SchedulerPlugin>> plugins_;
+  std::map<std::string, const SchedulerPlugin*> index_;  // case-folded key
 };
 
-// Registers at static init: `static const SchedulerRegistrar r{plugin};`.
-struct SchedulerRegistrar {
-  explicit SchedulerRegistrar(SchedulerPlugin plugin);
-};
-
-// One-liner for plugin translation units: `fn` is a free function returning
-// the SchedulerPlugin to register.
-#define GE_REGISTER_SCHEDULER(fn) \
-  static const ::ge::exp::SchedulerRegistrar ge_scheduler_registrar_##fn { fn() }
+// The built-in families, one per file under src/exp/schedulers/.
+std::vector<SchedulerPlugin> ge_family_plugins();
+std::vector<SchedulerPlugin> queue_family_plugins();
+std::vector<SchedulerPlugin> speed_scaling_family_plugins();
+std::vector<SchedulerPlugin> yds_offline_plugins();
 
 }  // namespace ge::exp

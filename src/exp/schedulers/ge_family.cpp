@@ -219,15 +219,11 @@ SchedulerPlugin make_be_s() {
   return p;
 }
 
-GE_REGISTER_SCHEDULER(make_ge);
-GE_REGISTER_SCHEDULER(make_ge_nocomp);
-GE_REGISTER_SCHEDULER(make_ge_es);
-GE_REGISTER_SCHEDULER(make_ge_wf);
-GE_REGISTER_SCHEDULER(make_ge_rr);
-GE_REGISTER_SCHEDULER(make_oq);
-GE_REGISTER_SCHEDULER(make_be);
-GE_REGISTER_SCHEDULER(make_be_p);
-GE_REGISTER_SCHEDULER(make_be_s);
-
 }  // namespace
+
+std::vector<SchedulerPlugin> ge_family_plugins() {
+  return {make_ge(), make_ge_nocomp(), make_ge_es(), make_ge_wf(), make_ge_rr(),
+          make_oq(), make_be(), make_be_p(), make_be_s()};
+}
+
 }  // namespace ge::exp

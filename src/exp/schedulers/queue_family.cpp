@@ -47,10 +47,10 @@ SchedulerPlugin make_sjf() {
                            "Shortest-Job-First queue baseline");
 }
 
-GE_REGISTER_SCHEDULER(make_fcfs);
-GE_REGISTER_SCHEDULER(make_fdfs);
-GE_REGISTER_SCHEDULER(make_ljf);
-GE_REGISTER_SCHEDULER(make_sjf);
-
 }  // namespace
+
+std::vector<SchedulerPlugin> queue_family_plugins() {
+  return {make_fcfs(), make_fdfs(), make_ljf(), make_sjf()};
+}
+
 }  // namespace ge::exp

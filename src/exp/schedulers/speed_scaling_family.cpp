@@ -103,10 +103,10 @@ SchedulerPlugin make_bkp() {
   return p;
 }
 
-GE_REGISTER_SCHEDULER(make_oa);
-GE_REGISTER_SCHEDULER(make_qoa);
-GE_REGISTER_SCHEDULER(make_avr);
-GE_REGISTER_SCHEDULER(make_bkp);
-
 }  // namespace
+
+std::vector<SchedulerPlugin> speed_scaling_family_plugins() {
+  return {make_oa(), make_qoa(), make_avr(), make_bkp()};
+}
+
 }  // namespace ge::exp

@@ -79,7 +79,10 @@ SchedulerPlugin make_yds() {
   return p;
 }
 
-GE_REGISTER_SCHEDULER(make_yds);
-
 }  // namespace
+
+std::vector<SchedulerPlugin> yds_offline_plugins() {
+  return {make_yds()};
+}
+
 }  // namespace ge::exp

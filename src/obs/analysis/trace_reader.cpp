@@ -15,8 +15,8 @@ namespace ge::obs::analysis {
 namespace {
 
 // Malformed input.  The parser and the readers below throw it; each public
-// entry point turns it into a checked error, except the error-returning
-// overloads of read_trace_jsonl and read_metrics_json, which hand back its
+// entry point turns it into a checked error, except read_trace_jsonl and
+// the error-returning read_metrics_json overload, which hand back its
 // one-line reason.
 struct ParseError : std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -443,14 +443,6 @@ void read_records(std::istream& in, std::vector<ParsedTask>& tasks,
 }
 
 }  // namespace
-
-std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
-  std::vector<ParsedTask> tasks;
-  if (const std::string error = read_trace_jsonl(in, tasks); !error.empty()) {
-    GE_FAIL("trace JSONL " + error);
-  }
-  return tasks;
-}
 
 std::string read_trace_jsonl(std::istream& in, std::vector<ParsedTask>& tasks) {
   tasks.clear();

@@ -4,9 +4,9 @@
 //   * read_trace_jsonl(): parses a --trace file back into per-task
 //     (TraceTaskInfo, TraceBuffer) pairs -- the exact inverse of
 //     TraceWriter's JSONL rendering (schema: docs/OBSERVABILITY.md).
-//     Unknown "ev" kinds are an error (checked, or a returned reason --
-//     see the two overloads), so schema drift between writer and reader
-//     fails loudly instead of silently skewing reports.
+//     Unknown "ev" kinds are an error (a returned reason), so schema drift
+//     between writer and reader fails loudly instead of silently skewing
+//     reports.
 //   * read_metrics_json(): parses a goodenough-metrics-v2 --metrics file
 //     into a flat name -> scalar view (counters and gauges; histograms
 //     expose count and sum as "<name>.count" / "<name>.sum").  Any other
@@ -40,12 +40,9 @@ struct ParsedTask {
   TraceBuffer buffer;
 };
 
-// Parses a whole JSONL trace stream (checked error on malformed input).
-std::vector<ParsedTask> read_trace_jsonl(std::istream& in);
-
-// The same parse into `tasks`, returning "" on success or, on malformed
-// input, a one-line reason naming the line ("line 3: JSON: ...") with
-// `tasks` left empty.
+// Parses a whole JSONL trace stream into `tasks`, returning "" on success
+// or, on malformed input, a one-line reason naming the line ("line 3: JSON:
+// ...") with `tasks` left empty.
 std::string read_trace_jsonl(std::istream& in, std::vector<ParsedTask>& tasks);
 
 // "" when every index an event of `task` carries is one a run described by

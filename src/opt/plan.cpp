@@ -27,14 +27,6 @@ double ExecutionPlan::total_energy(const power::PowerModel& pm) const {
   return energy;
 }
 
-double ExecutionPlan::total_units() const {
-  double units = 0.0;
-  for (const PlanSegment& seg : segments) {
-    units += seg.units;
-  }
-  return units;
-}
-
 void ExecutionPlan::validate(double now, double tol) const {
   double cursor = now - tol;
   for (const PlanSegment& seg : segments) {

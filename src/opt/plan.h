@@ -40,9 +40,6 @@ struct ExecutionPlan {
   // Total energy if the plan runs to completion.
   double total_energy(const power::PowerModel& pm) const;
 
-  // Total work across segments.
-  double total_units() const;
-
   // Checks structural invariants: segments ordered and non-overlapping,
   // positive speeds, units consistent with speed * duration, each segment
   // ending no later than its job's deadline (tolerance `tol`).

@@ -314,14 +314,4 @@ void maximize_quality(double now, std::span<const AllocJob> jobs, double speed_c
   solve(jobs, 0, n - 1, 0.0, capacity[n - 1], capacity, f, scratch);
 }
 
-double allocation_quality(std::span<const AllocJob> jobs, std::span<const double> extra,
-                          const quality::QualityFunction& f) {
-  GE_CHECK(jobs.size() == extra.size(), "jobs/extra size mismatch");
-  double total = 0.0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    total += f.value(jobs[j].executed + extra[j]);
-  }
-  return total;
-}
-
 }  // namespace ge::opt

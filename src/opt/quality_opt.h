@@ -55,9 +55,4 @@ struct QualityOptScratch {
 void maximize_quality(double now, std::span<const AllocJob> jobs, double speed_cap,
                       const quality::QualityFunction& f, QualityOptScratch& scratch);
 
-// Total quality sum f(e_j + x_j) of an allocation (helper for tests).
-double allocation_quality(std::span<const AllocJob> jobs,
-                          std::span<const double> extra,
-                          const quality::QualityFunction& f);
-
 }  // namespace ge::opt

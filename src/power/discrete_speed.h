@@ -29,8 +29,6 @@ class DiscreteSpeedTable {
   // Nearest level not exceeding... exact membership check with tolerance.
   bool is_level(double speed_units, double tol = 1e-6) const;
 
-  double min_level() const { return levels_.front(); }
-  double max_level() const { return levels_.back(); }
   const std::vector<double>& levels() const noexcept { return levels_; }
 
  private:

@@ -8,12 +8,6 @@
 
 namespace ge::power {
 
-std::vector<double> equal_sharing(double budget, std::size_t cores) {
-  GE_CHECK(budget >= 0.0, "budget must be non-negative");
-  GE_CHECK(cores > 0, "need at least one core");
-  return std::vector<double>(cores, budget / static_cast<double>(cores));
-}
-
 double water_level(double budget, std::span<const double> demands) {
   GE_CHECK(budget >= 0.0, "budget must be non-negative");
   double total = 0.0;

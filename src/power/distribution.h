@@ -20,9 +20,6 @@
 
 namespace ge::power {
 
-// Returns m equal caps summing to `budget`.
-std::vector<double> equal_sharing(double budget, std::size_t cores);
-
 // Water-filling allocation.  `demands[i]` is core i's requested power (W).
 // Returns caps with caps[i] = min(demands[i], L); if sum(demands) <= budget
 // every demand is met exactly (leftover budget stays unused, matching the

@@ -131,8 +131,4 @@ std::string PowerLawQuality::name() const {
   return "powerlaw(gamma=" + ge::util::format_double(gamma_, 3) + ")";
 }
 
-std::unique_ptr<QualityFunction> make_paper_quality_function(double c, double xmax) {
-  return std::make_unique<ExponentialQuality>(c, xmax);
-}
-
 }  // namespace ge::quality

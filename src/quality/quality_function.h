@@ -107,7 +107,4 @@ class PowerLawQuality final : public QualityFunction {
   double slope_scale_;      // gamma / xmax (derivative prefactor)
 };
 
-std::unique_ptr<QualityFunction> make_paper_quality_function(double c = 0.003,
-                                                             double xmax = 1000.0);
-
 }  // namespace ge::quality

@@ -14,7 +14,7 @@ MulticoreServer::MulticoreServer(std::size_t cores, double power_budget,
 
 MulticoreServer::MulticoreServer(std::vector<power::PowerModel> models,
                                  double power_budget, sim::Simulator& sim)
-    : budget_(power_budget), models_(std::move(models)), heterogeneous_(true) {
+    : budget_(power_budget), models_(std::move(models)) {
   GE_CHECK(!models_.empty(), "server needs at least one core");
   GE_CHECK(power_budget > 0.0, "power budget must be positive");
   build_cores(sim);

@@ -39,7 +39,6 @@ class MulticoreServer {
   const power::PowerModel& power_model() const noexcept { return models_.front(); }
   // Core i's own model (may differ per core on heterogeneous servers).
   const power::PowerModel& power_model(std::size_t i) const;
-  bool heterogeneous() const noexcept { return heterogeneous_; }
 
   // Validates caps (size m, non-negative, sum <= H) without installing them;
   // schedulers call this before planning against the caps.
@@ -68,7 +67,6 @@ class MulticoreServer {
 
   double budget_;
   std::vector<power::PowerModel> models_;  // one per core; stable addresses
-  bool heterogeneous_ = false;
   std::vector<std::unique_ptr<Core>> cores_;
 };
 

@@ -48,9 +48,6 @@ class OnOffPoissonProcess {
 
   double next();
 
-  double burst_rate() const noexcept { return burst_rate_; }
-  double calm_rate() const noexcept { return calm_rate_; }
-
  private:
   double burst_rate_;
   double calm_rate_;

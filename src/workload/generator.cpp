@@ -67,8 +67,4 @@ std::vector<Job> WorkloadGenerator::generate_until(double horizon,
   return jobs;
 }
 
-double WorkloadGenerator::offered_load() const {
-  return spec_.arrival_rate * demand_.mean();
-}
-
 }  // namespace ge::workload

@@ -60,12 +60,6 @@ class WorkloadGenerator {
   std::vector<Job> generate_until(double horizon, std::uint64_t max_jobs = 0);
 
   const WorkloadSpec& spec() const noexcept { return spec_; }
-  const BoundedParetoDistribution& demand_distribution() const noexcept {
-    return demand_;
-  }
-
-  // Mean offered load in processing units per second.
-  double offered_load() const;
 
  private:
   double next_arrival();

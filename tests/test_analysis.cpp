@@ -349,7 +349,8 @@ TEST(TraceReader, RoundTripsEveryEventKind) {
   writer.close();
 
   std::istringstream in(out.str());
-  const std::vector<ParsedTask> parsed = read_trace_jsonl(in);
+  std::vector<ParsedTask> parsed;
+  ASSERT_EQ(read_trace_jsonl(in, parsed), "");
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].info.scheduler, "GE");
   EXPECT_EQ(parsed[0].info.cores, 1u);
@@ -458,7 +459,8 @@ TEST(TraceReader, ParsesJsonNumbersExactly) {
   for (const auto& [token, expected] : cases) {
     std::istringstream in(meta + "{\"ev\": \"cap\", \"task\": 0, \"t\": " + token +
                           ", \"core\": 0, \"watts\": 1}\n");
-    const std::vector<ParsedTask> parsed = read_trace_jsonl(in);
+    std::vector<ParsedTask> parsed;
+    ASSERT_EQ(read_trace_jsonl(in, parsed), "") << token;
     ASSERT_EQ(parsed.size(), 1u) << token;
     ASSERT_EQ(parsed[0].buffer.size(), 1u) << token;
     const double got = parsed[0].buffer.events()[0].t;
@@ -468,8 +470,8 @@ TEST(TraceReader, ParsesJsonNumbersExactly) {
 }
 
 // strtod accepted all of these; none is a JSON number, and non-finite
-// values have no JSON spelling.  Both readers must stop with the checked
-// JSON error.
+// values have no JSON spelling.  Both readers must stop with the JSON
+// error: the trace reader returns it, the metrics reader aborts with it.
 TEST(TraceReader, RejectsNumberTokensJsonDoesNotAllow) {
   const char* tokens[] = {"inf",  "-inf", "Infinity", "nan", "NaN",  "0x1p3",
                           "+1",   "1.",   ".5",       "01",  "-01",  "1e",
@@ -480,13 +482,11 @@ TEST(TraceReader, RejectsNumberTokensJsonDoesNotAllow) {
       "\"beta\": 2, \"units_per_ghz\": 1000}, \"ladder\": []}\n";
   for (const char* token : tokens) {
     SCOPED_TRACE(token);
-    EXPECT_DEATH(
-        {
-          std::istringstream in(meta + "{\"ev\": \"cap\", \"task\": 0, \"t\": " +
-                                token + ", \"core\": 0, \"watts\": 1}\n");
-          (void)read_trace_jsonl(in);
-        },
-        "JSON");
+    std::istringstream in(meta + "{\"ev\": \"cap\", \"task\": 0, \"t\": " + token +
+                          ", \"core\": 0, \"watts\": 1}\n");
+    std::vector<ParsedTask> parsed;
+    EXPECT_NE(read_trace_jsonl(in, parsed).find("JSON"), std::string::npos);
+    EXPECT_TRUE(parsed.empty());
     EXPECT_DEATH(
         {
           std::istringstream in(

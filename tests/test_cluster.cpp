@@ -169,7 +169,7 @@ TEST(Cluster, RoundRobinDispatchCountsSumToReleased) {
     node.power_budget = 80.0;
   }
   Cluster cluster(nodes, f, fcfs_factory, DispatchPolicy::kRoundRobin, cfg.seed,
-                  sim);
+                  sim, std::vector<sim::Simulator*>(nodes.size(), &sim));
   EXPECT_EQ(cluster.size(), 3u);
   EXPECT_EQ(cluster.total_cores(), 12u);
   EXPECT_EQ(cluster.dispatcher().policy(), DispatchPolicy::kRoundRobin);
@@ -215,7 +215,7 @@ TEST(Cluster, SingleNodeForcesPassthroughDispatcher) {
   std::vector<NodeSpec> nodes(1);
   nodes[0].core_models.assign(2, power::PowerModel(5.0, 2.0, 1000.0));
   nodes[0].power_budget = 40.0;
-  Cluster cluster(nodes, f, fcfs_factory, DispatchPolicy::kJsq, 1, sim);
+  Cluster cluster(nodes, f, fcfs_factory, DispatchPolicy::kJsq, 1, sim, {&sim});
   EXPECT_EQ(cluster.dispatcher().policy(), DispatchPolicy::kSingle);
 }
 
@@ -233,7 +233,8 @@ TEST(ClusterRun, ConfigValidation) {
   cfg.validate();
   EXPECT_EQ(cfg.server_core_count(0), 8u);
   EXPECT_EQ(cfg.server_core_count(1), 4u);
-  EXPECT_EQ(cfg.total_cores(), 12u);
+  const std::vector<NodeSpec> specs = cfg.cluster_node_specs(cfg.power_budget);
+  EXPECT_EQ(specs[0].core_models.size() + specs[1].core_models.size(), 12u);
   // Failures land on the last server; 6 > 4 cores must be rejected.
   cfg.failure_cores = 6;
   EXPECT_DEATH(cfg.validate(), "cannot fail more cores");

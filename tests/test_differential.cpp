@@ -28,6 +28,7 @@
 #include <random>
 #include <vector>
 
+#include "opt_totals.h"
 #include "opt/energy_opt.h"
 #include "opt/plan.h"
 #include "opt/quality_opt.h"
@@ -141,7 +142,7 @@ TEST(Differential, EnergyOptMatchesBruteForcePartitions) {
     for (const PlanJob& j : jobs) {
       total_work += j.remaining;
     }
-    EXPECT_NEAR(plan.total_units(), total_work, kTol * total_work)
+    EXPECT_NEAR(testdata::plan_units(plan), total_work, kTol * total_work)
         << "plan must complete every job when uncapped";
 
     const double oracle = brute_force_min_energy(0.0, jobs, pm);
@@ -230,7 +231,7 @@ TEST(Differential, QualityOptBeatsEveryGridAllocation) {
     const std::vector<double>& extra = scratch.extra;
     ASSERT_EQ(extra.size(), jobs.size());
     EXPECT_TRUE(allocation_feasible(0.0, jobs, extra, cap)) << "trial " << trial;
-    const double analytic = allocation_quality(jobs, extra, f);
+    const double analytic = testdata::allocation_quality(jobs, extra, f);
 
     // Exhaustive grid over x_j in [0, max_extra], 12 steps per axis
     // (12^4 = 20736 points max).  Every feasible grid point must not beat
@@ -246,7 +247,7 @@ TEST(Differential, QualityOptBeatsEveryGridAllocation) {
         x[k] = jobs[k].max_extra * idx[k] / kSteps;
       }
       if (allocation_feasible(0.0, jobs, x, cap)) {
-        grid_best = std::max(grid_best, allocation_quality(jobs, x, f));
+        grid_best = std::max(grid_best, testdata::allocation_quality(jobs, x, f));
       }
       int i = 0;
       while (i < n && ++idx[static_cast<std::size_t>(i)] > kSteps) {

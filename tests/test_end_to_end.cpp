@@ -6,6 +6,7 @@
 #include "exp/config.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
+#include "workload/distributions.h"
 
 namespace ge::exp {
 namespace {
@@ -234,8 +235,14 @@ TEST(EndToEnd, BusyFractionTracksCutWorkloadAtLightLoad) {
   // within the slack Energy-OPT uses to run slower-but-longer.
   const ExperimentConfig cfg = cfg_at(100.0, 15.0);
   const RunResult r = run_simulation(cfg, SchedulerSpec::parse("BE"));
-  const double offered = cfg.arrival_rate * cfg.mean_demand();
-  const double utilisation = offered / cfg.nominal_capacity();
+  const double mean_demand =
+      workload::BoundedParetoDistribution(cfg.demand_alpha, cfg.demand_min,
+                                          cfg.demand_max)
+          .mean();
+  const double cores = static_cast<double>(cfg.cores);
+  const double capacity =
+      cores * cfg.power_model().speed_for_power(cfg.power_budget / cores);
+  const double utilisation = cfg.arrival_rate * mean_demand / capacity;
   // BE does all the work; busy fraction must be at least the utilisation
   // (running below nominal speed stretches busy time) and bounded by 1.
   EXPECT_GE(r.busy_fraction, utilisation * 0.9);

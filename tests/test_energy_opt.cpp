@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "opt_totals.h"
 #include "opt/energy_opt.h"
 #include "power/power_model.h"
 #include "util/rng.h"
@@ -78,7 +79,7 @@ TEST(EnergyOpt, CompletesAllWorkWhenUncapped) {
   fx.add(250.0, 0.50);
   ExecutionPlan plan;
   plan_min_energy(0.0, fx.span(), kInf, plan);
-  EXPECT_NEAR(plan.total_units(), 750.0, 1e-6);
+  EXPECT_NEAR(testdata::plan_units(plan), 750.0, 1e-6);
   plan.validate(0.0);
 }
 
@@ -220,9 +221,9 @@ TEST_P(EnergyOptRandom, FeasibleAndCapRespected) {
     ASSERT_LE(seg.speed, cap * (1.0 + 1e-9));
     ASSERT_LE(seg.end, seg.job->deadline + 1e-9);
   }
-  ASSERT_LE(plan.total_units(), total_remaining + 1e-6);
+  ASSERT_LE(testdata::plan_units(plan), total_remaining + 1e-6);
   if (required_speed(0.0, fx.span()) <= cap) {
-    ASSERT_NEAR(plan.total_units(), total_remaining, 1e-6);
+    ASSERT_NEAR(testdata::plan_units(plan), total_remaining, 1e-6);
   }
 }
 
@@ -312,7 +313,7 @@ TEST(EnergyOpt, CapExactlyAtRequiredSpeedCompletesEverything) {
   const double required = required_speed(0.0, fx.span());
   ExecutionPlan plan;
   plan_min_energy(0.0, fx.span(), required, plan);
-  EXPECT_NEAR(plan.total_units(), 300.0, 1e-6);
+  EXPECT_NEAR(testdata::plan_units(plan), 300.0, 1e-6);
   plan.validate(0.0);
 }
 
@@ -335,7 +336,7 @@ TEST(EnergyOpt, TinyRemainingWorkIsStable) {
   ExecutionPlan plan;
   plan_min_energy(0.0, fx.span(), kInf, plan);
   plan.validate(0.0);
-  EXPECT_NEAR(plan.total_units(), 100.0 + 1e-7, 1e-6);
+  EXPECT_NEAR(testdata::plan_units(plan), 100.0 + 1e-7, 1e-6);
 }
 
 }  // namespace

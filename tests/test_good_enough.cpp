@@ -161,6 +161,21 @@ TEST(GoodEnough, PowerCapRespectedUnderOverload) {
   EXPECT_TRUE(checked);
 }
 
+// Equal-Sharing (Sec. III-D) is the scheduler's own split: every online
+// core of a 320 W, 16-core server is capped at H / m = 20 W.
+TEST(EqualSharing, SplitsEvenly) {
+  GoodEnoughOptions options;
+  options.power_policy = power::DistributionPolicy::kEqualSharing;
+  Harness h(16, 320.0, options);
+  h.add_job(0.0, 0.15, 300.0);
+  h.sim.run_until(0.1);
+  ASSERT_EQ(h.server.core_count(), 16u);
+  for (std::size_t i = 0; i < h.server.core_count(); ++i) {
+    EXPECT_DOUBLE_EQ(h.server.core(i).power_cap(), 20.0);
+  }
+  h.scheduler->finish();
+}
+
 TEST(GoodEnough, QualityOptTrimsWhenCapBinds) {
   GoodEnoughOptions options;
   options.cutting = false;

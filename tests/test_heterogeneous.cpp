@@ -1,6 +1,7 @@
 // Tests for heterogeneous-core servers (per-core power models).
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
 #include "exp/config.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
@@ -15,7 +16,7 @@ TEST(Heterogeneous, PerCoreModelsExposed) {
   models.emplace_back(5.0, 2.0, 1000.0);
   models.emplace_back(10.0, 2.0, 1000.0);
   MulticoreServer server(std::move(models), 40.0, sim);
-  EXPECT_TRUE(server.heterogeneous());
+  EXPECT_NE(server.power_model(0).a(), server.power_model(1).a());
   EXPECT_EQ(server.core_count(), 2u);
   // Same speed costs twice the power on the inefficient core.
   EXPECT_NEAR(server.power_model(1).power(1000.0),
@@ -27,7 +28,9 @@ TEST(Heterogeneous, HomogeneousConstructorIsNotHeterogeneous) {
   sim::Simulator sim;
   power::PowerModel pm;
   MulticoreServer server(4, 80.0, pm, sim);
-  EXPECT_FALSE(server.heterogeneous());
+  for (std::size_t i = 0; i < server.core_count(); ++i) {
+    EXPECT_EQ(server.power_model(i).a(), server.power_model().a()) << i;
+  }
   EXPECT_NEAR(server.power_model(3).power(1000.0), server.power_model().power(1000.0),
               1e-12);
 }
@@ -49,7 +52,7 @@ ExperimentConfig hetero_config(double spread, double rate = 150.0) {
 
 TEST(Heterogeneous, ConfigBuildsLinearSpread) {
   const ExperimentConfig cfg = hetero_config(3.0);
-  const auto models = cfg.core_power_models();
+  const auto models = cfg.cluster_node_specs(cfg.power_budget)[0].core_models;
   ASSERT_EQ(models.size(), 16u);
   EXPECT_NEAR(models.front().a(), 5.0, 1e-12);
   EXPECT_NEAR(models.back().a(), 15.0, 1e-12);
@@ -57,7 +60,8 @@ TEST(Heterogeneous, ConfigBuildsLinearSpread) {
 }
 
 TEST(Heterogeneous, SpreadOneIsHomogeneous) {
-  const auto models = hetero_config(1.0).core_power_models();
+  const ExperimentConfig cfg = hetero_config(1.0);
+  const auto models = cfg.cluster_node_specs(cfg.power_budget)[0].core_models;
   for (const auto& m : models) {
     EXPECT_DOUBLE_EQ(m.a(), 5.0);
   }

@@ -488,7 +488,7 @@ TEST(PlanDispatch, RoutesHoldsRejectsAndExpiresLikeTheSerialDispatcher) {
         return std::make_unique<sched::QueuePolicyScheduler>(
             env, sched::QueuePolicyOptions{});
       },
-      cluster::DispatchPolicy::kRoundRobin, 1, sim);
+      cluster::DispatchPolicy::kRoundRobin, 1, sim, {&sim, &sim});
   cluster.set_admission_hook(
       [](const workload::Job& job) { return job.demand <= 500.0; });
 

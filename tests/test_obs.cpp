@@ -339,7 +339,8 @@ TEST(TraceWriter, JsonlRoundTripThroughTheReaderIsByteIdentical) {
   EXPECT_EQ(streamed.str(), appended);
 
   std::istringstream in(appended);
-  const std::vector<analysis::ParsedTask> parsed = analysis::read_trace_jsonl(in);
+  std::vector<analysis::ParsedTask> parsed;
+  ASSERT_EQ(analysis::read_trace_jsonl(in, parsed), "");
   ASSERT_EQ(parsed.size(), 1u);
   std::string rewritten;
   append_trace_jsonl(rewritten, parsed[0].info, parsed[0].buffer);

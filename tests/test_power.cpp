@@ -68,8 +68,8 @@ INSTANTIATE_TEST_SUITE_P(Betas, PowerModelBetaSweep,
 TEST(DiscreteSpeedTable, UniformLadder) {
   const auto table = DiscreteSpeedTable::uniform_ghz(0.2, 3.2);
   EXPECT_EQ(table.levels().size(), 16u);
-  EXPECT_DOUBLE_EQ(table.min_level(), 200.0);
-  EXPECT_DOUBLE_EQ(table.max_level(), 3200.0);
+  EXPECT_DOUBLE_EQ(table.levels().front(), 200.0);
+  EXPECT_DOUBLE_EQ(table.levels().back(), 3200.0);
 }
 
 TEST(DiscreteSpeedTable, CeilBehaviour) {
@@ -107,8 +107,8 @@ TEST(DiscreteSpeedTable, DeduplicatesAndSorts) {
 TEST(DiscreteSpeedTable, SingleLevelLadder) {
   const DiscreteSpeedTable table({1500.0});
   EXPECT_EQ(table.levels().size(), 1u);
-  EXPECT_DOUBLE_EQ(table.min_level(), 1500.0);
-  EXPECT_DOUBLE_EQ(table.max_level(), 1500.0);
+  EXPECT_DOUBLE_EQ(table.levels().front(), 1500.0);
+  EXPECT_DOUBLE_EQ(table.levels().back(), 1500.0);
   // ceil: everything at or below the level snaps up to it; above it the
   // ladder tops out at the level.
   EXPECT_DOUBLE_EQ(table.ceil(0.0), 1500.0);
@@ -125,14 +125,6 @@ TEST(DiscreteSpeedTable, SingleLevelLadder) {
 
 TEST(DiscreteSpeedTable, EmptyLadderRefused) {
   EXPECT_DEATH(DiscreteSpeedTable({}), "level");
-}
-
-TEST(EqualSharing, SplitsEvenly) {
-  const auto caps = equal_sharing(320.0, 16);
-  ASSERT_EQ(caps.size(), 16u);
-  for (double cap : caps) {
-    EXPECT_DOUBLE_EQ(cap, 20.0);
-  }
 }
 
 TEST(WaterFilling, AllDemandsMetWhenBudgetSuffices) {

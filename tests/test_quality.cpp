@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 
+#include "exp/config.h"
 #include "quality/quality_function.h"
 #include "quality/quality_monitor.h"
 
@@ -167,7 +168,7 @@ TEST(QualityConstructorChecks, RejectInvalidParameters) {
 }
 
 TEST(MakePaperQualityFunction, UsesPaperConstants) {
-  auto f = make_paper_quality_function();
+  auto f = exp::ExperimentConfig::paper_defaults().make_quality_function();
   EXPECT_NEAR(f->value(1000.0), 1.0, 1e-12);
   // f(192) ~ 0.46 for c = 0.003 (sanity anchor from the paper's setup).
   EXPECT_NEAR(f->value(192.0), 0.461, 0.005);

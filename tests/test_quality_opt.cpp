@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "opt_totals.h"
 #include "opt/quality_opt.h"
 #include "quality/quality_function.h"
 #include "util/rng.h"
@@ -38,7 +39,7 @@ double brute_force_quality(double now, const std::vector<AllocJob>& jobs, double
   std::function<void(std::size_t)> recurse = [&](std::size_t i) {
     if (i == jobs.size()) {
       if (prefix_feasible(now, jobs, x, cap)) {
-        best = std::max(best, allocation_quality(jobs, x, paper_f()));
+        best = std::max(best, testdata::allocation_quality(jobs, x, paper_f()));
       }
       return;
     }
@@ -139,7 +140,7 @@ TEST(QualityOpt, MatchesBruteForceOnSmallInstances) {
     maximize_quality(0.0, jobs, cap, paper_f(), scratch);
     const std::vector<double>& x = scratch.extra;
     ASSERT_TRUE(prefix_feasible(0.0, jobs, x, cap));
-    const double got = allocation_quality(jobs, x, paper_f());
+    const double got = testdata::allocation_quality(jobs, x, paper_f());
     const double best = brute_force_quality(0.0, jobs, cap);
     // The grid is coarse, so brute force slightly underestimates the true
     // optimum; our solution must be at least as good minus grid error.
@@ -195,9 +196,9 @@ TEST_P(QualityOptRandom, MonotoneInCap) {
   const double cap2 = cap1 + rng.uniform(10.0, 2000.0);
   QualityOptScratch scratch;
   maximize_quality(0.0, jobs, cap1, paper_f(), scratch);
-  const double q1 = allocation_quality(jobs, scratch.extra, paper_f());
+  const double q1 = testdata::allocation_quality(jobs, scratch.extra, paper_f());
   maximize_quality(0.0, jobs, cap2, paper_f(), scratch);
-  const double q2 = allocation_quality(jobs, scratch.extra, paper_f());
+  const double q2 = testdata::allocation_quality(jobs, scratch.extra, paper_f());
   EXPECT_GE(q2, q1 - 1e-6);
 }
 

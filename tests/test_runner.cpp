@@ -15,6 +15,7 @@
 #include "exp/scheduler_spec.h"
 #include "exp/sweep.h"
 #include "obs/telemetry.h"
+#include "workload/distributions.h"
 #include "workload/trace.h"
 
 namespace ge::exp {
@@ -42,16 +43,24 @@ TEST(Config, PaperDefaultsMatchSectionIVB) {
 
 TEST(Config, DerivedQuantities) {
   const ExperimentConfig cfg = ExperimentConfig::paper_defaults();
-  EXPECT_NEAR(cfg.mean_demand(), 192.1, 0.5);
-  // 16 cores at 2 GHz = 32000 units/s.
-  EXPECT_NEAR(cfg.nominal_capacity(), 32000.0, 1e-6);
-  EXPECT_NEAR(cfg.saturation_rate(), 32000.0 / cfg.mean_demand(), 1e-6);
+  const double mean_demand =
+      workload::BoundedParetoDistribution(cfg.demand_alpha, cfg.demand_min,
+                                          cfg.demand_max)
+          .mean();
+  EXPECT_NEAR(mean_demand, 192.1, 0.5);
+  // 16 cores at the Equal-Sharing speed (H/m = 20 W, 2 GHz) = 32000 units/s.
+  const double cores = static_cast<double>(cfg.cores);
+  const double capacity =
+      cores * cfg.power_model().speed_for_power(cfg.power_budget / cores);
+  EXPECT_NEAR(capacity, 32000.0, 1e-6);
+  // Uncut work saturates that capacity at ~166.6 req/s.
+  EXPECT_NEAR(capacity / mean_demand, 166.6, 0.5);
 }
 
 TEST(SchedulerSpec, RegistryHoldsEveryBuiltin) {
-  // The built-in plugins self-register from an OBJECT library; if the
-  // linker ever drops those translation units this fails loudly instead of
-  // "unknown scheduler" surfacing at a bench command line.
+  // The registry adds every built-in family when it is first used; a family
+  // left off its list fails here instead of as "unknown scheduler" at a
+  // bench command line.
   const SchedulerRegistry& reg = SchedulerRegistry::instance();
   for (const char* name :
        {"GE", "GE-NoComp", "GE-ES", "GE-WF", "GE-RR", "OQ", "BE", "BE-P",
@@ -60,6 +69,32 @@ TEST(SchedulerSpec, RegistryHoldsEveryBuiltin) {
     EXPECT_NE(reg.find(name), nullptr) << name;
   }
   EXPECT_GE(reg.size(), 18u);
+}
+
+// add() refuses a name or alias already taken, compared case-insensitively,
+// and a plugin with no factory.  Each add runs in the death test's child
+// process, so this binary's registry stays as it was.
+TEST(SchedulerRegistry, DuplicateNameOrAliasAborts) {
+  const auto plugin = [](std::string name, std::vector<std::string> aliases) {
+    SchedulerPlugin p;
+    p.name = std::move(name);
+    p.aliases = std::move(aliases);
+    p.factory = SchedulerRegistry::instance().find("GE")->factory;
+    return p;
+  };
+  EXPECT_DEATH(SchedulerRegistry::instance().add(plugin("ge", {})),
+               "duplicate scheduler name/alias: ge");
+  EXPECT_DEATH(SchedulerRegistry::instance().add(plugin("MINE", {"ge-nc"})),
+               "duplicate scheduler name/alias: ge-nc");
+  EXPECT_DEATH(SchedulerRegistry::instance().add(plugin("MINE", {"mine"})),
+               "duplicate scheduler name/alias: mine");
+}
+
+TEST(SchedulerRegistry, PluginWithoutFactoryAborts) {
+  SchedulerPlugin p;
+  p.name = "NOFACTORY";
+  EXPECT_DEATH(SchedulerRegistry::instance().add(p),
+               "scheduler plugin has no factory: NOFACTORY");
 }
 
 TEST(SchedulerSpec, ParseRoundTripEveryPlugin) {

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "util/rng.h"
 #include "workload/distributions.h"
@@ -156,8 +157,18 @@ TEST(Generator, GenerateUntilHorizon) {
 }
 
 TEST(Generator, OfferedLoadMatchesRateTimesMean) {
-  WorkloadGenerator gen(paper_spec(154.0));
-  EXPECT_NEAR(gen.offered_load(), 154.0 * gen.demand_distribution().mean(), 1e-6);
+  // Demand released per second over a long horizon is rate x mean demand.
+  const WorkloadSpec spec = paper_spec(154.0);
+  WorkloadGenerator gen(spec);
+  const double horizon = 200.0;
+  double released = 0.0;
+  for (const Job& job : gen.generate_until(horizon)) {
+    released += job.demand;
+  }
+  const double mean =
+      BoundedParetoDistribution(spec.pareto_alpha, spec.demand_min, spec.demand_max)
+          .mean();
+  EXPECT_NEAR(released / horizon, 154.0 * mean, 0.03 * 154.0 * mean);
 }
 
 TEST(Job, RemainingAccessors) {
@@ -257,10 +268,27 @@ TEST(OnOffPoisson, MeanRatePreserved) {
 }
 
 TEST(OnOffPoisson, RatesDerivedFromParameters) {
-  OnOffPoissonProcess proc(100.0, 2.0, 0.25, 1.0, util::Rng(22));
-  EXPECT_NEAR(proc.burst_rate(), 200.0, 1e-9);
+  // Dwells of 100 s (burst) and 300 s (calm) leave almost every 1 s bin in
+  // one state: burst bins count ~200 arrivals, calm bins ~66.7.
+  OnOffPoissonProcess proc(100.0, 2.0, 0.25, 100.0, util::Rng(22));
+  std::vector<int> bins(20000, 0);
+  for (double t = proc.next(); t < static_cast<double>(bins.size()); t = proc.next()) {
+    ++bins[static_cast<std::size_t>(t)];
+  }
+  double burst = 0.0, calm = 0.0;
+  int burst_bins = 0, calm_bins = 0;
+  for (int count : bins) {
+    if (count > 133) {
+      burst += count;
+      ++burst_bins;
+    } else {
+      calm += count;
+      ++calm_bins;
+    }
+  }
+  EXPECT_NEAR(burst / burst_bins, 200.0, 4.0);
   // calm = 100 * (1 - 0.25*2) / 0.75 = 66.67.
-  EXPECT_NEAR(proc.calm_rate(), 100.0 * 0.5 / 0.75, 1e-9);
+  EXPECT_NEAR(calm / calm_bins, 100.0 * 0.5 / 0.75, 1.5);
 }
 
 TEST(OnOffPoisson, ArrivalsStrictlyIncreasing) {

@@ -18,6 +18,9 @@
 # bare argument: `stray_cases` are "tool|args|token", and the tool must exit
 # 2 naming `token`, the first bare one in `args` ("--rates 100 150" gives
 # 100 to --rates and leaves 150 bare).
+#
+# `default_cases` are "tool|args|stderr": a config-level range broken by a
+# flag the user did not pass names that flag with the value in force.
 
 set(cases
   "ge_report|bins|0"
@@ -76,6 +79,7 @@ set(cases
   "ge_sweep|quality-c|1.5|--quality-family powerlaw"
   "ge_sweep|on-at|2|--off-at 5"
   "ge_sweep|deadline|-5"
+  "ge_sweep|deadline-max|100|--deadline 200"
   "ge_sweep|xmax|100|--xmin 500"
   "ge_sweep|alpha|-2"
   "fig|server-cores|16|--servers 2"
@@ -100,6 +104,11 @@ set(unknown_cases
   "fig|qeg|0.5"
   "quickstart|qeg|0.5"
   "list|jsn|true")
+
+set(default_cases
+  "ge_sweep|--xmin 2000|error: --xmax must be greater than --xmin, got '1000' (default)"
+  "ge_sweep|--discrete true --max-ghz 0|error: --step-ghz must be positive and at most --max-ghz, got '0.2' (default)"
+  "ge_sweep|--deadline-max 0.1|error: --deadline-max must be at least --deadline, got '0.1'")
 
 set(stray_cases
   "ge_sweep|--rates 100 150|150"
@@ -171,6 +180,22 @@ foreach(entry IN LISTS stray_cases)
                   ERROR_VARIABLE err)
   if(NOT status STREQUAL "2" OR
      NOT err STREQUAL "error: unexpected argument '${token}'\n")
+    message(SEND_ERROR "${tool} ${args_text}: exit '${status}', stderr '${err}'")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+foreach(entry IN LISTS default_cases)
+  string(REPLACE "|" ";" parts "${entry}")
+  list(GET parts 0 tool)
+  list(GET parts 1 args_text)
+  list(GET parts 2 expect)
+  separate_arguments(args UNIX_COMMAND "${args_text}")
+  tool_command("${tool}" cmd)
+  execute_process(COMMAND ${cmd} ${args}
+                  RESULT_VARIABLE status
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err)
+  if(NOT status STREQUAL "2" OR NOT err STREQUAL "${expect}\n")
     message(SEND_ERROR "${tool} ${args_text}: exit '${status}', stderr '${err}'")
     math(EXPR failures "${failures} + 1")
   endif()
